@@ -24,6 +24,7 @@ from .envelopes import (
     SelectionKnobs,
     bump_log_max,
     gbump_extrema,
+    lower_bump,
     select_critical,
 )
 from .solve import Profile
@@ -123,29 +124,6 @@ def interior_box_implies_monotone(prof: Profile, p: SystemParams) -> BoxMonotoni
                            passed=classify(prof).tag == "MonotoneBoth")
 
 
-def _supercritical_knob_values(p, s, knobs, component):
-    """mu and q for the overshoot criterion (q = 2/denominator by default)."""
-    r = decay_rates(p, s)
-    a, d = p.a, p.d
-    if component == "u":
-        lam, cap = r.lambda1, min(r.lambda3 / r.lambda1,
-                                  (r.lambda1 + r.lambda2) / r.lambda1, 2.0)
-        mu = knobs.mu1 if knobs.mu1 is not None else 1.0 + knobs.theta_mu_nonmonotone * (cap - 1.0)
-        denom = -((mu * lam) ** 2) + s * mu * lam - 1.0
-        floor = max(1.0, (1.0 + a * p.c) / denom)
-        q = knobs.q1 if knobs.q1 is not None else max(2.0 / denom, knobs.q_safety * floor)
-        coef = 1.0
-    else:
-        lam, cap = r.lambda2, min(r.lambda4 / r.lambda2,
-                                  (r.lambda1 + r.lambda2) / r.lambda2, 2.0)
-        mu = knobs.mu2 if knobs.mu2 is not None else 1.0 + knobs.theta_mu_nonmonotone * (cap - 1.0)
-        denom = -d * (mu * lam) ** 2 + s * mu * lam - a
-        floor = max(1.0, a, (a * a + a * p.b) / denom)
-        q = knobs.q2 if knobs.q2 is not None else max(2.0 / denom, knobs.q_safety * floor)
-        coef = a
-    return coef, lam, mu, q
-
-
 def _nonmonotone_condition(p: SystemParams, s: float, knobs: SelectionKnobs,
                            component: str) -> NonMonotoneCondition:
     if classify_regime(p) is not Regime.STRICT_WEAK:
@@ -168,12 +146,12 @@ def _nonmonotone_condition(p: SystemParams, s: float, knobs: SelectionKnobs,
             _, _, fmax = gbump_extrema(h, q, lam)
             log_fmax = math.log(fmax) if fmax > 0.0 else -math.inf
         else:
-            r = decay_rates(p, s)
-            log_fmax = bump_log_max(p.a, r.lambda2, ep.muhat2, ep.Qhat2)
+            log_fmax = bump_log_max(p.a, decay_rates(p, s).lambda2, ep.muhat2, ep.Qhat2)
             fmax = math.exp(log_fmax) if log_fmax > -700.0 else 0.0
     else:
-        coef, lam, mu, q = _supercritical_knob_values(p, s, knobs, component)
-        log_fmax = bump_log_max(coef, lam, mu, q)
+        mu, q = (knobs.mu1, knobs.q1) if component == "u" else (knobs.mu2, knobs.q2)
+        bump = lower_bump(p, s, component, mu, q, knobs.theta_mu, overshoot=True)
+        log_fmax = bump_log_max(bump.coef, bump.lam, bump.mu, bump.q)
         fmax = math.exp(log_fmax) if log_fmax > -700.0 else 0.0
 
     holds = log_fmax > math.log(star)

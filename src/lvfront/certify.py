@@ -16,7 +16,6 @@ arithmetic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -56,7 +55,6 @@ class Certificate:
     ordering_gap: float
     grid: Dict[str, float]
     verdict: str
-    excluded_points: int = 0
     envelope: EnvelopeSet = None
 
     @property
@@ -218,14 +216,3 @@ def certificate_to_json(cert: Certificate) -> Dict:
         "case": cert.envelope.case if cert.envelope is not None else None,
     }
 
-
-def write_certificate(cert: Certificate, json_path: str,
-                      csv_path: str = None, grid: np.ndarray = None) -> None:
-    with open(json_path, "w") as fh:
-        json.dump(certificate_to_json(cert), fh, indent=2, sort_keys=True)
-    if csv_path is not None and grid is not None:
-        cols = np.column_stack([grid] + [cert.inequality_margins[k]
-                                         for k in sorted(cert.inequality_margins)])
-        header = "xi," + ",".join(sorted(cert.inequality_margins))
-        np.savetxt(csv_path, cols, delimiter=",", fmt="%.17g",
-                   header=header, comments="")

@@ -17,8 +17,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .model import SystemParams, admissibility, critical_speed, decay_rates
-from .envelopes import SelectionKnobs
-from .certify import certify, certificate_to_json, write_certificate
+from .envelopes import SelectionKnobs, min_decay_rate
+from .certify import certify, certificate_to_json
 from .solve import OperatorConfig, iterate, tail_check, with_tail_report, write_profile
 from .analyze import classify, interior_box_implies_monotone, oscillation_coupling, scan_region
 from .pulse import plan_continuation, pulse_tail_diagnostics, run_continuation, write_pulse_result
@@ -188,11 +188,6 @@ def cmd_certify(cfg: RunConfig) -> int:
     payload = certificate_to_json(cert)
     payload["run_config"] = asdict(cfg)
     _emit(payload, cfg.out)
-    if cfg.out:
-        write_certificate(cert, cfg.out)  # rewrite with run_config below
-        with open(cfg.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return EXIT_PASS if cert.passed else EXIT_CRITERION
 
 
@@ -212,7 +207,6 @@ def cmd_solve(cfg: RunConfig) -> int:
     if cfg.domain is None:
         # deep enough left end that boundary truncation of the slowest
         # envelope mode stays below the sandwich-abort threshold
-        from .envelopes import min_decay_rate
         left = min(cert.envelope.join_points) - 45.0 / min_decay_rate(cert.envelope)
         ocfg = replace(ocfg, left=min(ocfg.left, left), right=max(ocfg.right, 120.0))
     try:

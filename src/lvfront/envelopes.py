@@ -9,10 +9,9 @@ inequalities verified in :mod:`lvfront.certify` hold with positive margin.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -27,6 +26,13 @@ CRITICAL_AD_LT1 = "CriticalAdLt1"
 #: smallest bump maximum considered representable; below this the join
 #: point and the lower envelope drown in floating-point underflow
 MIN_BUMP_MAX = 1e-250
+#: multiplicative margin carried by every strict lower bound on q
+Q_SAFETY = 1.1
+#: places each delta at this fraction of its cap
+DELTA_FRACTION = 0.5
+#: mu placement in the overshoot modes, near the top of the interval where
+#: the lower-envelope maximum is largest
+THETA_MU_NONMONOTONE = 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +236,14 @@ class SelectionKnobs:
     """Tunable placement of the free envelope constants.
 
     theta_mu places mu inside its admissible interval (0 -> near 1,
-    1 -> near the cap); q_safety multiplies every strict lower bound;
-    delta_fraction places delta below its cap.  The nonmonotone flags
-    switch the corresponding q to the value 2/denominator that pushes the
-    lower-envelope maximum above the coexistence component, and move mu
-    toward the top of its interval where that maximum is largest.
+    1 -> near the cap).  The nonmonotone flags switch the corresponding q
+    to the overshoot value of lower_bump and move mu to
+    THETA_MU_NONMONOTONE.  mu1/mu2/q1/q2 pin a constant outright.
     """
 
     theta_mu: float = 0.5
-    q_safety: float = 1.1
-    delta_fraction: float = 0.5
     nonmonotone_u: bool = False
     nonmonotone_v: bool = False
-    theta_mu_nonmonotone: float = 0.9
     mu1: Optional[float] = None
     mu2: Optional[float] = None
     q1: Optional[float] = None
@@ -302,82 +303,109 @@ class EnvelopeSet:
         return tuple(sorted(set(pts)))
 
 
-def _theta(knobs: SelectionKnobs, nonmonotone: bool) -> float:
-    return knobs.theta_mu_nonmonotone if nonmonotone else knobs.theta_mu
+class BumpConstants(NamedTuple):
+    """Constants of one lower bump coef e^{lam xi} - q e^{mu lam xi}."""
+
+    coef: float
+    lam: float
+    cap: float
+    mu: float
+    denom: float
+    floor: float
+    q: float
+
+
+def _critical_slope(coef: float, lam: float) -> float:
+    """Slope h making the capped piece -h xi e^{lam xi} meet coef continuously."""
+    return coef * lam / (lam + 1.0) * math.exp(lam + 1.0)
+
+
+def lower_bump(p: SystemParams, s: float, component: str,
+               mu: Optional[float], q: Optional[float], theta: float,
+               overshoot: bool) -> BumpConstants:
+    """The sequential choice of mu and q for one lower bump.
+
+    mu = 1 + theta (cap - 1) unless pinned, with theta = THETA_MU_NONMONOTONE
+    in overshoot mode; q = Q_SAFETY * floor unless pinned, and in overshoot
+    mode at least 2/denom.  At s = s* (a*d < 1) only the v bump has this
+    form, and the critical u upper envelope changes its cap and floor.  Nothing is
+    validated: callers that need admissible constants check mu against
+    (1, cap) and q against floor.
+    """
+    a, b, c, d = p.a, p.b, p.c, p.d
+    r = decay_rates(p, s)
+    if component == "u":
+        coef, lam, diff = 1.0, r.lambda1, 1.0
+        cap = min(r.lambda3 / lam, (lam + r.lambda2) / lam, 2.0)
+        numer = 1.0 + a * c
+    else:
+        coef, lam, diff = a, r.lambda2, d
+        if s > critical_speed(p):
+            cap = min(r.lambda4 / lam, (r.lambda1 + lam) / lam, 2.0)
+            numer = a * a + a * b
+        else:
+            lh1 = s / 2.0
+            cap = min(r.lambda4 / lam, 1.0 + lh1 / (2.0 * lam), 2.0)
+            numer = a * a + 2.0 * a * b * _critical_slope(1.0, lh1) * math.exp(-1.0) / lh1
+    if mu is None:
+        mu = 1.0 + (THETA_MU_NONMONOTONE if overshoot else theta) * (cap - 1.0)
+    denom = -diff * (mu * lam) ** 2 + s * mu * lam - coef
+    # q must also exceed coef so the bump has a zero on the negative
+    # half-line; a denominator <= 0 (mu outside its interval) bounds nothing
+    floor = max(1.0, coef, numer / denom) if denom > 0.0 else max(1.0, coef)
+    if q is None:
+        q = Q_SAFETY * floor
+        if overshoot and denom > 0.0:
+            q = max(2.0 / denom, q)
+    return BumpConstants(coef, lam, cap, mu, denom, floor, q)
 
 
 def select_supercritical(p: SystemParams, s: float,
                          knobs: SelectionKnobs = SelectionKnobs()) -> EnvelopeParams:
     """Pick mu, q and delta for the supercritical envelopes (s > s*).
 
-    The mu intervals, the q lower bounds and the delta caps follow the
-    sequential selection for s > s*; every strict bound carries the
-    knobs.q_safety multiplicative margin.
+    mu and q come from lower_bump and are checked against their
+    admissible intervals; delta sits at DELTA_FRACTION of its cap.
     """
     if classify_regime(p) is not Regime.STRICT_WEAK:
         raise ValueError("unsupported regime")
     if s <= critical_speed(p):
         raise ValueError("subcritical speed")
-    a, b, c, d = p.a, p.b, p.c, p.d
-    r = decay_rates(p, s)
-    l1, l2, l3, l4 = r.lambda1, r.lambda2, r.lambda3, r.lambda4
-
-    cap1 = min(l3 / l1, (l1 + l2) / l1, 2.0)
-    cap2 = min(l4 / l2, (l1 + l2) / l2, 2.0)
-    mu1 = knobs.mu1 if knobs.mu1 is not None else 1.0 + _theta(knobs, knobs.nonmonotone_u) * (cap1 - 1.0)
-    mu2 = knobs.mu2 if knobs.mu2 is not None else 1.0 + _theta(knobs, knobs.nonmonotone_v) * (cap2 - 1.0)
-    if not 1.0 < mu1 < cap1 or not 1.0 < mu2 < cap2:
+    a, b, c = p.a, p.b, p.c
+    u = lower_bump(p, s, "u", knobs.mu1, knobs.q1, knobs.theta_mu, knobs.nonmonotone_u)
+    v = lower_bump(p, s, "v", knobs.mu2, knobs.q2, knobs.theta_mu, knobs.nonmonotone_v)
+    if not 1.0 < u.mu < u.cap or not 1.0 < v.mu < v.cap:
         raise ValueError("mu outside admissible interval")
-
-    denom1 = -((mu1 * l1) ** 2) + s * mu1 * l1 - 1.0
-    denom2 = -d * (mu2 * l2) ** 2 + s * mu2 * l2 - a
-    # q must also exceed the leading coefficient so the bump has a zero on
-    # the negative half-line
-    floor1 = max(1.0, (1.0 + a * c) / denom1)
-    floor2 = max(1.0, a, (a * a + a * b) / denom2)
-    if knobs.q1 is not None:
-        q1 = knobs.q1
-    elif knobs.nonmonotone_u:
-        q1 = max(2.0 / denom1, knobs.q_safety * floor1)
-    else:
-        q1 = knobs.q_safety * floor1
-    if knobs.q2 is not None:
-        q2 = knobs.q2
-    elif knobs.nonmonotone_v:
-        q2 = max(2.0 / denom2, knobs.q_safety * floor2)
-    else:
-        q2 = knobs.q_safety * floor2
-    if q1 <= floor1 or q2 <= floor2:
+    if u.q <= u.floor or v.q <= v.floor:
         raise ValueError("q below its selection floor")
 
-    _, _, fmax1 = bump_extrema(1.0, l1, mu1, q1)
-    _, _, fmax2 = bump_extrema(a, l2, mu2, q2)
-    delta1 = knobs.delta_fraction * min(1.0 - a * c, fmax1)
-    delta2 = knobs.delta_fraction * min(a - b, fmax2)
+    _, _, fmax1 = bump_extrema(1.0, u.lam, u.mu, u.q)
+    _, _, fmax2 = bump_extrema(a, v.lam, v.mu, v.q)
+    delta1 = DELTA_FRACTION * min(1.0 - a * c, fmax1)
+    delta2 = DELTA_FRACTION * min(a - b, fmax2)
 
     margins = {
-        "mu1_cap": cap1 - mu1,
-        "mu2_cap": cap2 - mu2,
-        "q1_floor": q1 - floor1,
-        "q2_floor": q2 - floor2,
+        "mu1_cap": u.cap - u.mu,
+        "mu2_cap": v.cap - v.mu,
+        "q1_floor": u.q - u.floor,
+        "q2_floor": v.q - v.floor,
         "delta1_cap": min(1.0 - a * c, fmax1) - delta1,
         "delta2_cap": min(a - b, fmax2) - delta2,
     }
-    return EnvelopeParams(mu1=mu1, mu2=mu2, q1=q1, q2=q2,
+    return EnvelopeParams(mu1=u.mu, mu2=v.mu, q1=u.q, q2=v.q,
                           delta1=delta1, delta2=delta2, margins=margins)
 
 
 def _critical_q_search(lam: float, h: float, dcoef: float, coupling: float,
-                       other: Callable[[np.ndarray], np.ndarray],
-                       q_start: float) -> float:
+                       other: Callable[[np.ndarray], np.ndarray]) -> float:
     """Smallest q (on a deterministic geometric ladder) whose sub-solution
     residual is nonnegative on a dense grid left of the g-bump zero.
 
     residual(xi) = dcoef e^{lam xi} (q/4)(-xi)^{-3/2} - g^2 - coupling*g*other
-    where g is the (h, q, lam) bump.  The ladder starts at q_start and is
-    capped where the bump maximum underflows.
+    where g is the (h, q, lam) bump.  The ladder starts at Q_SAFETY *
+    max(sqrt(h (1/lam + 1)), h sqrt(1 + 1/lam)); it stops where gmax underflows.
     """
-    q = q_start
+    q = Q_SAFETY * max(math.sqrt(h * (1.0 / lam + 1.0)), h * math.sqrt(1.0 + 1.0 / lam))
     for _ in range(80):
         xi0 = -((q / h) ** 2)
         if xi0 > -1e-6:
@@ -415,16 +443,13 @@ def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -
     if a * d > 1.0 + EQ_TOL:
         raise ValueError("apply species swap")
     s = critical_speed(p)
-    r = decay_rates(p, s)
     lh1 = s / 2.0
-    h1 = lh1 / (lh1 + 1.0) * math.exp(lh1 + 1.0)
-    q1_start = knobs.q_safety * max(math.sqrt(h1 * (1.0 / lh1 + 1.0)),
-                                    h1 * math.sqrt(1.0 + 1.0 / lh1))
+    h1 = _critical_slope(1.0, lh1)
     ad_eq_1 = abs(a * d - 1.0) <= EQ_TOL
 
     if ad_eq_1:
         lh2 = s / (2.0 * d)
-        h2 = a * lh2 / (lh2 + 1.0) * math.exp(lh2 + 1.0)
+        h2 = _critical_slope(a, lh2)
 
         def v_up(xs):
             return np.where(xs >= -1.0 / lh2 - 1.0, a, h2 * (-xs) * np.exp(lh2 * xs))
@@ -432,14 +457,12 @@ def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -
         def u_up(xs):
             return np.where(xs >= -1.0 / lh1 - 1.0, 1.0, h1 * (-xs) * np.exp(lh1 * xs))
 
-        qhat1 = _critical_q_search(lh1, h1, 1.0, c, v_up, q1_start)
-        q2_start = knobs.q_safety * max(math.sqrt(h2 * (1.0 / lh2 + 1.0)),
-                                        h2 * math.sqrt(1.0 + 1.0 / lh2))
-        qhat2 = _critical_q_search(lh2, h2, d, b, u_up, q2_start)
+        qhat1 = _critical_q_search(lh1, h1, 1.0, c, v_up)
+        qhat2 = _critical_q_search(lh2, h2, d, b, u_up)
         _, _, gmax1 = gbump_extrema(h1, qhat1, lh1)
         _, _, gmax2 = gbump_extrema(h2, qhat2, lh2)
-        deltahat1 = knobs.delta_fraction * min(1.0 - a * c, gmax1)
-        deltahat2 = knobs.delta_fraction * min(a - b, gmax2)
+        deltahat1 = DELTA_FRACTION * min(1.0 - a * c, gmax1)
+        deltahat2 = DELTA_FRACTION * min(a - b, gmax2)
         margins = {"gmax1": gmax1, "gmax2": gmax2}
         return EnvelopeParams(h1=h1, h2=h2, qhat1=qhat1, qhat2=qhat2,
                               deltahat1=deltahat1, deltahat2=deltahat2,
@@ -447,32 +470,22 @@ def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -
 
     # a*d < 1: the v-side keeps its supercritical shape with rates from
     # the (now non-degenerate) second quadratic
-    l2, l4 = r.lambda2, r.lambda4
+    v = lower_bump(p, s, "v", knobs.mu2, knobs.q2, knobs.theta_mu, knobs.nonmonotone_v)
 
     def v_up_exp(xs):
-        return np.where(xs >= 0.0, a, a * np.exp(l2 * xs))
+        return np.where(xs >= 0.0, a, a * np.exp(v.lam * xs))
 
-    qhat1 = _critical_q_search(lh1, h1, 1.0, c, v_up_exp, q1_start)
+    qhat1 = _critical_q_search(lh1, h1, 1.0, c, v_up_exp)
     _, _, gmax1 = gbump_extrema(h1, qhat1, lh1)
-    deltahat1 = knobs.delta_fraction * min(1.0 - a * c, gmax1)
+    deltahat1 = DELTA_FRACTION * min(1.0 - a * c, gmax1)
 
-    cap2 = min(l4 / l2, 1.0 + lh1 / (2.0 * l2), 2.0)
-    muhat2 = knobs.mu2 if knobs.mu2 is not None else 1.0 + _theta(knobs, knobs.nonmonotone_v) * (cap2 - 1.0)
-    if not 1.0 < muhat2 < cap2:
+    if not 1.0 < v.mu < v.cap:
         raise ValueError("mu outside admissible interval")
-    denom2 = -d * (muhat2 * l2) ** 2 + s * muhat2 * l2 - a
-    floor2 = max(1.0, a, (a * a + 2.0 * a * b * h1 * math.exp(-1.0) / lh1) / denom2)
-    if knobs.q2 is not None:
-        Qhat2 = knobs.q2
-    elif knobs.nonmonotone_v:
-        Qhat2 = max(2.0 / denom2, knobs.q_safety * floor2)
-    else:
-        Qhat2 = knobs.q_safety * floor2
-    _, _, fmax2 = bump_extrema(a, l2, muhat2, Qhat2)
-    deltahat2 = knobs.delta_fraction * min(a - b, fmax2)
-    margins = {"gmax1": gmax1, "muhat2_cap": cap2 - muhat2, "Qhat2_floor": Qhat2 - floor2}
+    _, _, fmax2 = bump_extrema(a, v.lam, v.mu, v.q)
+    deltahat2 = DELTA_FRACTION * min(a - b, fmax2)
+    margins = {"gmax1": gmax1, "muhat2_cap": v.cap - v.mu, "Qhat2_floor": v.q - v.floor}
     return EnvelopeParams(h1=h1, qhat1=qhat1, deltahat1=deltahat1,
-                          muhat2=muhat2, Qhat2=Qhat2, deltahat2=deltahat2,
+                          muhat2=v.mu, Qhat2=v.q, deltahat2=deltahat2,
                           margins=margins)
 
 
@@ -563,35 +576,7 @@ def build_envelopes(p: SystemParams, s: float, ep: EnvelopeParams) -> EnvelopeSe
                        params=ep, speed=s, case=case, system=p)
 
 
-def envelope_rates(env: EnvelopeSet):
-    """Decay rates backing an envelope set (recomputed from its system)."""
-    return decay_rates(env.system, env.speed)
-
-
 def min_decay_rate(env: EnvelopeSet) -> float:
-    r = envelope_rates(env)
+    """Slower of the two decay rates backing an envelope set."""
+    r = decay_rates(env.system, env.speed)
     return min(r.lambda1, r.lambda2)
-
-
-def write_envelope_csv(env: EnvelopeSet, grid: np.ndarray,
-                       csv_path: str, json_path: Optional[str] = None) -> None:
-    """Dump (xi, u_upper, u_lower, v_upper, v_lower) plus a JSON sidecar."""
-    cols = np.column_stack([
-        grid,
-        env.u_upper(grid), env.u_lower(grid),
-        env.v_upper(grid), env.v_lower(grid),
-    ])
-    np.savetxt(csv_path, cols, delimiter=",", fmt="%.17g",
-               header="xi,u_upper,u_lower,v_upper,v_lower", comments="")
-    if json_path is not None:
-        payload = {
-            "case": env.case,
-            "speed": env.speed,
-            "system": {"a": env.system.a, "b": env.system.b,
-                       "c": env.system.c, "d": env.system.d},
-            "params": {k: v for k, v in vars(env.params).items()
-                       if k != "margins" and v is not None},
-            "margins": env.params.margins,
-        }
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)

@@ -10,16 +10,16 @@ gap.  The limit profile is checked against the degenerate system.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .model import Regime, SystemParams, classify_regime, critical_speed, decay_rates
-from .envelopes import SelectionKnobs, bump_extrema
+from .model import Regime, SystemParams, classify_regime, critical_speed
+from .envelopes import SelectionKnobs, bump_extrema, lower_bump
 from .certify import certify
+from .analyze import _interior_extrema
 from .solve import (
     IterationReport,
     OperatorConfig,
@@ -46,7 +46,6 @@ class ContinuationPlan:
     knobs: SelectionKnobs      # frozen envelope constants
     config: OperatorConfig
     floor: float               # maximum of the fixed lower envelope
-    extrapolation: bool = False
 
 
 @dataclass(frozen=True)
@@ -96,8 +95,13 @@ def plan_continuation(p_base: SystemParams, s: float, target: str,
     """
     if classify_regime(p_base) is not Regime.STRICT_WEAK:
         raise ValueError("unsupported regime")
-    if s < critical_speed(p_base):
+    s_star = critical_speed(p_base)
+    if s < s_star:
         raise ValueError("subcritical speed")
+    if abs(s - s_star) <= 1e-9:
+        # cap = 1 there, so mu = 1 and every denominator vanishes; certify
+        # switches to the critical selection, which ignores frozen mu/q
+        raise ValueError("continuation needs a supercritical speed")
     if target == "c_to_1_over_a":
         limit, start = 1.0 / p_base.a, p_base.c
     elif target == "b_to_a":
@@ -112,29 +116,22 @@ def plan_continuation(p_base: SystemParams, s: float, target: str,
     if any(s2 <= s1 for s1, s2 in zip([start] + steps, steps)):
         raise ValueError("continuation schedule is not strictly monotone")
 
-    r = decay_rates(p_base, s)
-    a, d = p_base.a, p_base.d
-    cap1 = min(r.lambda3 / r.lambda1, (r.lambda1 + r.lambda2) / r.lambda1, 2.0)
-    cap2 = min(r.lambda4 / r.lambda2, (r.lambda1 + r.lambda2) / r.lambda2, 2.0)
-    if target == "c_to_1_over_a":
-        mu1 = 1.0 + 0.9 * (cap1 - 1.0)
-        denom1 = -((mu1 * r.lambda1) ** 2) + s * mu1 * r.lambda1 - 1.0
-        q1 = 2.0 / denom1
-        mu2 = 1.0 + 0.5 * (cap2 - 1.0)
-        denom2 = -d * (mu2 * r.lambda2) ** 2 + s * mu2 * r.lambda2 - a
-        q2 = 1.1 * max(1.0, a, (a * a + a * p_base.b) / denom2)
-        _, _, floor = bump_extrema(1.0, r.lambda1, mu1, q1)
+    pulse_u = target == "c_to_1_over_a"
+    theta = SelectionKnobs().theta_mu
+    u = lower_bump(p_base, s, "u", None, None, theta, overshoot=pulse_u)
+    v = lower_bump(p_base, s, "v", None, None, theta, overshoot=not pulse_u)
+    # The pulsed bump keeps its bare q (2/denominator for u, 2a^2/denominator
+    # for v) rather than the overshoot q of certify's non-monotone modes:
+    # switching would move the floor and every step of existing runs.
+    if pulse_u:
+        q1, q2 = 2.0 / u.denom, v.q
+        _, _, floor = bump_extrema(u.coef, u.lam, u.mu, q1)
     else:
-        mu2 = 1.0 + 0.9 * (cap2 - 1.0)
-        denom2 = -d * (mu2 * r.lambda2) ** 2 + s * mu2 * r.lambda2 - a
-        q2 = 2.0 * a * a / denom2
-        if q2 <= max(1.0, a):
+        q1, q2 = u.q, 2.0 * v.coef * v.coef / v.denom
+        if q2 <= max(1.0, v.coef):
             raise ValueError("overshoot q infeasible for the v-pulse")
-        mu1 = 1.0 + 0.5 * (cap1 - 1.0)
-        denom1 = -((mu1 * r.lambda1) ** 2) + s * mu1 * r.lambda1 - 1.0
-        q1 = 1.1 * max(1.0, (1.0 + a * p_base.c) / denom1)
-        _, _, floor = bump_extrema(a, r.lambda2, mu2, q2)
-    knobs = SelectionKnobs(mu1=mu1, mu2=mu2, q1=q1, q2=q2)
+        _, _, floor = bump_extrema(v.coef, v.lam, v.mu, q2)
+    knobs = SelectionKnobs(mu1=u.mu, mu2=v.mu, q1=q1, q2=q2)
     if config is None:
         # h = 0.04 keeps the quadrature overshoot of the envelope pair an
         # order of magnitude under the sandwich-violation abort threshold
@@ -229,8 +226,6 @@ def pulse_tail_diagnostics(prof: Profile, p_degenerate: SystemParams) -> TailCas
     When v oscillates, each interior v-maximum must satisfy
     u <= (a - v)/b there; at interior u-maxima, u + v/a <= 1 must hold.
     """
-    from .analyze import _interior_extrema  # shared prominence filtering
-
     a, b = p_degenerate.a, p_degenerate.b
     n = prof.grid.size
     sl = slice(3 * n // 4, n)

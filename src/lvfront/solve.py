@@ -287,10 +287,9 @@ def with_tail_report(prof: Profile, report: TailReport) -> Profile:
     return replace(prof, tail_report=report)
 
 
-def ode_residual(prof: Profile, p: SystemParams, c_override: Optional[float] = None) -> float:
+def ode_residual(prof: Profile, p: SystemParams) -> float:
     """Sup-norm of the central-difference residual of the wave system."""
-    a, b, d = p.a, p.b, p.d
-    c = p.c if c_override is None else c_override
+    a, b, c, d = p.a, p.b, p.c, p.d
     h = prof.grid[1] - prof.grid[0]
     u, v, s = prof.u, prof.v, prof.speed
     upp = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)

@@ -11,6 +11,8 @@ from lvfront.envelopes import (
     PiecewiseProfile,
     SelectionKnobs,
     bump_extrema,
+    bump_log_max,
+    select_supercritical,
 )
 from lvfront.certify import select_and_build
 from lvfront.solve import Profile
@@ -133,6 +135,22 @@ class TestOvershootCriterion:
         cond = nonmonotone_condition_v(P, critical_speed(P))
         assert math.isfinite(cond.log_fmax) or cond.log_fmax == -math.inf
         assert cond.star > 0.0
+
+    @pytest.mark.parametrize("p,s", [
+        (SystemParams(1.5, 0.7, 0.4, 0.8), 3.5),
+        (SystemParams(0.7, 0.3, 1.1, 1.6), 3.0),
+        (SystemParams(2.0, 1.2, 0.3, 0.6), 4.0),
+        (SystemParams(0.6, 0.45, 1.2, 2.5), 2.6),
+    ])
+    def test_bump_maximum_is_the_selected_bump(self, p, s):
+        # the criterion and certify's overshoot modes share mu and q exactly
+        r = decay_rates(p, s)
+        ep_u = select_supercritical(p, s, SelectionKnobs(nonmonotone_u=True))
+        ep_v = select_supercritical(p, s, SelectionKnobs(nonmonotone_v=True))
+        assert nonmonotone_condition_u(p, s).log_fmax == bump_log_max(
+            1.0, r.lambda1, ep_u.mu1, ep_u.q1)
+        assert nonmonotone_condition_v(p, s).log_fmax == bump_log_max(
+            p.a, r.lambda2, ep_v.mu2, ep_v.q2)
 
 
 class TestScanRegion:

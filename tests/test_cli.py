@@ -146,6 +146,12 @@ class TestPulse:
         capsys.readouterr()
         assert code == 1
 
+    def test_critical_speed_exits_one(self, capsys):
+        code = cli.main(["pulse", "--params", "1,0.5,0.9,1", "--speed", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+
     def test_short_continuation_directory(self, in_tmp, capsys):
         code = cli.main(["pulse", "--params", "1,0.5,0.5,1", "--speed", "2.5",
                          "--target", "b_to_a", "--steps", "2",

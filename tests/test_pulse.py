@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lvfront.model import SystemParams
+from lvfront.model import SystemParams, decay_rates
 from lvfront.solve import Profile
 from lvfront.pulse import (
     FINAL_GAP,
@@ -64,6 +64,25 @@ class TestPlan:
         with pytest.raises(ValueError, match="unsupported regime"):
             plan_continuation(SystemParams(1.0, 2.0, 2.0, 1.0), 2.5,
                               "c_to_1_over_a", 4)
+
+    @pytest.mark.parametrize("target", ["c_to_1_over_a", "b_to_a"])
+    def test_critical_speed_rejected(self, target):
+        # s* = 2: the mu cap is 1 there, so every bump denominator vanishes
+        with pytest.raises(ValueError, match="needs a supercritical speed"):
+            plan_continuation(P, 2.0, target, 4)
+
+    def test_pulsed_q_is_bare_two_over_denominator(self):
+        plan = plan_continuation(P, 2.5, "c_to_1_over_a", 8)
+        r = decay_rates(P, 2.5)
+        cap = min(r.lambda3 / r.lambda1, (r.lambda1 + r.lambda2) / r.lambda1, 2.0)
+        mu = 1.0 + 0.9 * (cap - 1.0)
+        denom = -((mu * r.lambda1) ** 2) + 2.5 * mu * r.lambda1 - 1.0
+        floor = max(1.0, (1.0 + P.a * P.c) / denom)
+        assert plan.knobs.mu1 == pytest.approx(mu, rel=1e-12)
+        assert plan.knobs.q1 == pytest.approx(2.0 / denom, rel=1e-12)
+        assert plan.knobs.q1 == pytest.approx(4.233, abs=1e-3)
+        # not certify's overshoot q, max(2/denominator, 1.1 * floor)
+        assert max(2.0 / denom, 1.1 * floor) == pytest.approx(4.423, abs=1e-3)
 
 
 @pytest.fixture(scope="module")
