@@ -216,6 +216,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         return EXIT_NO_CONVERGENCE
     extra = {"run_config": asdict(cfg),
              "iterations": report.iterations_used,
+             "beta_used": list(report.beta_used),
              "sandwich_violations": int(sum(report.sandwich_violations))}
     if report.converged:
         tr = tail_check(prof, p, cert.envelope)

@@ -2,10 +2,16 @@
 
 The system is rewritten as (u, v) = P(u, v) where P inverts the linear
 parts shifted by beta, i.e. convolution with the Green kernel of
-d_i w'' - s w' - beta w against F_i = beta*w_i + reaction_i.  For beta
-above beta_floor the reactions are monotone in their own variable on the
-box [0,1] x [0,a], and Picard iteration from the upper pair (u_up, v_lo)
-and the lower pair (u_lo, v_up) squeezes the wave from both sides.
+d_i w'' - s w' - beta_i w against F_i = beta_i*w_i + reaction_i.  With
+shifts above shift_bounds the reactions are monotone in their own
+variable on the order interval the iterates span, and Picard iteration
+from the upper pair (u_up, v_lo) and the lower pair (u_lo, v_up) squeezes
+the wave from both sides.  By default iterate recomputes one shift per
+component from the current pair at every step, so the shifts fall from
+at most their values on the box [0,1] x [0,a] as the pair closes, to
+BETA_MARGIN * (u*, v*) on a monotone front; an explicit
+OperatorConfig.beta fixes one shift for both components.  The fixed
+point -Lx = f(x) does not depend on the shift.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from .envelopes import EnvelopeSet, min_decay_rate
 CLIP_EVENT_TOL = 1e-9
 #: clip adjustments larger than this abort the iteration
 CLIP_ABORT_TOL = 1e-8
+#: factor by which a shift exceeds the smallest monotone shift
+BETA_MARGIN = 1.05
 
 
 @dataclass(frozen=True)
@@ -32,7 +40,9 @@ class OperatorConfig:
     left: float = -60.0
     right: float = 80.0
     n_points: int = 2801
-    beta: Optional[float] = None  # default: 1.05 * beta_floor
+    # None: per-component shifts from the current pair (shift_bounds) at
+    # every iteration; a number: that shift for both components throughout
+    beta: Optional[float] = None
     max_iters: int = 5000
     tol: float = 1e-8
     damping: float = 1.0
@@ -71,6 +81,7 @@ class IterationReport:
     converged: bool
     iterations_used: int
     damping_used: float
+    beta_used: Tuple[float, float]  # (beta_u, beta_v) on the final pair
 
 
 def beta_floor(p: SystemParams) -> float:
@@ -82,11 +93,33 @@ def beta_floor(p: SystemParams) -> float:
     return max(1.0 + p.a * p.c, p.a + p.b)
 
 
-def kernel_rates(p: SystemParams, s: float, beta: float):
-    """Real roots (negative, positive) of d_i r^2 - s r - beta for i = 1, 2."""
+def shift_bounds(p: SystemParams, u_hi, v_hi) -> Tuple[float, float]:
+    """Per-component shifts (beta_u, beta_v) for pairs below (u_hi, v_hi).
+
+    beta_u + 1 - 2u - cv >= 0 and beta_v + a - bu - 2v >= 0 for
+    0 <= u <= u_hi, 0 <= v <= v_hi; each bound is widened by BETA_MARGIN.
+    On the box (u_hi, v_hi) = (1, a) they are BETA_MARGIN * (1 + ac, a + b).
+    A bound <= 0 (a pair at the extinction state) is replaced by the
+    component's box-corner value, 1 + ac or a + b, since P needs beta > 0.
+    """
+    need_u = float(np.max(2.0 * u_hi + p.c * v_hi)) - 1.0
+    need_v = float(np.max(p.b * u_hi + 2.0 * v_hi)) - p.a
+    return (BETA_MARGIN * need_u if need_u > 0.0 else 1.0 + p.a * p.c,
+            BETA_MARGIN * need_v if need_v > 0.0 else p.a + p.b)
+
+
+def _beta_pair(beta) -> Tuple[float, float]:
+    return (beta, beta) if np.ndim(beta) == 0 else (beta[0], beta[1])
+
+
+def kernel_rates(p: SystemParams, s: float, beta):
+    """Real roots (negative, positive) of d_i r^2 - s r - beta_i for i = 1, 2.
+
+    beta is one shift for both components or a pair (beta_u, beta_v).
+    """
     out = []
-    for d in (1.0, p.d):
-        disc = math.sqrt(s * s + 4.0 * d * beta)
+    for d, bt in zip((1.0, p.d), _beta_pair(beta)):
+        disc = math.sqrt(s * s + 4.0 * d * bt)
         out.append(((s - disc) / (2.0 * d), (s + disc) / (2.0 * d)))
     return tuple(out)
 
@@ -120,10 +153,11 @@ def _kernel_apply(F: np.ndarray, h: float, alpha: float, gamma: float,
 
 
 def apply_P(u: np.ndarray, v: np.ndarray, p: SystemParams, s: float,
-            beta: float, h: float, right_state: Tuple[float, float],
+            beta, h: float, right_state: Tuple[float, float],
             left_state: Tuple[float, float] = (0.0, 0.0)):
     """One application of the integral operator to sampled (u, v).
 
+    beta is one shift for both components or a pair (beta_u, beta_v).
     Samples are extended by constant states beyond the truncated domain:
     left_state (the extinction state by default) and right_state (normally
     the coexistence state).
@@ -131,10 +165,11 @@ def apply_P(u: np.ndarray, v: np.ndarray, p: SystemParams, s: float,
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ValueError("invalid input profile")
     a, b, c = p.a, p.b, p.c
+    beta_u, beta_v = _beta_pair(beta)
 
     def F(uu, vv):
-        return (beta * uu + uu * (1.0 - uu - c * vv),
-                beta * vv + vv * (a - b * uu - vv))
+        return (beta_u * uu + uu * (1.0 - uu - c * vv),
+                beta_v * vv + vv * (a - b * uu - vv))
 
     F1, F2 = F(u, v)
     F1_right, F2_right = F(*right_state)
@@ -167,8 +202,8 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
     lam_min = min_decay_rate(env)
     if cfg.left >= min(env.join_points) - 10.0 / lam_min:
         raise ValueError("domain too small")
-    beta = cfg.beta if cfg.beta is not None else 1.05 * beta_floor(p)
-    if beta < beta_floor(p):
+    beta = cfg.beta
+    if beta is not None and beta < beta_floor(p):
         raise ValueError("beta below monotonicity floor")
 
     grid = np.linspace(cfg.left, cfg.right, cfg.n_points)
@@ -187,6 +222,8 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
         wv = np.clip(warm_start[1], lo_v, hi_v)
         Au, Av = wu.copy(), wv.copy()
         Bu, Bv = wu.copy(), wv.copy()
+    if beta is None:
+        beta = shift_bounds(p, np.maximum(Au, Bu), np.maximum(Av, Bv))
 
     damping = cfg.damping
     res_hist, gap_hist, violations = [], [], []
@@ -220,6 +257,8 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
         res_hist.append(step)
         gap_hist.append(gap)
         Au, Av, Bu, Bv = nAu, nAv, nBu, nBv
+        if cfg.beta is None:
+            beta = shift_bounds(p, np.maximum(Au, Bu), np.maximum(Av, Bv))
         if step < cfg.tol and gap < cfg.tol:
             converged = True
             break
@@ -237,6 +276,7 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
         converged=converged,
         iterations_used=iterations,
         damping_used=damping,
+        beta_used=_beta_pair(beta),
     )
     return prof, report
 

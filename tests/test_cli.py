@@ -87,6 +87,17 @@ class TestSolve:
         assert data.shape[1] == 3
         assert abs(data[-1, 1] - 2.0 / 3.0) < 1e-6  # right end near u*
 
+    def test_header_reports_final_shifts(self, in_tmp, capsys):
+        code = cli.main(["solve", "--params", "1,0.5,0.5,1", "--speed", "3.0",
+                         "--grid", "4401", "--tol", "1e-9", "--out", "prof"])
+        capsys.readouterr()
+        assert code == 0
+        head = json.loads((in_tmp / "prof.json").read_text())
+        beta_u, beta_v = head["beta_used"]
+        # 1.05 * (u*, v*) once the pair has closed on a monotone front
+        assert beta_u == pytest.approx(0.7, abs=1e-6)
+        assert beta_v == pytest.approx(0.7, abs=1e-6)
+
     def test_config_file_overrides_flags(self, in_tmp, capsys):
         cfg = {"speed": 3.0, "grid": 4401, "tol": 1e-9, "out": "viacfg"}
         (in_tmp / "run.json").write_text(json.dumps(cfg))

@@ -16,6 +16,10 @@ from lvfront.solve import (
     tail_check,
     with_tail_report,
 )
+from dataclasses import replace
+from lvfront.envelopes import min_decay_rate
+from lvfront.model import critical_speed
+from lvfront.solve import BETA_MARGIN, shift_bounds
 
 P = SystemParams(1.0, 0.5, 0.5, 1.0)
 S = 3.0
@@ -183,3 +187,78 @@ class TestTailCheck:
         short = replace(prof, grid=prof.grid[cut], u=prof.u[cut], v=prof.v[cut])
         tr = tail_check(short, P, cert.envelope)
         assert not tr.passed
+
+
+class TestAdaptiveShift:
+    @given(K1=st.floats(0.0, 1.0), K2=st.floats(0.0, 1.0),
+           beta_u=st.floats(0.3, 3.0), beta_v=st.floats(0.3, 3.0))
+    @settings(max_examples=25)
+    def test_constants_map_to_reaction_over_own_beta(self, K1, K2, beta_u, beta_v):
+        u = np.full(801, K1)
+        v = np.full(801, K2)
+        Pu, Pv = apply_P(u, v, P, S, (beta_u, beta_v), 0.1, (K1, K2), (K1, K2))
+        F1 = beta_u * K1 + K1 * (1.0 - K1 - P.c * K2)
+        F2 = beta_v * K2 + K2 * (P.a - P.b * K1 - K2)
+        assert np.abs(Pu - F1 / beta_u).max() < 1e-10
+        assert np.abs(Pv - F2 / beta_v).max() < 1e-10
+
+    @pytest.mark.parametrize("p", [
+        P, SystemParams(1.0, 25.0 / 26.0, 0.5, 1.0),
+        SystemParams(0.5, 0.25, 1.0, 1.0), SystemParams(1.6, 1.2, 0.3, 2.0),
+    ])
+    def test_bounds_on_the_box_are_the_corner_values(self, p):
+        beta_u, beta_v = shift_bounds(p, np.ones(7), np.full(7, p.a))
+        assert beta_u == pytest.approx(BETA_MARGIN * (1.0 + p.a * p.c), rel=1e-14)
+        assert beta_v == pytest.approx(BETA_MARGIN * (p.a + p.b), rel=1e-14)
+        assert max(beta_u, beta_v) == pytest.approx(BETA_MARGIN * beta_floor(p), rel=1e-14)
+
+    def test_bounds_positive_at_extinction(self):
+        beta_u, beta_v = shift_bounds(P, np.zeros(7), np.zeros(7))
+        assert (beta_u, beta_v) == (1.0 + P.a * P.c, P.a + P.b)
+        assert beta_u > 0.0 and beta_v > 0.0
+
+    @pytest.fixture(scope="class")
+    def fixed(self):
+        cert = certify(P, S)
+        return iterate(cert.envelope, P, S, replace(CFG, beta=1.05 * beta_floor(P)))
+
+    def test_fewer_iterations_than_fixed_shift(self, solved, fixed):
+        _, prof, rep = solved
+        prof_f, rep_f = fixed
+        assert rep.converged and rep_f.converged
+        assert sum(rep.sandwich_violations) == 0
+        assert rep.damping_used == 1.0
+        assert rep.iterations_used < rep_f.iterations_used
+
+    def test_same_profile_as_fixed_shift(self, solved, fixed):
+        _, prof, _ = solved
+        prof_f, _ = fixed
+        assert np.abs(prof.u - prof_f.u).max() < 1e-4
+        assert np.abs(prof.v - prof_f.v).max() < 1e-4
+
+    def test_reported_shifts(self, solved, fixed):
+        _, _, rep = solved
+        _, rep_f = fixed
+        assert rep_f.beta_used == (1.05 * beta_floor(P), 1.05 * beta_floor(P))
+        # a monotone front peaks at the coexistence state, where the
+        # bounds reduce to BETA_MARGIN * (u*, v*)
+        ustar, vstar = equilibria(P).coexistence
+        assert rep.beta_used[0] == pytest.approx(BETA_MARGIN * ustar, abs=1e-6)
+        assert rep.beta_used[1] == pytest.approx(BETA_MARGIN * vstar, abs=1e-6)
+
+    @given(a=st.floats(0.5, 0.8), b_frac=st.floats(0.1, 0.4),
+           ac=st.floats(0.1, 0.4), d=st.floats(0.5, 1.0),
+           s_frac=st.floats(1.02, 2.0))
+    @settings(max_examples=12, deadline=None)
+    def test_keeps_the_bracket_on_strict_weak_draws(self, a, b_frac, ac, d, s_frac):
+        p = SystemParams(a, b_frac * a, ac / a, d)
+        s = s_frac * critical_speed(p)
+        cert = certify(p, s)
+        assert cert.passed
+        env = cert.envelope
+        left = min(-60.0, min(env.join_points) - 25.0 / min_decay_rate(env))
+        cfg = OperatorConfig(left=left, right=60.0, n_points=4001)
+        _, rep = iterate(env, p, s, cfg)
+        assert rep.converged
+        assert sum(rep.sandwich_violations) == 0
+        assert rep.damping_used == 1.0
