@@ -35,6 +35,9 @@ from .envelopes import (
 RESIDUAL_TOL = 1e-10
 #: grid points closer than this to a join point are skipped
 EXCLUSION_RADIUS = 1e-6
+#: distances from each join at which make_grid adds points on both sides
+_JOIN_OFFSETS = np.geomspace(2.0 * EXCLUSION_RADIUS, 1.0, 80)
+_JOIN_OFFSETS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -72,24 +75,25 @@ def make_grid(env: EnvelopeSet, n_points: int = 20001) -> np.ndarray:
     lam_min = min_decay_rate(env)
     joins = env.join_points
     left = min(joins) - 40.0 / lam_min
-    base = np.linspace(left, 30.0, n_points)
-    clusters = [base]
+    pts = np.concatenate([np.linspace(left, 30.0, n_points)]
+                         + [j + _JOIN_OFFSETS for j in joins]
+                         + [j - _JOIN_OFFSETS for j in joins])
+    # every part is a monotone run, which the stable sort merges in near
+    # linear time; repeated points are then dropped as np.unique drops them
+    pts.sort(kind="stable")
+    keep = np.empty(pts.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(pts[1:], pts[:-1], out=keep[1:])
+    keep &= (pts >= left) & (pts <= 30.0)
     for j in joins:
-        offs = np.geomspace(2.0 * EXCLUSION_RADIUS, 1.0, 80)
-        clusters.append(j + offs)
-        clusters.append(j - offs)
-    grid = np.unique(np.concatenate(clusters))
-    keep = np.ones(grid.size, dtype=bool)
-    for j in joins:
-        keep &= np.abs(grid - j) > EXCLUSION_RADIUS
-    return grid[keep & (grid >= left) & (grid <= 30.0)]
+        keep &= np.abs(pts - j) > EXCLUSION_RADIUS
+    return pts[keep]
 
 
 def check_ordering(env: EnvelopeSet, grid: np.ndarray) -> Tuple[bool, float]:
-    """Pointwise u_lower <= u_upper and v_lower <= v_upper on the grid."""
-    gap_u = env.u_upper(grid) - env.u_lower(grid)
-    gap_v = env.v_upper(grid) - env.v_lower(grid)
-    worst = float(min(gap_u.min(), gap_v.min()))
+    """Pointwise u_lower <= u_upper and v_lower <= v_upper on the sorted grid."""
+    (uu,), (ul,), (vu,), (vl,) = env.jet(grid)
+    worst = float(min((uu - ul).min(), (vu - vl).min()))
     return worst >= -1e-12, worst
 
 
@@ -114,21 +118,19 @@ def check_corners(env: EnvelopeSet) -> List[CornerCheck]:
 
 def check_differential_inequalities(env: EnvelopeSet, p: SystemParams, s: float,
                                     grid: np.ndarray) -> Dict[str, np.ndarray]:
-    """Signed residuals of the four inequalities from closed-form derivatives."""
+    """Signed residuals of the four inequalities from closed-form derivatives
+    on the sorted grid, with one jet (value, first, second) per envelope."""
     a, b, c, d = p.a, p.b, p.c, p.d
-    uu, ul = env.u_upper(grid), env.u_lower(grid)
-    vu, vl = env.v_upper(grid), env.v_lower(grid)
-    res = {
-        "u_upper": env.u_upper(grid, 2) - s * env.u_upper(grid, 1)
-        + uu * (1.0 - uu - c * vl),
-        "u_lower": env.u_lower(grid, 2) - s * env.u_lower(grid, 1)
-        + ul * (1.0 - ul - c * vu),
-        "v_upper": d * env.v_upper(grid, 2) - s * env.v_upper(grid, 1)
-        + vu * (a - b * ul - vu),
-        "v_lower": d * env.v_lower(grid, 2) - s * env.v_lower(grid, 1)
-        + vl * (a - b * uu - vl),
-    }
-    return res
+    # the residuals are allocated before the jets, so that the jets and the
+    # temporaries are freed from the top of the heap and the next
+    # certificate reuses that memory instead of faulting in fresh pages
+    res = np.empty((4, grid.size))
+    (uu, uu1, uu2), (ul, ul1, ul2), (vu, vu1, vu2), (vl, vl1, vl2) = env.jet(grid, 2)
+    np.add(uu2 - s * uu1, uu * (1.0 - uu - c * vl), out=res[0])
+    np.add(ul2 - s * ul1, ul * (1.0 - ul - c * vu), out=res[1])
+    np.add(d * vu2 - s * vu1, vu * (a - b * ul - vu), out=res[2])
+    np.add(d * vl2 - s * vl1, vl * (a - b * uu - vl), out=res[3])
+    return dict(zip(("u_upper", "u_lower", "v_upper", "v_lower"), res))
 
 
 def _mode_knobs(mode: str) -> SelectionKnobs:

@@ -33,60 +33,79 @@ DELTA_FRACTION = 0.5
 #: mu placement in the overshoot modes, near the top of the interval where
 #: the lower-envelope maximum is largest
 THETA_MU_NONMONOTONE = 0.9
+#: distances left of the g-bump zero that _critical_q_search checks in
+#: addition to its uniform grid
+_LADDER_OFFSETS = np.geomspace(1e-9, 1.0, 500)
+_LADDER_OFFSETS.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
 # piecewise profiles
 # ---------------------------------------------------------------------------
 
-def _eval_constant(t, pr, deriv):
-    out = np.full_like(t, pr["c0"] if deriv == 0 else 0.0)
-    return out
+# Each piece kind has one jet evaluator: it fills out[k] (out has shape
+# (order + 1, t.size)) with the k-th derivative at t for k = 0..order, all
+# from one set of exponentials.  Row k does not depend on the order asked.
+
+def _jet_constant(t, pr, out):
+    out[0] = pr["c0"]
+    out[1:] = 0.0
 
 
-def _eval_exp(t, pr, deriv):
+def _jet_exp(t, pr, out):
     A, lam = pr["A"], pr["lam"]
-    return A * lam ** deriv * np.exp(lam * t)
+    e = np.exp(lam * t)
+    for k in range(len(out)):
+        out[k] = A * lam ** k * e
 
 
-def _eval_bump(t, pr, deriv):
+def _jet_bump(t, pr, out):
     A, lam, mu, q = pr["A"], pr["lam"], pr["mu"], pr["q"]
-    return A * lam ** deriv * np.exp(lam * t) - q * (mu * lam) ** deriv * np.exp(mu * lam * t)
+    e = np.exp(lam * t)
+    em = np.exp(mu * lam * t)
+    for k in range(len(out)):
+        out[k] = A * lam ** k * e - q * (mu * lam) ** k * em
 
 
-def _eval_linexp(t, pr, deriv):
+def _jet_linexp(t, pr, out):
     h, lam = pr["h"], pr["lam"]
     e = np.exp(lam * t)
-    if deriv == 0:
-        return -h * t * e
-    if deriv == 1:
-        return -h * e * (1.0 + lam * t)
-    return -h * e * (2.0 * lam + lam * lam * t)
+    out[0] = -h * t * e
+    if len(out) > 1:
+        he = -h * e
+        out[1] = he * (1.0 + lam * t)
+    if len(out) > 2:
+        out[2] = he * (2.0 * lam + lam * lam * t)
 
 
-def _eval_rootexp(t, pr, deriv):
+def _jet_rootexp(t, pr, out):
     # (-h t - q sqrt(-t)) e^{lam t}, only ever evaluated for t < 0
     h, lam, q = pr["h"], pr["lam"], pr["q"]
     mt = np.maximum(-t, 1e-300)
     root = np.sqrt(mt)
     phi = h * mt - q * root
     e = np.exp(lam * t)
-    if deriv == 0:
-        return phi * e
-    dphi = -h + 0.5 * q / root
-    if deriv == 1:
-        return (dphi + lam * phi) * e
-    d2phi = 0.25 * q * mt ** -1.5
-    return (d2phi + 2.0 * lam * dphi + lam * lam * phi) * e
+    out[0] = phi * e
+    if len(out) > 1:
+        dphi = -h + 0.5 * q / root
+        out[1] = (dphi + lam * phi) * e
+    if len(out) > 2:
+        d2phi = 0.25 * q * mt ** -1.5
+        out[2] = (d2phi + 2.0 * lam * dphi + lam * lam * phi) * e
 
 
-_PIECE_EVAL = {
-    "constant": _eval_constant,
-    "exp": _eval_exp,
-    "bump": _eval_bump,
-    "linexp": _eval_linexp,
-    "rootexp": _eval_rootexp,
+_PIECE_JET = {
+    "constant": _jet_constant,
+    "exp": _jet_exp,
+    "bump": _jet_bump,
+    "linexp": _jet_linexp,
+    "rootexp": _jet_rootexp,
 }
+
+
+def _check_order(order: int) -> None:
+    if order not in (0, 1, 2):
+        raise ValueError("derivative order must be 0, 1 or 2")
 
 
 @dataclass(frozen=True)
@@ -95,6 +114,12 @@ class Piece:
     hi: float
     kind: str
     params: Dict[str, float]
+
+
+def _piece_jet(pc: Piece, t: np.ndarray, order: int) -> np.ndarray:
+    out = np.empty((order + 1, t.size))
+    _PIECE_JET[pc.kind](t, pc.params, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -123,6 +148,8 @@ class PiecewiseProfile:
         return tuple(pc.hi + self.shift for pc in self.pieces[:-1])
 
     def __call__(self, x, deriv: int = 0):
+        """The deriv-th derivative at x, in any order and shape."""
+        _check_order(deriv)
         t = np.asarray(x, dtype=float) - self.shift
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
@@ -133,17 +160,36 @@ class PiecewiseProfile:
             else:
                 mask = (t >= pc.lo) & (t < pc.hi)
             if mask.any():
-                out[mask] = _PIECE_EVAL[pc.kind](t[mask], pc.params, deriv)
+                out[mask] = _piece_jet(pc, t[mask], deriv)[deriv]
         return float(out[0]) if scalar else out
+
+    def jet(self, x, order: int = 0, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Value and derivatives up to order at the sorted 1-D array x.
+
+        Returns shape (order + 1, x.size), filled into out if given; row k
+        equals self(x, k) bit for bit.  Each piece covers the contiguous
+        slice of x that searchsorted finds on the piece boundaries, so no
+        masks are built.
+        """
+        _check_order(order)
+        # envelopes are built unshifted, and x - 0.0 == x bit for bit
+        t = np.asarray(x, dtype=float)
+        if self.shift != 0.0:
+            t = t - self.shift
+        if out is None:
+            out = np.empty((order + 1, t.size))
+        cuts = np.searchsorted(t, [pc.hi for pc in self.pieces[:-1]]).tolist()
+        for pc, i, j in zip(self.pieces, [0] + cuts, cuts + [t.size]):
+            if j > i:
+                _PIECE_JET[pc.kind](t[i:j], pc.params, out[:, i:j])
+        return out
 
     def one_sided(self, x_join: float) -> Tuple[float, float]:
         """Closed-form one-sided first derivatives at an interior join."""
-        t = x_join - self.shift
+        t = np.array([x_join - self.shift])
         for left, right in zip(self.pieces, self.pieces[1:]):
-            if abs(left.hi - t) <= 1e-12:
-                dl = float(_PIECE_EVAL[left.kind](np.array([t]), left.params, 1)[0])
-                dr = float(_PIECE_EVAL[right.kind](np.array([t]), right.params, 1)[0])
-                return dl, dr
+            if abs(left.hi - t[0]) <= 1e-12:
+                return float(_piece_jet(left, t, 1)[1, 0]), float(_piece_jet(right, t, 1)[1, 0])
         raise ValueError(f"{x_join} is not a join point of this profile")
 
     def shifted(self, delta: float) -> "PiecewiseProfile":
@@ -153,9 +199,8 @@ class PiecewiseProfile:
         out = []
         for left, right in zip(self.pieces, self.pieces[1:]):
             t = np.array([left.hi])
-            vl = float(_PIECE_EVAL[left.kind](t, left.params, 0)[0])
-            vr = float(_PIECE_EVAL[right.kind](t, right.params, 0)[0])
-            out.append(abs(vl - vr))
+            out.append(abs(float(_piece_jet(left, t, 0)[0, 0])
+                           - float(_piece_jet(right, t, 0)[0, 0])))
         return tuple(out)
 
 
@@ -295,6 +340,15 @@ class EnvelopeSet:
             v_lower=self.v_lower.shifted(delta),
         )
 
+    def jet(self, x, order: int = 0) -> np.ndarray:
+        """Jets of u_upper, u_lower, v_upper and v_lower at the sorted x, in
+        one array of shape (4, order + 1, x.size)."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty((4, order + 1, x.size))
+        for prof, o in zip((self.u_upper, self.u_lower, self.v_upper, self.v_lower), out):
+            prof.jet(x, order, o)
+        return out
+
     @property
     def join_points(self) -> Tuple[float, ...]:
         pts = []
@@ -397,9 +451,10 @@ def select_supercritical(p: SystemParams, s: float,
 
 
 def _critical_q_search(lam: float, h: float, dcoef: float, coupling: float,
-                       other: Callable[[np.ndarray], np.ndarray]) -> float:
+                       other: Callable[[np.ndarray], np.ndarray]) -> Tuple[float, float]:
     """Smallest q (on a deterministic geometric ladder) whose sub-solution
-    residual is nonnegative on a dense grid left of the g-bump zero.
+    residual is nonnegative on a dense grid left of the g-bump zero, and
+    the maximum of its g-bump.
 
     residual(xi) = dcoef e^{lam xi} (q/4)(-xi)^{-3/2} - g^2 - coupling*g*other
     where g is the (h, q, lam) bump.  The ladder starts at Q_SAFETY *
@@ -411,18 +466,19 @@ def _critical_q_search(lam: float, h: float, dcoef: float, coupling: float,
         if xi0 > -1e-6:
             q *= 1.25
             continue
-        xs = np.concatenate([
-            np.linspace(xi0 - 200.0 / lam, xi0 - 1e-9, 6000),
-            xi0 - np.geomspace(1e-9, 1.0, 500),
-        ])
-        g = (h * (-xs) - q * np.sqrt(-xs)) * np.exp(lam * xs)
-        res = dcoef * np.exp(lam * xs) * (q / 4.0) * (-xs) ** -1.5 \
-            - g * g - coupling * g * other(xs)
         _, _, gmax = gbump_extrema(h, q, lam)
         if gmax < MIN_BUMP_MAX:
             break
+        xs = np.concatenate([
+            np.linspace(xi0 - 200.0 / lam, xi0 - 1e-9, 6000),
+            xi0 - _LADDER_OFFSETS,
+        ])
+        mxs = -xs
+        e = np.exp(lam * xs)
+        g = (h * mxs - q * np.sqrt(mxs)) * e
+        res = dcoef * e * (q / 4.0) * mxs ** -1.5 - g * g - coupling * g * other(xs)
         if res.min() >= -1e-12:
-            return q
+            return q, gmax
         q *= 1.25
     raise ValueError("no admissible critical q found")
 
@@ -457,10 +513,8 @@ def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -
         def u_up(xs):
             return np.where(xs >= -1.0 / lh1 - 1.0, 1.0, h1 * (-xs) * np.exp(lh1 * xs))
 
-        qhat1 = _critical_q_search(lh1, h1, 1.0, c, v_up)
-        qhat2 = _critical_q_search(lh2, h2, d, b, u_up)
-        _, _, gmax1 = gbump_extrema(h1, qhat1, lh1)
-        _, _, gmax2 = gbump_extrema(h2, qhat2, lh2)
+        qhat1, gmax1 = _critical_q_search(lh1, h1, 1.0, c, v_up)
+        qhat2, gmax2 = _critical_q_search(lh2, h2, d, b, u_up)
         deltahat1 = DELTA_FRACTION * min(1.0 - a * c, gmax1)
         deltahat2 = DELTA_FRACTION * min(a - b, gmax2)
         margins = {"gmax1": gmax1, "gmax2": gmax2}
@@ -475,8 +529,7 @@ def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -
     def v_up_exp(xs):
         return np.where(xs >= 0.0, a, a * np.exp(v.lam * xs))
 
-    qhat1 = _critical_q_search(lh1, h1, 1.0, c, v_up_exp)
-    _, _, gmax1 = gbump_extrema(h1, qhat1, lh1)
+    qhat1, gmax1 = _critical_q_search(lh1, h1, 1.0, c, v_up_exp)
     deltahat1 = DELTA_FRACTION * min(1.0 - a * c, gmax1)
 
     if not 1.0 < v.mu < v.cap:

@@ -181,11 +181,12 @@ def apply_P(u: np.ndarray, v: np.ndarray, p: SystemParams, s: float,
 
 
 def _clip_to(arr: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    over = float(np.max(arr - hi, initial=0.0))
-    under = float(np.max(lo - arr, initial=0.0))
-    worst = max(over, under, 0.0)
-    events = int(np.count_nonzero((arr - hi > CLIP_EVENT_TOL)
-                                  | (lo - arr > CLIP_EVENT_TOL)))
+    above, below = arr - hi, lo - arr
+    worst = max(float(np.max(above, initial=0.0)), float(np.max(below, initial=0.0)), 0.0)
+    # no point can exceed the event tolerance unless the worst one does
+    events = 0
+    if worst > CLIP_EVENT_TOL:
+        events = int(np.count_nonzero((above > CLIP_EVENT_TOL) | (below > CLIP_EVENT_TOL)))
     return np.clip(arr, lo, hi), events, worst
 
 
@@ -250,10 +251,6 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
         step = max(np.abs(nAu - Au).max(), np.abs(nAv - Av).max(),
                    np.abs(nBu - Bu).max(), np.abs(nBv - Bv).max())
         gap = max(np.abs(nAu - nBu).max(), np.abs(nAv - nBv).max())
-        # startup transients commonly bounce; only damp on late increases
-        if (len(res_hist) > 50 and step > res_hist[-1] * (1.0 + 1e-12)
-                and damping == 1.0):
-            damping = 0.5
         res_hist.append(step)
         gap_hist.append(gap)
         Au, Av, Bu, Bv = nAu, nAv, nBu, nBv

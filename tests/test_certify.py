@@ -10,9 +10,11 @@ from lvfront.certify import (
     certificate_to_json,
     certify,
     check_differential_inequalities,
+    check_ordering,
     make_grid,
     select_and_build,
 )
+from lvfront.envelopes import min_decay_rate
 
 P = SystemParams(1.0, 0.5, 0.5, 1.0)
 
@@ -118,3 +120,62 @@ class TestSelectAndBuild:
         assert env.case == "CriticalAdEq1"
         env = select_and_build(P, critical_speed(P) + 0.5)
         assert env.case == "Supercritical"
+
+
+#: the TestCertify cases plus two more at s*, one with a*d = 1 and d != 1
+POINTWISE_CASES = [
+    (P, 3.0, "default"),
+    (P, 4.5, "nonmonotone-v"),
+    (SystemParams(1.0, 25.0 / 26.0, 0.5, 1.0), 4.5, "nonmonotone-v"),
+    (P, 2.0, "default"),
+    (SystemParams(0.5, 0.25, 1.0, 1.0), 2.0, "default"),
+    (P, 2.0, "nonmonotone-u"),
+    (SystemParams(2.0, 0.2, 0.05, 0.5), 2.0, "default"),
+]
+
+
+class TestJetResiduals:
+    @pytest.mark.parametrize("p,s,mode", POINTWISE_CASES)
+    def test_residuals_equal_pointwise_formula(self, p, s, mode):
+        env = select_and_build(p, s, mode)
+        grid = make_grid(env)
+        a, b, c, d = p.a, p.b, p.c, p.d
+        uu, ul = env.u_upper(grid), env.u_lower(grid)
+        vu, vl = env.v_upper(grid), env.v_lower(grid)
+        expected = {
+            "u_upper": env.u_upper(grid, 2) - s * env.u_upper(grid, 1)
+            + uu * (1.0 - uu - c * vl),
+            "u_lower": env.u_lower(grid, 2) - s * env.u_lower(grid, 1)
+            + ul * (1.0 - ul - c * vu),
+            "v_upper": d * env.v_upper(grid, 2) - s * env.v_upper(grid, 1)
+            + vu * (a - b * ul - vu),
+            "v_lower": d * env.v_lower(grid, 2) - s * env.v_lower(grid, 1)
+            + vl * (a - b * uu - vl),
+        }
+        res = check_differential_inequalities(env, p, s, grid)
+        assert list(res) == list(expected)
+        for name in expected:
+            assert np.array_equal(res[name], expected[name]), name
+        gap = float(min((uu - ul).min(), (vu - vl).min()))
+        assert check_ordering(env, grid) == (gap >= -1e-12, gap)
+
+
+class TestGridConstruction:
+    @pytest.mark.parametrize("p,s,mode", POINTWISE_CASES)
+    @pytest.mark.parametrize("n_points", [2001, 20001])
+    def test_equals_unique_construction(self, p, s, mode, n_points):
+        env = select_and_build(p, s, mode)
+        for shifted in (env, env.shifted(0.37)):
+            lam_min = min_decay_rate(shifted)
+            joins = shifted.join_points
+            left = min(joins) - 40.0 / lam_min
+            offs = np.geomspace(2.0 * EXCLUSION_RADIUS, 1.0, 80)
+            clusters = [np.linspace(left, 30.0, n_points)]
+            for j in joins:
+                clusters += [j + offs, j - offs]
+            grid = np.unique(np.concatenate(clusters))
+            keep = np.ones(grid.size, dtype=bool)
+            for j in joins:
+                keep &= np.abs(grid - j) > EXCLUSION_RADIUS
+            expected = grid[keep & (grid >= left) & (grid <= 30.0)]
+            assert np.array_equal(make_grid(shifted, n_points), expected)

@@ -230,3 +230,49 @@ class TestEnvelopeSet:
         x = -30.0
         lam1 = math.log(env.u_upper(x + 1.0) / env.u_upper(x))
         assert lam1 == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0, rel=1e-9)
+
+
+#: one profile with a piece of every kind; the rootexp piece stays at t < 0
+ALL_KINDS = PiecewiseProfile((
+    Piece(-math.inf, -8.0, "rootexp", {"h": 2.0, "q": 3.0, "lam": 0.8}),
+    Piece(-8.0, -4.0, "bump", {"A": 1.0, "lam": 0.6, "mu": 1.5, "q": 2.5}),
+    Piece(-4.0, -1.0, "linexp", {"h": 0.7, "lam": 1.2}),
+    Piece(-1.0, 2.0, "exp", {"A": 0.5, "lam": 0.9}),
+    Piece(2.0, math.inf, "constant", {"c0": 0.3}),
+))
+
+
+class TestJet:
+    @given(shift=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+           window=st.tuples(st.floats(-30.0, 12.0), st.floats(-30.0, 12.0)),
+           free=st.lists(st.floats(0.0, 1.0), max_size=40),
+           at_joins=st.lists(st.integers(0, 3), max_size=6))
+    @settings(max_examples=200)
+    def test_rows_equal_pointwise_derivatives(self, shift, window, free, at_joins):
+        # points drawn in a window that may straddle or miss any piece, plus
+        # points exactly at joins
+        prof = ALL_KINDS.shifted(shift)
+        lo, hi = min(window), max(window)
+        joins = prof.join_points
+        x = np.sort(np.array([lo + f * (hi - lo) for f in free]
+                             + [joins[i] for i in at_joins], dtype=float))
+        jet = prof.jet(x, 2)
+        assert jet.shape == (3, x.size)
+        for k in range(3):
+            assert np.array_equal(jet[k], prof(x, k))
+            assert np.array_equal(prof.jet(x, k)[k], prof(x, k))
+
+    @pytest.mark.parametrize("p,s", [(P, 3.0), (P, 2.0), (SystemParams(0.5, 0.25, 1.0, 1.0), 2.0)])
+    def test_envelope_set_jet_stacks_the_four_profiles(self, p, s):
+        env = (build_envelopes(p, s, select_critical(p)) if s == critical_speed(p)
+               else build(p, s))
+        x = np.linspace(min(env.join_points) - 30.0, 20.0, 2001)
+        jets = env.jet(x, 2)
+        for prof, jet in zip((env.u_upper, env.u_lower, env.v_upper, env.v_lower), jets):
+            assert np.array_equal(jet, prof.jet(x, 2))
+
+    def test_order_above_two_rejected(self):
+        with pytest.raises(ValueError, match="derivative order"):
+            ALL_KINDS.jet(np.zeros(3), 3)
+        with pytest.raises(ValueError, match="derivative order"):
+            ALL_KINDS(0.0, 3)
