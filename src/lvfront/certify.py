@@ -17,7 +17,7 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -92,7 +92,13 @@ def make_grid(env: EnvelopeSet, n_points: int = 20001) -> np.ndarray:
 
 def check_ordering(env: EnvelopeSet, grid: np.ndarray) -> Tuple[bool, float]:
     """Pointwise u_lower <= u_upper and v_lower <= v_upper on the sorted grid."""
-    (uu,), (ul,), (vu,), (vl,) = env.jet(grid)
+    return _ordering(env.jet(grid)[:, 0])
+
+
+def _ordering(values: np.ndarray) -> Tuple[bool, float]:
+    """check_ordering from the (4, n) values of u_upper, u_lower, v_upper
+    and v_lower."""
+    uu, ul, vu, vl = values
     worst = float(min((uu - ul).min(), (vu - vl).min()))
     return worst >= -1e-12, worst
 
@@ -117,15 +123,21 @@ def check_corners(env: EnvelopeSet) -> List[CornerCheck]:
 
 
 def check_differential_inequalities(env: EnvelopeSet, p: SystemParams, s: float,
-                                    grid: np.ndarray) -> Dict[str, np.ndarray]:
+                                    grid: np.ndarray, *,
+                                    jet: Optional[np.ndarray] = None) -> Dict[str, np.ndarray]:
     """Signed residuals of the four inequalities from closed-form derivatives
-    on the sorted grid, with one jet (value, first, second) per envelope."""
+    on the sorted grid, with one jet (value, first, second) per envelope.
+
+    jet, if given, is env.jet(grid, 2), already evaluated by the caller.
+    """
     a, b, c, d = p.a, p.b, p.c, p.d
-    # the residuals are allocated before the jets, so that the jets and the
-    # temporaries are freed from the top of the heap and the next
-    # certificate reuses that memory instead of faulting in fresh pages
+    # the residuals are allocated before any jet evaluated here, so that the
+    # jets and the temporaries are freed from the top of the heap and the
+    # next certificate reuses that memory instead of faulting in fresh pages
     res = np.empty((4, grid.size))
-    (uu, uu1, uu2), (ul, ul1, ul2), (vu, vu1, vu2), (vl, vl1, vl2) = env.jet(grid, 2)
+    if jet is None:
+        jet = env.jet(grid, 2)
+    (uu, uu1, uu2), (ul, ul1, ul2), (vu, vu1, vu2), (vl, vl1, vl2) = jet
     np.add(uu2 - s * uu1, uu * (1.0 - uu - c * vl), out=res[0])
     np.add(ul2 - s * ul1, ul * (1.0 - ul - c * vu), out=res[1])
     np.add(d * vu2 - s * vu1, vu * (a - b * ul - vu), out=res[2])
@@ -168,9 +180,10 @@ def certify(p: SystemParams, s: float, mode: str = "default",
     if env is None:
         env = select_and_build(p, s, mode, knobs)
     grid = make_grid(env, n_points)
-    ordering_ok, gap = check_ordering(env, grid)
+    jet = env.jet(grid, 2)
+    ordering_ok, gap = _ordering(jet[:, 0])
     corners = check_corners(env)
-    residuals = check_differential_inequalities(env, p, s, grid)
+    residuals = check_differential_inequalities(env, p, s, grid, jet=jet)
 
     min_margins = {}
     signs_ok = True

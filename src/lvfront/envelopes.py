@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .model import EQ_TOL, Regime, SystemParams, classify_regime, critical_speed, decay_rates
 
@@ -37,6 +37,8 @@ THETA_MU_NONMONOTONE = 0.9
 #: addition to its uniform grid
 _LADDER_OFFSETS = np.geomspace(1e-9, 1.0, 500)
 _LADDER_OFFSETS.flags.writeable = False
+#: uniform ladder points nearest the g-bump zero, checked before the rest
+_LADDER_NEAR = 600
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +155,8 @@ class PiecewiseProfile:
         t = np.asarray(x, dtype=float) - self.shift
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
+        if np.isnan(t).any():
+            raise ValueError("abscissa is NaN")
         out = np.empty_like(t)
         for i, pc in enumerate(self.pieces):
             if i == len(self.pieces) - 1:
@@ -174,6 +178,9 @@ class PiecewiseProfile:
         _check_order(order)
         # envelopes are built unshifted, and x - 0.0 == x bit for bit
         t = np.asarray(x, dtype=float)
+        # NaN sorts last, so a sorted x holds one only if it ends with one
+        if t.size and math.isnan(t[-1]):
+            raise ValueError("abscissa is NaN")
         if self.shift != 0.0:
             t = t - self.shift
         if out is None:
@@ -235,21 +242,31 @@ def bump_log_max(coef: float, lam: float, mu: float, q: float) -> float:
 def gbump_extrema(h: float, q: float, lam: float) -> Tuple[float, float, float]:
     """Zero, maximum point and maximum of g(xi) = (-h xi - q sqrt(-xi)) e^{lam xi}.
 
-    g is positive exactly on (-inf, xi0_hat) with xi0_hat = -(q/h)^2; the
-    maximum has no closed form and is located by bounded 1-D maximization.
+    g is positive exactly on (-inf, xi0_hat) with xi0_hat = -(q/h)^2.  With
+    t = sqrt(-xi), g = (h t^2 - q t) e^{-lam t^2} and g'(t) = -e^{-lam t^2} P(t)
+    for the cubic P(t) = 2 lam h t^3 - 2 lam q t^2 - 2 h t + q.  P(q/h) = -q
+    and P is convex on t >= q/h, so the maximum point is its one root there.
+    Newton's method from t0 = (lam q + sqrt(lam^2 q^2 + 4 lam h^2)) / (2 lam h),
+    where P(t0) = q > 0, decreases monotonically to that root; it stops at the
+    first step that no longer decreases t.  It runs on u = t - q/h, in which
+    P = 2 h u (lam t^2 - 1) - q, P' = 2 lam t (q + 3 h u) - 2 h and
+    g = h t u e^{-lam t^2} have no cancellation.
     """
     if min(h, q, lam) <= 0.0:
         raise ValueError("g-bump requires h, q, lam > 0")
-    xi0_hat = -((q / h) ** 2)
-
-    def neg_g(x):
-        return -(h * (-x) - q * math.sqrt(-x)) * math.exp(lam * x)
-
-    lo = xi0_hat - 30.0 / lam - 5.0
-    res = minimize_scalar(neg_g, bounds=(lo, xi0_hat), method="bounded",
-                          options={"xatol": 1e-12})
-    xiM_hat = float(res.x)
-    gmax = -float(res.fun)
+    r = q / h
+    xi0_hat = -(r ** 2)
+    u = 2.0 * h / (lam * q + math.hypot(lam * q, 2.0 * h * math.sqrt(lam)))  # t0 - q/h
+    t = r + u
+    for _ in range(100):
+        P = 2.0 * h * u * (lam * t * t - 1.0) - q
+        dP = 2.0 * lam * t * (q + 3.0 * h * u) - 2.0 * h
+        u_next = u - P / dP
+        if not u_next < u:
+            break
+        u, t = u_next, r + u_next
+    xiM_hat = -t * t
+    gmax = h * t * u * math.exp(-lam * t * t)
     return xi0_hat, xiM_hat, gmax
 
 
@@ -459,6 +476,9 @@ def _critical_q_search(lam: float, h: float, dcoef: float, coupling: float,
     residual(xi) = dcoef e^{lam xi} (q/4)(-xi)^{-3/2} - g^2 - coupling*g*other
     where g is the (h, q, lam) bump.  The ladder starts at Q_SAFETY *
     max(sqrt(h (1/lam + 1)), h sqrt(1 + 1/lam)); it stops where gmax underflows.
+    Each rung checks the points nearest the zero first, where failing rungs
+    fail, and stops at the first chunk with a negative residual; the minimum
+    over all of them does not depend on that order.
     """
     q = Q_SAFETY * max(math.sqrt(h * (1.0 / lam + 1.0)), h * math.sqrt(1.0 + 1.0 / lam))
     for _ in range(80):
@@ -469,15 +489,15 @@ def _critical_q_search(lam: float, h: float, dcoef: float, coupling: float,
         _, _, gmax = gbump_extrema(h, q, lam)
         if gmax < MIN_BUMP_MAX:
             break
-        xs = np.concatenate([
-            np.linspace(xi0 - 200.0 / lam, xi0 - 1e-9, 6000),
-            xi0 - _LADDER_OFFSETS,
-        ])
-        mxs = -xs
-        e = np.exp(lam * xs)
-        g = (h * mxs - q * np.sqrt(mxs)) * e
-        res = dcoef * e * (q / 4.0) * mxs ** -1.5 - g * g - coupling * g * other(xs)
-        if res.min() >= -1e-12:
+        uniform = np.linspace(xi0 - 200.0 / lam, xi0 - 1e-9, 6000)
+        for xs in (xi0 - _LADDER_OFFSETS, uniform[-_LADDER_NEAR:], uniform[:-_LADDER_NEAR]):
+            mxs = -xs
+            e = np.exp(lam * xs)
+            g = (h * mxs - q * np.sqrt(mxs)) * e
+            res = dcoef * e * (q / 4.0) * mxs ** -1.5 - g * g - coupling * g * other(xs)
+            if not res.min() >= -1e-12:  # a NaN residual fails the rung too
+                break
+        else:
             return q, gmax
         q *= 1.25
     raise ValueError("no admissible critical q found")

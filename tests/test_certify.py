@@ -1,5 +1,7 @@
 """Grid verification of envelope bracketing: signs, corners, ordering."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from lvfront.certify import (
     make_grid,
     select_and_build,
 )
-from lvfront.envelopes import min_decay_rate
+from lvfront.envelopes import Q_SAFETY, EnvelopeSet, min_decay_rate
 
 P = SystemParams(1.0, 0.5, 0.5, 1.0)
 
@@ -179,3 +181,57 @@ class TestGridConstruction:
                 keep &= np.abs(grid - j) > EXCLUSION_RADIUS
             expected = grid[keep & (grid >= left) & (grid <= 30.0)]
             assert np.array_equal(make_grid(shifted, n_points), expected)
+
+
+class TestOneJetPerCertificate:
+    @pytest.mark.parametrize("p,s,mode", POINTWISE_CASES)
+    def test_one_jet_and_same_results(self, p, s, mode, monkeypatch):
+        calls = []
+        jet = EnvelopeSet.jet
+
+        def counted(self, x, order=0):
+            calls.append(order)
+            return jet(self, x, order)
+
+        monkeypatch.setattr(EnvelopeSet, "jet", counted)
+        cert = certify(p, s, mode=mode)
+        assert calls == [2]
+        monkeypatch.undo()
+
+        env = cert.envelope
+        grid = make_grid(env)
+        res = check_differential_inequalities(env, p, s, grid)
+        assert list(cert.inequality_margins) == list(res)
+        for name in res:
+            assert np.array_equal(cert.inequality_margins[name], res[name]), name
+        assert (cert.ordering_ok, cert.ordering_gap) == check_ordering(env, grid)
+
+
+#: the critical parameter sets of POINTWISE_CASES
+CRITICAL_SETS = list(dict.fromkeys(p for p, s, mode in POINTWISE_CASES if s == critical_speed(p)))
+
+
+class TestCriticalLadder:
+    @pytest.mark.parametrize("p", CRITICAL_SETS)
+    def test_picks_the_smallest_passing_rung(self, p):
+        # the full residual of every rung on the uniform grid and the
+        # offsets together, checked in one piece
+        env = select_and_build(p, critical_speed(p))
+        ep, s = env.params, env.speed
+        sides = [(ep.qhat1, ep.h1, s / 2.0, 1.0, p.c, env.v_upper)]
+        if ep.qhat2 is not None:
+            sides.append((ep.qhat2, ep.h2, s / (2.0 * p.d), p.d, p.b, env.u_upper))
+        for qhat, h, lam, dcoef, coupling, other in sides:
+            q = Q_SAFETY * max(math.sqrt(h * (1.0 / lam + 1.0)), h * math.sqrt(1.0 + 1.0 / lam))
+            for _ in range(80):
+                xi0 = -((q / h) ** 2)
+                if xi0 <= -1e-6:
+                    xs = np.concatenate([np.linspace(xi0 - 200.0 / lam, xi0 - 1e-9, 6000),
+                                         xi0 - np.geomspace(1e-9, 1.0, 500)])
+                    g = (h * -xs - q * np.sqrt(-xs)) * np.exp(lam * xs)
+                    res = (dcoef * np.exp(lam * xs) * (q / 4.0) * (-xs) ** -1.5
+                           - g * g - coupling * g * other(xs))
+                    if res.min() >= -1e-12:
+                        break
+                q *= 1.25
+            assert qhat == q

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from lvfront.model import SystemParams, critical_speed
 from lvfront.envelopes import (
@@ -80,6 +81,57 @@ class TestGBump:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             gbump_extrema(-1.0, 1.0, 1.0)
+
+
+def assert_root_of_the_cubic(h, q, lam, xiM):
+    """P(sqrt(-xiM)) is zero to a few ulps of its largest terms."""
+    t = math.sqrt(-xiM)
+    terms = (2.0 * lam * h * t ** 3, -2.0 * lam * q * t * t, -2.0 * h * t, q)
+    assert abs(math.fsum(terms)) <= 8.0 * np.finfo(float).eps * sum(map(abs, terms))
+
+
+class TestGBumpClosedForm:
+    """The maximum point is the root of P(t) = 2 lam h t^3 - 2 lam q t^2
+    - 2 h t + q beyond q/h, with t = sqrt(-xi)."""
+
+    # g is conditioned like e^{-lam t^2}: a relative change of lam moves it
+    # lam t^2 times as much, so the oracle comparison keeps lam (q/h)^2 <= 10
+    @given(h=st.floats(0.5, 10.0), qf=st.floats(1.1, 2.5), lam=st.floats(0.3, 1.5))
+    @settings(max_examples=60)
+    def test_root_of_the_cubic_and_oracle(self, h, qf, lam):
+        q = qf * h
+        xi0, xiM, gmax = gbump_extrema(h, q, lam)
+        assert_root_of_the_cubic(h, q, lam, xiM)
+
+        g = lambda x: (h * (-x) - q * np.sqrt(-x)) * np.exp(lam * x)
+        xs = np.linspace(xi0 - 40.0 / lam, xi0 - 1e-9, 20001)
+        assert gmax >= g(xs).max() * (1.0 - 1e-14)
+
+        # bounded search in u = t - q/h, where g = u (q + h u) e^{-lam t^2}
+        # has no cancellation and the tolerance is relative to u
+        r = q / h
+        oracle = minimize_scalar(lambda u: -u * (q + h * u) * math.exp(-lam * (r + u) ** 2),
+                                 bounds=(0.0, 10.0 / math.sqrt(lam) + 1.0),
+                                 method="bounded", options={"xatol": 1e-14})
+        assert gmax == pytest.approx(-oracle.fun, rel=1e-14)
+
+    @given(h=st.floats(0.05, 20.0), qf=st.floats(1.01, 20.0), lam=st.floats(0.05, 5.0))
+    @settings(max_examples=60)
+    def test_root_of_the_cubic_on_a_wide_box(self, h, qf, lam):
+        q = qf * h
+        xi0, xiM, gmax = gbump_extrema(h, q, lam)
+        assert_root_of_the_cubic(h, q, lam, xiM)
+        assert xiM < xi0 and gmax >= 0.0
+
+    @given(h=st.floats(0.5, 10.0), qf=st.floats(100.0, 1e6), lam=st.floats(0.3, 2.0))
+    @settings(max_examples=60)
+    def test_underflow_regime_gives_zero(self, h, qf, lam):
+        # q lam this large is where the critical q ladder stops: e^{lam xi}
+        # underflows on the whole positive part of the bump
+        q = qf * h
+        xi0, xiM, gmax = gbump_extrema(h, q, lam)
+        assert gmax == 0.0
+        assert math.isfinite(xi0) and math.isfinite(xiM) and xiM < xi0
 
 
 class TestJoinPoint:
@@ -270,6 +322,23 @@ class TestJet:
         jets = env.jet(x, 2)
         for prof, jet in zip((env.u_upper, env.u_lower, env.v_upper, env.v_lower), jets):
             assert np.array_equal(jet, prof.jet(x, 2))
+
+    def test_nan_abscissa_rejected(self):
+        env = build()
+        with pytest.raises(ValueError, match="abscissa is NaN"):
+            env.u_upper(np.array([math.nan, 1.0, math.nan]))
+        with pytest.raises(ValueError, match="abscissa is NaN"):
+            env.u_lower(math.nan)
+        with pytest.raises(ValueError, match="abscissa is NaN"):
+            ALL_KINDS.shifted(0.5)(np.array([0.0, math.nan]), 2)
+        # NaN sorts last, so it ends a sorted array
+        x = np.sort(np.array([math.nan, -3.0, 1.0]))
+        for prof in (ALL_KINDS, ALL_KINDS.shifted(0.5)):
+            with pytest.raises(ValueError, match="abscissa is NaN"):
+                prof.jet(x, 2)
+        with pytest.raises(ValueError, match="abscissa is NaN"):
+            env.jet(x)
+        assert env.u_upper.jet(np.array([]), 2).shape == (3, 0)
 
     def test_order_above_two_rejected(self):
         with pytest.raises(ValueError, match="derivative order"):
