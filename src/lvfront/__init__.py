@@ -21,10 +21,11 @@ from .model import (
     species_swap,
 )
 from .envelopes import (
-    EnvelopeParams,
+    CriticalParams,
     EnvelopeSet,
     PiecewiseProfile,
     SelectionKnobs,
+    SupercriticalParams,
     build_envelopes,
     select_critical,
     select_supercritical,
@@ -48,8 +49,8 @@ __all__ = [
     "Admissibility", "DecayRates", "Equilibria", "Regime", "SystemParams",
     "admissibility", "classify_regime", "critical_speed", "decay_rates",
     "equilibria", "species_swap",
-    "EnvelopeParams", "EnvelopeSet", "PiecewiseProfile", "SelectionKnobs",
-    "build_envelopes", "select_critical", "select_supercritical",
+    "CriticalParams", "EnvelopeSet", "PiecewiseProfile", "SelectionKnobs",
+    "SupercriticalParams", "build_envelopes", "select_critical", "select_supercritical",
     "Certificate", "certify",
     "OperatorConfig", "Profile", "apply_P", "iterate", "ode_residual",
     "tail_check",

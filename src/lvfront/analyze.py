@@ -18,12 +18,21 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.signal import find_peaks
 
-from .model import EQ_TOL, Regime, SystemParams, classify_regime, critical_speed, decay_rates, equilibria
+from .model import (
+    EQ_TOL,
+    Regime,
+    SystemParams,
+    at_critical_speed,
+    classify_regime,
+    critical_speed,
+    decay_rates,
+    equilibria,
+)
 from .envelopes import (
+    CRITICAL_AD_EQ1,
     EnvelopeSet,
     SelectionKnobs,
     bump_log_max,
-    gbump_extrema,
     lower_bump,
     select_critical,
 )
@@ -128,22 +137,19 @@ def _nonmonotone_condition(p: SystemParams, s: float, knobs: SelectionKnobs,
                            component: str) -> NonMonotoneCondition:
     if classify_regime(p) is not Regime.STRICT_WEAK:
         raise ValueError("unsupported regime")
-    s_star = critical_speed(p)
-    if s < s_star - EQ_TOL:
+    if s < critical_speed(p) - EQ_TOL:
         raise ValueError("subcritical speed")
     ustar, vstar = equilibria(p).coexistence
     star = ustar if component == "u" else vstar
 
-    if abs(s - s_star) <= 1e-9:
+    if at_critical_speed(p, s):
         ck = SelectionKnobs(nonmonotone_u=(component == "u"),
                             nonmonotone_v=(component == "v"),
                             mu2=knobs.mu2, q2=knobs.q2)
         ep = select_critical(p, ck)
-        if component == "u" or ep.qhat2 is not None:
-            h = ep.h1 if component == "u" else ep.h2
-            q = ep.qhat1 if component == "u" else ep.qhat2
-            lam = s / 2.0 if component == "u" else s / (2.0 * p.d)
-            _, _, fmax = gbump_extrema(h, q, lam)
+        if component == "u" or ep.case == CRITICAL_AD_EQ1:
+            # the g-bump maximum that select_critical computed for its q
+            fmax = ep.margins["gmax1" if component == "u" else "gmax2"]
             log_fmax = math.log(fmax) if fmax > 0.0 else -math.inf
         else:
             log_fmax = bump_log_max(p.a, decay_rates(p, s).lambda2, ep.muhat2, ep.Qhat2)
@@ -207,18 +213,24 @@ def ma_front_criterion(env: EnvelopeSet, p: SystemParams,
     return bool(cond1 and cond2 and cond3)
 
 
-def oscillation_coupling(prof: Profile) -> OscillationCheck:
-    """Alarm: near +infinity either both components oscillate or neither.
-
-    Oscillation = at least two prominence-filtered extrema on the
-    rightmost quarter of the truncated domain.
-    """
-    if not prof.converged:
-        raise ValueError("classify requires converged profile")
+def right_tail_extrema(prof: Profile, component: str) -> Tuple[bool, List[Extremum]]:
+    """Prominence-filtered extrema of one component on the rightmost
+    quarter of the truncated domain, and whether the component oscillates
+    there, which it does when it has at least two of them."""
     n = prof.grid.size
     sl = slice(3 * n // 4, n)
-    osc_u = len(_interior_extrema(prof.grid[sl], prof.u[sl], "u")) >= 2
-    osc_v = len(_interior_extrema(prof.grid[sl], prof.v[sl], "v")) >= 2
+    y = prof.u if component == "u" else prof.v
+    ex = _interior_extrema(prof.grid[sl], y[sl], component)
+    return len(ex) >= 2, ex
+
+
+def oscillation_coupling(prof: Profile) -> OscillationCheck:
+    """Alarm: near +infinity either both components oscillate or neither
+    (see right_tail_extrema)."""
+    if not prof.converged:
+        raise ValueError("classify requires converged profile")
+    osc_u, _ = right_tail_extrema(prof, "u")
+    osc_v, _ = right_tail_extrema(prof, "v")
     return OscillationCheck(u_oscillates=osc_u, v_oscillates=osc_v,
                             passed=osc_u == osc_v)
 

@@ -16,12 +16,12 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .model import Regime, SystemParams, admissibility, classify_regime, critical_speed
+from .model import Regime, SystemParams, admissibility, at_critical_speed, classify_regime, critical_speed
 from .envelopes import (
     EnvelopeSet,
     SelectionKnobs,
@@ -58,7 +58,7 @@ class Certificate:
     ordering_gap: float
     grid: Dict[str, float]
     verdict: str
-    envelope: EnvelopeSet = None
+    envelope: EnvelopeSet
 
     @property
     def passed(self) -> bool:
@@ -160,25 +160,20 @@ def select_and_build(p: SystemParams, s: float, mode: str = "default",
     """Pick envelope constants for (p, s) and assemble the envelope set."""
     if knobs is None:
         knobs = _mode_knobs(mode)
-    s_star = critical_speed(p)
-    if abs(s - s_star) <= 1e-9:
-        ep = select_critical(p, knobs)
-        return build_envelopes(p, s_star, ep)
-    ep = select_supercritical(p, s, knobs)
-    return build_envelopes(p, s, ep)
+    if at_critical_speed(p, s):
+        return build_envelopes(p, critical_speed(p), select_critical(p, knobs))
+    return build_envelopes(p, s, select_supercritical(p, s, knobs))
 
 
 def certify(p: SystemParams, s: float, mode: str = "default",
-            knobs: SelectionKnobs = None, n_points: int = 20001,
-            env: EnvelopeSet = None) -> Certificate:
+            knobs: SelectionKnobs = None, n_points: int = 20001) -> Certificate:
     """Build envelopes for (p, s) and verify all bracketing conditions."""
     adm = admissibility(p, s)
     if not adm.admissible:
         raise ValueError(adm.reason)
     if classify_regime(p) is not Regime.STRICT_WEAK:
         raise ValueError("unsupported regime")
-    if env is None:
-        env = select_and_build(p, s, mode, knobs)
+    env = select_and_build(p, s, mode, knobs)
     grid = make_grid(env, n_points)
     jet = env.jet(grid, 2)
     ordering_ok, gap = _ordering(jet[:, 0])
@@ -221,13 +216,8 @@ def certificate_to_json(cert: Certificate) -> Dict:
         "ordering_ok": cert.ordering_ok,
         "ordering_gap": cert.ordering_gap,
         "min_margins": cert.min_margins,
-        "corner_checks": [
-            {"profile": cc.profile, "location": cc.location,
-             "left_deriv": cc.left_deriv, "right_deriv": cc.right_deriv,
-             "ok": cc.ok}
-            for cc in cert.corner_checks
-        ],
+        "corner_checks": [asdict(cc) for cc in cert.corner_checks],
         "grid": cert.grid,
-        "case": cert.envelope.case if cert.envelope is not None else None,
+        "case": cert.envelope.case,
     }
 

@@ -21,7 +21,13 @@ from .envelopes import SelectionKnobs, min_decay_rate
 from .certify import certify, certificate_to_json
 from .solve import OperatorConfig, iterate, tail_check, with_tail_report, write_profile
 from .analyze import classify, interior_box_implies_monotone, oscillation_coupling, scan_region
-from .pulse import plan_continuation, pulse_tail_diagnostics, run_continuation, write_pulse_result
+from .pulse import (
+    degenerate_system,
+    plan_continuation,
+    pulse_tail_diagnostics,
+    run_continuation,
+    write_pulse_result,
+)
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
@@ -194,14 +200,16 @@ def cmd_certify(cfg: RunConfig) -> int:
 def cmd_solve(cfg: RunConfig) -> int:
     p = _system(cfg)
     s = cfg.speed if cfg.speed is not None else critical_speed(p)
+    # errors go where the header would, <out>.json, or to stdout
+    err_out = cfg.out + ".json" if cfg.out else None
     try:
         cert = certify(p, s, mode=cfg.mode)
     except ValueError as exc:
-        _emit({"run_config": asdict(cfg), "error": str(exc)}, cfg.out)
+        _emit({"run_config": asdict(cfg), "error": str(exc)}, err_out)
         return EXIT_CRITERION
     if not cert.passed:
         _emit({"run_config": asdict(cfg), "certificate": certificate_to_json(cert)},
-              cfg.out)
+              err_out)
         return EXIT_CRITERION
     ocfg = _operator_config(cfg)
     if cfg.domain is None:
@@ -212,7 +220,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     try:
         prof, report = iterate(cert.envelope, p, s, ocfg)
     except ValueError as exc:
-        _emit({"run_config": asdict(cfg), "error": str(exc)}, cfg.out)
+        _emit({"run_config": asdict(cfg), "error": str(exc)}, err_out)
         return EXIT_NO_CONVERGENCE
     extra = {"run_config": asdict(cfg),
              "iterations": report.iterations_used,
@@ -223,9 +231,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         prof = with_tail_report(prof, tr)
         shape = classify(prof)
         extra["shape_class"] = shape.tag
-        extra["extrema"] = [
-            {"component": e.component, "location": e.location,
-             "value": e.value, "kind": e.kind} for e in shape.extrema]
+        extra["extrema"] = [asdict(e) for e in shape.extrema]
         extra["alarms"] = {
             "interior_box_monotone": interior_box_implies_monotone(prof, p).passed,
             "oscillation_coupling": oscillation_coupling(prof).passed,
@@ -282,16 +288,8 @@ def cmd_pulse(cfg: RunConfig) -> int:
     out_dir = cfg.out if cfg.out else "pulse_out"
     extra = {"run_config": asdict(cfg)}
     if res.limit_profile is not None:
-        if cfg.target == "c_to_1_over_a":
-            p_lim = SystemParams(p.a, p.b, 1.0 / p.a, p.d)
-        else:
-            p_lim = SystemParams(p.a, p.a, p.c, p.d)
-        diag = pulse_tail_diagnostics(res.limit_profile, p_lim)
-        extra["tail_case"] = {
-            "case": diag.case, "u_oscillates": diag.u_oscillates,
-            "v_oscillates": diag.v_oscillates, "bracket_ok": diag.bracket_ok,
-            "peak_bound_ok": diag.peak_bound_ok,
-        }
+        diag = pulse_tail_diagnostics(res.limit_profile, degenerate_system(plan))
+        extra["tail_case"] = asdict(diag)
     write_pulse_result(res, out_dir, header_extra=extra)
     if res.failure_index is not None:
         return EXIT_NO_CONVERGENCE

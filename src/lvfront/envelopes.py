@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from scipy.optimize import brentq
@@ -34,8 +34,8 @@ DELTA_FRACTION = 0.5
 #: the lower-envelope maximum is largest
 THETA_MU_NONMONOTONE = 0.9
 #: distances left of the g-bump zero that _critical_q_search checks in
-#: addition to its uniform grid
-_LADDER_OFFSETS = np.geomspace(1e-9, 1.0, 500)
+#: addition to its uniform grid, largest first so that xi0 - offsets ascends
+_LADDER_OFFSETS = np.geomspace(1e-9, 1.0, 500)[::-1]
 _LADDER_OFFSETS.flags.writeable = False
 #: uniform ladder points nearest the g-bump zero, checked before the rest
 _LADDER_NEAR = 600
@@ -227,7 +227,7 @@ def bump_extrema(coef: float, lam: float, mu: float, q: float) -> Tuple[float, f
         raise ValueError("bump requires coef > 0, lam > 0, mu > 1")
     xi0 = -math.log(q / coef) / ((mu - 1.0) * lam)
     xiM = -math.log(q * mu / coef) / ((mu - 1.0) * lam)
-    log_fmax = math.log(coef * (1.0 - 1.0 / mu)) - math.log(q * mu / coef) / (mu - 1.0)
+    log_fmax = bump_log_max(coef, lam, mu, q)
     fmax = math.exp(log_fmax) if log_fmax > -700.0 else 0.0
     return xi0, xiM, fmax
 
@@ -313,28 +313,42 @@ class SelectionKnobs:
 
 
 @dataclass(frozen=True)
-class EnvelopeParams:
-    # supercritical constants
-    mu1: Optional[float] = None
-    mu2: Optional[float] = None
-    q1: Optional[float] = None
-    q2: Optional[float] = None
-    delta1: Optional[float] = None
-    delta2: Optional[float] = None
-    xi1: Optional[float] = None
-    xi2: Optional[float] = None
-    # critical-case constants
-    h1: Optional[float] = None
+class SupercriticalParams:
+    """Envelope constants for s > s*: each lower envelope is the bump
+    coef e^{lam xi} - q e^{mu lam xi} capped at delta."""
+
+    case = SUPERCRITICAL
+    mu1: float
+    mu2: float
+    q1: float
+    q2: float
+    delta1: float
+    delta2: float
+    margins: Dict[str, float] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class CriticalParams:
+    """Envelope constants at s = s*.
+
+    The u lower envelope is the g-bump (h1, qhat1) capped at deltahat1.  The
+    v lower envelope, capped at deltahat2, is the g-bump (h2, qhat2) when
+    a*d = 1 and the bump (muhat2, Qhat2) when a*d < 1; the other pair is None.
+    """
+
+    h1: float
+    qhat1: float
+    deltahat1: float
+    deltahat2: float
     h2: Optional[float] = None
-    qhat1: Optional[float] = None
     qhat2: Optional[float] = None
-    deltahat1: Optional[float] = None
-    deltahat2: Optional[float] = None
-    xihat1: Optional[float] = None
-    xihat2: Optional[float] = None
     muhat2: Optional[float] = None
     Qhat2: Optional[float] = None
     margins: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def case(self) -> str:
+        return CRITICAL_AD_EQ1 if self.qhat2 is not None else CRITICAL_AD_LT1
 
 
 @dataclass(frozen=True)
@@ -343,10 +357,13 @@ class EnvelopeSet:
     u_lower: PiecewiseProfile
     v_upper: PiecewiseProfile
     v_lower: PiecewiseProfile
-    params: EnvelopeParams
+    params: Union[SupercriticalParams, CriticalParams]
     speed: float
-    case: str
     system: SystemParams
+
+    @property
+    def case(self) -> str:
+        return self.params.case
 
     def shifted(self, delta: float) -> "EnvelopeSet":
         return replace(
@@ -432,7 +449,7 @@ def lower_bump(p: SystemParams, s: float, component: str,
 
 
 def select_supercritical(p: SystemParams, s: float,
-                         knobs: SelectionKnobs = SelectionKnobs()) -> EnvelopeParams:
+                         knobs: SelectionKnobs = SelectionKnobs()) -> SupercriticalParams:
     """Pick mu, q and delta for the supercritical envelopes (s > s*).
 
     mu and q come from lower_bump and are checked against their
@@ -463,18 +480,19 @@ def select_supercritical(p: SystemParams, s: float,
         "delta1_cap": min(1.0 - a * c, fmax1) - delta1,
         "delta2_cap": min(a - b, fmax2) - delta2,
     }
-    return EnvelopeParams(mu1=u.mu, mu2=v.mu, q1=u.q, q2=v.q,
-                          delta1=delta1, delta2=delta2, margins=margins)
+    return SupercriticalParams(mu1=u.mu, mu2=v.mu, q1=u.q, q2=v.q,
+                               delta1=delta1, delta2=delta2, margins=margins)
 
 
 def _critical_q_search(lam: float, h: float, dcoef: float, coupling: float,
-                       other: Callable[[np.ndarray], np.ndarray]) -> Tuple[float, float]:
+                       other: PiecewiseProfile) -> Tuple[float, float]:
     """Smallest q (on a deterministic geometric ladder) whose sub-solution
     residual is nonnegative on a dense grid left of the g-bump zero, and
     the maximum of its g-bump.
 
     residual(xi) = dcoef e^{lam xi} (q/4)(-xi)^{-3/2} - g^2 - coupling*g*other
-    where g is the (h, q, lam) bump.  The ladder starts at Q_SAFETY *
+    where g is the (h, q, lam) bump and other is the upper envelope of the
+    other species.  The ladder starts at Q_SAFETY *
     max(sqrt(h (1/lam + 1)), h sqrt(1 + 1/lam)); it stops where gmax underflows.
     Each rung checks the points nearest the zero first, where failing rungs
     fail, and stops at the first chunk with a negative residual; the minimum
@@ -494,7 +512,7 @@ def _critical_q_search(lam: float, h: float, dcoef: float, coupling: float,
             mxs = -xs
             e = np.exp(lam * xs)
             g = (h * mxs - q * np.sqrt(mxs)) * e
-            res = dcoef * e * (q / 4.0) * mxs ** -1.5 - g * g - coupling * g * other(xs)
+            res = dcoef * e * (q / 4.0) * mxs ** -1.5 - g * g - coupling * g * other.jet(xs)[0]
             if not res.min() >= -1e-12:  # a NaN residual fails the rung too
                 break
         else:
@@ -503,7 +521,7 @@ def _critical_q_search(lam: float, h: float, dcoef: float, coupling: float,
     raise ValueError("no admissible critical q found")
 
 
-def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -> EnvelopeParams:
+def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -> CriticalParams:
     """Pick the envelope constants at the critical speed s = s* (a*d <= 1).
 
     The slope constants h follow the closed forms that make the capped
@@ -521,35 +539,23 @@ def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -
     s = critical_speed(p)
     lh1 = s / 2.0
     h1 = _critical_slope(1.0, lh1)
-    ad_eq_1 = abs(a * d - 1.0) <= EQ_TOL
 
-    if ad_eq_1:
+    if abs(a * d - 1.0) <= EQ_TOL:
         lh2 = s / (2.0 * d)
         h2 = _critical_slope(a, lh2)
-
-        def v_up(xs):
-            return np.where(xs >= -1.0 / lh2 - 1.0, a, h2 * (-xs) * np.exp(lh2 * xs))
-
-        def u_up(xs):
-            return np.where(xs >= -1.0 / lh1 - 1.0, 1.0, h1 * (-xs) * np.exp(lh1 * xs))
-
-        qhat1, gmax1 = _critical_q_search(lh1, h1, 1.0, c, v_up)
-        qhat2, gmax2 = _critical_q_search(lh2, h2, d, b, u_up)
+        qhat1, gmax1 = _critical_q_search(lh1, h1, 1.0, c, _capped_linexp(h2, lh2, a))
+        qhat2, gmax2 = _critical_q_search(lh2, h2, d, b, _capped_linexp(h1, lh1, 1.0))
         deltahat1 = DELTA_FRACTION * min(1.0 - a * c, gmax1)
         deltahat2 = DELTA_FRACTION * min(a - b, gmax2)
         margins = {"gmax1": gmax1, "gmax2": gmax2}
-        return EnvelopeParams(h1=h1, h2=h2, qhat1=qhat1, qhat2=qhat2,
-                              deltahat1=deltahat1, deltahat2=deltahat2,
+        return CriticalParams(h1=h1, qhat1=qhat1, deltahat1=deltahat1,
+                              deltahat2=deltahat2, h2=h2, qhat2=qhat2,
                               margins=margins)
 
     # a*d < 1: the v-side keeps its supercritical shape with rates from
     # the (now non-degenerate) second quadratic
     v = lower_bump(p, s, "v", knobs.mu2, knobs.q2, knobs.theta_mu, knobs.nonmonotone_v)
-
-    def v_up_exp(xs):
-        return np.where(xs >= 0.0, a, a * np.exp(v.lam * xs))
-
-    qhat1, gmax1 = _critical_q_search(lh1, h1, 1.0, c, v_up_exp)
+    qhat1, gmax1 = _critical_q_search(lh1, h1, 1.0, c, _capped_exp(a, v.lam))
     deltahat1 = DELTA_FRACTION * min(1.0 - a * c, gmax1)
 
     if not 1.0 < v.mu < v.cap:
@@ -557,8 +563,8 @@ def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -
     _, _, fmax2 = bump_extrema(a, v.lam, v.mu, v.q)
     deltahat2 = DELTA_FRACTION * min(a - b, fmax2)
     margins = {"gmax1": gmax1, "muhat2_cap": v.cap - v.mu, "Qhat2_floor": v.q - v.floor}
-    return EnvelopeParams(h1=h1, qhat1=qhat1, deltahat1=deltahat1,
-                          muhat2=v.mu, Qhat2=v.q, deltahat2=deltahat2,
+    return CriticalParams(h1=h1, qhat1=qhat1, deltahat1=deltahat1,
+                          deltahat2=deltahat2, muhat2=v.mu, Qhat2=v.q,
                           margins=margins)
 
 
@@ -574,11 +580,10 @@ def _bump_profile(coef, lam, mu, q, delta):
         return coef * math.exp(lam * x) - q * math.exp(mu * lam * x)
 
     xi = join_point(f, delta, (xiM, xi0))
-    prof = PiecewiseProfile((
+    return PiecewiseProfile((
         Piece(-math.inf, xi, "bump", pr),
         Piece(xi, math.inf, "constant", {"c0": delta}),
     ))
-    return prof, xi
 
 
 def _gbump_profile(h, q, lam, delta):
@@ -588,11 +593,10 @@ def _gbump_profile(h, q, lam, delta):
         return (h * (-x) - q * math.sqrt(-x)) * math.exp(lam * x)
 
     xi = join_point(g, delta, (xiM, xi0))
-    prof = PiecewiseProfile((
+    return PiecewiseProfile((
         Piece(-math.inf, xi, "rootexp", {"h": h, "q": q, "lam": lam}),
         Piece(xi, math.inf, "constant", {"c0": delta}),
     ))
-    return prof, xi
 
 
 def _capped_exp(coef, lam):
@@ -610,43 +614,37 @@ def _capped_linexp(h, lam, cap):
     ))
 
 
-def build_envelopes(p: SystemParams, s: float, ep: EnvelopeParams) -> EnvelopeSet:
-    """Assemble the four piecewise envelopes for the case encoded in ep.
+def build_envelopes(p: SystemParams, s: float,
+                    ep: Union[SupercriticalParams, CriticalParams]) -> EnvelopeSet:
+    """Assemble the four piecewise envelopes for the case of ep.
 
     Join points of the lower envelopes are located by join_point; the
     continuity of every profile is verified to 1e-10.
     """
     r = decay_rates(p, s)
     a = p.a
-    if ep.q1 is not None:  # supercritical
+    if isinstance(ep, SupercriticalParams):
         u_up = _capped_exp(1.0, r.lambda1)
+        u_lo = _bump_profile(1.0, r.lambda1, ep.mu1, ep.q1, ep.delta1)
         v_up = _capped_exp(a, r.lambda2)
-        u_lo, xi1 = _bump_profile(1.0, r.lambda1, ep.mu1, ep.q1, ep.delta1)
-        v_lo, xi2 = _bump_profile(a, r.lambda2, ep.mu2, ep.q2, ep.delta2)
-        ep = replace(ep, xi1=xi1, xi2=xi2)
-        case = SUPERCRITICAL
-    elif ep.qhat2 is not None:  # critical, a*d = 1
-        lh1, lh2 = s / 2.0, s / (2.0 * p.d)
-        u_up = _capped_linexp(ep.h1, lh1, 1.0)
-        v_up = _capped_linexp(ep.h2, lh2, a)
-        u_lo, xih1 = _gbump_profile(ep.h1, ep.qhat1, lh1, ep.deltahat1)
-        v_lo, xih2 = _gbump_profile(ep.h2, ep.qhat2, lh2, ep.deltahat2)
-        ep = replace(ep, xihat1=xih1, xihat2=xih2)
-        case = CRITICAL_AD_EQ1
-    else:  # critical, a*d < 1
+        v_lo = _bump_profile(a, r.lambda2, ep.mu2, ep.q2, ep.delta2)
+    else:
         lh1 = s / 2.0
         u_up = _capped_linexp(ep.h1, lh1, 1.0)
-        v_up = _capped_exp(a, r.lambda2)
-        u_lo, xih1 = _gbump_profile(ep.h1, ep.qhat1, lh1, ep.deltahat1)
-        v_lo, xi2 = _bump_profile(a, r.lambda2, ep.muhat2, ep.Qhat2, ep.deltahat2)
-        ep = replace(ep, xihat1=xih1, xihat2=xi2)
-        case = CRITICAL_AD_LT1
+        u_lo = _gbump_profile(ep.h1, ep.qhat1, lh1, ep.deltahat1)
+        if ep.case == CRITICAL_AD_EQ1:
+            lh2 = s / (2.0 * p.d)
+            v_up = _capped_linexp(ep.h2, lh2, a)
+            v_lo = _gbump_profile(ep.h2, ep.qhat2, lh2, ep.deltahat2)
+        else:
+            v_up = _capped_exp(a, r.lambda2)
+            v_lo = _bump_profile(a, r.lambda2, ep.muhat2, ep.Qhat2, ep.deltahat2)
 
     for prof in (u_up, u_lo, v_up, v_lo):
         if max(prof.continuity_defects()) > 1e-10:
             raise ValueError("no continuity point in bracket")
     return EnvelopeSet(u_upper=u_up, u_lower=u_lo, v_upper=v_up, v_lower=v_lo,
-                       params=ep, speed=s, case=case, system=p)
+                       params=ep, speed=s, system=p)
 
 
 def min_decay_rate(env: EnvelopeSet) -> float:

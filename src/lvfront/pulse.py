@@ -16,10 +16,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .model import Regime, SystemParams, classify_regime, critical_speed
+from .model import Regime, SystemParams, at_critical_speed, classify_regime, critical_speed
 from .envelopes import SelectionKnobs, bump_extrema, lower_bump
 from .certify import certify
-from .analyze import _interior_extrema
+from .analyze import classify, right_tail_extrema
 from .solve import (
     IterationReport,
     OperatorConfig,
@@ -83,6 +83,12 @@ def _step_params(plan: ContinuationPlan, value: float) -> SystemParams:
     return SystemParams(b.a, value, b.c, b.d)
 
 
+def degenerate_system(plan: ContinuationPlan) -> SystemParams:
+    """The critical-weak system at the exact limit of the continuation."""
+    a = plan.base.a
+    return _step_params(plan, 1.0 / a if plan.target == "c_to_1_over_a" else a)
+
+
 def plan_continuation(p_base: SystemParams, s: float, target: str,
                       n_steps: int,
                       config: Optional[OperatorConfig] = None) -> ContinuationPlan:
@@ -95,10 +101,9 @@ def plan_continuation(p_base: SystemParams, s: float, target: str,
     """
     if classify_regime(p_base) is not Regime.STRICT_WEAK:
         raise ValueError("unsupported regime")
-    s_star = critical_speed(p_base)
-    if s < s_star:
+    if s < critical_speed(p_base):
         raise ValueError("subcritical speed")
-    if abs(s - s_star) <= 1e-9:
+    if at_critical_speed(p_base, s):
         # cap = 1 there, so mu = 1 and every denominator vanishes; certify
         # switches to the critical selection, which ignores frozen mu/q
         raise ValueError("continuation needs a supercritical speed")
@@ -179,14 +184,12 @@ def run_continuation(plan: ContinuationPlan, refine: bool = True) -> PulseResult
     deg_res = deg_res_fine = None
     tails = {}
     if limit_prof is not None:
+        p_lim = degenerate_system(plan)
+        deg_res = ode_residual(limit_prof, p_lim)
         if plan.target == "c_to_1_over_a":
-            p_lim = SystemParams(plan.base.a, plan.base.b, 1.0 / plan.base.a, plan.base.d)
-            deg_res = ode_residual(limit_prof, p_lim)
             pulsed_right = abs(limit_prof.u[-1])
             companion_right = abs(limit_prof.v[-1] - plan.base.a)
         else:
-            p_lim = SystemParams(plan.base.a, plan.base.a, plan.base.c, plan.base.d)
-            deg_res = ode_residual(limit_prof, p_lim)
             pulsed_right = abs(limit_prof.v[-1])
             companion_right = abs(limit_prof.u[-1] - 1.0)
         tails = {
@@ -196,9 +199,9 @@ def run_continuation(plan: ContinuationPlan, refine: bool = True) -> PulseResult
                                     and abs(limit_prof.v[0]) <= 1e-6),
         }
         if refine:
+            # p_k and cert are still those of the last step, whose
+            # certificate the refined solve reuses
             cfg2 = replace(plan.config, n_points=2 * plan.config.n_points - 1)
-            p_k = _step_params(plan, plan.steps[-1])
-            cert = certify(p_k, s, knobs=plan.knobs)
             grid2 = np.linspace(cfg2.left, cfg2.right, cfg2.n_points)
             warm2 = (np.interp(grid2, limit_prof.grid, limit_prof.u),
                      np.interp(grid2, limit_prof.grid, limit_prof.v))
@@ -222,37 +225,25 @@ class TailCase:
 def pulse_tail_diagnostics(prof: Profile, p_degenerate: SystemParams) -> TailCase:
     """Classify the right-tail behavior and check its necessary inequalities.
 
-    Oscillation = at least two interior extrema on the rightmost quarter.
-    When v oscillates, each interior v-maximum must satisfy
-    u <= (a - v)/b there; at interior u-maxima, u + v/a <= 1 must hold.
+    prof must be converged.  Oscillation follows analyze.right_tail_extrema.
+    When v oscillates, each interior v-maximum must satisfy u <= (a - v)/b
+    there; at the interior u-maxima of classify, u + v/a <= 1 must hold.
     """
     a, b = p_degenerate.a, p_degenerate.b
-    n = prof.grid.size
-    sl = slice(3 * n // 4, n)
-    ex_u = _interior_extrema(prof.grid[sl], prof.u[sl], "u")
-    ex_v = _interior_extrema(prof.grid[sl], prof.v[sl], "v")
-    osc_u, osc_v = len(ex_u) >= 2, len(ex_v) >= 2
+    osc_u, _ = right_tail_extrema(prof, "u")
+    osc_v, ex_v = right_tail_extrema(prof, "v")
     case = {(False, False): 1, (False, True): 2,
             (True, False): 3, (True, True): 4}[(osc_u, osc_v)]
 
-    bracket_ok = None
-    if osc_v:
-        ok = True
-        for e in ex_v:
-            if e.kind == "max":
-                i = int(np.argmin(np.abs(prof.grid - e.location)))
-                ok &= prof.u[i] <= (a - prof.v[i]) / b + 1e-9
-        bracket_ok = bool(ok)
+    def maxima(extrema, component):
+        return [int(np.argmin(np.abs(prof.grid - e.location))) for e in extrema
+                if e.component == component and e.kind == "max"]
 
-    peak_bound_ok = None
-    u_maxima = [e for e in _interior_extrema(prof.grid, prof.u, "u")
-                if e.kind == "max"]
-    if u_maxima:
-        ok = True
-        for e in u_maxima:
-            i = int(np.argmin(np.abs(prof.grid - e.location)))
-            ok &= prof.u[i] + prof.v[i] / a <= 1.0 + 1e-9
-        peak_bound_ok = bool(ok)
+    u_max, v_max = maxima(classify(prof).extrema, "u"), maxima(ex_v, "v")
+    bracket_ok = (all(prof.u[i] <= (a - prof.v[i]) / b + 1e-9 for i in v_max)
+                  if osc_v else None)
+    peak_bound_ok = (all(prof.u[i] + prof.v[i] / a <= 1.0 + 1e-9 for i in u_max)
+                     if u_max else None)
     return TailCase(case=case, u_oscillates=osc_u, v_oscillates=osc_v,
                     bracket_ok=bracket_ok, peak_bound_ok=peak_bound_ok)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -353,12 +353,7 @@ def write_profile(prof: Profile, csv_path: str, json_path: str,
         "converged": prof.converged,
     }
     if prof.config is not None:
-        head["config"] = {
-            "left": prof.config.left, "right": prof.config.right,
-            "n_points": prof.config.n_points, "beta": prof.config.beta,
-            "max_iters": prof.config.max_iters, "tol": prof.config.tol,
-            "damping": prof.config.damping,
-        }
+        head["config"] = asdict(prof.config)
     if prof.tail_report is not None:
         tr = prof.tail_report
         head["tail_report"] = {

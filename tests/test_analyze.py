@@ -12,6 +12,8 @@ from lvfront.envelopes import (
     SelectionKnobs,
     bump_extrema,
     bump_log_max,
+    gbump_extrema,
+    select_critical,
     select_supercritical,
 )
 from lvfront.certify import select_and_build
@@ -151,6 +153,26 @@ class TestOvershootCriterion:
             1.0, r.lambda1, ep_u.mu1, ep_u.q1)
         assert nonmonotone_condition_v(p, s).log_fmax == bump_log_max(
             p.a, r.lambda2, ep_v.mu2, ep_v.q2)
+
+    @pytest.mark.parametrize("p", [P, SystemParams(0.5, 0.25, 1.0, 1.0)])
+    def test_critical_g_bump_maximum_matches_recomputation(self, p):
+        # the criterion reads the maximum select_critical found; it must be
+        # the g-bump maximum of the selected constants bit for bit
+        s = critical_speed(p)
+        ep_u = select_critical(p, SelectionKnobs(nonmonotone_u=True))
+        gmax_u = gbump_extrema(ep_u.h1, ep_u.qhat1, s / 2.0)[2]
+        cond_u = nonmonotone_condition_u(p, s)
+        assert cond_u.fmax == gmax_u
+        assert cond_u.log_fmax == math.log(gmax_u)
+        ep_v = select_critical(p, SelectionKnobs(nonmonotone_v=True))
+        cond_v = nonmonotone_condition_v(p, s)
+        if ep_v.qhat2 is not None:
+            gmax_v = gbump_extrema(ep_v.h2, ep_v.qhat2, s / (2.0 * p.d))[2]
+            assert cond_v.fmax == gmax_v
+            assert cond_v.log_fmax == math.log(gmax_v)
+        else:
+            assert cond_v.log_fmax == bump_log_max(
+                p.a, decay_rates(p, s).lambda2, ep_v.muhat2, ep_v.Qhat2)
 
 
 class TestScanRegion:

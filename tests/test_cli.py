@@ -114,6 +114,21 @@ class TestSolve:
                          "--speed", "1.0"]) == 2
         capsys.readouterr()
 
+    def test_certify_error_goes_to_out_json(self, in_tmp, capsys):
+        assert cli.main(["solve", "--params", "1,0.5,0.5,1",
+                         "--speed", "1.0", "--out", "crit"]) == 2
+        capsys.readouterr()
+        assert "error" in json.loads((in_tmp / "crit.json").read_text())
+        assert not (in_tmp / "crit").exists()
+
+    def test_escape_error_goes_to_out_json(self, in_tmp, capsys):
+        # s* on the default grid escapes its envelopes within a few steps
+        assert cli.main(["solve", "--params", "1,0.5,0.5,1",
+                         "--speed", "2", "--out", "crit"]) == 3
+        capsys.readouterr()
+        assert "error" in json.loads((in_tmp / "crit.json").read_text())
+        assert not (in_tmp / "crit").exists()
+
 
 class TestScan:
     def test_matrix_and_axes(self, in_tmp, capsys):

@@ -1,5 +1,6 @@
 """Piecewise envelope profiles, bump extrema, and constant selection."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,10 +13,12 @@ from lvfront.envelopes import (
     CRITICAL_AD_EQ1,
     CRITICAL_AD_LT1,
     SUPERCRITICAL,
+    CriticalParams,
     EnvelopeSet,
     Piece,
     PiecewiseProfile,
     SelectionKnobs,
+    SupercriticalParams,
     build_envelopes,
     bump_extrema,
     bump_log_max,
@@ -345,3 +348,32 @@ class TestJet:
             ALL_KINDS.jet(np.zeros(3), 3)
         with pytest.raises(ValueError, match="derivative order"):
             ALL_KINDS(0.0, 3)
+
+
+class TestParamsTypes:
+    def test_supercritical_params_have_no_critical_fields(self):
+        ep = select_supercritical(P, 3.0)
+        assert isinstance(ep, SupercriticalParams)
+        names = [f.name for f in dataclasses.fields(ep)]
+        assert names == ["mu1", "mu2", "q1", "q2", "delta1", "delta2", "margins"]
+        assert all(getattr(ep, name) is not None for name in names)
+        for name in ("h1", "h2", "qhat1", "qhat2", "muhat2", "Qhat2", "xi1", "xihat1"):
+            assert not hasattr(ep, name), name
+
+    def test_critical_ad_below_one_takes_the_exponential_bump(self):
+        ep = select_critical(SystemParams(0.5, 0.25, 1.0, 1.0))
+        assert isinstance(ep, CriticalParams)
+        assert ep.qhat2 is None and ep.h2 is None
+        assert ep.muhat2 is not None and ep.Qhat2 is not None
+        assert ep.case == CRITICAL_AD_LT1
+
+    def test_critical_ad_one_takes_the_g_bump(self):
+        ep = select_critical(P)
+        assert isinstance(ep, CriticalParams)
+        assert ep.qhat2 is not None and ep.h2 is not None
+        assert ep.muhat2 is None and ep.Qhat2 is None
+        assert ep.case == CRITICAL_AD_EQ1
+
+    def test_envelope_case_is_the_params_case(self):
+        assert build_envelopes(P, 3.0, select_supercritical(P, 3.0)).case == SUPERCRITICAL
+        assert build_envelopes(P, 2.0, select_critical(P)).params.case == CRITICAL_AD_EQ1

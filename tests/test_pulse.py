@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from lvfront import pulse
 from lvfront.model import SystemParams, decay_rates
+from lvfront.certify import certify
 from lvfront.solve import Profile
 from lvfront.pulse import (
     FINAL_GAP,
@@ -160,3 +162,18 @@ class TestDiagnostics:
         diag = pulse_tail_diagnostics(self._profile(u, v, g),
                                       SystemParams(1.0, 0.5, 1.0, 1.0))
         assert diag.peak_bound_ok is not None
+
+
+def test_one_certificate_per_step(monkeypatch):
+    # the refined solve reuses the last step's certificate
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return certify(*args, **kwargs)
+
+    plan = plan_continuation(SystemParams(1.0, 0.5, 0.5, 1.0), 2.5, "b_to_a", 2)
+    monkeypatch.setattr(pulse, "certify", counted)
+    res = run_continuation(plan, refine=True)
+    assert res.degenerate_residual_refined is not None
+    assert len(calls) == len(plan.steps) == 2
