@@ -11,7 +11,25 @@ component from the current pair at every step, so the shifts fall from
 at most their values on the box [0,1] x [0,a] as the pair closes, to
 BETA_MARGIN * (u*, v*) on a monotone front; an explicit
 OperatorConfig.beta fixes one shift for both components.  The fixed
-point -Lx = f(x) does not depend on the shift.
+point -Lx = f(x) does not depend on the shift; its discretisation does, at
+O(h^2).
+
+Near the critical speed the pair gap shrinks by only about 0.998 per step.
+Once it has shrunk by NEWTON_RATE or more slowly per step over the last
+NEWTON_WINDOW steps, after NEWTON_WARMUP steps, the pair is handed over
+once to a semismooth Newton method on the clipped map x = clip(P(x), lo, hi)
+(Qi & Sun, Math. Programming 58, 1993).  The clip pins the wave's
+translation, so no phase condition is needed.  Its Jacobian is banded:
+_kernel_bands writes each kernel as T^-1 M with T tridiagonal and M
+tridiagonal plus one dense row.  Newton runs under the pair's shifts and
+again under shift_bounds of its answer x; from the margin direction e,
+(I - Pi DP) e = (u, -v), it seeds the pair x +- eps*e.  The next pair step,
+under the same shifts, must map the seeded pair inside itself in the mixed
+order, exactly: a discrete super- and sub-solution pair (Sattinger, Indiana
+Univ. Math. J. 21, 1972).  The pair loop then goes on unchanged.  If Newton
+fails or the check does not hold, the seed is dropped and the run is the
+one that never handed over, bit for bit.  IterationReport.handover says
+which happened.
 """
 
 from __future__ import annotations
@@ -22,6 +40,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
+from scipy.linalg.lapack import dgbsv
 from scipy.signal import lfilter
 
 from .model import SystemParams, equilibria
@@ -33,6 +52,15 @@ CLIP_EVENT_TOL = 1e-9
 CLIP_ABORT_TOL = 1e-8
 #: factor by which a shift exceeds the smallest monotone shift
 BETA_MARGIN = 1.05
+#: a pair whose gap shrinks per step by this factor or more slowly, over
+#: the last NEWTON_WINDOW steps and after NEWTON_WARMUP steps, is handed
+#: over to Newton once
+NEWTON_RATE = 0.99
+NEWTON_WARMUP = 50
+NEWTON_WINDOW = 10
+#: Newton stops when its step is this small relative to the iterate
+NEWTON_TOL = 1e-12
+NEWTON_MAX_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -82,6 +110,8 @@ class IterationReport:
     iterations_used: int
     damping_used: float
     beta_used: Tuple[float, float]  # (beta_u, beta_v) on the final pair
+    # Newton hand-over: "none", "accepted", "rejected" or "newton_failed"
+    handover: str = "none"
 
 
 def beta_floor(p: SystemParams) -> float:
@@ -124,6 +154,21 @@ def kernel_rates(p: SystemParams, s: float, beta):
     return tuple(out)
 
 
+def _kernel_coefficients(h: float, alpha: float, gamma: float):
+    """(ea, c1, c2, eg, d1, d2) of the two recurrences of _kernel_apply.
+
+    L_i = ea L_{i-1} + c1 F_{i-1} + c2 F_i runs left to right and
+    R_i = eg R_{i+1} + d1 F_i + d2 F_{i+1} right to left.
+    """
+    ea = math.exp(alpha * h)
+    I0 = math.expm1(alpha * h) / alpha
+    I1 = h * ea / alpha - math.expm1(alpha * h) / (alpha * alpha)
+    eg = math.exp(-gamma * h)
+    J0 = -math.expm1(-gamma * h) / gamma
+    J1 = (1.0 - eg * (1.0 + gamma * h)) / (gamma * gamma)
+    return ea, I1 / h, I0 - I1 / h, eg, J0 - J1 / h, J1 / h
+
+
 def _kernel_apply(F: np.ndarray, h: float, alpha: float, gamma: float,
                   dcoef: float, F_left: float, F_right: float) -> np.ndarray:
     """Exact convolution of the piecewise-linear interpolant of F with the
@@ -132,18 +177,13 @@ def _kernel_apply(F: np.ndarray, h: float, alpha: float, gamma: float,
     Both half-line integrals obey first-order recurrences along the grid,
     evaluated with lfilter for O(n) cost and stability at stiff rates.
     """
-    ea = math.exp(alpha * h)
-    I0 = math.expm1(alpha * h) / alpha
-    I1 = h * ea / alpha - math.expm1(alpha * h) / (alpha * alpha)
+    ea, c1, c2, eg, d1, d2 = _kernel_coefficients(h, alpha, gamma)
     x = np.empty_like(F)
     x[0] = F_left * (-1.0 / alpha)
-    x[1:] = (I1 / h) * F[:-1] + (I0 - I1 / h) * F[1:]
+    x[1:] = c1 * F[:-1] + c2 * F[1:]
     L = lfilter([1.0], [1.0, -ea], x)
 
-    eg = math.exp(-gamma * h)
-    J0 = -math.expm1(-gamma * h) / gamma
-    J1 = (1.0 - eg * (1.0 + gamma * h)) / (gamma * gamma)
-    terms = (J0 - J1 / h) * F[:-1] + (J1 / h) * F[1:]
+    terms = d1 * F[:-1] + d2 * F[1:]
     xr = np.empty_like(F)
     xr[0] = F_right / gamma
     xr[1:] = terms[::-1]
@@ -190,6 +230,135 @@ def _clip_to(arr: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return np.clip(arr, lo, hi), events, worst
 
 
+def _kernel_bands(h: float, alpha: float, gamma: float, dcoef: float, n: int):
+    """Banded form of one kernel: T @ _kernel_apply(F) = M @ F + tail terms.
+
+    With S the down-shift and k = dcoef * (gamma - alpha), the two
+    recurrences multiply out to T = k (I - ea S)(I - eg S^T), which is
+    tridiagonal, and M = (I - eg S^T) B_L + (I - ea S) B_R + ea eg e_{n-1} w^T,
+    tridiagonal plus a dense last row, where B_L, B_R are the recurrences'
+    bidiagonal weights and w_j = c2 ea^(n-1-j) [j >= 1] + c1 ea^(n-2-j)
+    [j <= n-2] sums the left recurrence into the last point.  The tail
+    terms vanish when F_left = F_right = 0.  Returns (T, M, last): T and M
+    in solve_banded's (1, 1) layout, band[1 + i - j, j] = A[i, j], and
+    last = ea eg w.
+    """
+    ea, c1, c2, eg, d1, d2 = _kernel_coefficients(h, alpha, gamma)
+    k = dcoef * (gamma - alpha)
+    T = np.empty((3, n))
+    T[0], T[1], T[2] = -k * eg, k * (1.0 + ea * eg), -k * ea
+    T[1, 0] = k
+    M = np.empty((3, n))
+    M[0], M[1], M[2] = d2 - eg * c2, (c2 - ea * d2) + (d1 - eg * c1), c1 - ea * d1
+    M[1, 0], M[1, -1] = d1 - eg * c1, c2 - ea * d2
+    T[0, 0] = T[2, -1] = M[0, 0] = M[2, -1] = 0.0
+    powers = ea ** np.arange(n - 1, -1, -1)   # ea^(n-1-j)
+    w = np.zeros(n)
+    w[1:] += c2 * powers[1:]
+    w[:-1] += c1 * powers[1:]
+    return T, M, (ea * eg) * w
+
+
+def _band_apply(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Tridiagonal matrix in solve_banded's (1, 1) layout times x."""
+    y = band[1] * x
+    y[:-1] += band[0, 1:] * x[1:]
+    y[1:] += band[2, :-1] * x[:-1]
+    return y
+
+
+def _newton_solve(X, rhs, active, p: SystemParams, beta, kernels):
+    """Solve (I - Pi DP(X)) delta = rhs for each rhs in the list.
+
+    DP = T^-1 M D per component, with D the pointwise 2x2 Jacobian of the
+    shifted reactions, and Pi zeroes the active rows.  With z = T^-1 M D
+    delta the system is (T - M D Pi) z = M D rhs, delta = rhs + Pi z: banded
+    (3, 3) over the interleaved unknowns (u_0, v_0, u_1, ...) plus the two
+    dense last rows, which a 2x2 capacitance system (Woodbury) takes out.
+    Rows and unknowns are scaled by |X|, whose tails reach 1e-24.
+    """
+    a, b, c = p.a, p.b, p.c
+    beta_u, beta_v = _beta_pair(beta)
+    u, v = X
+    n = u.size
+    D = ((beta_u + 1.0 - 2.0 * u - c * v, -c * u),
+         (-b * v, beta_v + a - b * u - 2.0 * v))
+    W = np.maximum(np.abs(X), np.finfo(float).tiny)
+    free = ~active
+    # gbsv's band layout, ab[6 + i - j, j] = A[i, j], stored by columns;
+    # rows 0-2 take the fill-in of the pivoting
+    ab = np.zeros((n, 2, 10))
+    U = np.zeros((2, n, 2))
+    for k, (T, M, last) in enumerate(kernels):
+        for l in range(2):
+            DPi = D[k][l] * free[l] * W[l]
+            U[k, :, l] = -last * DPi / W[k, -1]
+            for dj in (-1, 0, 1):
+                val = -M[1 - dj] * DPi
+                if k == l:
+                    val += T[1 - dj] * W[l]
+                rows = np.roll(W[k], dj)   # W[k, j - dj]; the wrapped end is a zero band entry
+                ab[:, l, 6 - 2 * dj + k - l] = val / rows
+    m = len(rhs)
+    B = np.zeros((m + 2, n, 2))
+    for i, r in enumerate(rhs):
+        Dr = (D[0][0] * r[0] + D[0][1] * r[1], D[1][0] * r[0] + D[1][1] * r[1])
+        for k, (T, M, last) in enumerate(kernels):
+            B[i, :, k] = _band_apply(M, Dr[k])
+            B[i, -1, k] += last @ Dr[k]
+            B[i, :, k] /= W[k]
+    B[m, -1, 0] = B[m + 1, -1, 1] = 1.0
+    # solve_banded's LAPACK routine, called in place
+    _, _, Y, info = dgbsv(3, 3, ab.reshape(2 * n, 10).T, B.reshape(m + 2, 2 * n).T,
+                          overwrite_ab=True, overwrite_b=True)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular Newton matrix")
+    U = U.reshape(2, 2 * n)
+    Z, Q = Y[:, :m], Y[:, m:]
+    Z = Z - Q @ np.linalg.solve(np.eye(2) + U @ Q, U @ Z)
+    return [r + free * W * Z[:, i].reshape(n, 2).T for i, r in enumerate(rhs)]
+
+
+def _clipped_newton(X, p: SystemParams, s: float, beta, h: float, star,
+                    lo, hi):
+    """Semismooth Newton on X = clip(P_beta(X), lo, hi) from X.
+
+    The rows where P(X) leaves (lo, hi) are active and solve X_i = bound;
+    the clip pins the wave's translation, so no phase condition is needed.
+    Returns (X, e) once the step is below NEWTON_TOL relative to |X|, where
+    (I - Pi DP) e = (u, -v) is the mixed-order margin direction from the
+    last Jacobian, or None if Newton does not converge.
+    """
+    n = X.shape[1]
+    kernels = [_kernel_bands(h, al, ga, dc, n)
+               for (al, ga), dc in zip(kernel_rates(p, s, beta), (1.0, p.d))]
+    for _ in range(NEWTON_MAX_STEPS):
+        PX = np.array(apply_P(X[0], X[1], p, s, beta, h, star))
+        active = (PX <= lo) | (PX >= hi)
+        try:
+            # e's right-hand side (u, -v) points up in the mixed order
+            step, e = _newton_solve(X, [np.clip(PX, lo, hi) - X, X * [[1.0], [-1.0]]],
+                                    active, p, beta, kernels)
+        except np.linalg.LinAlgError:
+            return None
+        scale = np.maximum(np.abs(X), np.finfo(float).tiny)
+        X = X + step
+        if not np.all(np.isfinite(X)):
+            return None
+        if np.max(np.abs(step) / scale) <= NEWTON_TOL:
+            return X, e
+    return None
+
+
+def _slow_pair(gap_hist: List[float]) -> bool:
+    """The pair gap contracted by NEWTON_RATE or slower per step over the
+    last NEWTON_WINDOW steps, after NEWTON_WARMUP steps."""
+    if len(gap_hist) < NEWTON_WARMUP:
+        return False
+    g0, g1 = gap_hist[-1 - NEWTON_WINDOW], gap_hist[-1]
+    return g0 > 0.0 and g1 > 0.0 and g1 >= g0 * NEWTON_RATE ** NEWTON_WINDOW
+
+
 def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
             warm_start: Optional[Tuple[np.ndarray, np.ndarray]] = None):
     """Coupled Picard iteration between the envelope pairs.
@@ -198,7 +367,8 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
     under P and clipped to the box and to the envelope sandwich; the two
     pairs bracket every fixed point in the mixed quasimonotone order.
     Converged when both the pair gap and the step change drop below
-    cfg.tol; the returned Profile is the midpoint of the final pair.
+    cfg.tol; the returned Profile is the midpoint of the final pair.  A
+    slowly contracting pair is handed over to Newton once (module docstring).
     """
     lam_min = min_decay_rate(env)
     if cfg.left >= min(env.join_points) - 10.0 / lam_min:
@@ -227,10 +397,8 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
         beta = shift_bounds(p, np.maximum(Au, Bu), np.maximum(Av, Bv))
 
     damping = cfg.damping
-    res_hist, gap_hist, violations = [], [], []
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
+
+    def pair_step(Au, Av, Bu, Bv, beta):
         nAu, nAv = apply_P(Au, Av, p, s, beta, h, star)
         nBu, nBv = apply_P(Bu, Bv, p, s, beta, h, star)
         if damping < 1.0:
@@ -238,12 +406,53 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
             nAv = (1.0 - damping) * Av + damping * nAv
             nBu = (1.0 - damping) * Bu + damping * nBu
             nBv = (1.0 - damping) * Bv + damping * nBv
-        step_events = 0
+        events = 0
         worst = 0.0
-        nAu, ev, w = _clip_to(nAu, lo_u, hi_u); step_events += ev; worst = max(worst, w)
-        nAv, ev, w = _clip_to(nAv, lo_v, hi_v); step_events += ev; worst = max(worst, w)
-        nBu, ev, w = _clip_to(nBu, lo_u, hi_u); step_events += ev; worst = max(worst, w)
-        nBv, ev, w = _clip_to(nBv, lo_v, hi_v); step_events += ev; worst = max(worst, w)
+        nAu, ev, w = _clip_to(nAu, lo_u, hi_u); events += ev; worst = max(worst, w)
+        nAv, ev, w = _clip_to(nAv, lo_v, hi_v); events += ev; worst = max(worst, w)
+        nBu, ev, w = _clip_to(nBu, lo_u, hi_u); events += ev; worst = max(worst, w)
+        nBv, ev, w = _clip_to(nBv, lo_v, hi_v); events += ev; worst = max(worst, w)
+        return nAu, nAv, nBu, nBv, events, worst
+
+    def hand_over(Au, Av, Bu, Bv, beta):
+        """Newton from the pair's midpoint under beta and, with adaptive
+        shifts, again under beta' = shift_bounds of its answer x; then the
+        seed x +- eps*e, eps*max|e| = tol/4, and its pair step under beta'.
+        Returns the outcome and, if accepted, (seed, beta', step)."""
+        lo, hi = np.array([lo_u, lo_v]), np.array([hi_u, hi_v])
+        out = _clipped_newton(0.5 * np.array([Au + Bu, Av + Bv]), p, s, beta, h, star, lo, hi)
+        if out is not None and cfg.beta is None:
+            beta = shift_bounds(p, out[0][0], out[0][1])
+            out = _clipped_newton(out[0], p, s, beta, h, star, lo, hi)
+        if out is None:
+            return "newton_failed", None
+        x, e = out
+        eps = 0.25 * cfg.tol / np.max(np.abs(e))
+        (sAu, sAv), (sBu, sBv) = np.clip(x + eps * e, lo, hi), np.clip(x - eps * e, lo, hi)
+        nxt = pair_step(sAu, sAv, sBu, sBv, beta)
+        nAu, nAv, nBu, nBv, _, worst = nxt
+        # a discrete super- and sub-solution pair in the mixed order
+        verified = (worst <= CLIP_ABORT_TOL
+                    and np.all(sBu <= sAu) and np.all(sAv <= sBv)
+                    and np.all(nAu <= sAu) and np.all(nAv >= sAv)
+                    and np.all(nBu >= sBu) and np.all(nBv <= sBv))
+        if not verified:
+            return "rejected", None
+        return "accepted", ((sAu, sAv, sBu, sBv), beta, nxt)
+
+    res_hist, gap_hist, violations = [], [], []
+    converged = False
+    handover = "none"
+    iterations = 0
+    for iterations in range(1, cfg.max_iters + 1):
+        nxt = None
+        if handover == "none" and _slow_pair(gap_hist):
+            handover, seeded = hand_over(Au, Av, Bu, Bv, beta)
+            if seeded is not None:
+                (Au, Av, Bu, Bv), beta, nxt = seeded
+        if nxt is None:
+            nxt = pair_step(Au, Av, Bu, Bv, beta)
+        nAu, nAv, nBu, nBv, step_events, worst = nxt
         if worst > CLIP_ABORT_TOL:
             raise ValueError("iteration escaped envelope")
         violations.append(step_events)
@@ -274,6 +483,7 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
         iterations_used=iterations,
         damping_used=damping,
         beta_used=_beta_pair(beta),
+        handover=handover,
     )
     return prof, report
 

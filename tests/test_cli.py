@@ -121,6 +121,18 @@ class TestSolve:
         assert "error" in json.loads((in_tmp / "crit.json").read_text())
         assert not (in_tmp / "crit").exists()
 
+    def test_critical_speed_converges(self, in_tmp, capsys):
+        # the slowly contracting pair at s* is handed over to Newton
+        code = cli.main(["solve", "--params", "1,0.5,0.5,1", "--speed", "2",
+                         "--grid", "6401", "--domain=-60,100", "--out", "crit"])
+        capsys.readouterr()
+        assert code == 0
+        head = json.loads((in_tmp / "crit.json").read_text())
+        assert head["converged"]
+        assert head["iterations"] < 5000
+        assert head["tail_report"]["passed"]
+        assert "handover" not in head
+
     def test_escape_error_goes_to_out_json(self, in_tmp, capsys):
         # s* on the default grid escapes its envelopes within a few steps
         assert cli.main(["solve", "--params", "1,0.5,0.5,1",

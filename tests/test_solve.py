@@ -20,6 +20,8 @@ from dataclasses import replace
 from lvfront.envelopes import min_decay_rate
 from lvfront.model import critical_speed
 from lvfront.solve import BETA_MARGIN, shift_bounds
+from lvfront import solve as solve_mod
+from lvfront.solve import _band_apply, _kernel_apply, _kernel_bands, _newton_solve
 
 P = SystemParams(1.0, 0.5, 0.5, 1.0)
 S = 3.0
@@ -262,3 +264,113 @@ class TestAdaptiveShift:
         assert rep.converged
         assert sum(rep.sandwich_violations) == 0
         assert rep.damping_used == 1.0
+
+
+class TestKernelBands:
+    @pytest.mark.parametrize("h, alpha, gamma, dcoef", [
+        (0.025, -1.2, 3.1, 1.0),
+        (0.1, -0.3, 0.8, 0.7),
+        (0.5, -2.0, 5.0, 1.3),
+        (0.05, -0.01, 400.0, 1.0),   # stiff right rate: gamma*h = 20
+        (0.2, -150.0, 0.05, 2.0),    # stiff left rate: alpha*h = -30
+    ])
+    @pytest.mark.parametrize("n", [2, 3, 500])
+    def test_kernel_times_T_is_M(self, h, alpha, gamma, dcoef, n):
+        F = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        T, M, last = _kernel_bands(h, alpha, gamma, dcoef, n)
+        lhs = _band_apply(T, _kernel_apply(F, h, alpha, gamma, dcoef, 0.0, 0.0))
+        rhs = _band_apply(M, F)
+        rhs[-1] += last @ F
+        assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
+
+    def test_newton_system_against_dense_jacobian(self):
+        n, h, s, beta = 40, 0.3, S, (1.3, 0.9)
+        rng = np.random.default_rng(3)
+        X = rng.uniform(0.05, 0.6, (2, n))
+        active = rng.uniform(size=(2, n)) < 0.2
+        rhs = rng.uniform(-1.0, 1.0, (2, n))
+        rates = kernel_rates(P, s, beta)
+        kernels = [_kernel_bands(h, al, ga, dc, n) for (al, ga), dc in zip(rates, (1.0, P.d))]
+        (delta,) = _newton_solve(X, [rhs], active, P, beta, kernels)
+        # dense DP: kernel columns times the pointwise reaction Jacobian
+        K = [np.column_stack([_kernel_apply(col, h, al, ga, dc, 0.0, 0.0)
+                              for col in np.eye(n)])
+             for (al, ga), dc in zip(rates, (1.0, P.d))]
+        u, v = X
+        D = [[np.diag(beta[0] + 1.0 - 2.0 * u - P.c * v), np.diag(-P.c * u)],
+             [np.diag(-P.b * v), np.diag(beta[1] + P.a - P.b * u - 2.0 * v)]]
+        DP = np.block([[K[0] @ D[0][0], K[0] @ D[0][1]],
+                       [K[1] @ D[1][0], K[1] @ D[1][1]]])
+        J = np.eye(2 * n) - np.diag(~active.ravel()) @ DP
+        assert np.abs(J @ delta.ravel() - rhs.ravel()).max() < 1e-12
+
+
+def _critical_cfg(env):
+    """[min(-60, min join - 25/lambda_min), 100] with h = 0.025."""
+    left = min(-60.0, min(env.join_points) - 25.0 / min_decay_rate(env))
+    return OperatorConfig(left=left, right=100.0,
+                          n_points=int(round((100.0 - left) / 0.025)) + 1, tol=1e-8)
+
+
+class TestNewtonHandover:
+    @pytest.fixture(scope="class")
+    def cert(self):
+        return certify(P, S)
+
+    def _run(self, monkeypatch, cert, rate, newton=None):
+        with monkeypatch.context() as m:
+            m.setattr(solve_mod, "NEWTON_RATE", rate)
+            if newton is not None:
+                m.setattr(solve_mod, "_clipped_newton", newton)
+            return iterate(cert.envelope, P, S, CFG)
+
+    def test_fast_pairs_never_hand_over(self, solved):
+        assert solved[2].handover == "none"
+
+    @pytest.mark.parametrize("outcome", ["rejected", "newton_failed"])
+    def test_fallback_leaves_no_trace(self, monkeypatch, cert, outcome):
+        newton = solve_mod._clipped_newton
+
+        def broken(X, *args):
+            if outcome == "newton_failed":
+                return None
+            X, e = newton(X, *args)
+            return X * (1.0 + 1e-6 * np.sin(np.arange(X.shape[1]))), e
+
+        prof, rep = self._run(monkeypatch, cert, 0.5, broken)
+        ref_prof, ref = self._run(monkeypatch, cert, 2.0)
+        assert rep.handover == outcome and ref.handover == "none"
+        assert rep.iterations_used == ref.iterations_used
+        assert np.array_equal(rep.residual_history, ref.residual_history)
+        assert np.array_equal(rep.pair_gap_history, ref.pair_gap_history)
+        assert rep.sandwich_violations == ref.sandwich_violations
+        assert rep.beta_used == ref.beta_used
+        assert np.array_equal(prof.u, ref_prof.u) and np.array_equal(prof.v, ref_prof.v)
+        assert prof.residual == ref_prof.residual
+
+    def test_forced_handover_keeps_the_answer(self, monkeypatch, cert, solved):
+        _, ref_prof, _ = solved
+        prof, rep = self._run(monkeypatch, cert, 0.5)
+        assert rep.handover == "accepted" and rep.converged
+        assert rep.iterations_used == solve_mod.NEWTON_WARMUP + 1
+        assert sum(rep.sandwich_violations) == 0
+        assert np.abs(prof.u - ref_prof.u).max() <= CFG.tol
+        assert np.abs(prof.v - ref_prof.v).max() <= CFG.tol
+        assert prof.residual <= ref_prof.residual
+
+    # every set is rejected when the verified step uses another shift than
+    # the last Newton solve
+    @pytest.mark.parametrize("params, factor", [
+        ((0.9, 0.62, 0.41, 0.69), 1.0),
+        ((1.16, 0.13, 0.11, 0.8), 1.0),
+        ((0.62, 0.16, 0.63, 1.13), 1.0),
+        ((0.55, 0.33, 1.26, 1.52), 1.03),
+    ])
+    def test_slow_pairs_near_critical_speed_are_handed_over(self, params, factor):
+        p = SystemParams(*params)
+        s = factor * critical_speed(p)
+        cert = certify(p, s)
+        _, rep = iterate(cert.envelope, p, s, _critical_cfg(cert.envelope))
+        assert rep.handover == "accepted"
+        assert rep.converged and rep.iterations_used < 200
+        assert sum(rep.sandwich_violations) == 0
