@@ -156,7 +156,7 @@ def _nonmonotone_condition(p: SystemParams, s: float, knobs: SelectionKnobs,
             fmax = math.exp(log_fmax) if log_fmax > -700.0 else 0.0
     else:
         mu, q = (knobs.mu1, knobs.q1) if component == "u" else (knobs.mu2, knobs.q2)
-        bump = lower_bump(p, s, component, mu, q, knobs.theta_mu, overshoot=True)
+        bump = lower_bump(p, s, component, mu, q, overshoot=True)
         log_fmax = bump_log_max(bump.coef, bump.lam, bump.mu, bump.q)
         fmax = math.exp(log_fmax) if log_fmax > -700.0 else 0.0
 
@@ -177,8 +177,7 @@ def nonmonotone_condition_v(p: SystemParams, s: float,
     return _nonmonotone_condition(p, s, knobs, "v")
 
 
-def ma_front_criterion(env: EnvelopeSet, p: SystemParams,
-                       n_points: int = 4001) -> bool:
+def ma_front_criterion(env: EnvelopeSet, p: SystemParams) -> bool:
     """Three-condition sufficient test for a monotone front.
 
     (1) envelopes confined to [0, u*] x [0, v*]; (2) the running sup of
@@ -187,7 +186,7 @@ def ma_front_criterion(env: EnvelopeSet, p: SystemParams,
     """
     ustar, vstar = equilibria(p).coexistence
     joins = env.join_points
-    grid = np.linspace(min(joins) - 30.0, max(joins) + 30.0, n_points)
+    grid = np.linspace(min(joins) - 30.0, max(joins) + 30.0, 4001)
     uu, ul = env.u_upper(grid), env.u_lower(grid)
     vu, vl = env.v_upper(grid), env.v_lower(grid)
     tol = 1e-12

@@ -22,6 +22,7 @@ from .certify import certify, certificate_to_json
 from .solve import OperatorConfig, iterate, tail_check, with_tail_report, write_profile
 from .analyze import classify, interior_box_implies_monotone, oscillation_coupling, scan_region
 from .pulse import (
+    PULSE_CONFIG,
     degenerate_system,
     plan_continuation,
     pulse_tail_diagnostics,
@@ -117,6 +118,17 @@ def _to_runconfig(ns: argparse.Namespace) -> RunConfig:
     elif domain is not None:
         domain = tuple(domain)
 
+    # a config file can hold any JSON value here, not only a number
+    grid, tol = raw.get("grid"), raw.get("tol")
+    if grid is not None and not (type(grid) is int and grid >= 3):
+        raise _UsageError(f"--grid must be an integer >= 3, got {grid!r}")
+    if tol is not None and not (type(tol) in (int, float) and tol > 0.0):
+        raise _UsageError(f"--tol must be a positive number, got {tol!r}")
+    if domain is not None and not (len(domain) == 2
+                                   and all(type(x) in (int, float) for x in domain)
+                                   and domain[0] < domain[1]):
+        raise _UsageError(f"--domain needs two numbers left < right, got {domain!r}")
+
     def rng(key):
         val = raw.get(key)
         if val is None:
@@ -129,8 +141,8 @@ def _to_runconfig(ns: argparse.Namespace) -> RunConfig:
 
     return RunConfig(
         command=raw["command"], params=tuple(params), speed=raw.get("speed"),
-        mode=raw.get("mode", "default"), grid=raw.get("grid"),
-        domain=domain, tol=raw.get("tol"), out=raw.get("out"),
+        mode=raw.get("mode", "default"), grid=grid,
+        domain=domain, tol=tol, out=raw.get("out"),
         s_range=rng("s_range"), gap_range=rng("gap_range"),
         mu2=raw.get("mu2"), q2=raw.get("q2"),
         target=raw.get("target", "c_to_1_over_a"), steps=raw.get("steps", 8),
@@ -142,7 +154,8 @@ def _system(cfg: RunConfig) -> SystemParams:
     return SystemParams(a, b, c, d)
 
 
-def _operator_config(cfg: RunConfig) -> OperatorConfig:
+def _operator_config(cfg: RunConfig, base: OperatorConfig) -> OperatorConfig:
+    """base with the domain, grid and tolerance that the run sets."""
     kw = {}
     if cfg.domain is not None:
         kw["left"], kw["right"] = cfg.domain
@@ -150,7 +163,7 @@ def _operator_config(cfg: RunConfig) -> OperatorConfig:
         kw["n_points"] = cfg.grid
     if cfg.tol is not None:
         kw["tol"] = cfg.tol
-    return OperatorConfig(**kw)
+    return replace(base, **kw)
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
@@ -211,7 +224,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         _emit({"run_config": asdict(cfg), "certificate": certificate_to_json(cert)},
               err_out)
         return EXIT_CRITERION
-    ocfg = _operator_config(cfg)
+    ocfg = _operator_config(cfg, OperatorConfig())
     if cfg.domain is None:
         # deep enough left end that boundary truncation of the slowest
         # envelope mode stays below the sandwich-abort threshold
@@ -276,7 +289,7 @@ def cmd_pulse(cfg: RunConfig) -> int:
     s = cfg.speed if cfg.speed is not None else critical_speed(p) + 0.5
     try:
         plan = plan_continuation(p, s, cfg.target, cfg.steps,
-                                 config=_operator_config(cfg) if cfg.domain or cfg.grid or cfg.tol else None)
+                                 config=_operator_config(cfg, PULSE_CONFIG))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -30,6 +30,8 @@ MIN_BUMP_MAX = 1e-250
 Q_SAFETY = 1.1
 #: places each delta at this fraction of its cap
 DELTA_FRACTION = 0.5
+#: places mu at 1 + THETA_MU (cap - 1), mid-way in its interval (1, cap)
+THETA_MU = 0.5
 #: mu placement in the overshoot modes, near the top of the interval where
 #: the lower-envelope maximum is largest
 THETA_MU_NONMONOTONE = 0.9
@@ -297,13 +299,11 @@ def join_point(f: Callable[[float], float], delta: float,
 class SelectionKnobs:
     """Tunable placement of the free envelope constants.
 
-    theta_mu places mu inside its admissible interval (0 -> near 1,
-    1 -> near the cap).  The nonmonotone flags switch the corresponding q
-    to the overshoot value of lower_bump and move mu to
-    THETA_MU_NONMONOTONE.  mu1/mu2/q1/q2 pin a constant outright.
+    The nonmonotone flags switch the corresponding q to the overshoot value
+    of lower_bump and move mu from THETA_MU to THETA_MU_NONMONOTONE.
+    mu1/mu2/q1/q2 pin a constant outright.
     """
 
-    theta_mu: float = 0.5
     nonmonotone_u: bool = False
     nonmonotone_v: bool = False
     mu1: Optional[float] = None
@@ -409,16 +409,16 @@ def _critical_slope(coef: float, lam: float) -> float:
 
 
 def lower_bump(p: SystemParams, s: float, component: str,
-               mu: Optional[float], q: Optional[float], theta: float,
+               mu: Optional[float], q: Optional[float],
                overshoot: bool) -> BumpConstants:
     """The sequential choice of mu and q for one lower bump.
 
-    mu = 1 + theta (cap - 1) unless pinned, with theta = THETA_MU_NONMONOTONE
-    in overshoot mode; q = Q_SAFETY * floor unless pinned, and in overshoot
-    mode at least 2/denom.  At s = s* (a*d < 1) only the v bump has this
-    form, and the critical u upper envelope changes its cap and floor.  Nothing is
-    validated: callers that need admissible constants check mu against
-    (1, cap) and q against floor.
+    mu = 1 + THETA_MU (cap - 1) unless pinned, with THETA_MU_NONMONOTONE in
+    place of THETA_MU in overshoot mode; q = Q_SAFETY * floor unless pinned,
+    and in overshoot mode at least 2/denom.  At s = s* (a*d < 1) only the v
+    bump has this form, and the critical u upper envelope changes its cap
+    and floor.  Nothing is validated: callers that need admissible
+    constants check mu against (1, cap) and q against floor.
     """
     a, b, c, d = p.a, p.b, p.c, p.d
     r = decay_rates(p, s)
@@ -436,7 +436,7 @@ def lower_bump(p: SystemParams, s: float, component: str,
             cap = min(r.lambda4 / lam, 1.0 + lh1 / (2.0 * lam), 2.0)
             numer = a * a + 2.0 * a * b * _critical_slope(1.0, lh1) * math.exp(-1.0) / lh1
     if mu is None:
-        mu = 1.0 + (THETA_MU_NONMONOTONE if overshoot else theta) * (cap - 1.0)
+        mu = 1.0 + (THETA_MU_NONMONOTONE if overshoot else THETA_MU) * (cap - 1.0)
     denom = -diff * (mu * lam) ** 2 + s * mu * lam - coef
     # q must also exceed coef so the bump has a zero on the negative
     # half-line; a denominator <= 0 (mu outside its interval) bounds nothing
@@ -460,8 +460,8 @@ def select_supercritical(p: SystemParams, s: float,
     if s <= critical_speed(p):
         raise ValueError("subcritical speed")
     a, b, c = p.a, p.b, p.c
-    u = lower_bump(p, s, "u", knobs.mu1, knobs.q1, knobs.theta_mu, knobs.nonmonotone_u)
-    v = lower_bump(p, s, "v", knobs.mu2, knobs.q2, knobs.theta_mu, knobs.nonmonotone_v)
+    u = lower_bump(p, s, "u", knobs.mu1, knobs.q1, knobs.nonmonotone_u)
+    v = lower_bump(p, s, "v", knobs.mu2, knobs.q2, knobs.nonmonotone_v)
     if not 1.0 < u.mu < u.cap or not 1.0 < v.mu < v.cap:
         raise ValueError("mu outside admissible interval")
     if u.q <= u.floor or v.q <= v.floor:
@@ -554,7 +554,7 @@ def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -
 
     # a*d < 1: the v-side keeps its supercritical shape with rates from
     # the (now non-degenerate) second quadratic
-    v = lower_bump(p, s, "v", knobs.mu2, knobs.q2, knobs.theta_mu, knobs.nonmonotone_v)
+    v = lower_bump(p, s, "v", knobs.mu2, knobs.q2, knobs.nonmonotone_v)
     qhat1, gmax1 = _critical_q_search(lh1, h1, 1.0, c, _capped_exp(a, v.lam))
     deltahat1 = DELTA_FRACTION * min(1.0 - a * c, gmax1)
 

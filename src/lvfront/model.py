@@ -57,18 +57,13 @@ class DecayRates:
     """Positive decay rates of the linearization at the origin.
 
     lambda1 <= lambda3 are the roots of x^2 - s x + 1 = 0 and
-    lambda2 <= lambda4 the roots of d x^2 - s x + a = 0.  The hat fields
-    are populated only at the critical speed (double root s/2 when
-    a*d <= 1).
+    lambda2 <= lambda4 the roots of d x^2 - s x + a = 0.
     """
 
     lambda1: float
     lambda2: float
     lambda3: float
     lambda4: float
-    hat_lambda1: Optional[float] = None
-    hat_lambda2: Optional[float] = None
-    hat_lambda4: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -77,16 +72,16 @@ class Admissibility:
     reason: Optional[str] = None
 
 
-def classify_regime(p: SystemParams, tol: float = EQ_TOL) -> Regime:
+def classify_regime(p: SystemParams) -> Regime:
     """Classify (a, b, c) into the weak-competition regimes.
 
     Boundary cases a*c = 1 and a = b are decided with absolute tolerance
-    `tol` on the defining expressions; OutOfScope is a value, not an error,
+    EQ_TOL on the defining expressions; OutOfScope is a value, not an error,
     so parameter sweeps can cross regime boundaries.
     """
     a, b, c = p.a, p.b, p.c
-    ac_critical = abs(a * c - 1.0) <= tol
-    ab_critical = abs(a - b) <= tol
+    ac_critical = abs(a * c - 1.0) <= EQ_TOL
+    ab_critical = abs(a - b) <= EQ_TOL
     if ab_critical and not ac_critical and a * c < 1.0:
         return Regime.CRITICAL_WEAK_B
     if ac_critical and not ab_critical and b < a:
@@ -130,18 +125,17 @@ def at_critical_speed(p: SystemParams, s: float) -> bool:
     return abs(s - critical_speed(p)) <= CRITICAL_SPEED_TOL
 
 
-def decay_rates(p: SystemParams, s: float, tol: float = EQ_TOL) -> DecayRates:
+def decay_rates(p: SystemParams, s: float) -> DecayRates:
     """Roots of the two linearization quadratics at the origin.
 
-    Discriminants within `tol` of zero are clamped to zero so the double
+    Discriminants within EQ_TOL of zero are clamped to zero so the double
     root at s = s* is produced deterministically.  Raises for s < s*.
     """
-    s_star = critical_speed(p)
-    if s < s_star - tol:
+    if s < critical_speed(p) - EQ_TOL:
         raise ValueError("subcritical speed")
 
     def clamp(x):
-        return 0.0 if -tol < x < 0.0 else x
+        return 0.0 if -EQ_TOL < x < 0.0 else x
 
     disc1 = clamp(s * s - 4.0)
     disc2 = clamp(s * s - 4.0 * p.a * p.d)
@@ -149,17 +143,8 @@ def decay_rates(p: SystemParams, s: float, tol: float = EQ_TOL) -> DecayRates:
         raise ValueError("subcritical speed")
     r1 = math.sqrt(disc1)
     r2 = math.sqrt(disc2)
-    rates = dict(
-        lambda1=(s - r1) / 2.0,
-        lambda3=(s + r1) / 2.0,
-        lambda2=(s - r2) / (2.0 * p.d),
-        lambda4=(s + r2) / (2.0 * p.d),
-    )
-    if abs(s - s_star) <= tol and p.a * p.d <= 1.0 + tol:
-        rates["hat_lambda1"] = s / 2.0
-        rates["hat_lambda2"] = rates["lambda2"]
-        rates["hat_lambda4"] = rates["lambda4"]
-    return DecayRates(**rates)
+    return DecayRates(lambda1=(s - r1) / 2.0, lambda2=(s - r2) / (2.0 * p.d),
+                      lambda3=(s + r1) / 2.0, lambda4=(s + r2) / (2.0 * p.d))
 
 
 def admissibility(p: SystemParams, s: float) -> Admissibility:

@@ -35,6 +35,11 @@ LIMIT_GAP = 1e-4
 #: profile's residual against the degenerate system is dominated by grid
 #: truncation (which refinement shrinks), not by the parameter gap
 FINAL_GAP = 1e-7
+#: operator for every step; h = 0.04 keeps the quadrature overshoot of the
+#: envelope pair an order of magnitude under the sandwich-violation abort
+#: threshold
+PULSE_CONFIG = OperatorConfig(left=-80.0, right=600.0, n_points=17001,
+                              tol=1e-7, max_iters=40000)
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,7 @@ def degenerate_system(plan: ContinuationPlan) -> SystemParams:
 
 def plan_continuation(p_base: SystemParams, s: float, target: str,
                       n_steps: int,
-                      config: Optional[OperatorConfig] = None) -> ContinuationPlan:
+                      config: OperatorConfig = PULSE_CONFIG) -> ContinuationPlan:
     """Geometric schedule toward the degenerate limit with frozen envelopes.
 
     Step distances to the limit halve each step; the final step is forced
@@ -122,9 +127,8 @@ def plan_continuation(p_base: SystemParams, s: float, target: str,
         raise ValueError("continuation schedule is not strictly monotone")
 
     pulse_u = target == "c_to_1_over_a"
-    theta = SelectionKnobs().theta_mu
-    u = lower_bump(p_base, s, "u", None, None, theta, overshoot=pulse_u)
-    v = lower_bump(p_base, s, "v", None, None, theta, overshoot=not pulse_u)
+    u = lower_bump(p_base, s, "u", None, None, overshoot=pulse_u)
+    v = lower_bump(p_base, s, "v", None, None, overshoot=not pulse_u)
     # The pulsed bump keeps its bare q (2/denominator for u, 2a^2/denominator
     # for v) rather than the overshoot q of certify's non-monotone modes:
     # switching would move the floor and every step of existing runs.
@@ -137,11 +141,6 @@ def plan_continuation(p_base: SystemParams, s: float, target: str,
             raise ValueError("overshoot q infeasible for the v-pulse")
         _, _, floor = bump_extrema(v.coef, v.lam, v.mu, q2)
     knobs = SelectionKnobs(mu1=u.mu, mu2=v.mu, q1=q1, q2=q2)
-    if config is None:
-        # h = 0.04 keeps the quadrature overshoot of the envelope pair an
-        # order of magnitude under the sandwich-violation abort threshold
-        config = OperatorConfig(left=-80.0, right=600.0, n_points=17001,
-                                tol=1e-7, max_iters=40000)
     return ContinuationPlan(target=target, base=p_base, speed=s,
                             steps=tuple(steps), knobs=knobs, config=config,
                             floor=floor)

@@ -73,7 +73,6 @@ class OperatorConfig:
     beta: Optional[float] = None
     max_iters: int = 5000
     tol: float = 1e-8
-    damping: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,6 @@ class IterationReport:
     sandwich_violations: List[int]
     converged: bool
     iterations_used: int
-    damping_used: float
     beta_used: Tuple[float, float]  # (beta_u, beta_v) on the final pair
     # Newton hand-over: "none", "accepted", "rejected" or "newton_failed"
     handover: str = "none"
@@ -396,16 +394,9 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
     if beta is None:
         beta = shift_bounds(p, np.maximum(Au, Bu), np.maximum(Av, Bv))
 
-    damping = cfg.damping
-
     def pair_step(Au, Av, Bu, Bv, beta):
         nAu, nAv = apply_P(Au, Av, p, s, beta, h, star)
         nBu, nBv = apply_P(Bu, Bv, p, s, beta, h, star)
-        if damping < 1.0:
-            nAu = (1.0 - damping) * Au + damping * nAu
-            nAv = (1.0 - damping) * Av + damping * nAv
-            nBu = (1.0 - damping) * Bu + damping * nBu
-            nBv = (1.0 - damping) * Bv + damping * nBv
         events = 0
         worst = 0.0
         nAu, ev, w = _clip_to(nAu, lo_u, hi_u); events += ev; worst = max(worst, w)
@@ -481,15 +472,13 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
         sandwich_violations=violations,
         converged=converged,
         iterations_used=iterations,
-        damping_used=damping,
         beta_used=_beta_pair(beta),
         handover=handover,
     )
     return prof, report
 
 
-def tail_check(prof: Profile, p: SystemParams,
-               env: Optional[EnvelopeSet] = None) -> TailReport:
+def tail_check(prof: Profile, p: SystemParams, env: EnvelopeSet) -> TailReport:
     """Shrinking-box test of the right-tail limit (u, v) -> (u*, v*).
 
     A ladder of nested boxes collapsing onto the coexistence state must be
@@ -518,11 +507,8 @@ def tail_check(prof: Profile, p: SystemParams,
                                    zip(abscissas, abscissas[1:]))
     right_gap = float(max(abs(u[-1] - ustar), abs(v[-1] - vstar)))
     right_ok = right_gap <= 10.0 * tol
-    if env is not None:
-        left_bound_ok = bool(u[0] <= env.u_upper(float(grid[0])) + 1e-9
-                             and v[0] <= env.v_upper(float(grid[0])) + 1e-9)
-    else:
-        left_bound_ok = bool(abs(u[0]) <= 1e-6 and abs(v[0]) <= 1e-6)
+    left_bound_ok = bool(u[0] <= env.u_upper(float(grid[0])) + 1e-9
+                         and v[0] <= env.v_upper(float(grid[0])) + 1e-9)
     passed = bool(finite and increasing_ok and right_ok and left_bound_ok)
     return TailReport(eps=eps, thetas=thetas,
                       entry_abscissas=tuple(abscissas), right_gap=right_gap,

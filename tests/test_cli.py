@@ -2,11 +2,13 @@
 
 import json
 import os
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from lvfront import cli
+from lvfront.pulse import PULSE_CONFIG
 
 
 @pytest.fixture()
@@ -32,6 +34,20 @@ class TestUsageErrors:
     def test_bad_mode(self, capsys):
         assert cli.main(["certify", "--mode", "upside-down"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flags", [
+        ["--grid", "0"], ["--grid", "1"], ["--grid", "-5"],
+        ["--tol", "-1"], ["--domain=10,-10"], ["--config", "string_tol.json"],
+    ])
+    def test_bad_operator_flags(self, flags, in_tmp, monkeypatch, capsys):
+        def no_certify(*args, **kwargs):
+            raise AssertionError("certified despite a bad flag")
+
+        (in_tmp / "string_tol.json").write_text(json.dumps({"tol": "1e-7"}))
+        monkeypatch.setattr(cli, "certify", no_certify)
+        code = cli.main(["solve", "--params", "1,0.5,0.5,1", "--speed", "3.0"] + flags)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestSpeed:
@@ -203,3 +219,11 @@ class TestPulse:
         assert summary["tail_case"]["case"] in (1, 2, 3, 4)
         assert os.path.exists(in_tmp / "pulse_out" / "step_00.csv")
         assert os.path.exists(in_tmp / "pulse_out" / "step_01.json")
+
+    def test_operator_flag_keeps_pulse_grid(self, in_tmp, capsys):
+        code = cli.main(["pulse", "--params", "1,0.5,0.9,1", "--speed", "2.5",
+                         "--steps", "2", "--tol", "1e-7", "--out", "pulse_out"])
+        capsys.readouterr()
+        assert code == 0
+        head = json.loads((in_tmp / "pulse_out" / "step_00.json").read_text())
+        assert head["config"] == asdict(replace(PULSE_CONFIG, tol=1e-7))

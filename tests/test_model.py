@@ -88,11 +88,9 @@ class TestCriticalSpeedAndRates:
         r = decay_rates(SystemParams(1.0, 0.5, 0.5, 1.0), 2.5)
         assert r.lambda1 == pytest.approx(0.5, abs=1e-14)
         assert r.lambda3 == pytest.approx(2.0, abs=1e-14)
-        assert r.hat_lambda1 is None
 
     def test_critical_double_root(self):
         r = decay_rates(SystemParams(1.0, 0.5, 0.5, 1.0), 2.0)
-        assert r.hat_lambda1 == 1.0
         assert r.lambda1 == r.lambda3 == 1.0
 
     def test_subcritical_raises(self):

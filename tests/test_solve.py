@@ -112,13 +112,6 @@ class TestIterate:
         assert rep2.converged
         assert rep2.iterations_used < rep.iterations_used
 
-    def test_damped_iteration_converges(self):
-        cert = certify(P, S)
-        cfg = OperatorConfig(left=-100.0, right=120.0, n_points=2201,
-                             tol=1e-8, max_iters=8000, damping=0.5)
-        _, rep = iterate(cert.envelope, P, S, cfg)
-        assert rep.converged
-
     def test_max_iters_exhaustion_reported_not_raised(self):
         cert = certify(P, S)
         cfg = OperatorConfig(left=-100.0, right=120.0, n_points=2201,
@@ -229,7 +222,6 @@ class TestAdaptiveShift:
         prof_f, rep_f = fixed
         assert rep.converged and rep_f.converged
         assert sum(rep.sandwich_violations) == 0
-        assert rep.damping_used == 1.0
         assert rep.iterations_used < rep_f.iterations_used
 
     def test_same_profile_as_fixed_shift(self, solved, fixed):
@@ -263,7 +255,6 @@ class TestAdaptiveShift:
         _, rep = iterate(env, p, s, cfg)
         assert rep.converged
         assert sum(rep.sandwich_violations) == 0
-        assert rep.damping_used == 1.0
 
 
 class TestKernelBands:
