@@ -19,7 +19,8 @@ import numpy as np
 from .model import SystemParams, admissibility, critical_speed, decay_rates
 from .envelopes import SelectionKnobs, min_decay_rate
 from .certify import certify, certificate_to_json
-from .solve import OperatorConfig, iterate, tail_check, with_tail_report, write_profile
+from .solve import (OperatorConfig, iterate, tail_check, with_tail_report, write_csv,
+                    write_profile)
 from .analyze import classify, interior_box_implies_monotone, oscillation_coupling, scan_region
 from .pulse import (
     PULSE_CONFIG,
@@ -273,8 +274,7 @@ def cmd_scan(cfg: RunConfig) -> int:
                             scan.holds.astype(int)]) \
         if scan.gap_values.size else np.empty((0, 1 + scan.s_values.size))
     header = "gap," + ",".join("%.17g" % s for s in scan.s_values)
-    np.savetxt(base + ".csv", rows, delimiter=",", fmt="%.17g",
-               header=header, comments="")
+    write_csv(base + ".csv", rows, header)
     _emit({
         "run_config": asdict(cfg),
         "s_values": [float(x) for x in scan.s_values],

@@ -52,6 +52,8 @@ CLIP_EVENT_TOL = 1e-9
 CLIP_ABORT_TOL = 1e-8
 #: factor by which a shift exceeds the smallest monotone shift
 BETA_MARGIN = 1.05
+#: rows formatted per call by write_csv
+CSV_BLOCK_ROWS = 1024
 #: a pair whose gap shrinks per step by this factor or more slowly, over
 #: the last NEWTON_WINDOW steps and after NEWTON_WARMUP steps, is handed
 #: over to Newton once
@@ -173,21 +175,23 @@ def _kernel_apply(F: np.ndarray, h: float, alpha: float, gamma: float,
     two-sided exponential kernel, plus the constant-tail contributions.
 
     Both half-line integrals obey first-order recurrences along the grid,
-    evaluated with lfilter for O(n) cost and stability at stiff rates.
+    evaluated with lfilter for O(n) cost and stability at stiff rates.  Each
+    is one pass over F with a two-tap numerator that starts one point in
+    from its tail end: the tail integrals L_0 = -F_left/alpha and
+    R_{n-1} = F_right/gamma enter through the first state zi, c1 F_0 + ea L_0
+    or d2 F_{n-1} + eg R_{n-1}, which cancels against nothing.  Needs n >= 2.
     """
     ea, c1, c2, eg, d1, d2 = _kernel_coefficients(h, alpha, gamma)
-    x = np.empty_like(F)
-    x[0] = F_left * (-1.0 / alpha)
-    x[1:] = c1 * F[:-1] + c2 * F[1:]
-    L = lfilter([1.0], [1.0, -ea], x)
-
-    terms = d1 * F[:-1] + d2 * F[1:]
-    xr = np.empty_like(F)
-    xr[0] = F_right / gamma
-    xr[1:] = terms[::-1]
-    R = lfilter([1.0], [1.0, -eg], xr)[::-1]
-
-    return (L + R) / (dcoef * (gamma - alpha))
+    L0, R_last = F_left * (-1.0 / alpha), F_right / gamma
+    L, _ = lfilter([c2, c1], [1.0, -ea], F[1:], zi=[c1 * F[0] + ea * L0])   # L_1 .. L_{n-1}
+    R, _ = lfilter([d1, d2], [1.0, -eg], F[-2::-1],
+                   zi=[d2 * F[-1] + eg * R_last])                           # R_{n-2} .. R_0
+    out = np.empty_like(F)
+    np.add(L[:-1], R[-2::-1], out=out[1:-1])
+    out[0] = L0 + R[-1]
+    out[-1] = L[-1] + R_last
+    out /= dcoef * (gamma - alpha)
+    return out
 
 
 def apply_P(u: np.ndarray, v: np.ndarray, p: SystemParams, s: float,
@@ -219,13 +223,21 @@ def apply_P(u: np.ndarray, v: np.ndarray, p: SystemParams, s: float,
 
 
 def _clip_to(arr: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    above, below = arr - hi, lo - arr
-    worst = max(float(np.max(above, initial=0.0)), float(np.max(below, initial=0.0)), 0.0)
+    """(clip(arr, lo, hi), events, worst) for lo <= hi.
+
+    worst is the largest excursion |arr - clip(arr)|, 0 inside the bounds,
+    and events counts the points whose excursion exceeds CLIP_EVENT_TOL.
+    arr is overwritten with its excursion arr - clip(arr).
+    """
+    out = np.maximum(arr, lo)
+    np.minimum(out, hi, out=out)
+    excursion = np.subtract(arr, out, out=arr)
+    worst = max(float(excursion.max()), -float(excursion.min()), 0.0)
     # no point can exceed the event tolerance unless the worst one does
     events = 0
     if worst > CLIP_EVENT_TOL:
-        events = int(np.count_nonzero((above > CLIP_EVENT_TOL) | (below > CLIP_EVENT_TOL)))
-    return np.clip(arr, lo, hi), events, worst
+        events = int(np.count_nonzero(np.abs(excursion) > CLIP_EVENT_TOL))
+    return out, events, worst
 
 
 def _kernel_bands(h: float, alpha: float, gamma: float, dcoef: float, n: int):
@@ -391,8 +403,18 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
         wv = np.clip(warm_start[1], lo_v, hi_v)
         Au, Av = wu.copy(), wv.copy()
         Bu, Bv = wu.copy(), wv.copy()
+    # the step and gap norms and shift_bounds' u input go through one buffer
+    scratch = np.empty_like(grid)
+
+    def max_abs_diff(x, y):
+        diff = np.subtract(x, y, out=scratch)
+        return np.abs(diff, out=diff).max()
+
+    def pair_shifts(Au, Av, Bu, Bv):
+        return shift_bounds(p, np.maximum(Au, Bu, out=scratch), np.maximum(Av, Bv))
+
     if beta is None:
-        beta = shift_bounds(p, np.maximum(Au, Bu), np.maximum(Av, Bv))
+        beta = pair_shifts(Au, Av, Bu, Bv)
 
     def pair_step(Au, Av, Bu, Bv, beta):
         nAu, nAv = apply_P(Au, Av, p, s, beta, h, star)
@@ -404,6 +426,19 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
         nBu, ev, w = _clip_to(nBu, lo_u, hi_u); events += ev; worst = max(worst, w)
         nBv, ev, w = _clip_to(nBv, lo_v, hi_v); events += ev; worst = max(worst, w)
         return nAu, nAv, nBu, nBv, events, worst
+
+    def escape_site(Au, Av, Bu, Bv, beta):
+        """Size, xi, component and pair of the worst clip of the pair step
+        from (A, B) under beta, recomputed for the abort message."""
+        worst = (-math.inf, 0, "")
+        for pair, X in (("upper", (Au, Av)), ("lower", (Bu, Bv))):
+            PX = apply_P(*X, p, s, beta, h, star)
+            for comp, Y, lo, hi in zip("uv", PX, (lo_u, lo_v), (hi_u, hi_v)):
+                excursion = np.maximum(Y - hi, lo - Y)
+                i = int(np.argmax(excursion))
+                worst = max(worst, (float(excursion[i]), i, f"{comp} of the {pair} pair"))
+        size, i, where = worst
+        return f"clip of {size:.3g} in {where} at xi = {grid[i]:.6g} (h = {h:.3g})"
 
     def hand_over(Au, Av, Bu, Bv, beta):
         """Newton from the pair's midpoint under beta and, with adaptive
@@ -445,17 +480,18 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
             nxt = pair_step(Au, Av, Bu, Bv, beta)
         nAu, nAv, nBu, nBv, step_events, worst = nxt
         if worst > CLIP_ABORT_TOL:
-            raise ValueError("iteration escaped envelope")
+            raise ValueError("iteration escaped envelope: "
+                             + escape_site(Au, Av, Bu, Bv, beta))
         violations.append(step_events)
 
-        step = max(np.abs(nAu - Au).max(), np.abs(nAv - Av).max(),
-                   np.abs(nBu - Bu).max(), np.abs(nBv - Bv).max())
-        gap = max(np.abs(nAu - nBu).max(), np.abs(nAv - nBv).max())
+        step = max(max_abs_diff(nAu, Au), max_abs_diff(nAv, Av),
+                   max_abs_diff(nBu, Bu), max_abs_diff(nBv, Bv))
+        gap = max(max_abs_diff(nAu, nBu), max_abs_diff(nAv, nBv))
         res_hist.append(step)
         gap_hist.append(gap)
         Au, Av, Bu, Bv = nAu, nAv, nBu, nBv
         if cfg.beta is None:
-            beta = shift_bounds(p, np.maximum(Au, Bu), np.maximum(Av, Bv))
+            beta = pair_shifts(Au, Av, Bu, Bv)
         if step < cfg.tol and gap < cfg.tol:
             converged = True
             break
@@ -535,12 +571,23 @@ def ode_residual(prof: Profile, p: SystemParams) -> float:
     return float(max(np.abs(r1).max(), np.abs(r2).max()))
 
 
+def write_csv(path: str, rows: np.ndarray, header: str) -> None:
+    """A header line, then the rows of a 2-D array as "%.17g" values joined
+    by commas: the bytes of np.savetxt(path, rows, fmt="%.17g",
+    delimiter=",", header=header, comments=""), with one format call per
+    block of CSV_BLOCK_ROWS rows in place of one per row."""
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, rows.shape[0], CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS]
+            fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
+
+
 def write_profile(prof: Profile, csv_path: str, json_path: str,
                   header_extra: Optional[dict] = None) -> None:
     """Profile CSV (xi, u, v) plus a JSON header with run metadata."""
-    cols = np.column_stack([prof.grid, prof.u, prof.v])
-    np.savetxt(csv_path, cols, delimiter=",", fmt="%.17g",
-               header="xi,u,v", comments="")
+    write_csv(csv_path, np.column_stack([prof.grid, prof.u, prof.v]), "xi,u,v")
     head = {
         "params": {"a": prof.params.a, "b": prof.params.b,
                    "c": prof.params.c, "d": prof.params.d},

@@ -2,12 +2,17 @@
 
 import json
 import os
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from lvfront import cli
+from lvfront.certify import certify
+from lvfront.envelopes import min_decay_rate
+from lvfront.model import SystemParams
+from lvfront.solve import CLIP_ABORT_TOL
 from lvfront.pulse import PULSE_CONFIG
 
 
@@ -154,8 +159,18 @@ class TestSolve:
         assert cli.main(["solve", "--params", "1,0.5,0.5,1",
                          "--speed", "2", "--out", "crit"]) == 3
         capsys.readouterr()
-        assert "error" in json.loads((in_tmp / "crit.json").read_text())
+        error = json.loads((in_tmp / "crit.json").read_text())["error"]
         assert not (in_tmp / "crit").exists()
+        # the message says where: size, component, xi and h of the worst clip
+        found = re.fullmatch(r"iteration escaped envelope: clip of (\S+) in ([uv]) of the "
+                             r"(upper|lower) pair at xi = (\S+) \(h = (\S+)\)", error)
+        assert found, error
+        assert float(found.group(1)) > CLIP_ABORT_TOL
+        # the CLI's default domain for this solve
+        env = certify(SystemParams(1.0, 0.5, 0.5, 1.0), 2.0).envelope
+        left = min(-60.0, min(env.join_points) - 45.0 / min_decay_rate(env))
+        assert left <= float(found.group(4)) <= 120.0
+        assert float(found.group(5)) == pytest.approx((120.0 - left) / 2800, rel=1e-2)
 
 
 class TestScan:

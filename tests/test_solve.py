@@ -22,6 +22,9 @@ from lvfront.model import critical_speed
 from lvfront.solve import BETA_MARGIN, shift_bounds
 from lvfront import solve as solve_mod
 from lvfront.solve import _band_apply, _kernel_apply, _kernel_bands, _newton_solve
+from lvfront.solve import (CLIP_EVENT_TOL, CSV_BLOCK_ROWS, _clip_to, _kernel_coefficients,
+                           write_csv)
+from scipy.signal import lfilter
 
 P = SystemParams(1.0, 0.5, 0.5, 1.0)
 S = 3.0
@@ -365,3 +368,89 @@ class TestNewtonHandover:
         assert rep.handover == "accepted"
         assert rep.converged and rep.iterations_used < 200
         assert sum(rep.sandwich_violations) == 0
+
+
+def _kernel_apply_reference(F, h, alpha, gamma, dcoef, F_left, F_right):
+    """The one-tap construction: the two-point terms are formed first and
+    each lfilter pass starts from its tail value.  Returns (P, L, R)."""
+    ea, c1, c2, eg, d1, d2 = _kernel_coefficients(h, alpha, gamma)
+    x = np.empty_like(F)
+    x[0] = F_left * (-1.0 / alpha)
+    x[1:] = c1 * F[:-1] + c2 * F[1:]
+    L = lfilter([1.0], [1.0, -ea], x)
+    terms = d1 * F[:-1] + d2 * F[1:]
+    xr = np.empty_like(F)
+    xr[0] = F_right / gamma
+    xr[1:] = terms[::-1]
+    R = lfilter([1.0], [1.0, -eg], xr)[::-1]
+    return (L + R) / (dcoef * (gamma - alpha)), L, R
+
+
+class TestKernelRecurrences:
+    @pytest.mark.parametrize("h, alpha, gamma, dcoef", [
+        (0.025, -1.2, 3.1, 1.0),
+        (0.1, -0.3, 0.8, 0.7),
+        (0.05, -0.01, 400.0, 1.0),   # stiff right rate: gamma*h = 20
+        (0.2, -150.0, 0.05, 2.0),    # stiff left rate: alpha*h = -30
+    ])
+    @pytest.mark.parametrize("n", [2, 3, 500])
+    def test_two_tap_filters_match_the_one_tap_construction(self, h, alpha, gamma, dcoef, n):
+        F = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        F[0] = 1e6   # F_0 much larger than the left tail's F_left
+        ref, L, R = _kernel_apply_reference(F, h, alpha, gamma, dcoef, 1e-3, 0.7)
+        got = _kernel_apply(F, h, alpha, gamma, dcoef, 1e-3, 0.7)
+        scale = (np.abs(L) + np.abs(R)) / (dcoef * (gamma - alpha))
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
+def _clip_reference(arr, lo, hi):
+    above, below = arr - hi, lo - arr
+    worst = max(float(np.max(above, initial=0.0)), float(np.max(below, initial=0.0)), 0.0)
+    events = int(np.count_nonzero((above > CLIP_EVENT_TOL) | (below > CLIP_EVENT_TOL)))
+    return np.clip(arr, lo, hi), events, worst
+
+
+# one point: its lower bound, the width hi - lo (0 sometimes), where it sits
+# and how far it leaves the bounds, on either side of CLIP_EVENT_TOL
+_clip_point = st.tuples(
+    st.floats(-1.0, 1.0),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    st.sampled_from(["lo", "hi", "inside", "above", "below"]),
+    st.one_of(st.sampled_from([0.5, 1.0, 2.0, 1e3]).map(lambda k: k * CLIP_EVENT_TOL),
+              st.floats(0.0, 1e-6)),
+)
+
+
+class TestClipTo:
+    @given(points=st.lists(_clip_point, min_size=1, max_size=40))
+    @settings(max_examples=200)
+    def test_matches_clip_and_positive_parts(self, points):
+        lo = np.array([pt[0] for pt in points])
+        hi = lo + np.array([pt[1] for pt in points])
+        place = {"lo": lambda l, h, e: l, "hi": lambda l, h, e: h,
+                 "inside": lambda l, h, e: 0.5 * (l + h),
+                 "above": lambda l, h, e: h + e, "below": lambda l, h, e: l - e}
+        arr = np.array([place[pt[2]](l, h, pt[3]) for pt, l, h in zip(points, lo, hi)])
+        ref_out, ref_events, ref_worst = _clip_reference(arr, lo, hi)
+        work = arr.copy()
+        out, events, worst = _clip_to(work, lo, hi)
+        assert np.array_equal(out, ref_out)
+        assert events == ref_events
+        assert worst == ref_worst
+        # the input now holds its excursion
+        assert np.array_equal(work, arr - ref_out)
+
+
+class TestWriteCsv:
+    # (0, 4) is an empty scan matrix
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 4), (1, 3), (CSV_BLOCK_ROWS - 1, 3),
+                                       (CSV_BLOCK_ROWS, 3), (CSV_BLOCK_ROWS + 1, 3)])
+    def test_bytes_equal_savetxt(self, tmp_path, shape):
+        rows = np.random.default_rng(shape[0]).normal(size=shape) * 10.0 ** (5 * np.arange(shape[1]) - 5)
+        special = np.array([-0.0, 1e-300, 5e-324, np.nan, 2.2250738585072014e-308 / 3.0])
+        rows.ravel()[:min(rows.size, special.size)] = special[:rows.size]
+        header = ",".join(f"c{k}" for k in range(shape[1]))
+        write_csv(str(tmp_path / "got.csv"), rows, header)
+        np.savetxt(tmp_path / "ref.csv", rows, fmt="%.17g", delimiter=",",
+                   header=header, comments="")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
