@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Tuple
@@ -76,6 +77,11 @@ def _parse_floats(text: str, n: int, what: str):
         raise _UsageError(f"bad {what}: {exc}") from exc
 
 
+def _finite(x) -> bool:
+    """x is a finite int or float, not a bool, a string or another JSON value."""
+    return type(x) in (int, float) and math.isfinite(x)
+
+
 def _build_parser() -> _Parser:
     ap = _Parser(prog="lvfront", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -120,15 +126,19 @@ def _to_runconfig(ns: argparse.Namespace) -> RunConfig:
         domain = tuple(domain)
 
     # a config file can hold any JSON value here, not only a number
-    grid, tol = raw.get("grid"), raw.get("tol")
+    grid, tol, speed = raw.get("grid"), raw.get("tol"), raw.get("speed")
+    steps = raw.get("steps", 8)
     if grid is not None and not (type(grid) is int and grid >= 3):
         raise _UsageError(f"--grid must be an integer >= 3, got {grid!r}")
-    if tol is not None and not (type(tol) in (int, float) and tol > 0.0):
-        raise _UsageError(f"--tol must be a positive number, got {tol!r}")
-    if domain is not None and not (len(domain) == 2
-                                   and all(type(x) in (int, float) for x in domain)
+    if not (type(steps) is int and steps >= 1):
+        raise _UsageError(f"--steps must be an integer >= 1, got {steps!r}")
+    if tol is not None and not (_finite(tol) and tol > 0.0):
+        raise _UsageError(f"--tol must be a positive finite number, got {tol!r}")
+    if speed is not None and not _finite(speed):
+        raise _UsageError(f"--speed must be a finite number, got {speed!r}")
+    if domain is not None and not (len(domain) == 2 and all(_finite(x) for x in domain)
                                    and domain[0] < domain[1]):
-        raise _UsageError(f"--domain needs two numbers left < right, got {domain!r}")
+        raise _UsageError(f"--domain needs two finite numbers left < right, got {domain!r}")
 
     def rng(key):
         val = raw.get(key)
@@ -141,12 +151,12 @@ def _to_runconfig(ns: argparse.Namespace) -> RunConfig:
         return float(lo), float(hi), int(n)
 
     return RunConfig(
-        command=raw["command"], params=tuple(params), speed=raw.get("speed"),
+        command=raw["command"], params=tuple(params), speed=speed,
         mode=raw.get("mode", "default"), grid=grid,
         domain=domain, tol=tol, out=raw.get("out"),
         s_range=rng("s_range"), gap_range=rng("gap_range"),
         mu2=raw.get("mu2"), q2=raw.get("q2"),
-        target=raw.get("target", "c_to_1_over_a"), steps=raw.get("steps", 8),
+        target=raw.get("target", "c_to_1_over_a"), steps=steps,
     )
 
 

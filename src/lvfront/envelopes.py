@@ -500,10 +500,7 @@ def _critical_q_search(lam: float, h: float, dcoef: float, coupling: float,
     """
     q = Q_SAFETY * max(math.sqrt(h * (1.0 / lam + 1.0)), h * math.sqrt(1.0 + 1.0 / lam))
     for _ in range(80):
-        xi0 = -((q / h) ** 2)
-        if xi0 > -1e-6:
-            q *= 1.25
-            continue
+        xi0 = -((q / h) ** 2)   # < -Q_SAFETY**2, as q/h >= Q_SAFETY sqrt(1 + 1/lam) and q grows
         _, _, gmax = gbump_extrema(h, q, lam)
         if gmax < MIN_BUMP_MAX:
             break

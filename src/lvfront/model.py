@@ -129,8 +129,11 @@ def decay_rates(p: SystemParams, s: float) -> DecayRates:
     """Roots of the two linearization quadratics at the origin.
 
     Discriminants within EQ_TOL of zero are clamped to zero so the double
-    root at s = s* is produced deterministically.  Raises for s < s*.
+    root at s = s* is produced deterministically.  Raises for s < s* and
+    for a non-finite s.
     """
+    if not math.isfinite(s):
+        raise ValueError("non-finite speed")
     if s < critical_speed(p) - EQ_TOL:
         raise ValueError("subcritical speed")
 
@@ -151,9 +154,11 @@ def admissibility(p: SystemParams, s: float) -> Admissibility:
     """Whether the speed s admits positive fronts.
 
     Below s* one of the linearization quadratics has complex roots, which
-    forces sign changes in any candidate profile; nonpositive speeds are
-    ruled out separately.
+    forces sign changes in any candidate profile; nonpositive and
+    non-finite speeds are ruled out separately.
     """
+    if not math.isfinite(s):
+        return Admissibility(False, "non-finite speed")
     if s <= 0.0:
         return Admissibility(False, "nonpositive speed")
     if s < critical_speed(p) - EQ_TOL:

@@ -371,14 +371,16 @@ def _slow_pair(gap_hist: List[float]) -> bool:
 
 def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
             warm_start: Optional[Tuple[np.ndarray, np.ndarray]] = None):
-    """Coupled Picard iteration between the envelope pairs.
+    """Picard iteration under P of (u, v) sequences clipped to the box and to
+    the envelope sandwich.
 
-    The upper pair (u_up, v_lo) and lower pair (u_lo, v_up) are iterated
-    under P and clipped to the box and to the envelope sandwich; the two
-    pairs bracket every fixed point in the mixed quasimonotone order.
-    Converged when both the pair gap and the step change drop below
-    cfg.tol; the returned Profile is the midpoint of the final pair.  A
-    slowly contracting pair is handed over to Newton once (module docstring).
+    A cold solve iterates the upper pair (u_up, v_lo) and the lower pair
+    (u_lo, v_up), which bracket every fixed point in the mixed quasimonotone
+    order.  A warm start iterates one sequence, from warm_start clipped to
+    the sandwich, and its pair gap is 0.  Converged when both the pair gap
+    and the step change drop below cfg.tol; the returned Profile is the
+    midpoint of the first and last sequence.  A slowly contracting pair is
+    handed over to Newton once (module docstring).
     """
     lam_min = min_decay_rate(env)
     if cfg.left >= min(env.join_points) - 10.0 / lam_min:
@@ -390,19 +392,13 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
     grid = np.linspace(cfg.left, cfg.right, cfg.n_points)
     h = grid[1] - grid[0]
     star = equilibria(p).coexistence
-    lo_u = np.maximum(env.u_lower(grid), 0.0)
-    hi_u = np.minimum(env.u_upper(grid), 1.0)
-    lo_v = np.maximum(env.v_lower(grid), 0.0)
-    hi_v = np.minimum(env.v_upper(grid), p.a)
+    lo = (np.maximum(env.u_lower(grid), 0.0), np.maximum(env.v_lower(grid), 0.0))
+    hi = (np.minimum(env.u_upper(grid), 1.0), np.minimum(env.v_upper(grid), p.a))
 
     if warm_start is None:
-        Au, Av = hi_u.copy(), lo_v.copy()   # upper pair (u_up, v_lo)
-        Bu, Bv = lo_u.copy(), hi_v.copy()   # lower pair (u_lo, v_up)
+        X = [(hi[0], lo[1]), (lo[0], hi[1])]   # upper pair, lower pair
     else:
-        wu = np.clip(warm_start[0], lo_u, hi_u)
-        wv = np.clip(warm_start[1], lo_v, hi_v)
-        Au, Av = wu.copy(), wv.copy()
-        Bu, Bv = wu.copy(), wv.copy()
+        X = [tuple(np.clip(w, l, u) for w, l, u in zip(warm_start, lo, hi))]
     # the step and gap norms and shift_bounds' u input go through one buffer
     scratch = np.empty_like(grid)
 
@@ -410,53 +406,55 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
         diff = np.subtract(x, y, out=scratch)
         return np.abs(diff, out=diff).max()
 
-    def pair_shifts(Au, Av, Bu, Bv):
-        return shift_bounds(p, np.maximum(Au, Bu, out=scratch), np.maximum(Av, Bv))
+    def pair_shifts(X):
+        return shift_bounds(p, np.maximum(X[0][0], X[-1][0], out=scratch),
+                            np.maximum(X[0][1], X[-1][1]))
 
     if beta is None:
-        beta = pair_shifts(Au, Av, Bu, Bv)
+        beta = pair_shifts(X)
 
-    def pair_step(Au, Av, Bu, Bv, beta):
-        nAu, nAv = apply_P(Au, Av, p, s, beta, h, star)
-        nBu, nBv = apply_P(Bu, Bv, p, s, beta, h, star)
-        events = 0
-        worst = 0.0
-        nAu, ev, w = _clip_to(nAu, lo_u, hi_u); events += ev; worst = max(worst, w)
-        nAv, ev, w = _clip_to(nAv, lo_v, hi_v); events += ev; worst = max(worst, w)
-        nBu, ev, w = _clip_to(nBu, lo_u, hi_u); events += ev; worst = max(worst, w)
-        nBv, ev, w = _clip_to(nBv, lo_v, hi_v); events += ev; worst = max(worst, w)
-        return nAu, nAv, nBu, nBv, events, worst
+    def pair_step(X, beta):
+        """(the clipped P of each sequence, clip events, worst clip)."""
+        nX, events, worst = [], 0, 0.0
+        for x in X:
+            y = list(apply_P(*x, p, s, beta, h, star))
+            for k in (0, 1):
+                y[k], ev, w = _clip_to(y[k], lo[k], hi[k]); events += ev; worst = max(worst, w)
+            nX.append(tuple(y))
+        return nX, events, worst
 
-    def escape_site(Au, Av, Bu, Bv, beta):
-        """Size, xi, component and pair of the worst clip of the pair step
-        from (A, B) under beta, recomputed for the abort message."""
+    def escape_site(X, beta):
+        """Size, xi, component and pair of the worst clip of the step from X
+        under beta, recomputed for the abort message.  A warm start's one
+        sequence is named the upper pair."""
         worst = (-math.inf, 0, "")
-        for pair, X in (("upper", (Au, Av)), ("lower", (Bu, Bv))):
-            PX = apply_P(*X, p, s, beta, h, star)
-            for comp, Y, lo, hi in zip("uv", PX, (lo_u, lo_v), (hi_u, hi_v)):
-                excursion = np.maximum(Y - hi, lo - Y)
+        for pair, x in zip(("upper", "lower"), X):
+            for comp, Y, l, u in zip("uv", apply_P(*x, p, s, beta, h, star), lo, hi):
+                excursion = np.maximum(Y - u, l - Y)
                 i = int(np.argmax(excursion))
                 worst = max(worst, (float(excursion[i]), i, f"{comp} of the {pair} pair"))
         size, i, where = worst
         return f"clip of {size:.3g} in {where} at xi = {grid[i]:.6g} (h = {h:.3g})"
 
-    def hand_over(Au, Av, Bu, Bv, beta):
+    def hand_over(X, beta):
         """Newton from the pair's midpoint under beta and, with adaptive
         shifts, again under beta' = shift_bounds of its answer x; then the
         seed x +- eps*e, eps*max|e| = tol/4, and its pair step under beta'.
         Returns the outcome and, if accepted, (seed, beta', step)."""
-        lo, hi = np.array([lo_u, lo_v]), np.array([hi_u, hi_v])
-        out = _clipped_newton(0.5 * np.array([Au + Bu, Av + Bv]), p, s, beta, h, star, lo, hi)
+        lo2, hi2 = np.array(lo), np.array(hi)
+        out = _clipped_newton(0.5 * (np.array(X[0]) + np.array(X[-1])), p, s, beta, h, star,
+                              lo2, hi2)
         if out is not None and cfg.beta is None:
             beta = shift_bounds(p, out[0][0], out[0][1])
-            out = _clipped_newton(out[0], p, s, beta, h, star, lo, hi)
+            out = _clipped_newton(out[0], p, s, beta, h, star, lo2, hi2)
         if out is None:
             return "newton_failed", None
         x, e = out
         eps = 0.25 * cfg.tol / np.max(np.abs(e))
-        (sAu, sAv), (sBu, sBv) = np.clip(x + eps * e, lo, hi), np.clip(x - eps * e, lo, hi)
-        nxt = pair_step(sAu, sAv, sBu, sBv, beta)
-        nAu, nAv, nBu, nBv, _, worst = nxt
+        seed = [tuple(np.clip(x + eps * e, lo2, hi2)), tuple(np.clip(x - eps * e, lo2, hi2))]
+        nxt = pair_step(seed, beta)
+        ((nAu, nAv), (nBu, nBv)), _, worst = nxt
+        (sAu, sAv), (sBu, sBv) = seed
         # a discrete super- and sub-solution pair in the mixed order
         verified = (worst <= CLIP_ABORT_TOL
                     and np.all(sBu <= sAu) and np.all(sAv <= sBv)
@@ -464,7 +462,7 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
                     and np.all(nBu >= sBu) and np.all(nBv <= sBv))
         if not verified:
             return "rejected", None
-        return "accepted", ((sAu, sAv, sBu, sBv), beta, nxt)
+        return "accepted", (seed, beta, nxt)
 
     res_hist, gap_hist, violations = [], [], []
     converged = False
@@ -473,31 +471,28 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
     for iterations in range(1, cfg.max_iters + 1):
         nxt = None
         if handover == "none" and _slow_pair(gap_hist):
-            handover, seeded = hand_over(Au, Av, Bu, Bv, beta)
+            handover, seeded = hand_over(X, beta)
             if seeded is not None:
-                (Au, Av, Bu, Bv), beta, nxt = seeded
+                X, beta, nxt = seeded
         if nxt is None:
-            nxt = pair_step(Au, Av, Bu, Bv, beta)
-        nAu, nAv, nBu, nBv, step_events, worst = nxt
+            nxt = pair_step(X, beta)
+        nX, step_events, worst = nxt
         if worst > CLIP_ABORT_TOL:
-            raise ValueError("iteration escaped envelope: "
-                             + escape_site(Au, Av, Bu, Bv, beta))
+            raise ValueError("iteration escaped envelope: " + escape_site(X, beta))
         violations.append(step_events)
 
-        step = max(max_abs_diff(nAu, Au), max_abs_diff(nAv, Av),
-                   max_abs_diff(nBu, Bu), max_abs_diff(nBv, Bv))
-        gap = max(max_abs_diff(nAu, nBu), max_abs_diff(nAv, nBv))
+        step = max(max_abs_diff(y, x) for new, old in zip(nX, X) for y, x in zip(new, old))
+        gap = max(max_abs_diff(nX[0][k], nX[-1][k]) for k in (0, 1))
         res_hist.append(step)
         gap_hist.append(gap)
-        Au, Av, Bu, Bv = nAu, nAv, nBu, nBv
+        X = nX
         if cfg.beta is None:
-            beta = pair_shifts(Au, Av, Bu, Bv)
+            beta = pair_shifts(X)
         if step < cfg.tol and gap < cfg.tol:
             converged = True
             break
 
-    u = 0.5 * (Au + Bu)
-    v = 0.5 * (Av + Bv)
+    u, v = (0.5 * (a + b) for a, b in zip(X[0], X[-1]))
     Pu, Pv = apply_P(u, v, p, s, beta, h, star)
     residual = float(max(np.abs(Pu - u).max(), np.abs(Pv - v).max()))
     prof = Profile(grid=grid, u=u, v=v, speed=s, params=p, residual=residual,

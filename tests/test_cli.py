@@ -8,7 +8,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from lvfront import cli
+from lvfront import cli, pulse
 from lvfront.certify import certify
 from lvfront.envelopes import min_decay_rate
 from lvfront.model import SystemParams
@@ -43,6 +43,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("flags", [
         ["--grid", "0"], ["--grid", "1"], ["--grid", "-5"],
         ["--tol", "-1"], ["--domain=10,-10"], ["--config", "string_tol.json"],
+        ["--domain=-inf,100"], ["--tol", "inf"],
     ])
     def test_bad_operator_flags(self, flags, in_tmp, monkeypatch, capsys):
         def no_certify(*args, **kwargs):
@@ -52,6 +53,26 @@ class TestUsageErrors:
         monkeypatch.setattr(cli, "certify", no_certify)
         code = cli.main(["solve", "--params", "1,0.5,0.5,1", "--speed", "3.0"] + flags)
         assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["pulse", "--params", "1,0.5,0.9,1", "--speed", "2.5", "--steps", "0"],
+        ["pulse", "--params", "1,0.5,0.9,1", "--speed", "2.5", "--steps=-3"],
+        ["pulse", "--params", "1,0.5,0.9,1", "--speed", "2.5", "--config", "float_steps.json"],
+        ["certify", "--params", "1,0.5,0.5,1", "--config", "string_speed.json"],
+        ["solve", "--params", "1,0.5,0.5,1", "--config", "nan_speed.json"],
+        ["speed", "--params", "1,0.5,0.5,1", "--speed", "nan"],
+    ])
+    def test_bad_values_exit_one_before_certifying(self, argv, in_tmp, monkeypatch, capsys):
+        def no_certify(*args, **kwargs):
+            raise AssertionError("certified despite a bad value")
+
+        (in_tmp / "float_steps.json").write_text(json.dumps({"steps": 2.5}))
+        (in_tmp / "string_speed.json").write_text(json.dumps({"speed": "3"}))
+        (in_tmp / "nan_speed.json").write_text('{"speed": NaN}')
+        monkeypatch.setattr(cli, "certify", no_certify)
+        monkeypatch.setattr(pulse, "certify", no_certify)
+        assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
 
 

@@ -5,8 +5,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from lvfront.certify import certify
 from lvfront.model import (
     EQ_TOL,
+    Admissibility,
     Regime,
     SystemParams,
     admissibility,
@@ -114,6 +116,15 @@ class TestAdmissibility:
         assert admissibility(p, -1.0).reason == "nonpositive speed"
         assert admissibility(p, 1.9).reason == "complex linearization roots"
         assert admissibility(p, 2.0).admissible
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_speed(self, s):
+        p = SystemParams(1.0, 0.5, 0.5, 1.0)
+        assert admissibility(p, s) == Admissibility(False, "non-finite speed")
+        with pytest.raises(ValueError, match="non-finite speed"):
+            decay_rates(p, s)
+        with pytest.raises(ValueError, match="non-finite speed"):
+            certify(p, s)
 
     @given(a=positive, d=positive)
     def test_critical_speed_is_admissible(self, a, d):

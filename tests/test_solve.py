@@ -124,6 +124,54 @@ class TestIterate:
         assert rep.iterations_used == 5
 
 
+@pytest.fixture()
+def apply_p_calls(monkeypatch):
+    """A list that grows by one at each apply_P call made inside lvfront.solve."""
+    calls = []
+    apply_p = solve_mod.apply_P
+    monkeypatch.setattr(solve_mod, "apply_P", lambda *a, **k: calls.append(1) or apply_p(*a, **k))
+    return calls
+
+
+class TestWarmStart:
+    """A warm start iterates one clipped Picard sequence, written out here."""
+
+    def test_matches_written_out_sequence(self, solved, apply_p_calls):
+        cert, prof, _ = solved
+        env, grid = cert.envelope, prof.grid
+        h, star = grid[1] - grid[0], equilibria(P).coexistence
+        lo = (np.maximum(env.u_lower(grid), 0.0), np.maximum(env.v_lower(grid), 0.0))
+        hi = (np.minimum(env.u_upper(grid), 1.0), np.minimum(env.v_upper(grid), P.a))
+        warm = (prof.u * (1.0 + 1e-3 * np.sin(grid)), prof.v)
+        x = [np.clip(w, l, u) for w, l, u in zip(warm, lo, hi)]
+        steps = []
+        for _ in range(CFG.max_iters):
+            beta = shift_bounds(P, *x)
+            nx = [np.clip(y, l, u) for y, l, u in zip(apply_P(*x, P, S, beta, h, star), lo, hi)]
+            steps.append(max(np.abs(n - o).max() for n, o in zip(nx, x)))
+            x = nx
+            if steps[-1] < CFG.tol:
+                break
+        beta = shift_bounds(P, *x)
+        Px = apply_P(*x, P, S, beta, h, star)
+        residual = max(np.abs(y - w).max() for y, w in zip(Px, x))
+
+        wprof, wrep = iterate(env, P, S, CFG, warm_start=warm)
+        assert wrep.converged and wrep.iterations_used == len(steps) > 1
+        assert np.array_equal(wrep.residual_history, steps)
+        assert not wrep.pair_gap_history.any()
+        assert np.array_equal(wprof.u, x[0]) and np.array_equal(wprof.v, x[1])
+        assert wprof.residual == residual and wrep.beta_used == beta
+        # one P per step and one for the final residual
+        assert len(apply_p_calls) == wrep.iterations_used + 1
+
+    def test_cold_solve_applies_P_twice_per_step(self, solved, apply_p_calls):
+        cert, _, rep = solved
+        _, rep2 = iterate(cert.envelope, P, S, CFG)
+        assert rep2.iterations_used == rep.iterations_used
+        assert len(apply_p_calls) == 2 * rep.iterations_used + 1
+
+
 class TestAccuracy:
     def test_grid_refinement_contracts(self):
         cert = certify(P, S)
