@@ -33,6 +33,8 @@ from .envelopes import (
     EnvelopeSet,
     SelectionKnobs,
     bump_log_max,
+    check_bumps,
+    exp_or_zero,
     lower_bump,
     select_critical,
 )
@@ -153,12 +155,17 @@ def _nonmonotone_condition(p: SystemParams, s: float, knobs: SelectionKnobs,
             log_fmax = math.log(fmax) if fmax > 0.0 else -math.inf
         else:
             log_fmax = bump_log_max(p.a, decay_rates(p, s).lambda2, ep.muhat2, ep.Qhat2)
-            fmax = math.exp(log_fmax) if log_fmax > -700.0 else 0.0
+            fmax = exp_or_zero(log_fmax)
     else:
         mu, q = (knobs.mu1, knobs.q1) if component == "u" else (knobs.mu2, knobs.q2)
         bump = lower_bump(p, s, component, mu, q, overshoot=True)
+        try:
+            check_bumps(bump)
+        except ValueError:
+            # pinned constants that select_supercritical refuses give no envelope
+            return NonMonotoneCondition(holds=False, fmax=0.0, star=star, log_fmax=-math.inf)
         log_fmax = bump_log_max(bump.coef, bump.lam, bump.mu, bump.q)
-        fmax = math.exp(log_fmax) if log_fmax > -700.0 else 0.0
+        fmax = exp_or_zero(log_fmax)
 
     holds = log_fmax > math.log(star)
     return NonMonotoneCondition(holds=holds, fmax=fmax, star=star,

@@ -139,6 +139,9 @@ def _to_runconfig(ns: argparse.Namespace) -> RunConfig:
     if domain is not None and not (len(domain) == 2 and all(_finite(x) for x in domain)
                                    and domain[0] < domain[1]):
         raise _UsageError(f"--domain needs two finite numbers left < right, got {domain!r}")
+    for key in ("mu2", "q2"):
+        if raw.get(key) is not None and not _finite(raw[key]):
+            raise _UsageError(f"--{key} must be a finite number, got {raw[key]!r}")
 
     def rng(key):
         val = raw.get(key)

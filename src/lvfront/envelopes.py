@@ -1,17 +1,20 @@
 """Explicit super/sub-solution envelopes for the competition wave system.
 
-The four envelopes are piecewise-analytic: a decaying exponential (or the
-critical-speed variant -h*xi*exp(lam*xi)) capped by a constant for the
-upper pair, and a positive "bump" glued to a small constant for the lower
-pair.  The free constants are selected so that the differential
-inequalities verified in :mod:`lvfront.certify` hold with positive margin.
+The four envelopes are piecewise-analytic.  Each piece is a sum of terms
+c (-xi)^p e^{r xi} with p in {0, 1/2, 1}, held as (c, p, r) triples, and
+one evaluator reads them all.  The upper pair is a decaying exponential
+e^{lam xi} (at s = s*, -h xi e^{lam xi}) capped by a constant; the lower
+pair is a positive bump coef e^{lam xi} - q e^{mu lam xi} (at s = s*, the
+g-bump (-h xi - q sqrt(-xi)) e^{lam xi}) glued to a small constant.  The
+free constants are selected so that the differential inequalities
+verified in :mod:`lvfront.certify` hold with positive margin.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from scipy.optimize import brentq
@@ -47,64 +50,56 @@ _LADDER_NEAR = 600
 # piecewise profiles
 # ---------------------------------------------------------------------------
 
-# Each piece kind has one jet evaluator: it fills out[k] (out has shape
-# (order + 1, t.size)) with the k-th derivative at t for k = 0..order, all
-# from one set of exponentials.  Row k does not depend on the order asked.
+def _terms_jet(terms, t, out, exp=np.exp, sqrt=np.sqrt):
+    """Fills out[k], for k < len(out), with the k-th derivative of
+    sum c (-t)^p e^{r t} over the (c, p, r) triples of terms.
 
-def _jet_constant(t, pr, out):
-    out[0] = pr["c0"]
-    out[1:] = 0.0
-
-
-def _jet_exp(t, pr, out):
-    A, lam = pr["A"], pr["lam"]
-    e = np.exp(lam * t)
+    p is 0, 1/2 or 1, and a p != 0 term is only ever evaluated at t < 0.
+    Adjacent terms that share a rate are summed in order into phi(t), the
+    factor of one exponential e^{r t}, and each row sums these products in
+    order; (-t)^{1/2} is taken once.  Row k is formed after row k - 1 from
+    phi's derivatives up to k, so that few arrays are alive at once.  out
+    is an array of rows at the array t, or a list of floats at the float t
+    with exp=math.exp and sqrt=math.sqrt.  Row k does not depend on
+    len(out).
+    """
+    mt = root = None
+    rates = []  # (r, e^{r t}, the rate's (c, p), phi and its derivatives so far)
+    for c, p, r in terms:
+        if p and mt is None:
+            mt = -t
+        if p == 0.5 and root is None:
+            root = sqrt(mt)
+        if rates and rates[-1][0] == r:
+            rates[-1][2].append((c, p))
+        else:
+            rates.append((r, exp(r * t) if r else 1.0, [(c, p)], []))
     for k in range(len(out)):
-        out[k] = A * lam ** k * e
-
-
-def _jet_bump(t, pr, out):
-    A, lam, mu, q = pr["A"], pr["lam"], pr["mu"], pr["q"]
-    e = np.exp(lam * t)
-    em = np.exp(mu * lam * t)
-    for k in range(len(out)):
-        out[k] = A * lam ** k * e - q * (mu * lam) ** k * em
-
-
-def _jet_linexp(t, pr, out):
-    h, lam = pr["h"], pr["lam"]
-    e = np.exp(lam * t)
-    out[0] = -h * t * e
-    if len(out) > 1:
-        he = -h * e
-        out[1] = he * (1.0 + lam * t)
-    if len(out) > 2:
-        out[2] = he * (2.0 * lam + lam * lam * t)
-
-
-def _jet_rootexp(t, pr, out):
-    # (-h t - q sqrt(-t)) e^{lam t}, only ever evaluated for t < 0
-    h, lam, q = pr["h"], pr["lam"], pr["q"]
-    mt = np.maximum(-t, 1e-300)
-    root = np.sqrt(mt)
-    phi = h * mt - q * root
-    e = np.exp(lam * t)
-    out[0] = phi * e
-    if len(out) > 1:
-        dphi = -h + 0.5 * q / root
-        out[1] = (dphi + lam * phi) * e
-    if len(out) > 2:
-        d2phi = 0.25 * q * mt ** -1.5
-        out[2] = (d2phi + 2.0 * lam * dphi + lam * lam * phi) * e
-
-
-_PIECE_JET = {
-    "constant": _jet_constant,
-    "exp": _jet_exp,
-    "bump": _jet_bump,
-    "linexp": _jet_linexp,
-    "rootexp": _jet_rootexp,
-}
+        row = None
+        for r, e, cps, phi in rates:
+            phi_k = None
+            for c, p in cps:
+                if k == 0:
+                    part = c if p == 0 else c * mt if p == 1 else c * root
+                elif p == 0 or (p == 1 and k == 2):
+                    continue  # a zero derivative
+                elif p == 1:
+                    part = -c
+                else:
+                    part = -0.5 * c / root if k == 1 else -0.25 * c / (mt * root)
+                phi_k = part if phi_k is None else phi_k + part
+            phi.append(0.0 if phi_k is None else phi_k)
+            if k == 0:
+                f = phi[0] * e
+            elif k == 1:
+                f = (phi[1] + r * phi[0]) * e
+            else:
+                f = (phi[2] + 2.0 * r * phi[1] + r * r * phi[0]) * e
+            row = f if row is None else row + f
+        out[k] = row
+        # drop this row's arrays before the next is formed: a higher peak
+        # lets the heap be trimmed after a certificate and faulted in again
+        row = f = part = None
 
 
 def _check_order(order: int) -> None:
@@ -112,18 +107,28 @@ def _check_order(order: int) -> None:
         raise ValueError("derivative order must be 0, 1 or 2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Piece:
+    """sum c (-t)^p e^{r t} over the (c, p, r) triples of terms, on [lo, hi).
+
+    Terms that share a rate are given next to each other, so that they
+    share one exponential.
+    """
+
     lo: float
     hi: float
-    kind: str
-    params: Dict[str, float]
+    terms: Tuple[Tuple[float, float, float], ...]
 
+    def __post_init__(self):
+        if any(p not in (0, 0.5, 1) for _, p, _ in self.terms):
+            raise ValueError("term power must be 0, 1/2 or 1")
 
-def _piece_jet(pc: Piece, t: np.ndarray, order: int) -> np.ndarray:
-    out = np.empty((order + 1, t.size))
-    _PIECE_JET[pc.kind](t, pc.params, out)
-    return out
+    def at(self, t: float, order: int = 0) -> List[float]:
+        """Value and derivatives up to order at the float t, from math.exp
+        and math.sqrt."""
+        out = [0.0] * (order + 1)
+        _terms_jet(self.terms, t, out, math.exp, math.sqrt)
+        return out
 
 
 @dataclass(frozen=True)
@@ -152,30 +157,21 @@ class PiecewiseProfile:
         return tuple(pc.hi + self.shift for pc in self.pieces[:-1])
 
     def __call__(self, x, deriv: int = 0):
-        """The deriv-th derivative at x, in any order and shape."""
-        _check_order(deriv)
-        t = np.asarray(x, dtype=float) - self.shift
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        if np.isnan(t).any():
-            raise ValueError("abscissa is NaN")
-        out = np.empty_like(t)
-        for i, pc in enumerate(self.pieces):
-            if i == len(self.pieces) - 1:
-                mask = t >= pc.lo
-            else:
-                mask = (t >= pc.lo) & (t < pc.hi)
-            if mask.any():
-                out[mask] = _piece_jet(pc, t[mask], deriv)[deriv]
-        return float(out[0]) if scalar else out
+        """The deriv-th derivative at x, in any order and shape: jet at the
+        stably sorted points, put back in place."""
+        x = np.asarray(x, dtype=float)
+        flat = x.ravel()
+        idx = np.argsort(flat, kind="stable")
+        out = np.empty(flat.size)
+        out[idx] = self.jet(flat[idx], deriv)[deriv]
+        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
     def jet(self, x, order: int = 0, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Value and derivatives up to order at the sorted 1-D array x.
 
-        Returns shape (order + 1, x.size), filled into out if given; row k
-        equals self(x, k) bit for bit.  Each piece covers the contiguous
-        slice of x that searchsorted finds on the piece boundaries, so no
-        masks are built.
+        Returns shape (order + 1, x.size), filled into out if given.  Each
+        piece covers the contiguous slice of x that searchsorted finds on
+        the piece boundaries, so no masks are built.
         """
         _check_order(order)
         # envelopes are built unshifted, and x - 0.0 == x bit for bit
@@ -190,27 +186,23 @@ class PiecewiseProfile:
         cuts = np.searchsorted(t, [pc.hi for pc in self.pieces[:-1]]).tolist()
         for pc, i, j in zip(self.pieces, [0] + cuts, cuts + [t.size]):
             if j > i:
-                _PIECE_JET[pc.kind](t[i:j], pc.params, out[:, i:j])
+                _terms_jet(pc.terms, t[i:j], out[:, i:j])
         return out
 
     def one_sided(self, x_join: float) -> Tuple[float, float]:
         """Closed-form one-sided first derivatives at an interior join."""
-        t = np.array([x_join - self.shift])
+        t = x_join - self.shift
         for left, right in zip(self.pieces, self.pieces[1:]):
-            if abs(left.hi - t[0]) <= 1e-12:
-                return float(_piece_jet(left, t, 1)[1, 0]), float(_piece_jet(right, t, 1)[1, 0])
+            if abs(left.hi - t) <= 1e-12:
+                return left.at(t, 1)[1], right.at(t, 1)[1]
         raise ValueError(f"{x_join} is not a join point of this profile")
 
     def shifted(self, delta: float) -> "PiecewiseProfile":
         return replace(self, shift=self.shift + delta)
 
     def continuity_defects(self) -> Tuple[float, ...]:
-        out = []
-        for left, right in zip(self.pieces, self.pieces[1:]):
-            t = np.array([left.hi])
-            out.append(abs(float(_piece_jet(left, t, 0)[0, 0])
-                           - float(_piece_jet(right, t, 0)[0, 0])))
-        return tuple(out)
+        return tuple(abs(left.at(left.hi)[0] - right.at(left.hi)[0])
+                     for left, right in zip(self.pieces, self.pieces[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +221,7 @@ def bump_extrema(coef: float, lam: float, mu: float, q: float) -> Tuple[float, f
         raise ValueError("bump requires coef > 0, lam > 0, mu > 1")
     xi0 = -math.log(q / coef) / ((mu - 1.0) * lam)
     xiM = -math.log(q * mu / coef) / ((mu - 1.0) * lam)
-    log_fmax = bump_log_max(coef, lam, mu, q)
-    fmax = math.exp(log_fmax) if log_fmax > -700.0 else 0.0
-    return xi0, xiM, fmax
+    return xi0, xiM, exp_or_zero(bump_log_max(coef, lam, mu, q))
 
 
 def bump_log_max(coef: float, lam: float, mu: float, q: float) -> float:
@@ -239,6 +229,11 @@ def bump_log_max(coef: float, lam: float, mu: float, q: float) -> float:
     if q <= coef:
         raise ValueError("no interior zero")
     return math.log(coef * (1.0 - 1.0 / mu)) - math.log(q * mu / coef) / (mu - 1.0)
+
+
+def exp_or_zero(log_f: float) -> float:
+    """exp(log_f), flushed to 0.0 at log_f <= -700, where it nears underflow."""
+    return math.exp(log_f) if log_f > -700.0 else 0.0
 
 
 def gbump_extrema(h: float, q: float, lam: float) -> Tuple[float, float, float]:
@@ -448,6 +443,14 @@ def lower_bump(p: SystemParams, s: float, component: str,
     return BumpConstants(coef, lam, cap, mu, denom, floor, q)
 
 
+def check_bumps(*bumps: BumpConstants) -> None:
+    """Raise unless every bump has 1 < mu < cap and q above its floor."""
+    if not all(1.0 < b.mu < b.cap for b in bumps):
+        raise ValueError("mu outside admissible interval")
+    if not all(b.q > b.floor for b in bumps):
+        raise ValueError("q below its selection floor")
+
+
 def select_supercritical(p: SystemParams, s: float,
                          knobs: SelectionKnobs = SelectionKnobs()) -> SupercriticalParams:
     """Pick mu, q and delta for the supercritical envelopes (s > s*).
@@ -462,10 +465,7 @@ def select_supercritical(p: SystemParams, s: float,
     a, b, c = p.a, p.b, p.c
     u = lower_bump(p, s, "u", knobs.mu1, knobs.q1, knobs.nonmonotone_u)
     v = lower_bump(p, s, "v", knobs.mu2, knobs.q2, knobs.nonmonotone_v)
-    if not 1.0 < u.mu < u.cap or not 1.0 < v.mu < v.cap:
-        raise ValueError("mu outside admissible interval")
-    if u.q <= u.floor or v.q <= v.floor:
-        raise ValueError("q below its selection floor")
+    check_bumps(u, v)
 
     _, _, fmax1 = bump_extrema(1.0, u.lam, u.mu, u.q)
     _, _, fmax2 = bump_extrema(a, v.lam, v.mu, v.q)
@@ -552,11 +552,9 @@ def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -
     # a*d < 1: the v-side keeps its supercritical shape with rates from
     # the (now non-degenerate) second quadratic
     v = lower_bump(p, s, "v", knobs.mu2, knobs.q2, knobs.nonmonotone_v)
+    check_bumps(v)
     qhat1, gmax1 = _critical_q_search(lh1, h1, 1.0, c, _capped_exp(a, v.lam))
     deltahat1 = DELTA_FRACTION * min(1.0 - a * c, gmax1)
-
-    if not 1.0 < v.mu < v.cap:
-        raise ValueError("mu outside admissible interval")
     _, _, fmax2 = bump_extrema(a, v.lam, v.mu, v.q)
     deltahat2 = DELTA_FRACTION * min(a - b, fmax2)
     margins = {"gmax1": gmax1, "muhat2_cap": v.cap - v.mu, "Qhat2_floor": v.q - v.floor}
@@ -569,46 +567,40 @@ def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -
 # envelope assembly
 # ---------------------------------------------------------------------------
 
-def _bump_profile(coef, lam, mu, q, delta):
-    xi0, xiM, fmax = bump_extrema(coef, lam, mu, q)
-    pr = {"A": coef, "lam": lam, "mu": mu, "q": q}
-
-    def f(x):
-        return coef * math.exp(lam * x) - q * math.exp(mu * lam * x)
-
-    xi = join_point(f, delta, (xiM, xi0))
-    return PiecewiseProfile((
-        Piece(-math.inf, xi, "bump", pr),
-        Piece(xi, math.inf, "constant", {"c0": delta}),
-    ))
-
-
-def _gbump_profile(h, q, lam, delta):
-    xi0, xiM, gmax = gbump_extrema(h, q, lam)
-
-    def g(x):
-        return (h * (-x) - q * math.sqrt(-x)) * math.exp(lam * x)
-
-    xi = join_point(g, delta, (xiM, xi0))
-    return PiecewiseProfile((
-        Piece(-math.inf, xi, "rootexp", {"h": h, "q": q, "lam": lam}),
-        Piece(xi, math.inf, "constant", {"c0": delta}),
-    ))
+def _capped(terms, join, cap):
+    """The terms left of join and the constant cap from join on."""
+    return PiecewiseProfile((Piece(-math.inf, join, terms),
+                             Piece(join, math.inf, ((cap, 0, 0.0),))))
 
 
 def _capped_exp(coef, lam):
-    return PiecewiseProfile((
-        Piece(-math.inf, 0.0, "exp", {"A": coef, "lam": lam}),
-        Piece(0.0, math.inf, "constant", {"c0": coef}),
-    ))
+    return _capped(((coef, 0, lam),), 0.0, coef)
 
 
 def _capped_linexp(h, lam, cap):
-    knee = -1.0 / lam - 1.0
-    return PiecewiseProfile((
-        Piece(-math.inf, knee, "linexp", {"h": h, "lam": lam}),
-        Piece(knee, math.inf, "constant", {"c0": cap}),
-    ))
+    return _capped(((h, 1, lam),), -1.0 / lam - 1.0, cap)
+
+
+def _bump(coef, lam, mu, q):
+    """Terms of coef e^{lam xi} - q e^{mu lam xi} and the bracket
+    (maximum point, zero) of its decreasing branch."""
+    xi0, xiM, _ = bump_extrema(coef, lam, mu, q)
+    return ((coef, 0, lam), (-q, 0, mu * lam)), (xiM, xi0)
+
+
+def _gbump(h, q, lam):
+    """Terms of (-h xi - q sqrt(-xi)) e^{lam xi} and the bracket (maximum
+    point, zero) of its decreasing branch."""
+    xi0, xiM, _ = gbump_extrema(h, q, lam)
+    return ((h, 1, lam), (-q, 0.5, lam)), (xiM, xi0)
+
+
+def _capped_lower(bump, delta):
+    """A lower bump (terms, bracket) capped at delta from where its
+    decreasing branch meets delta."""
+    terms, bracket = bump
+    piece = Piece(-math.inf, math.inf, terms)
+    return _capped(terms, join_point(lambda x: piece.at(x)[0], delta, bracket), delta)
 
 
 def build_envelopes(p: SystemParams, s: float,
@@ -622,20 +614,20 @@ def build_envelopes(p: SystemParams, s: float,
     a = p.a
     if isinstance(ep, SupercriticalParams):
         u_up = _capped_exp(1.0, r.lambda1)
-        u_lo = _bump_profile(1.0, r.lambda1, ep.mu1, ep.q1, ep.delta1)
+        u_lo = _capped_lower(_bump(1.0, r.lambda1, ep.mu1, ep.q1), ep.delta1)
         v_up = _capped_exp(a, r.lambda2)
-        v_lo = _bump_profile(a, r.lambda2, ep.mu2, ep.q2, ep.delta2)
+        v_lo = _capped_lower(_bump(a, r.lambda2, ep.mu2, ep.q2), ep.delta2)
     else:
         lh1 = s / 2.0
         u_up = _capped_linexp(ep.h1, lh1, 1.0)
-        u_lo = _gbump_profile(ep.h1, ep.qhat1, lh1, ep.deltahat1)
+        u_lo = _capped_lower(_gbump(ep.h1, ep.qhat1, lh1), ep.deltahat1)
         if ep.case == CRITICAL_AD_EQ1:
             lh2 = s / (2.0 * p.d)
             v_up = _capped_linexp(ep.h2, lh2, a)
-            v_lo = _gbump_profile(ep.h2, ep.qhat2, lh2, ep.deltahat2)
+            v_lo = _capped_lower(_gbump(ep.h2, ep.qhat2, lh2), ep.deltahat2)
         else:
             v_up = _capped_exp(a, r.lambda2)
-            v_lo = _bump_profile(a, r.lambda2, ep.muhat2, ep.Qhat2, ep.deltahat2)
+            v_lo = _capped_lower(_bump(a, r.lambda2, ep.muhat2, ep.Qhat2), ep.deltahat2)
 
     for prof in (u_up, u_lo, v_up, v_lo):
         if max(prof.continuity_defects()) > 1e-10:

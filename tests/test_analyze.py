@@ -174,6 +174,32 @@ class TestOvershootCriterion:
             assert cond_v.log_fmax == bump_log_max(
                 p.a, decay_rates(p, s).lambda2, ep_v.muhat2, ep_v.Qhat2)
 
+    def test_pinned_bump_outside_selection_does_not_hold(self):
+        # (1, .99, .5, 1) at s = 2.1: q2 = 1.01 is below the v floor, which
+        # select_supercritical refuses, so the criterion has no bump to read
+        p, s = SystemParams(1.0, 0.99, 0.5, 1.0), 2.1
+        knobs = SelectionKnobs(nonmonotone_v=True, q2=1.01)
+        with pytest.raises(ValueError, match="q below its selection floor"):
+            select_supercritical(p, s, knobs)
+        cond = nonmonotone_condition_v(p, s, knobs)
+        assert not cond.holds and cond.fmax == 0.0 and cond.log_fmax == -math.inf
+        with pytest.raises(ValueError, match="mu outside admissible interval"):
+            select_supercritical(p, s, SelectionKnobs(nonmonotone_u=True, mu1=5.0))
+        assert not nonmonotone_condition_u(p, s, SelectionKnobs(mu1=5.0)).holds
+
+    def test_scan_holds_only_where_selection_accepts_the_pins(self):
+        knobs = SelectionKnobs(nonmonotone_v=True, q2=1.01)
+        scan = scan_region(P, np.linspace(2.1, 5.0, 6), np.linspace(0.01, 0.5, 6), knobs)
+        assert not scan.holds.any()
+        for i, j in zip(*np.nonzero(scan.fmax)):
+            p = SystemParams(P.a, P.a - scan.gap_values[i], P.c, P.d)
+            select_supercritical(p, scan.s_values[j], knobs)
+
+    def test_critical_bump_q_checked_against_its_floor(self):
+        # a*d < 1 at s*: the v bump takes q2, which must clear max(1, a, ...)
+        with pytest.raises(ValueError, match="q below its selection floor"):
+            select_critical(SystemParams(0.5, 0.25, 1.0, 1.0), SelectionKnobs(q2=0.9))
+
 
 class TestScanRegion:
     def test_holds_monotone_in_gap(self):
@@ -202,8 +228,8 @@ class TestMaFrontCriterion:
 
         def capped(coef):
             return PiecewiseProfile((
-                Piece(-math.inf, 0.0, "exp", {"A": coef, "lam": lam}),
-                Piece(0.0, math.inf, "constant", {"c0": coef}),
+                Piece(-math.inf, 0.0, ((coef, 0, lam),)),
+                Piece(0.0, math.inf, ((coef, 0, 0.0),)),
             ))
 
         env = select_and_build(P, 3.0)

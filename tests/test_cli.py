@@ -62,6 +62,9 @@ class TestUsageErrors:
         ["certify", "--params", "1,0.5,0.5,1", "--config", "string_speed.json"],
         ["solve", "--params", "1,0.5,0.5,1", "--config", "nan_speed.json"],
         ["speed", "--params", "1,0.5,0.5,1", "--speed", "nan"],
+        ["scan", "--params", "1,0.5,0.5,1", "--mu2", "nan"],
+        ["scan", "--params", "1,0.5,0.5,1", "--mu2", "inf"],
+        ["scan", "--params", "1,0.5,0.5,1", "--q2", "nan"],
     ])
     def test_bad_values_exit_one_before_certifying(self, argv, in_tmp, monkeypatch, capsys):
         def no_certify(*args, **kwargs):
@@ -74,6 +77,13 @@ class TestUsageErrors:
         monkeypatch.setattr(pulse, "certify", no_certify)
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("config", ['{"mu2": "2"}', '{"q2": NaN}', '{"mu2": true}'])
+    def test_bad_scan_knobs_in_config_exit_one(self, config, in_tmp, capsys):
+        (in_tmp / "knobs.json").write_text(config)
+        assert cli.main(["scan", "--params", "1,0.5,0.5,1", "--config", "knobs.json"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (in_tmp / "scan.csv").exists()
 
 
 class TestSpeed:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,11 +158,11 @@ class TestJoinPoint:
 class TestPiecewiseProfile:
     def test_must_tile_real_line(self):
         with pytest.raises(ValueError, match="tile the real line"):
-            PiecewiseProfile((Piece(0.0, math.inf, "constant", {"c0": 1.0}),))
+            PiecewiseProfile((Piece(0.0, math.inf, ((1.0, 0, 0.0),)),))
         with pytest.raises(ValueError, match="tile the real line"):
             PiecewiseProfile((
-                Piece(-math.inf, 0.0, "constant", {"c0": 1.0}),
-                Piece(1.0, math.inf, "constant", {"c0": 2.0}),
+                Piece(-math.inf, 0.0, ((1.0, 0, 0.0),)),
+                Piece(1.0, math.inf, ((2.0, 0, 0.0),)),
             ))
 
     def test_scalar_and_vector_evaluation(self):
@@ -287,13 +288,14 @@ class TestEnvelopeSet:
         assert lam1 == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0, rel=1e-9)
 
 
-#: one profile with a piece of every kind; the rootexp piece stays at t < 0
+#: one profile with a piece of every envelope shape: g-bump, bump, linexp,
+#: exp and constant; the pieces with p != 0 terms stay at t < 0
 ALL_KINDS = PiecewiseProfile((
-    Piece(-math.inf, -8.0, "rootexp", {"h": 2.0, "q": 3.0, "lam": 0.8}),
-    Piece(-8.0, -4.0, "bump", {"A": 1.0, "lam": 0.6, "mu": 1.5, "q": 2.5}),
-    Piece(-4.0, -1.0, "linexp", {"h": 0.7, "lam": 1.2}),
-    Piece(-1.0, 2.0, "exp", {"A": 0.5, "lam": 0.9}),
-    Piece(2.0, math.inf, "constant", {"c0": 0.3}),
+    Piece(-math.inf, -8.0, ((2.0, 1, 0.8), (-3.0, 0.5, 0.8))),
+    Piece(-8.0, -4.0, ((1.0, 0, 0.6), (-2.5, 0, 1.5 * 0.6))),
+    Piece(-4.0, -1.0, ((0.7, 1, 1.2),)),
+    Piece(-1.0, 2.0, ((0.5, 0, 0.9),)),
+    Piece(2.0, math.inf, ((0.3, 0, 0.0),)),
 ))
 
 
@@ -348,6 +350,71 @@ class TestJet:
             ALL_KINDS.jet(np.zeros(3), 3)
         with pytest.raises(ValueError, match="derivative order"):
             ALL_KINDS(0.0, 3)
+
+
+@st.composite
+def term_sums(draw):
+    """Terms (c, p, r) with coefficients of both signs, shared rates and the
+    rate 0, and sorted points, all at t < 0 where a term has p != 0."""
+    rates = draw(st.lists(st.floats(-1.0, 3.0), min_size=1, max_size=2)) + [0.0]
+    terms = draw(st.lists(st.tuples(st.floats(-5.0, 5.0), st.sampled_from([0, 0.5, 1]),
+                                    st.sampled_from(rates)), min_size=1, max_size=5))
+    hi = -1e-3 if any(p for _, p, _ in terms) else 10.0
+    t = draw(st.lists(st.floats(-30.0, hi), min_size=1, max_size=8))
+    return tuple(terms), np.sort(np.array(t))
+
+
+def mp_jet(terms, t):
+    """Value and first two derivatives of sum c (-t)^p e^{r t} at 40 digits,
+    and for each row the sum of the absolute values of its summands, each
+    widened by 1 + |r t| for the rounding of the exponent's argument."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        m = -t
+        rows, mags = [mpmath.mpf(0)] * 3, [mpmath.mpf(0)] * 3
+        for c, p, r in terms:
+            e = c * mpmath.exp(r * t)
+            # (-t)^p and its first two t-derivatives
+            w = (m ** p, -p * m ** (p - 1) if p else 0, p * (p - 1) * m ** (p - 2) if p else 0)
+            parts = ((w[0],), (w[1], r * w[0]), (w[2], 2 * r * w[1], r * r * w[0]))
+            for k in range(3):
+                rows[k] += e * sum(parts[k])
+                mags[k] += abs(e) * sum(abs(x) for x in parts[k]) * (1 + abs(r * t))
+        return rows, mags
+
+
+class TestTermEvaluator:
+    @given(case=term_sums())
+    @settings(max_examples=300)
+    def test_jet_matches_a_40_digit_evaluation(self, case):
+        terms, t = case
+        jet = PiecewiseProfile((Piece(-math.inf, math.inf, terms),)).jet(t, 2)
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny  # tiny: subnormal results
+        for i, ti in enumerate(t):
+            rows, mags = mp_jet(terms, float(ti))
+            for k in range(3):
+                err = abs(mpmath.mpf(float(jet[k, i])) - rows[k])
+                assert err <= 8 * eps * mags[k] + tiny, (k, ti)
+
+    def test_value_row_is_the_written_out_formula(self):
+        # the five envelope shapes, each with the operand order of its
+        # closed form: constant, exp, bump, linexp, g-bump
+        t = np.linspace(-30.0, -0.25, 3001)
+        A, lam, mu, q, h, c0 = 0.7, 1.3, 1.4, 2.2, 3.69, 0.45
+        shapes = (
+            (((c0, 0, 0.0),), np.full(t.size, c0)),
+            (((A, 0, lam),), A * np.exp(lam * t)),
+            (((A, 0, lam), (-q, 0, mu * lam)), A * np.exp(lam * t) - q * np.exp(mu * lam * t)),
+            (((h, 1, lam),), -h * t * np.exp(lam * t)),
+            (((h, 1, lam), (-q, 0.5, lam)), (h * -t - q * np.sqrt(-t)) * np.exp(lam * t)),
+        )
+        for terms, want in shapes:
+            assert np.array_equal(PiecewiseProfile((Piece(-math.inf, math.inf, terms),)).jet(t)[0],
+                                  want)
+
+    def test_power_outside_zero_half_one_rejected(self):
+        with pytest.raises(ValueError, match="term power"):
+            Piece(-math.inf, math.inf, ((1.0, 2, 0.5),))
 
 
 class TestParamsTypes:
