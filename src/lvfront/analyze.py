@@ -18,26 +18,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.signal import find_peaks
 
-from .model import (
-    EQ_TOL,
-    Regime,
-    SystemParams,
-    at_critical_speed,
-    classify_regime,
-    critical_speed,
-    decay_rates,
-    equilibria,
-)
-from .envelopes import (
-    CRITICAL_AD_EQ1,
-    EnvelopeSet,
-    SelectionKnobs,
-    bump_log_max,
-    check_bumps,
-    exp_or_zero,
-    lower_bump,
-    select_critical,
-)
+from .model import EQ_TOL, Regime, SystemParams, classify_regime, critical_speed, equilibria
+from .envelopes import EnvelopeSet, InadmissibleBump, SelectionKnobs, lower_bumps
+from .certify import select_params
 from .solve import Profile
 
 #: relative prominence below which an extremum is treated as ripple
@@ -144,32 +127,19 @@ def _nonmonotone_condition(p: SystemParams, s: float, knobs: SelectionKnobs,
     ustar, vstar = equilibria(p).coexistence
     star = ustar if component == "u" else vstar
 
-    if at_critical_speed(p, s):
-        ck = SelectionKnobs(nonmonotone_u=(component == "u"),
-                            nonmonotone_v=(component == "v"),
-                            mu2=knobs.mu2, q2=knobs.q2)
-        ep = select_critical(p, ck)
-        if component == "u" or ep.case == CRITICAL_AD_EQ1:
-            # the g-bump maximum that select_critical computed for its q
-            fmax = ep.margins["gmax1" if component == "u" else "gmax2"]
-            log_fmax = math.log(fmax) if fmax > 0.0 else -math.inf
-        else:
-            log_fmax = bump_log_max(p.a, decay_rates(p, s).lambda2, ep.muhat2, ep.Qhat2)
-            fmax = exp_or_zero(log_fmax)
-    else:
-        mu, q = (knobs.mu1, knobs.q1) if component == "u" else (knobs.mu2, knobs.q2)
-        bump = lower_bump(p, s, component, mu, q, overshoot=True)
-        try:
-            check_bumps(bump)
-        except ValueError:
-            # pinned constants that select_supercritical refuses give no envelope
-            return NonMonotoneCondition(holds=False, fmax=0.0, star=star, log_fmax=-math.inf)
-        log_fmax = bump_log_max(bump.coef, bump.lam, bump.mu, bump.q)
-        fmax = exp_or_zero(log_fmax)
-
-    holds = log_fmax > math.log(star)
-    return NonMonotoneCondition(holds=holds, fmax=fmax, star=star,
-                                log_fmax=log_fmax)
+    # the envelope certify selects with this component's overshoot flag and
+    # pins; the other component's pins do not move this bump
+    ck = (SelectionKnobs(nonmonotone_u=True, mu1=knobs.mu1, q1=knobs.q1) if component == "u"
+          else SelectionKnobs(nonmonotone_v=True, mu2=knobs.mu2, q2=knobs.q2))
+    try:
+        speed, ep = select_params(p, s, ck)
+    except InadmissibleBump:
+        # constants that the selection refuses give no envelope
+        return NonMonotoneCondition(holds=False, fmax=0.0, star=star, log_fmax=-math.inf)
+    u, v = lower_bumps(p, speed, ep)
+    bump = u if component == "u" else v
+    return NonMonotoneCondition(holds=bump.log_fmax > math.log(star), fmax=bump.fmax,
+                                star=star, log_fmax=bump.log_fmax)
 
 
 def nonmonotone_condition_u(p: SystemParams, s: float,

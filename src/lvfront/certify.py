@@ -17,14 +17,16 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .model import Regime, SystemParams, admissibility, at_critical_speed, classify_regime, critical_speed
 from .envelopes import (
+    CriticalParams,
     EnvelopeSet,
     SelectionKnobs,
+    SupercriticalParams,
     build_envelopes,
     min_decay_rate,
     select_critical,
@@ -155,14 +157,21 @@ def _mode_knobs(mode: str) -> SelectionKnobs:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def select_params(p: SystemParams, s: float, knobs: SelectionKnobs
+                  ) -> Tuple[float, Union[SupercriticalParams, CriticalParams]]:
+    """The envelope speed and constants that (p, s, knobs) select: the critical
+    selection at s* (model.at_critical_speed), the supercritical one above."""
+    if at_critical_speed(p, s):
+        return critical_speed(p), select_critical(p, knobs)
+    return s, select_supercritical(p, s, knobs)
+
+
 def select_and_build(p: SystemParams, s: float, mode: str = "default",
                      knobs: SelectionKnobs = None) -> EnvelopeSet:
     """Pick envelope constants for (p, s) and assemble the envelope set."""
     if knobs is None:
         knobs = _mode_knobs(mode)
-    if at_critical_speed(p, s):
-        return build_envelopes(p, critical_speed(p), select_critical(p, knobs))
-    return build_envelopes(p, s, select_supercritical(p, s, knobs))
+    return build_envelopes(p, *select_params(p, s, knobs))
 
 
 def certify(p: SystemParams, s: float, mode: str = "default",

@@ -82,31 +82,40 @@ def _finite(x) -> bool:
     return type(x) in (int, float) and math.isfinite(x)
 
 
+#: every flag's add_argument keywords
+_FLAGS = {
+    "--params": dict(default="1,0.5,0.5,1", help="a,b,c,d system coefficients"),
+    "--speed": dict(type=float),
+    "--mode": dict(default="default", choices=["default", "nonmonotone-u", "nonmonotone-v"]),
+    "--grid": dict(type=int),
+    "--domain": dict(help="left,right"),
+    "--tol": dict(type=float),
+    "--s-range": dict(default="2.1,5.0,15", help="lo,hi,n"),
+    "--gap-range": dict(default="0.01,0.5,15", help="lo,hi,n"),
+    "--mu2": dict(type=float),
+    "--q2": dict(type=float),
+    "--target": dict(default="c_to_1_over_a", choices=["c_to_1_over_a", "b_to_a"]),
+    "--steps": dict(type=int, default=8),
+    "--out": {},
+    "--config": dict(help="JSON file whose keys override the flags"),
+}
+#: the flags each subcommand reads, besides --params, --out and --config
+_COMMAND_FLAGS = {
+    "speed": "--speed",
+    "certify": "--speed --mode",
+    "solve": "--speed --mode --grid --domain --tol",
+    "scan": "--s-range --gap-range --mu2 --q2",
+    "pulse": "--speed --grid --domain --tol --target --steps",
+}
+
+
 def _build_parser() -> _Parser:
     ap = _Parser(prog="lvfront", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("speed", "certify", "solve", "scan", "pulse"):
+    for name, flags in _COMMAND_FLAGS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--params", default="1,0.5,0.5,1",
-                        help="a,b,c,d system coefficients")
-        sp.add_argument("--speed", type=float, default=None)
-        sp.add_argument("--mode", default="default",
-                        choices=["default", "nonmonotone-u", "nonmonotone-v"])
-        sp.add_argument("--grid", type=int, default=None)
-        sp.add_argument("--domain", default=None, help="left,right")
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--config", default=None,
-                        help="JSON file whose keys override the flags")
-        if name == "scan":
-            sp.add_argument("--s-range", default="2.1,5.0,15", help="lo,hi,n")
-            sp.add_argument("--gap-range", default="0.01,0.5,15", help="lo,hi,n")
-            sp.add_argument("--mu2", type=float, default=None)
-            sp.add_argument("--q2", type=float, default=None)
-        if name == "pulse":
-            sp.add_argument("--target", default="c_to_1_over_a",
-                            choices=["c_to_1_over_a", "b_to_a"])
-            sp.add_argument("--steps", type=int, default=8)
+        for flag in ["--params"] + flags.split() + ["--out", "--config"]:
+            sp.add_argument(flag, **_FLAGS[flag])
     return ap
 
 
@@ -115,7 +124,12 @@ def _to_runconfig(ns: argparse.Namespace) -> RunConfig:
     cfg_path = raw.pop("config", None)
     if cfg_path:
         with open(cfg_path) as fh:
-            raw.update(json.load(fh))
+            loaded = json.load(fh)
+        # a config file sets only the options its subcommand reads
+        unknown = sorted(set(loaded) - (set(raw) - {"command"}))
+        if unknown:
+            raise _UsageError(f"{raw['command']} does not take config key(s) {unknown}")
+        raw.update(loaded)
     params = raw["params"]
     if isinstance(params, str):
         params = _parse_floats(params, 4, "--params")
@@ -147,10 +161,7 @@ def _to_runconfig(ns: argparse.Namespace) -> RunConfig:
         val = raw.get(key)
         if val is None:
             return None
-        if isinstance(val, str):
-            lo, hi, n = val.split(",")
-            return float(lo), float(hi), int(n)
-        lo, hi, n = val
+        lo, hi, n = val.split(",") if isinstance(val, str) else val
         return float(lo), float(hi), int(n)
 
     return RunConfig(

@@ -443,12 +443,23 @@ def lower_bump(p: SystemParams, s: float, component: str,
     return BumpConstants(coef, lam, cap, mu, denom, floor, q)
 
 
+class InadmissibleBump(ValueError):
+    """A bump constant that the selection refuses: mu or q out of bounds."""
+
+
 def check_bumps(*bumps: BumpConstants) -> None:
-    """Raise unless every bump has 1 < mu < cap and q above its floor."""
+    """Raise InadmissibleBump unless 1 < mu < cap and q > floor for every bump."""
     if not all(1.0 < b.mu < b.cap for b in bumps):
-        raise ValueError("mu outside admissible interval")
+        raise InadmissibleBump("mu outside admissible interval")
     if not all(b.q > b.floor for b in bumps):
-        raise ValueError("q below its selection floor")
+        raise InadmissibleBump("q below its selection floor")
+
+
+def _deltas(p: SystemParams, max1: float, max2: float):
+    """The caps min(coexistence gap, lower-bump maximum) of delta1 and
+    delta2, and each delta at DELTA_FRACTION of its cap."""
+    caps = (min(1.0 - p.a * p.c, max1), min(p.a - p.b, max2))
+    return caps, tuple(DELTA_FRACTION * cap for cap in caps)
 
 
 def select_supercritical(p: SystemParams, s: float,
@@ -462,24 +473,14 @@ def select_supercritical(p: SystemParams, s: float,
         raise ValueError("unsupported regime")
     if s <= critical_speed(p):
         raise ValueError("subcritical speed")
-    a, b, c = p.a, p.b, p.c
     u = lower_bump(p, s, "u", knobs.mu1, knobs.q1, knobs.nonmonotone_u)
     v = lower_bump(p, s, "v", knobs.mu2, knobs.q2, knobs.nonmonotone_v)
     check_bumps(u, v)
-
-    _, _, fmax1 = bump_extrema(1.0, u.lam, u.mu, u.q)
-    _, _, fmax2 = bump_extrema(a, v.lam, v.mu, v.q)
-    delta1 = DELTA_FRACTION * min(1.0 - a * c, fmax1)
-    delta2 = DELTA_FRACTION * min(a - b, fmax2)
-
-    margins = {
-        "mu1_cap": u.cap - u.mu,
-        "mu2_cap": v.cap - v.mu,
-        "q1_floor": u.q - u.floor,
-        "q2_floor": v.q - v.floor,
-        "delta1_cap": min(1.0 - a * c, fmax1) - delta1,
-        "delta2_cap": min(a - b, fmax2) - delta2,
-    }
+    (cap1, cap2), (delta1, delta2) = _deltas(p, _bump(u.coef, u.lam, u.mu, u.q).fmax,
+                                             _bump(v.coef, v.lam, v.mu, v.q).fmax)
+    margins = {"mu1_cap": u.cap - u.mu, "mu2_cap": v.cap - v.mu,
+               "q1_floor": u.q - u.floor, "q2_floor": v.q - v.floor,
+               "delta1_cap": cap1 - delta1, "delta2_cap": cap2 - delta2}
     return SupercriticalParams(mu1=u.mu, mu2=v.mu, q1=u.q, q2=v.q,
                                delta1=delta1, delta2=delta2, margins=margins)
 
@@ -530,7 +531,7 @@ def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -
     """
     if classify_regime(p) is not Regime.STRICT_WEAK:
         raise ValueError("unsupported regime")
-    a, b, c, d = p.a, p.b, p.c, p.d
+    a, c, d = p.a, p.c, p.d
     if a * d > 1.0 + EQ_TOL:
         raise ValueError("apply species swap")
     s = critical_speed(p)
@@ -541,26 +542,21 @@ def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -
         lh2 = s / (2.0 * d)
         h2 = _critical_slope(a, lh2)
         qhat1, gmax1 = _critical_q_search(lh1, h1, 1.0, c, _capped_linexp(h2, lh2, a))
-        qhat2, gmax2 = _critical_q_search(lh2, h2, d, b, _capped_linexp(h1, lh1, 1.0))
-        deltahat1 = DELTA_FRACTION * min(1.0 - a * c, gmax1)
-        deltahat2 = DELTA_FRACTION * min(a - b, gmax2)
+        qhat2, gmax2 = _critical_q_search(lh2, h2, d, p.b, _capped_linexp(h1, lh1, 1.0))
+        v_shape = dict(h2=h2, qhat2=qhat2)
         margins = {"gmax1": gmax1, "gmax2": gmax2}
-        return CriticalParams(h1=h1, qhat1=qhat1, deltahat1=deltahat1,
-                              deltahat2=deltahat2, h2=h2, qhat2=qhat2,
-                              margins=margins)
-
-    # a*d < 1: the v-side keeps its supercritical shape with rates from
-    # the (now non-degenerate) second quadratic
-    v = lower_bump(p, s, "v", knobs.mu2, knobs.q2, knobs.nonmonotone_v)
-    check_bumps(v)
-    qhat1, gmax1 = _critical_q_search(lh1, h1, 1.0, c, _capped_exp(a, v.lam))
-    deltahat1 = DELTA_FRACTION * min(1.0 - a * c, gmax1)
-    _, _, fmax2 = bump_extrema(a, v.lam, v.mu, v.q)
-    deltahat2 = DELTA_FRACTION * min(a - b, fmax2)
-    margins = {"gmax1": gmax1, "muhat2_cap": v.cap - v.mu, "Qhat2_floor": v.q - v.floor}
-    return CriticalParams(h1=h1, qhat1=qhat1, deltahat1=deltahat1,
-                          deltahat2=deltahat2, muhat2=v.mu, Qhat2=v.q,
-                          margins=margins)
+    else:
+        # a*d < 1: the v-side keeps its supercritical shape with rates from
+        # the (now non-degenerate) second quadratic
+        v = lower_bump(p, s, "v", knobs.mu2, knobs.q2, knobs.nonmonotone_v)
+        check_bumps(v)
+        qhat1, gmax1 = _critical_q_search(lh1, h1, 1.0, c, _capped_exp(a, v.lam))
+        gmax2 = _bump(a, v.lam, v.mu, v.q).fmax
+        v_shape = dict(muhat2=v.mu, Qhat2=v.q)
+        margins = {"gmax1": gmax1, "muhat2_cap": v.cap - v.mu, "Qhat2_floor": v.q - v.floor}
+    _, (deltahat1, deltahat2) = _deltas(p, gmax1, gmax2)
+    return CriticalParams(h1=h1, qhat1=qhat1, deltahat1=deltahat1, deltahat2=deltahat2,
+                          margins=margins, **v_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -581,53 +577,68 @@ def _capped_linexp(h, lam, cap):
     return _capped(((h, 1, lam),), -1.0 / lam - 1.0, cap)
 
 
-def _bump(coef, lam, mu, q):
-    """Terms of coef e^{lam xi} - q e^{mu lam xi} and the bracket
-    (maximum point, zero) of its decreasing branch."""
+class LowerBump(NamedTuple):
+    """One lower bump before its cap: its terms, the bracket (maximum point,
+    zero) of its decreasing branch, its maximum and that maximum's log."""
+
+    terms: Tuple[Tuple[float, float, float], ...]
+    bracket: Tuple[float, float]
+    fmax: float
+    log_fmax: float
+
+
+def _bump(coef, lam, mu, q) -> LowerBump:
+    """coef e^{lam xi} - q e^{mu lam xi}, with maximum exp_or_zero(bump_log_max)."""
     xi0, xiM, _ = bump_extrema(coef, lam, mu, q)
-    return ((coef, 0, lam), (-q, 0, mu * lam)), (xiM, xi0)
+    log_fmax = bump_log_max(coef, lam, mu, q)
+    return LowerBump(((coef, 0, lam), (-q, 0, mu * lam)), (xiM, xi0),
+                     exp_or_zero(log_fmax), log_fmax)
 
 
-def _gbump(h, q, lam):
-    """Terms of (-h xi - q sqrt(-xi)) e^{lam xi} and the bracket (maximum
-    point, zero) of its decreasing branch."""
-    xi0, xiM, _ = gbump_extrema(h, q, lam)
-    return ((h, 1, lam), (-q, 0.5, lam)), (xiM, xi0)
+def _gbump(h, q, lam) -> LowerBump:
+    """(-h xi - q sqrt(-xi)) e^{lam xi}; its maximum comes from gbump_extrema."""
+    xi0, xiM, gmax = gbump_extrema(h, q, lam)
+    return LowerBump(((h, 1, lam), (-q, 0.5, lam)), (xiM, xi0),
+                     gmax, math.log(gmax) if gmax > 0.0 else -math.inf)
 
 
-def _capped_lower(bump, delta):
-    """A lower bump (terms, bracket) capped at delta from where its
-    decreasing branch meets delta."""
-    terms, bracket = bump
-    piece = Piece(-math.inf, math.inf, terms)
-    return _capped(terms, join_point(lambda x: piece.at(x)[0], delta, bracket), delta)
+def lower_bumps(p: SystemParams, s: float,
+                ep: Union[SupercriticalParams, CriticalParams]) -> Tuple[LowerBump, LowerBump]:
+    """The u and v lower bumps of ep at the envelope speed s, before their
+    caps: the exponential bump above s*, the g-bump at s*, and at s* with
+    a*d < 1 the exponential bump for v."""
+    if isinstance(ep, SupercriticalParams):
+        r = decay_rates(p, s)
+        return _bump(1.0, r.lambda1, ep.mu1, ep.q1), _bump(p.a, r.lambda2, ep.mu2, ep.q2)
+    u = _gbump(ep.h1, ep.qhat1, s / 2.0)
+    if ep.case == CRITICAL_AD_EQ1:
+        return u, _gbump(ep.h2, ep.qhat2, s / (2.0 * p.d))
+    return u, _bump(p.a, decay_rates(p, s).lambda2, ep.muhat2, ep.Qhat2)
+
+
+def _capped_lower(bump: LowerBump, delta: float) -> PiecewiseProfile:
+    """A lower bump capped at delta from where its decreasing branch meets
+    delta."""
+    piece = Piece(-math.inf, math.inf, bump.terms)
+    return _capped(bump.terms, join_point(lambda x: piece.at(x)[0], delta, bump.bracket), delta)
 
 
 def build_envelopes(p: SystemParams, s: float,
                     ep: Union[SupercriticalParams, CriticalParams]) -> EnvelopeSet:
     """Assemble the four piecewise envelopes for the case of ep.
 
-    Join points of the lower envelopes are located by join_point; the
-    continuity of every profile is verified to 1e-10.
+    The lower envelopes are the bumps of lower_bumps capped at their
+    deltas, from join points located by join_point; the continuity of
+    every profile is verified to 1e-10.
     """
     r = decay_rates(p, s)
-    a = p.a
-    if isinstance(ep, SupercriticalParams):
-        u_up = _capped_exp(1.0, r.lambda1)
-        u_lo = _capped_lower(_bump(1.0, r.lambda1, ep.mu1, ep.q1), ep.delta1)
-        v_up = _capped_exp(a, r.lambda2)
-        v_lo = _capped_lower(_bump(a, r.lambda2, ep.mu2, ep.q2), ep.delta2)
-    else:
-        lh1 = s / 2.0
-        u_up = _capped_linexp(ep.h1, lh1, 1.0)
-        u_lo = _capped_lower(_gbump(ep.h1, ep.qhat1, lh1), ep.deltahat1)
-        if ep.case == CRITICAL_AD_EQ1:
-            lh2 = s / (2.0 * p.d)
-            v_up = _capped_linexp(ep.h2, lh2, a)
-            v_lo = _capped_lower(_gbump(ep.h2, ep.qhat2, lh2), ep.deltahat2)
-        else:
-            v_up = _capped_exp(a, r.lambda2)
-            v_lo = _capped_lower(_bump(a, r.lambda2, ep.muhat2, ep.Qhat2), ep.deltahat2)
+    supercritical = isinstance(ep, SupercriticalParams)
+    u_up = _capped_exp(1.0, r.lambda1) if supercritical else _capped_linexp(ep.h1, s / 2.0, 1.0)
+    v_up = (_capped_linexp(ep.h2, s / (2.0 * p.d), p.a) if ep.case == CRITICAL_AD_EQ1
+            else _capped_exp(p.a, r.lambda2))
+    deltas = (ep.delta1, ep.delta2) if supercritical else (ep.deltahat1, ep.deltahat2)
+    u_lo, v_lo = (_capped_lower(bump, delta)
+                  for bump, delta in zip(lower_bumps(p, s, ep), deltas))
 
     for prof in (u_up, u_lo, v_up, v_lo):
         if max(prof.continuity_defects()) > 1e-10:

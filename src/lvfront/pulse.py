@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .model import Regime, SystemParams, at_critical_speed, classify_regime, critical_speed
-from .envelopes import SelectionKnobs, bump_extrema, lower_bump
+from .envelopes import SelectionKnobs, lower_bump, lower_bumps, select_supercritical
 from .certify import certify
 from .analyze import classify, right_tail_extrema
 from .solve import (
@@ -126,21 +126,18 @@ def plan_continuation(p_base: SystemParams, s: float, target: str,
     if any(s2 <= s1 for s1, s2 in zip([start] + steps, steps)):
         raise ValueError("continuation schedule is not strictly monotone")
 
-    pulse_u = target == "c_to_1_over_a"
-    u = lower_bump(p_base, s, "u", None, None, overshoot=pulse_u)
-    v = lower_bump(p_base, s, "v", None, None, overshoot=not pulse_u)
     # The pulsed bump keeps its bare q (2/denominator for u, 2a^2/denominator
-    # for v) rather than the overshoot q of certify's non-monotone modes:
-    # switching would move the floor and every step of existing runs.
-    if pulse_u:
-        q1, q2 = 2.0 / u.denom, v.q
-        _, _, floor = bump_extrema(u.coef, u.lam, u.mu, q1)
-    else:
-        q1, q2 = u.q, 2.0 * v.coef * v.coef / v.denom
-        if q2 <= max(1.0, v.coef):
-            raise ValueError("overshoot q infeasible for the v-pulse")
-        _, _, floor = bump_extrema(v.coef, v.lam, v.mu, q2)
-    knobs = SelectionKnobs(mu1=u.mu, mu2=v.mu, q1=q1, q2=q2)
+    # for v), pinned and checked by the selection, rather than the overshoot q
+    # of certify's non-monotone modes, which would move every existing run.
+    pulse_u = target == "c_to_1_over_a"
+    b = lower_bump(p_base, s, "u" if pulse_u else "v", None, None, overshoot=True)
+    q = 2.0 * b.coef * b.coef / b.denom
+    pinned = (SelectionKnobs(nonmonotone_u=True, q1=q) if pulse_u
+              else SelectionKnobs(nonmonotone_v=True, q2=q))
+    ep = select_supercritical(p_base, s, pinned)
+    u, v = lower_bumps(p_base, s, ep)
+    floor = (u if pulse_u else v).fmax
+    knobs = SelectionKnobs(mu1=ep.mu1, mu2=ep.mu2, q1=ep.q1, q2=ep.q2)
     return ContinuationPlan(target=target, base=p_base, speed=s,
                             steps=tuple(steps), knobs=knobs, config=config,
                             floor=floor)

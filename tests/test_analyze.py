@@ -156,8 +156,7 @@ class TestOvershootCriterion:
 
     @pytest.mark.parametrize("p", [P, SystemParams(0.5, 0.25, 1.0, 1.0)])
     def test_critical_g_bump_maximum_matches_recomputation(self, p):
-        # the criterion reads the maximum select_critical found; it must be
-        # the g-bump maximum of the selected constants bit for bit
+        # the criterion reads the maximum of the selected g-bump bit for bit
         s = critical_speed(p)
         ep_u = select_critical(p, SelectionKnobs(nonmonotone_u=True))
         gmax_u = gbump_extrema(ep_u.h1, ep_u.qhat1, s / 2.0)[2]
@@ -186,6 +185,16 @@ class TestOvershootCriterion:
         with pytest.raises(ValueError, match="mu outside admissible interval"):
             select_supercritical(p, s, SelectionKnobs(nonmonotone_u=True, mu1=5.0))
         assert not nonmonotone_condition_u(p, s, SelectionKnobs(mu1=5.0)).holds
+        # the same rule at s*, where the a*d < 1 v bump takes the pins
+        p = SystemParams(0.5, 0.25, 1.0, 1.0)
+        knobs = SelectionKnobs(q2=0.9)
+        with pytest.raises(ValueError, match="q below its selection floor"):
+            select_critical(p, knobs)
+        cond = nonmonotone_condition_v(p, 2.0, knobs)
+        assert not cond.holds and cond.fmax == 0.0 and cond.log_fmax == -math.inf
+        # other errors still raise
+        with pytest.raises(ValueError, match="apply species swap"):
+            nonmonotone_condition_v(SystemParams(2.0, 1.0, 0.3, 1.0), 2.0 * math.sqrt(2.0))
 
     def test_scan_holds_only_where_selection_accepts_the_pins(self):
         knobs = SelectionKnobs(nonmonotone_v=True, q2=1.01)

@@ -65,11 +65,25 @@ class TestUsageErrors:
         ["scan", "--params", "1,0.5,0.5,1", "--mu2", "nan"],
         ["scan", "--params", "1,0.5,0.5,1", "--mu2", "inf"],
         ["scan", "--params", "1,0.5,0.5,1", "--q2", "nan"],
+        # flags and config keys that the subcommand does not read
+        ["certify", "--params", "1,0.5,0.5,1", "--speed", "3", "--grid", "5"],
+        ["certify", "--params", "1,0.5,0.5,1", "--speed", "3", "--domain=0,1"],
+        ["certify", "--params", "1,0.5,0.5,1", "--speed", "3", "--tol", "7"],
+        ["speed", "--params", "1,0.5,0.5,1", "--mode", "nonmonotone-v"],
+        ["scan", "--params", "1,0.5,0.5,1", "--speed", "3"],
+        ["scan", "--params", "1,0.5,0.5,1", "--grid", "4401"],
+        ["pulse", "--params", "1,0.5,0.9,1", "--speed", "2.5", "--mode", "nonmonotone-u"],
+        ["certify", "--params", "1,0.5,0.5,1", "--config", "grid_key.json"],
+        ["scan", "--params", "1,0.5,0.5,1", "--config", "speed_key.json"],
+        ["certify", "--params", "1,0.5,0.5,1", "--config", "command_key.json"],
     ])
     def test_bad_values_exit_one_before_certifying(self, argv, in_tmp, monkeypatch, capsys):
         def no_certify(*args, **kwargs):
             raise AssertionError("certified despite a bad value")
 
+        (in_tmp / "grid_key.json").write_text(json.dumps({"speed": 3.0, "grid": 5}))
+        (in_tmp / "speed_key.json").write_text(json.dumps({"speed": 3.0}))
+        (in_tmp / "command_key.json").write_text(json.dumps({"command": "solve"}))
         (in_tmp / "float_steps.json").write_text(json.dumps({"steps": 2.5}))
         (in_tmp / "string_speed.json").write_text(json.dumps({"speed": "3"}))
         (in_tmp / "nan_speed.json").write_text('{"speed": NaN}')
@@ -219,6 +233,18 @@ class TestScan:
         rows = (in_tmp / "scan.csv").read_text().strip().splitlines()
         assert rows[0].startswith("gap,")
         assert len(rows) == 5
+
+    def test_refused_pin_at_critical_speed_does_not_hold(self, in_tmp, capsys):
+        # speeds below s* = 2 are clamped to s*, where the a*d < 1 v bump
+        # takes q2 = 0.9 below its floor: those cells read holds = False,
+        # as the supercritical cells do, instead of ending the scan
+        code = cli.main(["scan", "--params", "0.5,0.25,1,1", "--s-range", "1.5,3,4",
+                         "--gap-range", "0.01,0.2,3", "--q2", "0.9", "--out", "scan"])
+        capsys.readouterr()
+        assert code == 0
+        assert not json.loads((in_tmp / "scan.json").read_text())["holds_any"]
+        holds = np.loadtxt(in_tmp / "scan.csv", delimiter=",", skiprows=1)[:, 1:]
+        assert holds.shape == (3, 4) and not holds.any()
 
     def test_empty_range(self, in_tmp, capsys):
         code = cli.main(["scan", "--params", "1,0.5,0.5,1",

@@ -6,6 +6,7 @@ import pytest
 from lvfront import pulse
 from lvfront.model import SystemParams, decay_rates
 from lvfront.certify import certify
+from lvfront.envelopes import bump_extrema
 from lvfront.solve import Profile
 from lvfront.pulse import (
     FINAL_GAP,
@@ -85,6 +86,20 @@ class TestPlan:
         assert plan.knobs.q1 == pytest.approx(4.233, abs=1e-3)
         # not certify's overshoot q, max(2/denominator, 1.1 * floor)
         assert max(2.0 / denom, 1.1 * floor) == pytest.approx(4.423, abs=1e-3)
+
+    @pytest.mark.parametrize("p,target", [(P, "c_to_1_over_a"),
+                                          (SystemParams(1.0, 0.5, 0.5, 1.0), "b_to_a")])
+    def test_floor_and_knobs_are_the_selected_envelope(self, p, target):
+        # the floor is the maximum of the pulsed bump that the frozen knobs
+        # select, and those knobs certify at the base parameters
+        plan = plan_continuation(p, 2.5, target, 8)
+        r, k = decay_rates(p, 2.5), plan.knobs
+        if target == "c_to_1_over_a":
+            floor = bump_extrema(1.0, r.lambda1, k.mu1, k.q1)[2]
+        else:
+            floor = bump_extrema(p.a, r.lambda2, k.mu2, k.q2)[2]
+        assert plan.floor == floor
+        assert certify(p, 2.5, knobs=plan.knobs).passed
 
 
 @pytest.fixture(scope="module")
