@@ -67,14 +67,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_floats(text: str, n: int, what: str):
-    parts = text.split(",")
-    if len(parts) != n:
-        raise _UsageError(f"{what} expects {n} comma-separated values")
-    try:
-        return tuple(float(x) for x in parts)
-    except ValueError as exc:
-        raise _UsageError(f"bad {what}: {exc}") from exc
+class _Csv:
+    """argparse type: "x1,...,xn" into a tuple of n values of the given kinds.
+
+    Text that does not parse is returned as it is, for the option's test
+    to refuse with the option's name.
+    """
+
+    def __init__(self, *kinds):
+        self.kinds = kinds
+
+    def __call__(self, text: str):
+        try:
+            return tuple(kind(x) for kind, x in zip(self.kinds, text.split(","), strict=True))
+        except ValueError:
+            return text
 
 
 def _finite(x) -> bool:
@@ -82,96 +89,92 @@ def _finite(x) -> bool:
     return type(x) in (int, float) and math.isfinite(x)
 
 
-#: every flag's add_argument keywords
-_FLAGS = {
-    "--params": dict(default="1,0.5,0.5,1", help="a,b,c,d system coefficients"),
-    "--speed": dict(type=float),
-    "--mode": dict(default="default", choices=["default", "nonmonotone-u", "nonmonotone-v"]),
-    "--grid": dict(type=int),
-    "--domain": dict(help="left,right"),
-    "--tol": dict(type=float),
-    "--s-range": dict(default="2.1,5.0,15", help="lo,hi,n"),
-    "--gap-range": dict(default="0.01,0.5,15", help="lo,hi,n"),
-    "--mu2": dict(type=float),
-    "--q2": dict(type=float),
-    "--target": dict(default="c_to_1_over_a", choices=["c_to_1_over_a", "b_to_a"]),
-    "--steps": dict(type=int, default=8),
-    "--out": {},
-    "--config": dict(help="JSON file whose keys override the flags"),
+def _finites(x, n: int) -> bool:
+    """x is a list or tuple of n finite numbers."""
+    return type(x) in (list, tuple) and len(x) == n and all(map(_finite, x))
+
+
+_MODES = ("default", "nonmonotone-u", "nonmonotone-v")
+_TARGETS = ("c_to_1_over_a", "b_to_a")
+_RANGE = _Csv(float, float, int)
+_NUMBER = dict(type=float), "a finite number", _finite
+_RANGE_TEST = ("finite lo and hi and an integer n >= 0",
+               lambda x: _finites(x, 3) and type(x[2]) is int and x[2] >= 0)
+#: every option: its add_argument keywords, what a valid value is, and the
+#: test that its value passes, whether a flag or a config key gave it
+_OPTIONS = {
+    "params": (dict(default="1,0.5,0.5,1", type=_Csv(float, float, float, float),
+                    help="a,b,c,d system coefficients"),
+               "four finite numbers", lambda x: _finites(x, 4)),
+    "speed": _NUMBER,
+    "mode": (dict(default=_MODES[0], choices=_MODES), f"one of {_MODES}", lambda x: x in _MODES),
+    "grid": (dict(type=int), "an integer >= 3", lambda x: type(x) is int and x >= 3),
+    "domain": (dict(type=_Csv(float, float), help="left,right"),
+               "two finite numbers left < right", lambda x: _finites(x, 2) and x[0] < x[1]),
+    "tol": (dict(type=float), "a positive finite number", lambda x: _finite(x) and x > 0.0),
+    "s_range": (dict(default="2.1,5.0,15", type=_RANGE, help="lo,hi,n"), *_RANGE_TEST),
+    "gap_range": (dict(default="0.01,0.5,15", type=_RANGE, help="lo,hi,n"), *_RANGE_TEST),
+    "mu2": _NUMBER,
+    "q2": _NUMBER,
+    "target": (dict(default=_TARGETS[0], choices=_TARGETS), f"one of {_TARGETS}",
+               lambda x: x in _TARGETS),
+    "steps": (dict(type=int, default=8), "an integer >= 1", lambda x: type(x) is int and x >= 1),
+    "out": ({}, "a string", lambda x: type(x) is str),
 }
-#: the flags each subcommand reads, besides --params, --out and --config
-_COMMAND_FLAGS = {
-    "speed": "--speed",
-    "certify": "--speed --mode",
-    "solve": "--speed --mode --grid --domain --tol",
-    "scan": "--s-range --gap-range --mu2 --q2",
-    "pulse": "--speed --grid --domain --tol --target --steps",
+#: the options each subcommand reads, besides params and out
+_COMMAND_OPTIONS = {
+    "speed": "speed",
+    "certify": "speed mode",
+    "solve": "speed mode grid domain tol",
+    "scan": "s_range gap_range mu2 q2",
+    "pulse": "speed grid domain tol target steps",
 }
 
 
 def _build_parser() -> _Parser:
     ap = _Parser(prog="lvfront", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, flags in _COMMAND_FLAGS.items():
+    for name, keys in _COMMAND_OPTIONS.items():
         sp = sub.add_parser(name)
-        for flag in ["--params"] + flags.split() + ["--out", "--config"]:
-            sp.add_argument(flag, **_FLAGS[flag])
+        for key in ["params"] + keys.split() + ["out"]:
+            sp.add_argument("--" + key.replace("_", "-"), **_OPTIONS[key][0])
+        sp.add_argument("--config", help="JSON file whose keys override the flags")
     return ap
+
+
+def _checked(key: str, value):
+    """value, from a flag or a config key, once it passes the option's test;
+    null passes only where the flag has no default, a comma string goes
+    through the flag's parse, lists become tuples and range ends floats."""
+    flag, what, test = _OPTIONS[key]
+    if value is None and flag.get("default") is None:
+        return None
+    if isinstance(value, str) and isinstance(flag.get("type"), _Csv):
+        value = flag["type"](value)
+    if not test(value):
+        raise _UsageError(f"--{key.replace('_', '-')} must be {what}, got {value!r}")
+    if flag.get("type") is _RANGE:
+        return float(value[0]), float(value[1]), value[2]
+    return tuple(value) if isinstance(value, list) else value
 
 
 def _to_runconfig(ns: argparse.Namespace) -> RunConfig:
     raw = vars(ns).copy()
-    cfg_path = raw.pop("config", None)
-    if cfg_path:
-        with open(cfg_path) as fh:
-            loaded = json.load(fh)
+    command, path = raw.pop("command"), raw.pop("config")
+    if path:
+        try:
+            with open(path) as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise _UsageError(f"cannot read config {path!r}: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise _UsageError(f"config {path!r} does not hold a JSON object")
         # a config file sets only the options its subcommand reads
-        unknown = sorted(set(loaded) - (set(raw) - {"command"}))
+        unknown = sorted(set(loaded) - set(raw))
         if unknown:
-            raise _UsageError(f"{raw['command']} does not take config key(s) {unknown}")
+            raise _UsageError(f"{command} does not take config key(s) {unknown}")
         raw.update(loaded)
-    params = raw["params"]
-    if isinstance(params, str):
-        params = _parse_floats(params, 4, "--params")
-    domain = raw.get("domain")
-    if isinstance(domain, str):
-        domain = _parse_floats(domain, 2, "--domain")
-    elif domain is not None:
-        domain = tuple(domain)
-
-    # a config file can hold any JSON value here, not only a number
-    grid, tol, speed = raw.get("grid"), raw.get("tol"), raw.get("speed")
-    steps = raw.get("steps", 8)
-    if grid is not None and not (type(grid) is int and grid >= 3):
-        raise _UsageError(f"--grid must be an integer >= 3, got {grid!r}")
-    if not (type(steps) is int and steps >= 1):
-        raise _UsageError(f"--steps must be an integer >= 1, got {steps!r}")
-    if tol is not None and not (_finite(tol) and tol > 0.0):
-        raise _UsageError(f"--tol must be a positive finite number, got {tol!r}")
-    if speed is not None and not _finite(speed):
-        raise _UsageError(f"--speed must be a finite number, got {speed!r}")
-    if domain is not None and not (len(domain) == 2 and all(_finite(x) for x in domain)
-                                   and domain[0] < domain[1]):
-        raise _UsageError(f"--domain needs two finite numbers left < right, got {domain!r}")
-    for key in ("mu2", "q2"):
-        if raw.get(key) is not None and not _finite(raw[key]):
-            raise _UsageError(f"--{key} must be a finite number, got {raw[key]!r}")
-
-    def rng(key):
-        val = raw.get(key)
-        if val is None:
-            return None
-        lo, hi, n = val.split(",") if isinstance(val, str) else val
-        return float(lo), float(hi), int(n)
-
-    return RunConfig(
-        command=raw["command"], params=tuple(params), speed=speed,
-        mode=raw.get("mode", "default"), grid=grid,
-        domain=domain, tol=tol, out=raw.get("out"),
-        s_range=rng("s_range"), gap_range=rng("gap_range"),
-        mu2=raw.get("mu2"), q2=raw.get("q2"),
-        target=raw.get("target", "c_to_1_over_a"), steps=steps,
-    )
+    return RunConfig(command=command, **{key: _checked(key, v) for key, v in raw.items()})
 
 
 def _system(cfg: RunConfig) -> SystemParams:
@@ -283,20 +286,14 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_scan(cfg: RunConfig) -> int:
     p = _system(cfg)
-    lo, hi, n = cfg.s_range
-    s_values = np.linspace(lo, hi, n) if n > 0 else np.empty(0)
-    lo, hi, n = cfg.gap_range
-    gap_values = np.linspace(lo, hi, n) if n > 0 else np.empty(0)
     knobs = SelectionKnobs(nonmonotone_v=True, mu2=cfg.mu2, q2=cfg.q2)
     try:
-        scan = scan_region(p, s_values, gap_values, knobs)
+        scan = scan_region(p, np.linspace(*cfg.s_range), np.linspace(*cfg.gap_range), knobs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     base = cfg.out if cfg.out else "scan"
-    rows = np.column_stack([scan.gap_values.reshape(-1, 1),
-                            scan.holds.astype(int)]) \
-        if scan.gap_values.size else np.empty((0, 1 + scan.s_values.size))
+    rows = np.column_stack([scan.gap_values.reshape(-1, 1), scan.holds.astype(int)])
     header = "gap," + ",".join("%.17g" % s for s in scan.s_values)
     write_csv(base + ".csv", rows, header)
     _emit({

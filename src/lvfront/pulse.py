@@ -81,17 +81,19 @@ class PulseResult:
                 and all(self.tail_verdicts.values()))
 
 
+#: each continuation target: the coefficient it moves and that coefficient's
+#: limit, where the system turns critical-weak
+_MOVING = {"c_to_1_over_a": ("c", lambda p: 1.0 / p.a),
+           "b_to_a": ("b", lambda p: p.a)}
+
+
 def _step_params(plan: ContinuationPlan, value: float) -> SystemParams:
-    b = plan.base
-    if plan.target == "c_to_1_over_a":
-        return SystemParams(b.a, b.b, value, b.d)
-    return SystemParams(b.a, value, b.c, b.d)
+    return replace(plan.base, **{_MOVING[plan.target][0]: value})
 
 
 def degenerate_system(plan: ContinuationPlan) -> SystemParams:
     """The critical-weak system at the exact limit of the continuation."""
-    a = plan.base.a
-    return _step_params(plan, 1.0 / a if plan.target == "c_to_1_over_a" else a)
+    return _step_params(plan, _MOVING[plan.target][1](plan.base))
 
 
 def plan_continuation(p_base: SystemParams, s: float, target: str,
@@ -100,9 +102,9 @@ def plan_continuation(p_base: SystemParams, s: float, target: str,
     """Geometric schedule toward the degenerate limit with frozen envelopes.
 
     Step distances to the limit halve each step; the final step is forced
-    to within LIMIT_GAP of it.  The overshoot-mode q (= 2/denominator) and
-    the mu placements are computed once and reused at every step, which
-    keeps the lower-envelope maximum -- the floor -- fixed.
+    to within LIMIT_GAP of it.  The pulsed q (the bump's selection floor at
+    the limit) and the mu placements are computed once and reused at every
+    step, which keeps the lower-envelope maximum -- the floor -- fixed.
     """
     if classify_regime(p_base) is not Regime.STRICT_WEAK:
         raise ValueError("unsupported regime")
@@ -112,12 +114,10 @@ def plan_continuation(p_base: SystemParams, s: float, target: str,
         # cap = 1 there, so mu = 1 and every denominator vanishes; certify
         # switches to the critical selection, which ignores frozen mu/q
         raise ValueError("continuation needs a supercritical speed")
-    if target == "c_to_1_over_a":
-        limit, start = 1.0 / p_base.a, p_base.c
-    elif target == "b_to_a":
-        limit, start = p_base.a, p_base.b
-    else:
+    if target not in _MOVING:
         raise ValueError(f"unknown continuation target {target!r}")
+    moving, limit_of = _MOVING[target]
+    limit, start = limit_of(p_base), getattr(p_base, moving)
     total = limit - start
     if total <= LIMIT_GAP:
         raise ValueError("target not reachable from the base parameters")
@@ -126,12 +126,12 @@ def plan_continuation(p_base: SystemParams, s: float, target: str,
     if any(s2 <= s1 for s1, s2 in zip([start] + steps, steps)):
         raise ValueError("continuation schedule is not strictly monotone")
 
-    # The pulsed bump keeps its bare q (2/denominator for u, 2a^2/denominator
-    # for v), pinned and checked by the selection, rather than the overshoot q
-    # of certify's non-monotone modes, which would move every existing run.
+    # q is the pulsed bump's selection floor at the limit, where 1 + ac or
+    # a^2 + ab becomes 2 coef^2.  Certify's overshoot q lies below it for
+    # a > 1, where the certificate of each v-pulse step would refuse it.
     pulse_u = target == "c_to_1_over_a"
-    b = lower_bump(p_base, s, "u" if pulse_u else "v", None, None, overshoot=True)
-    q = 2.0 * b.coef * b.coef / b.denom
+    p_lim = replace(p_base, **{moving: limit})
+    q = lower_bump(p_lim, s, "u" if pulse_u else "v", None, None, overshoot=True).floor
     pinned = (SelectionKnobs(nonmonotone_u=True, q1=q) if pulse_u
               else SelectionKnobs(nonmonotone_v=True, q2=q))
     ep = select_supercritical(p_base, s, pinned)

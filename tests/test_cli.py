@@ -76,23 +76,47 @@ class TestUsageErrors:
         ["certify", "--params", "1,0.5,0.5,1", "--config", "grid_key.json"],
         ["scan", "--params", "1,0.5,0.5,1", "--config", "speed_key.json"],
         ["certify", "--params", "1,0.5,0.5,1", "--config", "command_key.json"],
+        # config files that cannot be read or hold no JSON object
+        ["certify", "--config", "missing.json"],
+        ["certify", "--config", "five.json"],
+        # config values that fail their flag's test
+        ["certify", "--config", "bogus_mode.json"],
+        ["certify", "--config", "string_params.json"],
+        ["certify", "--config", "null_params.json"],
+        ["certify", "--config", "bool_params.json"],
+        ["certify", "--params", "1,0.5,0.5,1", "--speed", "3", "--config", "int_out.json"],
+        ["scan", "--params", "1,0.5,0.5,1", "--s-range", "4,5,-1"],
     ])
     def test_bad_values_exit_one_before_certifying(self, argv, in_tmp, monkeypatch, capsys):
         def no_certify(*args, **kwargs):
             raise AssertionError("certified despite a bad value")
 
-        (in_tmp / "grid_key.json").write_text(json.dumps({"speed": 3.0, "grid": 5}))
-        (in_tmp / "speed_key.json").write_text(json.dumps({"speed": 3.0}))
-        (in_tmp / "command_key.json").write_text(json.dumps({"command": "solve"}))
-        (in_tmp / "float_steps.json").write_text(json.dumps({"steps": 2.5}))
-        (in_tmp / "string_speed.json").write_text(json.dumps({"speed": "3"}))
-        (in_tmp / "nan_speed.json").write_text('{"speed": NaN}')
+        configs = {
+            "grid_key.json": '{"speed": 3.0, "grid": 5}',
+            "speed_key.json": '{"speed": 3.0}',
+            "command_key.json": '{"command": "solve"}',
+            "float_steps.json": '{"steps": 2.5}',
+            "string_speed.json": '{"speed": "3"}',
+            "nan_speed.json": '{"speed": NaN}',
+            "five.json": "5",
+            "bogus_mode.json": '{"mode": "bogus"}',
+            "string_params.json": '{"params": ["1", "0.5", "0.5", "1"]}',
+            "null_params.json": '{"params": null}',
+            "bool_params.json": '{"params": [true, 0.5, 0.5, 1]}',
+            # an integer out would be opened as that file descriptor
+            "int_out.json": '{"out": 987654}',
+        }
+        for name, text in configs.items():
+            (in_tmp / name).write_text(text)
         monkeypatch.setattr(cli, "certify", no_certify)
         monkeypatch.setattr(pulse, "certify", no_certify)
         assert cli.main(argv) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert sorted(os.listdir(in_tmp)) == sorted(configs)  # nothing written
 
-    @pytest.mark.parametrize("config", ['{"mu2": "2"}', '{"q2": NaN}', '{"mu2": true}'])
+    @pytest.mark.parametrize("config", ['{"mu2": "2"}', '{"q2": NaN}', '{"mu2": true}',
+                                        '{"s_range": 5}', '{"s_range": [2.1, 5, 2.7]}'])
     def test_bad_scan_knobs_in_config_exit_one(self, config, in_tmp, capsys):
         (in_tmp / "knobs.json").write_text(config)
         assert cli.main(["scan", "--params", "1,0.5,0.5,1", "--config", "knobs.json"]) == 1
@@ -174,6 +198,24 @@ class TestSolve:
         head = json.loads((in_tmp / "viacfg.json").read_text())
         assert head["speed"] == 3.0
         assert head["run_config"]["speed"] == 3.0
+
+    def test_config_strings_and_lists_record_the_flags_run_config(self, in_tmp, capsys):
+        flags = ["--params", "1,0.5,0.5,1", "--domain=-60,80"]
+        configs = {"strings": {"params": "1,0.5,0.5,1", "domain": "-60,80"},
+                   "lists": {"params": [1.0, 0.5, 0.5, 1.0], "domain": [-60.0, 80.0]}}
+        common = ["--speed", "3.0", "--grid", "1601"]
+        assert cli.main(["solve"] + flags + common + ["--out", "flags"]) == 0
+        for name, cfg in configs.items():
+            (in_tmp / f"cfg_{name}.json").write_text(json.dumps(dict(cfg, out=name)))
+            assert cli.main(["solve", "--config", f"cfg_{name}.json"] + common) == 0
+        capsys.readouterr()
+
+        def run_config(out):
+            recorded = json.loads((in_tmp / f"{out}.json").read_text())["run_config"]
+            assert recorded.pop("out") == out
+            return recorded
+
+        assert run_config("strings") == run_config("lists") == run_config("flags")
 
     def test_subcritical_exits_two(self, in_tmp, capsys):
         assert cli.main(["solve", "--params", "1,0.5,0.5,1",

@@ -6,11 +6,12 @@ import pytest
 from lvfront import pulse
 from lvfront.model import SystemParams, decay_rates
 from lvfront.certify import certify
-from lvfront.envelopes import bump_extrema
+from lvfront.envelopes import bump_extrema, lower_bump
 from lvfront.solve import Profile
 from lvfront.pulse import (
     FINAL_GAP,
     LIMIT_GAP,
+    degenerate_system,
     plan_continuation,
     pulse_tail_diagnostics,
     run_continuation,
@@ -100,6 +101,14 @@ class TestPlan:
             floor = bump_extrema(p.a, r.lambda2, k.mu2, k.q2)[2]
         assert plan.floor == floor
         assert certify(p, 2.5, knobs=plan.knobs).passed
+
+    @pytest.mark.parametrize("p,target", [(P, "c_to_1_over_a"), (P, "b_to_a"),
+                                          (SystemParams(2.0, 1.0, 0.3, 0.4), "b_to_a")])
+    def test_pulsed_q_is_the_selection_floor_at_the_limit(self, p, target):
+        plan = plan_continuation(p, 2.5, target, 8)
+        component, q = ("u", plan.knobs.q1) if target == "c_to_1_over_a" else ("v", plan.knobs.q2)
+        limit = lower_bump(degenerate_system(plan), 2.5, component, None, None, overshoot=True)
+        assert q == limit.floor
 
 
 @pytest.fixture(scope="module")
