@@ -29,6 +29,7 @@ from .pulse import (
     plan_continuation,
     pulse_tail_diagnostics,
     run_continuation,
+    widen_left_edge,
     write_pulse_result,
 )
 
@@ -315,6 +316,8 @@ def cmd_pulse(cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        if cfg.domain is None:
+            plan = widen_left_edge(plan, keep_h=cfg.grid is None)
         res = run_continuation(plan)
     except ValueError as exc:
         _emit({"run_config": asdict(cfg), "error": str(exc)}, None)

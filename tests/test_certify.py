@@ -1,22 +1,32 @@
-"""Grid verification of envelope bracketing: signs, corners, ordering."""
+"""Verification of envelope bracketing: signs, corners, ordering, on the
+cells between joins above s* and on the grid at s*."""
 
+import dataclasses
+import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lvfront.model import SystemParams, critical_speed
+from lvfront.model import SystemParams, critical_speed, decay_rates
 from lvfront.certify import (
     EXCLUSION_RADIUS,
+    ORDERING_TOL,
     RESIDUAL_TOL,
     certificate_to_json,
     certify,
+    check_cells,
     check_differential_inequalities,
     check_ordering,
+    decide_sums,
     make_grid,
     select_and_build,
 )
-from lvfront.envelopes import Q_SAFETY, EnvelopeSet, min_decay_rate
+from lvfront.envelopes import Q_SAFETY, EnvelopeSet, _bump, _capped_lower, min_decay_rate
+
+#: the module, which the package's certify function shadows
+certify_module = importlib.import_module("lvfront.certify")
 
 P = SystemParams(1.0, 0.5, 0.5, 1.0)
 
@@ -61,6 +71,34 @@ class TestCertify:
         assert set(payload["min_margins"]) == {"u_upper", "u_lower",
                                                "v_upper", "v_lower"}
         assert payload["case"] == "Supercritical"
+        assert payload["reason"] is None
+        assert set(payload["tightest"]) == set(payload["min_margins"])
+        assert set(payload["grid"]) == {"left", "right", "cells"}
+
+    def test_supercritical_margins_are_cell_bounds(self):
+        cert = certify(P, 3.0)
+        env = cert.envelope
+        n_cells = len(env.join_points) + 1
+        for name, bounds in cert.inequality_margins.items():
+            assert bounds.shape == (n_cells,)
+            worst = bounds.max() if name.endswith("upper") else bounds.min()
+            assert cert.min_margins[name] == worst
+        # the residuals vanish as xi -> -inf, and so does every margin there
+        assert cert.tightest == dict.fromkeys(cert.min_margins, -math.inf)
+        assert certificate_to_json(cert)["tightest"] == dict.fromkeys(cert.min_margins)
+        assert cert.ordering_gap == 0.0
+        assert cert.grid["left"] == min(env.join_points) - 40.0 / min_decay_rate(env)
+        assert cert.grid["right"] == 30.0
+        assert cert.grid["cells"] >= 6 * n_cells
+
+    def test_critical_tightest_is_the_worst_grid_point(self):
+        cert = certify(P, 2.0)
+        grid = make_grid(cert.envelope)
+        for name, res in cert.inequality_margins.items():
+            k = res.argmax() if name.endswith("upper") else res.argmin()
+            assert cert.tightest[name] == grid[k]
+        assert cert.reason is None
+        assert set(cert.grid) == {"left", "right", "n_points", "exclusion_radius"}
 
 
 class TestGrid:
@@ -183,8 +221,13 @@ class TestGridConstruction:
             assert np.array_equal(make_grid(shifted, n_points), expected)
 
 
+#: the critical cases of POINTWISE_CASES, with the ids they have there
+CRITICAL_CASES = [pytest.param(p, s, mode, id=f"p{i}-{s}-{mode}")
+                  for i, (p, s, mode) in enumerate(POINTWISE_CASES) if s == critical_speed(p)]
+
+
 class TestOneJetPerCertificate:
-    @pytest.mark.parametrize("p,s,mode", POINTWISE_CASES)
+    @pytest.mark.parametrize("p,s,mode", CRITICAL_CASES)
     def test_one_jet_and_same_results(self, p, s, mode, monkeypatch):
         calls = []
         jet = EnvelopeSet.jet
@@ -206,9 +249,18 @@ class TestOneJetPerCertificate:
             assert np.array_equal(cert.inequality_margins[name], res[name]), name
         assert (cert.ordering_ok, cert.ordering_gap) == check_ordering(env, grid)
 
+    def test_supercritical_certificates_evaluate_no_jet(self, monkeypatch):
+        def no_jet(self, x, order=0):
+            raise AssertionError("EnvelopeSet.jet called")
+
+        monkeypatch.setattr(EnvelopeSet, "jet", no_jet)
+        for p, s, mode in POINTWISE_CASES:
+            if s != critical_speed(p):
+                assert certify(p, s, mode=mode).passed
+
 
 #: the critical parameter sets of POINTWISE_CASES
-CRITICAL_SETS = list(dict.fromkeys(p for p, s, mode in POINTWISE_CASES if s == critical_speed(p)))
+CRITICAL_SETS = list(dict.fromkeys(case.values[0] for case in CRITICAL_CASES))
 
 
 class TestCriticalLadder:
@@ -235,3 +287,139 @@ class TestCriticalLadder:
                         break
                 q *= 1.25
             assert qhat == q
+
+
+def _mutated_u_lower(s):
+    """(1, .5, .5, 1) at s with the u lower bump's rate 1.01 lambda1, which
+    breaks its sub-solution inequality as xi -> -inf."""
+    env = select_and_build(P, s)
+    ep = env.params
+    lam = 1.01 * decay_rates(P, s).lambda1
+    return dataclasses.replace(env, u_lower=_capped_lower(_bump(1.0, lam, ep.mu1, ep.q1), ep.delta1))
+
+
+class TestCells:
+    @pytest.mark.parametrize("s", [2.01, 2.05, 2.2, 3.0])
+    def test_mutated_rate_fails_with_leading_coefficient(self, s):
+        check = check_cells(_mutated_u_lower(s), P, s)
+        assert check.reasons == {"u_lower": "u_lower: leading coefficient negative as xi -> -inf"}
+
+    @pytest.mark.parametrize("s", [2.01, 2.05])
+    def test_grid_misses_the_mutation_near_s_star(self, s):
+        # why the cells are needed: the grid residual clears the tolerance
+        env = _mutated_u_lower(s)
+        res = check_differential_inequalities(env, P, s, make_grid(env))
+        assert -RESIDUAL_TOL < res["u_lower"].min() < 0.0
+
+    def test_certificate_names_the_reason(self, monkeypatch):
+        s = 2.2
+        env = _mutated_u_lower(s)
+        monkeypatch.setattr(certify_module, "select_and_build", lambda *args: env)
+        cert = certify(P, s)
+        assert cert.verdict == "fail"
+        assert cert.reason == "u_lower: leading coefficient negative as xi -> -inf"
+        assert certificate_to_json(cert)["reason"] == cert.reason
+        assert cert.ordering_ok and all(cc.ok for cc in cert.corner_checks)
+
+    @pytest.mark.parametrize("p,s,mode", POINTWISE_CASES[:3])
+    def test_shift_keeps_the_verdict(self, p, s, mode):
+        env = select_and_build(p, s, mode)
+        for delta in (-2.5, 0.37):
+            assert not check_cells(env.shifted(delta), p, s).reasons
+
+    def test_critical_envelopes_are_refused(self):
+        env = select_and_build(P, 2.0)
+        with pytest.raises(ValueError, match="exponential terms"):
+            check_cells(env, P, 2.0)
+
+
+def _decide(cells, cuts=(0.0,), sigma=1.0, tol=RESIDUAL_TOL):
+    """decide_sums on the one sum f given by its cells, with the constant 1
+    (or -1 for sigma = -1) right of the last cut."""
+    return decide_sums({"f": (sigma, tol, list(cells) + [{0.0: sigma}])}, cuts)
+
+
+class TestSignPrimitive:
+    def test_sums_of_known_sign(self):
+        # e^xi (1 - e^xi / 2) > 0 on (-inf, 0]
+        assert not _decide([{1.0: 1.0, 2.0: -0.5}]).reasons
+        assert not _decide([{1.0: -1.0, 2.0: 0.5}], sigma=-1.0).reasons
+        assert not _decide([{1.0: 2.0, 1.5: 1.0, 3.0: 4.0}]).reasons
+        # 3 e^xi - e^{2 xi} - e^{3 xi} >= e^xi on (-inf, 0]
+        check = _decide([{1.0: 3.0, 2.0: -1.0, 3.0: -1.0}])
+        assert not check.reasons
+        assert check.bounds["f"].tolist() == [0.0, 1.0]
+
+    def test_leading_coefficient_decides_the_left_half_line(self):
+        check = _decide([{1.0: -1e-30, 1.5: 1.0}])
+        assert check.reasons == {"f": "f: leading coefficient negative as xi -> -inf"}
+        check = _decide([{1.0: 1e-30, 1.5: -1.0}], sigma=-1.0)
+        assert check.reasons == {"f": "f: leading coefficient positive as xi -> -inf"}
+
+    def test_root_inside_a_cell_fails(self):
+        # x (1 - 2x)^2 - eps x with x = e^xi is positive at both ends of
+        # [-3, 0] and negative for x in (0.45, 0.55)
+        eps = 0.01
+        cells = [{1.0: 1.0 - eps, 2.0: -4.0, 3.0: 4.0}] * 2
+        check = _decide(cells, cuts=(-3.0, 0.0))
+        reason = check.reasons["f"]
+        assert reason.startswith("f = -")
+        xi = float(reason.rsplit("=", 1)[1])
+        assert math.log(0.45) < xi < math.log(0.55)
+        assert check.bounds["f"].min() < -RESIDUAL_TOL
+
+    def test_thin_positive_minimum_is_bisected(self):
+        eps = -0.01  # x (1 - 2x)^2 + 0.01 x > 0 everywhere
+        cells = [{1.0: 1.0 - eps, 2.0: -4.0, 3.0: 4.0}] * 2
+        check = _decide(cells, cuts=(-3.0, 0.0))
+        assert not check.reasons
+        assert check.cells > 6
+        assert check.bounds["f"].min() >= -RESIDUAL_TOL
+
+    def test_two_terms_that_nearly_cancel(self):
+        # e^xi - (1 - 1e-9) e^{(1 + 1e-6) xi} > 0 on (-inf, 0], by 1e-9 at 0
+        check = _decide([{1.0: 1.0, 1.0 + 1e-6: -(1.0 - 1e-9)}], tol=0.0)
+        assert not check.reasons
+        assert check.cells <= 4
+        # with 1 + 1e-9 it is -1e-9 at xi = 0
+        check = _decide([{1.0: 1.0, 1.0 + 1e-6: -(1.0 + 1e-9)}], tol=0.0)
+        assert check.reasons["f"].startswith("f = -1e-09 at xi = 0")
+
+    def test_zero_coefficients_are_dropped(self):
+        # a zero leading coefficient leaves the next term to decide
+        assert not _decide([{1.0: 0.0, 2.0: 1.0}]).reasons
+        assert _decide([{1.0: 0.0, 2.0: -1.0}]).reasons
+        check = _decide([{1.0: 0.0}])
+        assert not check.reasons
+        assert check.bounds["f"][0] == 0.0
+
+
+@st.composite
+def strict_weak_draws(draw):
+    a = math.exp(draw(st.floats(math.log(0.5), math.log(2.0))))
+    d = math.exp(draw(st.floats(math.log(0.5), math.log(2.0))))
+    p = SystemParams(a, a * draw(st.floats(0.1, 0.95)), draw(st.floats(0.05, 0.95)) / a, d)
+    s = critical_speed(p) * draw(st.floats(1.01, 2.0))
+    return p, s, draw(st.sampled_from(["default", "nonmonotone-u", "nonmonotone-v"]))
+
+
+class TestCellsAgreeWithGrid:
+    @given(case=strict_weak_draws())
+    @settings(max_examples=60, deadline=None)
+    def test_verdicts_agree_and_passes_are_sound(self, case):
+        p, s, mode = case
+        env = select_and_build(p, s, mode)
+        check = check_cells(env, p, s)
+        grid = make_grid(env)
+        res = check_differential_inequalities(env, p, s, grid)
+        ordering_ok, _ = check_ordering(env, grid)
+        grid_ok = ordering_ok and all(
+            r.max() <= RESIDUAL_TOL if name.endswith("upper") else r.min() >= -RESIDUAL_TOL
+            for name, r in res.items())
+        assert grid_ok == (not check.reasons)
+        if not check.reasons:
+            for name, r in res.items():
+                worst = r.max() if name.endswith("upper") else -r.min()
+                assert worst <= RESIDUAL_TOL, name
+            gaps = check.bounds["u_ordering"].min(), check.bounds["v_ordering"].min()
+            assert min(gaps) >= -ORDERING_TOL

@@ -334,6 +334,21 @@ class TestPulse:
         assert os.path.exists(in_tmp / "pulse_out" / "step_00.csv")
         assert os.path.exists(in_tmp / "pulse_out" / "step_01.json")
 
+    def test_small_a_v_pulse_widens_its_left_edge(self, in_tmp, capsys):
+        # its envelopes reach past iterate's limit on [-80, 600]; the left
+        # edge moves out at h = 0.04
+        code = cli.main(["pulse", "--params", "0.4,0.2,1,1", "--speed", "2.5",
+                         "--target", "b_to_a", "--out", "pulse_out"])
+        capsys.readouterr()
+        assert code == 0
+        summary = json.loads((in_tmp / "pulse_out" / "summary.json").read_text())
+        assert summary["passed"]
+        config = json.loads((in_tmp / "pulse_out" / "step_00.json").read_text())["config"]
+        assert config["left"] < PULSE_CONFIG.left - 200.0
+        assert config["right"] == PULSE_CONFIG.right
+        h = (config["right"] - config["left"]) / (config["n_points"] - 1)
+        assert h == pytest.approx(0.04, rel=1e-12)
+
     def test_operator_flag_keeps_pulse_grid(self, in_tmp, capsys):
         code = cli.main(["pulse", "--params", "1,0.5,0.9,1", "--speed", "2.5",
                          "--steps", "2", "--tol", "1e-7", "--out", "pulse_out"])

@@ -6,7 +6,7 @@ import pytest
 from lvfront import pulse
 from lvfront.model import SystemParams, decay_rates
 from lvfront.certify import certify
-from lvfront.envelopes import bump_extrema, lower_bump
+from lvfront.envelopes import bump_extrema, lower_bump, min_decay_rate
 from lvfront.solve import Profile
 from lvfront.pulse import (
     FINAL_GAP,
@@ -15,10 +15,30 @@ from lvfront.pulse import (
     plan_continuation,
     pulse_tail_diagnostics,
     run_continuation,
+    widen_left_edge,
     _step_params,
 )
 
 P = SystemParams(1.0, 0.5, 0.9, 1.0)
+
+
+class TestLeftEdge:
+    def test_default_pulses_keep_their_domain(self):
+        for p, target in ((P, "c_to_1_over_a"), (SystemParams(1.0, 0.5, 0.5, 1.0), "b_to_a")):
+            plan = plan_continuation(p, 2.5, target, 8)
+            assert widen_left_edge(plan, keep_h=True) is plan
+
+    def test_small_a_v_pulse_moves_left_by_the_solve_rule(self):
+        plan = plan_continuation(SystemParams(0.4, 0.2, 1.0, 1.0), 2.5, "b_to_a", 8)
+        wide = widen_left_edge(plan, keep_h=False)
+        envs = [certify(_step_params(plan, x), 2.5, knobs=plan.knobs).envelope
+                for x in plan.steps]
+        assert wide.config.left == min(min(env.join_points) - 45.0 / min_decay_rate(env)
+                                       for env in envs)
+        assert wide.config.n_points == plan.config.n_points
+        kept = widen_left_edge(plan, keep_h=True).config
+        assert kept.left <= wide.config.left < kept.left + 0.04
+        assert (kept.right - kept.left) / (kept.n_points - 1) == pytest.approx(0.04, rel=1e-12)
 
 
 class TestPlan:
