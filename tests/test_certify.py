@@ -221,14 +221,11 @@ class TestGridConstruction:
             assert np.array_equal(make_grid(shifted, n_points), expected)
 
 
-#: the critical cases of POINTWISE_CASES, with the ids they have there
-CRITICAL_CASES = [pytest.param(p, s, mode, id=f"p{i}-{s}-{mode}")
-                  for i, (p, s, mode) in enumerate(POINTWISE_CASES) if s == critical_speed(p)]
-
-
 class TestOneJetPerCertificate:
-    @pytest.mark.parametrize("p,s,mode", CRITICAL_CASES)
+    @pytest.mark.parametrize("p,s,mode", POINTWISE_CASES)
     def test_one_jet_and_same_results(self, p, s, mode, monkeypatch):
+        # one jet of order 2 at s*; none above it, where the signs are
+        # decided cell by cell
         calls = []
         jet = EnvelopeSet.jet
 
@@ -238,10 +235,21 @@ class TestOneJetPerCertificate:
 
         monkeypatch.setattr(EnvelopeSet, "jet", counted)
         cert = certify(p, s, mode=mode)
-        assert calls == [2]
         monkeypatch.undo()
-
         env = cert.envelope
+
+        if s != critical_speed(p):
+            assert calls == []
+            assert cert.passed
+            cells = check_cells(env, p, s)
+            assert list(cert.inequality_margins) == ["u_upper", "u_lower", "v_upper", "v_lower"]
+            for name in cert.inequality_margins:
+                assert np.array_equal(cert.inequality_margins[name], cells.bounds[name]), name
+            gap = min(cells.bounds["u_ordering"].min(), cells.bounds["v_ordering"].min())
+            assert (cert.ordering_ok, cert.ordering_gap) == (True, gap)
+            return
+
+        assert calls == [2]
         grid = make_grid(env)
         res = check_differential_inequalities(env, p, s, grid)
         assert list(cert.inequality_margins) == list(res)
@@ -249,18 +257,9 @@ class TestOneJetPerCertificate:
             assert np.array_equal(cert.inequality_margins[name], res[name]), name
         assert (cert.ordering_ok, cert.ordering_gap) == check_ordering(env, grid)
 
-    def test_supercritical_certificates_evaluate_no_jet(self, monkeypatch):
-        def no_jet(self, x, order=0):
-            raise AssertionError("EnvelopeSet.jet called")
-
-        monkeypatch.setattr(EnvelopeSet, "jet", no_jet)
-        for p, s, mode in POINTWISE_CASES:
-            if s != critical_speed(p):
-                assert certify(p, s, mode=mode).passed
-
 
 #: the critical parameter sets of POINTWISE_CASES
-CRITICAL_SETS = list(dict.fromkeys(case.values[0] for case in CRITICAL_CASES))
+CRITICAL_SETS = list(dict.fromkeys(p for p, s, mode in POINTWISE_CASES if s == critical_speed(p)))
 
 
 class TestCriticalLadder:
