@@ -435,11 +435,11 @@ def select_and_build(p: SystemParams, s: float, mode: str = "default",
 
 
 def certify(p: SystemParams, s: float, mode: str = "default",
-            knobs: SelectionKnobs = None, n_points: int = 20001) -> Certificate:
+            knobs: SelectionKnobs = None) -> Certificate:
     """Build envelopes for (p, s) and verify all bracketing conditions.
 
     Above s* the signs are decided cell by cell (check_cells); at s* on the
-    grid of make_grid(env, n_points).
+    grid of make_grid(env).
     """
     adm = admissibility(p, s)
     if not adm.admissible:
@@ -458,7 +458,7 @@ def certify(p: SystemParams, s: float, mode: str = "default",
         left, right = grid_span(env)
         grid_desc = {"left": left, "right": right, "cells": cells.cells}
     else:
-        grid = make_grid(env, n_points)
+        grid = make_grid(env)
         jet = env.jet(grid, 2)
         ordering_ok, gap = _ordering(jet[:, 0])
         margins = check_differential_inequalities(env, p, s, grid, jet=jet)

@@ -13,8 +13,8 @@ verified in :mod:`lvfront.certify` hold with positive margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from scipy.optimize import brentq
@@ -319,7 +319,6 @@ class SupercriticalParams:
     q2: float
     delta1: float
     delta2: float
-    margins: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -339,7 +338,6 @@ class CriticalParams:
     qhat2: Optional[float] = None
     muhat2: Optional[float] = None
     Qhat2: Optional[float] = None
-    margins: Dict[str, float] = field(default_factory=dict)
 
     @property
     def case(self) -> str:
@@ -393,7 +391,6 @@ class BumpConstants(NamedTuple):
     lam: float
     cap: float
     mu: float
-    denom: float
     floor: float
     q: float
 
@@ -440,7 +437,7 @@ def lower_bump(p: SystemParams, s: float, component: str,
         q = Q_SAFETY * floor
         if overshoot and denom > 0.0:
             q = max(2.0 / denom, q)
-    return BumpConstants(coef, lam, cap, mu, denom, floor, q)
+    return BumpConstants(coef, lam, cap, mu, floor, q)
 
 
 class InadmissibleBump(ValueError):
@@ -455,11 +452,11 @@ def check_bumps(*bumps: BumpConstants) -> None:
         raise InadmissibleBump("q below its selection floor")
 
 
-def _deltas(p: SystemParams, max1: float, max2: float):
-    """The caps min(coexistence gap, lower-bump maximum) of delta1 and
-    delta2, and each delta at DELTA_FRACTION of its cap."""
-    caps = (min(1.0 - p.a * p.c, max1), min(p.a - p.b, max2))
-    return caps, tuple(DELTA_FRACTION * cap for cap in caps)
+def _deltas(p: SystemParams, max1: float, max2: float) -> Tuple[float, float]:
+    """delta1 and delta2, each at DELTA_FRACTION of its cap min(coexistence
+    gap, lower-bump maximum)."""
+    return (DELTA_FRACTION * min(1.0 - p.a * p.c, max1),
+            DELTA_FRACTION * min(p.a - p.b, max2))
 
 
 def select_supercritical(p: SystemParams, s: float,
@@ -476,13 +473,10 @@ def select_supercritical(p: SystemParams, s: float,
     u = lower_bump(p, s, "u", knobs.mu1, knobs.q1, knobs.nonmonotone_u)
     v = lower_bump(p, s, "v", knobs.mu2, knobs.q2, knobs.nonmonotone_v)
     check_bumps(u, v)
-    (cap1, cap2), (delta1, delta2) = _deltas(p, _bump(u.coef, u.lam, u.mu, u.q).fmax,
-                                             _bump(v.coef, v.lam, v.mu, v.q).fmax)
-    margins = {"mu1_cap": u.cap - u.mu, "mu2_cap": v.cap - v.mu,
-               "q1_floor": u.q - u.floor, "q2_floor": v.q - v.floor,
-               "delta1_cap": cap1 - delta1, "delta2_cap": cap2 - delta2}
+    delta1, delta2 = _deltas(p, _bump(u.coef, u.lam, u.mu, u.q).fmax,
+                             _bump(v.coef, v.lam, v.mu, v.q).fmax)
     return SupercriticalParams(mu1=u.mu, mu2=v.mu, q1=u.q, q2=v.q,
-                               delta1=delta1, delta2=delta2, margins=margins)
+                               delta1=delta1, delta2=delta2)
 
 
 def _critical_q_search(lam: float, h: float, dcoef: float, coupling: float,
@@ -544,7 +538,6 @@ def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -
         qhat1, gmax1 = _critical_q_search(lh1, h1, 1.0, c, _capped_linexp(h2, lh2, a))
         qhat2, gmax2 = _critical_q_search(lh2, h2, d, p.b, _capped_linexp(h1, lh1, 1.0))
         v_shape = dict(h2=h2, qhat2=qhat2)
-        margins = {"gmax1": gmax1, "gmax2": gmax2}
     else:
         # a*d < 1: the v-side keeps its supercritical shape with rates from
         # the (now non-degenerate) second quadratic
@@ -553,10 +546,9 @@ def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -
         qhat1, gmax1 = _critical_q_search(lh1, h1, 1.0, c, _capped_exp(a, v.lam))
         gmax2 = _bump(a, v.lam, v.mu, v.q).fmax
         v_shape = dict(muhat2=v.mu, Qhat2=v.q)
-        margins = {"gmax1": gmax1, "muhat2_cap": v.cap - v.mu, "Qhat2_floor": v.q - v.floor}
-    _, (deltahat1, deltahat2) = _deltas(p, gmax1, gmax2)
+    deltahat1, deltahat2 = _deltas(p, gmax1, gmax2)
     return CriticalParams(h1=h1, qhat1=qhat1, deltahat1=deltahat1, deltahat2=deltahat2,
-                          margins=margins, **v_shape)
+                          **v_shape)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .model import Regime, SystemParams, at_critical_speed, classify_regime, critical_speed
-from .envelopes import SelectionKnobs, lower_bump, lower_bumps, min_decay_rate, select_supercritical
+from .envelopes import (Q_SAFETY, SelectionKnobs, lower_bump, lower_bumps, min_decay_rate,
+                        select_supercritical)
 from .certify import certify, select_and_build
 from .analyze import classify, right_tail_extrema
 from .solve import (
@@ -69,7 +70,6 @@ class PulseResult:
     plan: ContinuationPlan
     steps: List[StepResult]
     limit_profile: Optional[Profile]
-    floor: float
     degenerate_residual: Optional[float]
     degenerate_residual_refined: Optional[float]
     tail_verdicts: dict
@@ -78,7 +78,7 @@ class PulseResult:
     @property
     def passed(self) -> bool:
         return (self.failure_index is None
-                and all(st.floor_ok for st in self.steps)
+                and all(st.certified and st.floor_ok for st in self.steps)
                 and all(self.tail_verdicts.values()))
 
 
@@ -104,7 +104,8 @@ def plan_continuation(p_base: SystemParams, s: float, target: str,
 
     Step distances to the limit halve each step; the final step is forced
     to within LIMIT_GAP of it.  The pulsed q (the bump's selection floor at
-    the limit) and the mu placements are computed once and reused at every
+    the limit, times Q_SAFETY where that floor is only its constant term)
+    and the mu placements are computed once and reused at every
     step, which keeps the lower-envelope maximum -- the floor -- fixed.
     """
     if classify_regime(p_base) is not Regime.STRICT_WEAK:
@@ -132,7 +133,13 @@ def plan_continuation(p_base: SystemParams, s: float, target: str,
     # a > 1, where the certificate of each v-pulse step would refuse it.
     pulse_u = target == "c_to_1_over_a"
     p_lim = replace(p_base, **{moving: limit})
-    q = lower_bump(p_lim, s, "u" if pulse_u else "v", None, None, overshoot=True).floor
+    lim = lower_bump(p_lim, s, "u" if pulse_u else "v", None, None, overshoot=True)
+    q = lim.floor
+    if q == max(1.0, lim.coef):
+        # the floor is only its constant term, at the limit and so at the
+        # base too (neither the mu cap nor the denominator moves), and the
+        # selection needs q strictly above the base floor
+        q *= Q_SAFETY
     pinned = (SelectionKnobs(nonmonotone_u=True, q1=q) if pulse_u
               else SelectionKnobs(nonmonotone_v=True, q2=q))
     ep = select_supercritical(p_base, s, pinned)
@@ -227,7 +234,7 @@ def run_continuation(plan: ContinuationPlan, refine: bool = True) -> PulseResult
             prof2, _ = iterate(cert.envelope, p_k, s, cfg2, warm_start=warm2)
             deg_res_fine = ode_residual(prof2, p_lim)
     return PulseResult(plan=plan, steps=results, limit_profile=limit_prof,
-                       floor=plan.floor, degenerate_residual=deg_res,
+                       degenerate_residual=deg_res,
                        degenerate_residual_refined=deg_res_fine,
                        tail_verdicts=tails, failure_index=failure)
 
@@ -279,7 +286,7 @@ def write_pulse_result(res: PulseResult, out_dir: str,
         "target": res.plan.target,
         "speed": res.plan.speed,
         "steps": list(res.plan.steps),
-        "floor": res.floor,
+        "floor": res.plan.floor,
         "max_pulsed": [st.max_pulsed for st in res.steps],
         "floor_ok": [st.floor_ok for st in res.steps],
         "iterations": [st.report.iterations_used for st in res.steps],

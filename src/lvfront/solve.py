@@ -342,21 +342,24 @@ def _clipped_newton(X, p: SystemParams, s: float, beta, h: float, star,
     n = X.shape[1]
     kernels = [_kernel_bands(h, al, ga, dc, n)
                for (al, ga), dc in zip(kernel_rates(p, s, beta), (1.0, p.d))]
-    for _ in range(NEWTON_MAX_STEPS):
-        PX = np.array(apply_P(X[0], X[1], p, s, beta, h, star))
-        active = (PX <= lo) | (PX >= hi)
-        try:
-            # e's right-hand side (u, -v) points up in the mixed order
-            step, e = _newton_solve(X, [np.clip(PX, lo, hi) - X, X * [[1.0], [-1.0]]],
-                                    active, p, beta, kernels)
-        except np.linalg.LinAlgError:
-            return None
-        scale = np.maximum(np.abs(X), np.finfo(float).tiny)
-        X = X + step
-        if not np.all(np.isfinite(X)):
-            return None
-        if np.max(np.abs(step) / scale) <= NEWTON_TOL:
-            return X, e
+    # a diverging Newton overflows in its row scaling before its iterate
+    # turns non-finite; that exit, not a warning, reports the failure
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(NEWTON_MAX_STEPS):
+            PX = np.array(apply_P(X[0], X[1], p, s, beta, h, star))
+            active = (PX <= lo) | (PX >= hi)
+            try:
+                # e's right-hand side (u, -v) points up in the mixed order
+                step, e = _newton_solve(X, [np.clip(PX, lo, hi) - X, X * [[1.0], [-1.0]]],
+                                        active, p, beta, kernels)
+            except np.linalg.LinAlgError:
+                return None
+            scale = np.maximum(np.abs(X), np.finfo(float).tiny)
+            X = X + step
+            if not np.all(np.isfinite(X)):
+                return None
+            if np.max(np.abs(step) / scale) <= NEWTON_TOL:
+                return X, e
     return None
 
 
@@ -414,27 +417,21 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
         beta = pair_shifts(X)
 
     def pair_step(X, beta):
-        """(the clipped P of each sequence, clip events, worst clip)."""
-        nX, events, worst = [], 0, 0.0
-        for x in X:
+        """(the clipped P of each sequence, clip events, escapes): each
+        escape is a clip above CLIP_ABORT_TOL, as (size, index of the worst
+        point, component and pair).  A warm start's one sequence is named
+        the upper pair."""
+        nX, events, escapes = [], 0, []
+        for pair, x in zip(("upper", "lower"), X):
             y = list(apply_P(*x, p, s, beta, h, star))
             for k in (0, 1):
-                y[k], ev, w = _clip_to(y[k], lo[k], hi[k]); events += ev; worst = max(worst, w)
+                excursion = y[k]   # _clip_to overwrites it with the excursion
+                y[k], ev, w = _clip_to(excursion, lo[k], hi[k]); events += ev
+                if w > CLIP_ABORT_TOL:
+                    escapes.append((w, int(np.argmax(np.abs(excursion))),
+                                    f"{'uv'[k]} of the {pair} pair"))
             nX.append(tuple(y))
-        return nX, events, worst
-
-    def escape_site(X, beta):
-        """Size, xi, component and pair of the worst clip of the step from X
-        under beta, recomputed for the abort message.  A warm start's one
-        sequence is named the upper pair."""
-        worst = (-math.inf, 0, "")
-        for pair, x in zip(("upper", "lower"), X):
-            for comp, Y, l, u in zip("uv", apply_P(*x, p, s, beta, h, star), lo, hi):
-                excursion = np.maximum(Y - u, l - Y)
-                i = int(np.argmax(excursion))
-                worst = max(worst, (float(excursion[i]), i, f"{comp} of the {pair} pair"))
-        size, i, where = worst
-        return f"clip of {size:.3g} in {where} at xi = {grid[i]:.6g} (h = {h:.3g})"
+        return nX, events, escapes
 
     def hand_over(X, beta):
         """Newton from the pair's midpoint under beta and, with adaptive
@@ -453,10 +450,10 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
         eps = 0.25 * cfg.tol / np.max(np.abs(e))
         seed = [tuple(np.clip(x + eps * e, lo2, hi2)), tuple(np.clip(x - eps * e, lo2, hi2))]
         nxt = pair_step(seed, beta)
-        ((nAu, nAv), (nBu, nBv)), _, worst = nxt
+        ((nAu, nAv), (nBu, nBv)), _, escapes = nxt
         (sAu, sAv), (sBu, sBv) = seed
         # a discrete super- and sub-solution pair in the mixed order
-        verified = (worst <= CLIP_ABORT_TOL
+        verified = (not escapes
                     and np.all(sBu <= sAu) and np.all(sAv <= sBv)
                     and np.all(nAu <= sAu) and np.all(nAv >= sAv)
                     and np.all(nBu >= sBu) and np.all(nBv <= sBv))
@@ -476,9 +473,11 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
                 X, beta, nxt = seeded
         if nxt is None:
             nxt = pair_step(X, beta)
-        nX, step_events, worst = nxt
-        if worst > CLIP_ABORT_TOL:
-            raise ValueError("iteration escaped envelope: " + escape_site(X, beta))
+        nX, step_events, escapes = nxt
+        if escapes:
+            size, i, where = max(escapes)
+            raise ValueError(f"iteration escaped envelope: clip of {size:.3g} in {where} "
+                             f"at xi = {grid[i]:.6g} (h = {h:.3g})")
         violations.append(step_events)
 
         step = max(max_abs_diff(y, x) for new, old in zip(nX, X) for y, x in zip(new, old))

@@ -88,7 +88,7 @@ def test_certificate_parameter_sweep():
                 i += 1
                 s_star = critical_speed(p)
                 for s in (s_star + 0.1, s_star + 1.0, 2.0 * s_star):
-                    cert = certify(p, s, n_points=4001)
+                    cert = certify(p, s)
                     assert cert.passed, (p, s, cert.min_margins)
     for a, d in [(1.0, 1.0), (0.5, 1.0)]:
         p = SystemParams(a, 0.5 * a, 0.5 / a, d)
@@ -171,7 +171,7 @@ def test_pulse_continuation(pulse_run):
     assert res.failure_index is None
     for st in res.steps:
         assert st.report.converged
-        assert st.max_pulsed >= res.floor - 1e-8
+        assert st.max_pulsed >= res.plan.floor - 1e-8
     lp = res.limit_profile
     assert abs(lp.u[-1]) <= 1e-2
     assert abs(lp.v[-1] - 1.0) <= 1e-2

@@ -23,7 +23,8 @@ from lvfront.certify import (
     make_grid,
     select_and_build,
 )
-from lvfront.envelopes import Q_SAFETY, EnvelopeSet, _bump, _capped_lower, min_decay_rate
+from lvfront.envelopes import (Q_SAFETY, EnvelopeSet, _bump, _capped_lower, build_envelopes,
+                               min_decay_rate)
 
 #: the module, which the package's certify function shadows
 certify_module = importlib.import_module("lvfront.certify")
@@ -59,10 +60,19 @@ class TestCertify:
         with pytest.raises(ValueError, match="unsupported regime"):
             certify(SystemParams(1.0, 2.0, 2.0, 1.0), 3.0)
 
-    def test_refinement_does_not_flip(self):
-        coarse = certify(P, 3.0, n_points=2001)
-        fine = certify(P, 3.0, n_points=8001)
-        assert coarse.passed and fine.passed
+    @pytest.mark.parametrize("mutate,reason", [
+        # half the ladder's q-hat leaves the u g-bump too tall for a sub-solution
+        (lambda env: build_envelopes(P, 2.0, dataclasses.replace(
+            env.params, qhat1=0.5 * env.params.qhat1)), "u_lower = -0.074 at xi = -2.53091"),
+        (lambda env: dataclasses.replace(env, u_upper=env.u_upper.shifted(1.0)),
+         "ordering gap = -5.46e-08"),
+    ])
+    def test_critical_certificate_names_the_reason(self, mutate, reason, monkeypatch):
+        env = mutate(select_and_build(P, 2.0))
+        monkeypatch.setattr(certify_module, "select_and_build", lambda *args: env)
+        cert = certify(P, 2.0)
+        assert cert.verdict == "fail"
+        assert cert.reason == reason
 
     def test_json_summary_shape(self):
         cert = certify(P, 3.0)

@@ -1,5 +1,6 @@
 """Command-line surface: flags, config files, exit codes, file outputs."""
 
+import importlib
 import json
 import os
 import re
@@ -10,10 +11,13 @@ import pytest
 
 from lvfront import cli, pulse
 from lvfront.certify import certify
-from lvfront.envelopes import min_decay_rate
+from lvfront.envelopes import build_envelopes, min_decay_rate
 from lvfront.model import SystemParams
 from lvfront.solve import CLIP_ABORT_TOL
 from lvfront.pulse import PULSE_CONFIG
+
+#: the module, which the package's certify function shadows
+certify_module = importlib.import_module("lvfront.certify")
 
 
 @pytest.fixture()
@@ -229,6 +233,20 @@ class TestSolve:
         assert "error" in json.loads((in_tmp / "crit.json").read_text())
         assert not (in_tmp / "crit").exists()
 
+    def test_failed_certificate_goes_to_out_json(self, in_tmp, monkeypatch, capsys):
+        # an s* envelope set whose u g-bump has half its q-hat fails the
+        # u_lower inequality; nothing is solved
+        env = certify_module.select_and_build(SystemParams(1.0, 0.5, 0.5, 1.0), 2.0)
+        env = build_envelopes(env.system, 2.0, replace(env.params, qhat1=0.5 * env.params.qhat1))
+        monkeypatch.setattr(certify_module, "select_and_build", lambda *args: env)
+        assert cli.main(["solve", "--params", "1,0.5,0.5,1", "--speed", "2",
+                         "--out", "crit"]) == 2
+        capsys.readouterr()
+        cert = json.loads((in_tmp / "crit.json").read_text())["certificate"]
+        assert cert["verdict"] == "fail"
+        assert cert["reason"].startswith("u_lower = ")
+        assert not (in_tmp / "crit.csv").exists()
+
     def test_critical_speed_converges(self, in_tmp, capsys):
         # the slowly contracting pair at s* is handed over to Newton
         code = cli.main(["solve", "--params", "1,0.5,0.5,1", "--speed", "2",
@@ -348,6 +366,55 @@ class TestPulse:
         assert config["right"] == PULSE_CONFIG.right
         h = (config["right"] - config["left"]) / (config["n_points"] - 1)
         assert h == pytest.approx(0.04, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_small_a_v_pulse_with_a_constant_limit_floor(self, in_tmp, capsys):
+        # the limit floor is its constant term, so q is Q_SAFETY times it;
+        # the first step's Newton hand-over fails without a warning
+        code = cli.main(["pulse", "--params", "0.3,0.15,1,1", "--speed", "2.5",
+                         "--target", "b_to_a", "--out", "pulse_out"])
+        assert not capsys.readouterr().err
+        assert code == 0
+        summary = json.loads((in_tmp / "pulse_out" / "summary.json").read_text())
+        assert summary["passed"]
+        assert summary["iterations"][0] == 247
+
+    def test_uncertified_step_fails_the_pulse(self, in_tmp, monkeypatch, capsys):
+        calls = []
+
+        def second_fails(*args, **kwargs):
+            cert = certify(*args, **kwargs)
+            calls.append(cert)
+            return replace(cert, verdict="fail") if len(calls) == 2 else cert
+
+        monkeypatch.setattr(pulse, "certify", second_fails)
+        code = cli.main(["pulse", "--params", "1,0.5,0.5,1", "--speed", "2.5",
+                         "--target", "b_to_a", "--steps", "2", "--out", "pulse_out"])
+        capsys.readouterr()
+        assert code == 2
+        summary = json.loads((in_tmp / "pulse_out" / "summary.json").read_text())
+        assert summary["failure_index"] is None and all(summary["floor_ok"])
+        assert not summary["passed"]
+
+    def test_error_during_the_run_exits_three(self, in_tmp, capsys):
+        # a given domain is not widened, and this one is too small
+        code = cli.main(["pulse", "--params", "1,0.5,0.9,1", "--speed", "2.5",
+                         "--domain=-5,600", "--out", "pulse_out"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert out["error"] == "domain too small"
+        assert not (in_tmp / "pulse_out").exists()
+
+    def test_unconverged_step_exits_three(self, in_tmp, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "PULSE_CONFIG", replace(PULSE_CONFIG, max_iters=5))
+        code = cli.main(["pulse", "--params", "1,0.5,0.9,1", "--speed", "2.5",
+                         "--out", "pulse_out"])
+        capsys.readouterr()
+        assert code == 3
+        summary = json.loads((in_tmp / "pulse_out" / "summary.json").read_text())
+        assert summary["failure_index"] == 0
+        assert summary["iterations"] == [5]
+        assert not summary["passed"]
 
     def test_operator_flag_keeps_pulse_grid(self, in_tmp, capsys):
         code = cli.main(["pulse", "--params", "1,0.5,0.9,1", "--speed", "2.5",

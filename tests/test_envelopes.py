@@ -227,11 +227,6 @@ class TestBuiltEnvelopes:
 
 
 class TestSelection:
-    def test_margins_positive(self):
-        ep = select_supercritical(P, 3.0)
-        for name, val in ep.margins.items():
-            assert val > 0.0, name
-
     def test_subcritical_rejected(self):
         with pytest.raises(ValueError, match="subcritical"):
             select_supercritical(P, 1.5)
@@ -422,7 +417,7 @@ class TestParamsTypes:
         ep = select_supercritical(P, 3.0)
         assert isinstance(ep, SupercriticalParams)
         names = [f.name for f in dataclasses.fields(ep)]
-        assert names == ["mu1", "mu2", "q1", "q2", "delta1", "delta2", "margins"]
+        assert names == ["mu1", "mu2", "q1", "q2", "delta1", "delta2"]
         assert all(getattr(ep, name) is not None for name in names)
         for name in ("h1", "h2", "qhat1", "qhat2", "muhat2", "Qhat2", "xi1", "xihat1"):
             assert not hasattr(ep, name), name

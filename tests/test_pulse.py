@@ -1,13 +1,15 @@
 """Continuation toward the degenerate limit and the pulse diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from lvfront import pulse
 from lvfront.model import SystemParams, decay_rates
 from lvfront.certify import certify
-from lvfront.envelopes import bump_extrema, lower_bump, min_decay_rate
-from lvfront.solve import Profile
+from lvfront.envelopes import Q_SAFETY, bump_extrema, lower_bump, min_decay_rate
+from lvfront.solve import Profile, iterate
 from lvfront.pulse import (
     FINAL_GAP,
     LIMIT_GAP,
@@ -130,6 +132,16 @@ class TestPlan:
         limit = lower_bump(degenerate_system(plan), 2.5, component, None, None, overshoot=True)
         assert q == limit.floor
 
+    def test_constant_floor_at_the_limit_takes_the_safety_margin(self):
+        # at a = 0.3 the limit floor is its constant term max(1, a) = 1, the
+        # base floor too, which the selection refuses as a pin
+        p = SystemParams(0.3, 0.15, 1.0, 1.0)
+        plan = plan_continuation(p, 2.5, "b_to_a", 8)
+        limit = lower_bump(degenerate_system(plan), 2.5, "v", None, None, overshoot=True)
+        assert limit.floor == 1.0
+        assert plan.knobs.q2 == Q_SAFETY * limit.floor
+        assert certify(p, 2.5, knobs=plan.knobs).passed
+
 
 @pytest.fixture(scope="module")
 def short_run():
@@ -206,6 +218,20 @@ class TestDiagnostics:
         diag = pulse_tail_diagnostics(self._profile(u, v, g),
                                       SystemParams(1.0, 0.5, 1.0, 1.0))
         assert diag.peak_bound_ok is not None
+
+
+def test_failed_newton_hand_over_warns_nothing():
+    # the small-a v-pulse's first step: Newton diverges, its row scales
+    # overflow, and Picard goes on from where the hand-over began
+    plan = plan_continuation(SystemParams(0.3, 0.15, 1.0, 1.0), 2.5, "b_to_a", 8)
+    plan = widen_left_edge(plan, keep_h=True)
+    p0 = _step_params(plan, plan.steps[0])
+    env = certify(p0, 2.5, knobs=plan.knobs).envelope
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, rep = iterate(env, p0, 2.5, plan.config)
+    assert rep.handover == "newton_failed"
+    assert rep.converged and rep.iterations_used == 247
 
 
 def test_one_certificate_per_step(monkeypatch):
