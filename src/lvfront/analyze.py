@@ -204,7 +204,7 @@ def oscillation_coupling(prof: Profile) -> OscillationCheck:
     """Alarm: near +infinity either both components oscillate or neither
     (see right_tail_extrema)."""
     if not prof.converged:
-        raise ValueError("classify requires converged profile")
+        raise ValueError("oscillation_coupling requires converged profile")
     osc_u, _ = right_tail_extrema(prof, "u")
     osc_v, _ = right_tail_extrema(prof, "v")
     return OscillationCheck(u_oscillates=osc_u, v_oscillates=osc_v,

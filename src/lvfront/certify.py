@@ -37,7 +37,7 @@ from .envelopes import (
     SelectionKnobs,
     SupercriticalParams,
     build_envelopes,
-    min_decay_rate,
+    left_reach,
     select_critical,
     select_supercritical,
 )
@@ -101,7 +101,7 @@ class Certificate:
 def grid_span(env: EnvelopeSet) -> Tuple[float, float]:
     """[leftmost join - 40/lam_min, 30]: the span of make_grid, and the
     span that a certificate reports in either case."""
-    return min(env.join_points) - 40.0 / min_decay_rate(env), 30.0
+    return left_reach(env, 40.0), 30.0
 
 
 def make_grid(env: EnvelopeSet, n_points: int = 20001) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .model import SystemParams, admissibility, critical_speed, decay_rates
-from .envelopes import SelectionKnobs, min_decay_rate
+from .envelopes import SOLVE_REACH, SelectionKnobs, left_reach
 from .certify import certify, certificate_to_json
 from .solve import (OperatorConfig, iterate, tail_check, with_tail_report, write_csv,
                     write_profile)
@@ -255,9 +255,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         return EXIT_CRITERION
     ocfg = _operator_config(cfg, OperatorConfig())
     if cfg.domain is None:
-        # deep enough left end that boundary truncation of the slowest
-        # envelope mode stays below the sandwich-abort threshold
-        left = min(cert.envelope.join_points) - 45.0 / min_decay_rate(cert.envelope)
+        left = left_reach(cert.envelope, SOLVE_REACH)
         ocfg = replace(ocfg, left=min(ocfg.left, left), right=max(ocfg.right, 120.0))
     try:
         prof, report = iterate(cert.envelope, p, s, ocfg)

@@ -38,6 +38,12 @@ THETA_MU = 0.5
 #: mu placement in the overshoot modes, near the top of the interval where
 #: the lower-envelope maximum is largest
 THETA_MU_NONMONOTONE = 0.9
+#: decay lengths (left_reach) from the leftmost join to the default left edge
+#: of a solve: the slowest mode's truncation stays below the sandwich-abort
+#: threshold
+SOLVE_REACH = 45.0
+#: iterate refuses a left edge at or right of left_reach(env, MIN_REACH)
+MIN_REACH = 10.0
 #: distances left of the g-bump zero that _critical_q_search checks in
 #: addition to its uniform grid, largest first so that xi0 - offsets ascends
 _LADDER_OFFSETS = np.geomspace(1e-9, 1.0, 500)[::-1]
@@ -643,3 +649,8 @@ def min_decay_rate(env: EnvelopeSet) -> float:
     """Slower of the two decay rates backing an envelope set."""
     r = decay_rates(env.system, env.speed)
     return min(r.lambda1, r.lambda2)
+
+
+def left_reach(env: EnvelopeSet, lengths: float) -> float:
+    """The point `lengths` decay lengths 1/lam_min left of the leftmost join."""
+    return min(env.join_points) - lengths / min_decay_rate(env)

@@ -18,8 +18,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .model import Regime, SystemParams, at_critical_speed, classify_regime, critical_speed
-from .envelopes import (Q_SAFETY, SelectionKnobs, lower_bump, lower_bumps, min_decay_rate,
-                        select_supercritical)
+from .envelopes import (MIN_REACH, Q_SAFETY, SOLVE_REACH, SelectionKnobs, left_reach,
+                        lower_bump, lower_bumps, select_supercritical)
 from .certify import certify, select_and_build
 from .analyze import classify, right_tail_extrema
 from .solve import (
@@ -152,19 +152,19 @@ def plan_continuation(p_base: SystemParams, s: float, target: str,
 
 
 def widen_left_edge(plan: ContinuationPlan, keep_h: bool) -> ContinuationPlan:
-    """plan with its left edge moved to the minimum over steps of min join -
-    45/lam_min, the rule of `lvfront solve`, if some step's envelopes reach
-    the left edge of iterate's "domain too small" test (min join -
-    10/lam_min); otherwise plan itself.  keep_h keeps the grid spacing by
-    adding points, the left edge rounded out to a whole number of steps.
+    """plan with its left edge moved to the minimum over steps of
+    left_reach(env, SOLVE_REACH), the rule of `lvfront solve`, if some step's
+    envelopes reach the left edge of iterate's "domain too small" test
+    (left_reach(env, MIN_REACH)); otherwise plan itself.  keep_h keeps the grid
+    spacing by adding points, the left edge rounded out to a whole number of
+    steps.
     """
     cfg = plan.config
-    envs = (select_and_build(_step_params(plan, value), plan.speed, knobs=plan.knobs)
-            for value in plan.steps)
-    edges = [(min(env.join_points), min_decay_rate(env)) for env in envs]
-    if all(join - 10.0 / lam > cfg.left for join, lam in edges):
+    envs = [select_and_build(_step_params(plan, value), plan.speed, knobs=plan.knobs)
+            for value in plan.steps]
+    if all(left_reach(env, MIN_REACH) > cfg.left for env in envs):
         return plan
-    left = min(join - 45.0 / lam for join, lam in edges)
+    left = min(left_reach(env, SOLVE_REACH) for env in envs)
     n_points = cfg.n_points
     if keep_h:
         h = (cfg.right - cfg.left) / (cfg.n_points - 1)

@@ -20,16 +20,15 @@ NEWTON_WINDOW steps, after NEWTON_WARMUP steps, the pair is handed over
 once to a semismooth Newton method on the clipped map x = clip(P(x), lo, hi)
 (Qi & Sun, Math. Programming 58, 1993).  The clip pins the wave's
 translation, so no phase condition is needed.  Its Jacobian is banded:
-_kernel_bands writes each kernel as T^-1 M with T tridiagonal and M
-tridiagonal plus one dense row.  Newton runs under the pair's shifts and
-again under shift_bounds of its answer x; from the margin direction e,
-(I - Pi DP) e = (u, -v), it seeds the pair x +- eps*e.  The next pair step,
-under the same shifts, must map the seeded pair inside itself in the mixed
-order, exactly: a discrete super- and sub-solution pair (Sattinger, Indiana
-Univ. Math. J. 21, 1972).  The pair loop then goes on unchanged.  If Newton
-fails or the check does not hold, the seed is dropped and the run is the
-one that never handed over, bit for bit.  IterationReport.handover says
-which happened.
+_kernel_bands writes each kernel as T^-1 M with T and M tridiagonal.  Newton
+runs under the pair's shifts and again under shift_bounds of its answer x;
+from the margin direction e, (I - Pi DP) e = (u, -v), it seeds the pair
+x +- eps*e.  The next pair step, under the same shifts, must map the seeded
+pair inside itself in the mixed order, exactly: a discrete super- and
+sub-solution pair (Sattinger, Indiana Univ. Math. J. 21, 1972).  The pair
+loop then goes on unchanged.  If Newton fails or the check does not hold,
+the seed is dropped and the run is the one that never handed over, bit for
+bit.  IterationReport.handover says which happened.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from scipy.linalg.lapack import dgbsv
 from scipy.signal import lfilter
 
 from .model import SystemParams, equilibria
-from .envelopes import EnvelopeSet, min_decay_rate
+from .envelopes import MIN_REACH, EnvelopeSet, left_reach
 
 #: clip adjustments larger than this count as sandwich violations
 CLIP_EVENT_TOL = 1e-9
@@ -243,30 +242,25 @@ def _clip_to(arr: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 def _kernel_bands(h: float, alpha: float, gamma: float, dcoef: float, n: int):
     """Banded form of one kernel: T @ _kernel_apply(F) = M @ F + tail terms.
 
-    With S the down-shift and k = dcoef * (gamma - alpha), the two
-    recurrences multiply out to T = k (I - ea S)(I - eg S^T), which is
-    tridiagonal, and M = (I - eg S^T) B_L + (I - ea S) B_R + ea eg e_{n-1} w^T,
-    tridiagonal plus a dense last row, where B_L, B_R are the recurrences'
-    bidiagonal weights and w_j = c2 ea^(n-1-j) [j >= 1] + c1 ea^(n-2-j)
-    [j <= n-2] sums the left recurrence into the last point.  The tail
-    terms vanish when F_left = F_right = 0.  Returns (T, M, last): T and M
-    in solve_banded's (1, 1) layout, band[1 + i - j, j] = A[i, j], and
-    last = ea eg w.
+    With S the down-shift and k = dcoef * (gamma - alpha), T is
+    k (I - ea S)(I - eg S^T) in every row but the first and the last, which
+    keep only k (I - eg S^T)'s and k (I - ea S)'s row: there L_0 and
+    R_{n-1} are the tail constants, so no recurrence needs undoing.  Then
+    M = (I - eg S^T) B_L + (I - ea S) B_R, with B_L, B_R the recurrences'
+    bidiagonal weights, and T and M are tridiagonal.  The tail terms vanish
+    when F_left = F_right = 0.  Returns (T, M) in solve_banded's (1, 1)
+    layout, band[1 + i - j, j] = A[i, j].
     """
     ea, c1, c2, eg, d1, d2 = _kernel_coefficients(h, alpha, gamma)
     k = dcoef * (gamma - alpha)
     T = np.empty((3, n))
     T[0], T[1], T[2] = -k * eg, k * (1.0 + ea * eg), -k * ea
-    T[1, 0] = k
+    T[1, 0] = T[1, -1] = k
     M = np.empty((3, n))
     M[0], M[1], M[2] = d2 - eg * c2, (c2 - ea * d2) + (d1 - eg * c1), c1 - ea * d1
     M[1, 0], M[1, -1] = d1 - eg * c1, c2 - ea * d2
     T[0, 0] = T[2, -1] = M[0, 0] = M[2, -1] = 0.0
-    powers = ea ** np.arange(n - 1, -1, -1)   # ea^(n-1-j)
-    w = np.zeros(n)
-    w[1:] += c2 * powers[1:]
-    w[:-1] += c1 * powers[1:]
-    return T, M, (ea * eg) * w
+    return T, M
 
 
 def _band_apply(band: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -283,9 +277,8 @@ def _newton_solve(X, rhs, active, p: SystemParams, beta, kernels):
     DP = T^-1 M D per component, with D the pointwise 2x2 Jacobian of the
     shifted reactions, and Pi zeroes the active rows.  With z = T^-1 M D
     delta the system is (T - M D Pi) z = M D rhs, delta = rhs + Pi z: banded
-    (3, 3) over the interleaved unknowns (u_0, v_0, u_1, ...) plus the two
-    dense last rows, which a 2x2 capacitance system (Woodbury) takes out.
-    Rows and unknowns are scaled by |X|, whose tails reach 1e-24.
+    (3, 3) over the interleaved unknowns (u_0, v_0, u_1, ...).  Rows and
+    unknowns are scaled by |X|, whose tails reach 1e-24.
     """
     a, b, c = p.a, p.b, p.c
     beta_u, beta_v = _beta_pair(beta)
@@ -298,34 +291,25 @@ def _newton_solve(X, rhs, active, p: SystemParams, beta, kernels):
     # gbsv's band layout, ab[6 + i - j, j] = A[i, j], stored by columns;
     # rows 0-2 take the fill-in of the pivoting
     ab = np.zeros((n, 2, 10))
-    U = np.zeros((2, n, 2))
-    for k, (T, M, last) in enumerate(kernels):
+    for k, (T, M) in enumerate(kernels):
         for l in range(2):
             DPi = D[k][l] * free[l] * W[l]
-            U[k, :, l] = -last * DPi / W[k, -1]
             for dj in (-1, 0, 1):
                 val = -M[1 - dj] * DPi
                 if k == l:
                     val += T[1 - dj] * W[l]
                 rows = np.roll(W[k], dj)   # W[k, j - dj]; the wrapped end is a zero band entry
                 ab[:, l, 6 - 2 * dj + k - l] = val / rows
-    m = len(rhs)
-    B = np.zeros((m + 2, n, 2))
+    B = np.empty((len(rhs), n, 2))
     for i, r in enumerate(rhs):
         Dr = (D[0][0] * r[0] + D[0][1] * r[1], D[1][0] * r[0] + D[1][1] * r[1])
-        for k, (T, M, last) in enumerate(kernels):
-            B[i, :, k] = _band_apply(M, Dr[k])
-            B[i, -1, k] += last @ Dr[k]
-            B[i, :, k] /= W[k]
-    B[m, -1, 0] = B[m + 1, -1, 1] = 1.0
+        for k, (_, M) in enumerate(kernels):
+            B[i, :, k] = _band_apply(M, Dr[k]) / W[k]
     # solve_banded's LAPACK routine, called in place
-    _, _, Y, info = dgbsv(3, 3, ab.reshape(2 * n, 10).T, B.reshape(m + 2, 2 * n).T,
+    _, _, Z, info = dgbsv(3, 3, ab.reshape(2 * n, 10).T, B.reshape(len(rhs), 2 * n).T,
                           overwrite_ab=True, overwrite_b=True)
     if info != 0:
         raise np.linalg.LinAlgError("singular Newton matrix")
-    U = U.reshape(2, 2 * n)
-    Z, Q = Y[:, :m], Y[:, m:]
-    Z = Z - Q @ np.linalg.solve(np.eye(2) + U @ Q, U @ Z)
     return [r + free * W * Z[:, i].reshape(n, 2).T for i, r in enumerate(rhs)]
 
 
@@ -385,8 +369,7 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
     midpoint of the first and last sequence.  A slowly contracting pair is
     handed over to Newton once (module docstring).
     """
-    lam_min = min_decay_rate(env)
-    if cfg.left >= min(env.join_points) - 10.0 / lam_min:
+    if cfg.left >= left_reach(env, MIN_REACH):
         raise ValueError("domain too small")
     beta = cfg.beta
     if beta is not None and beta < beta_floor(p):

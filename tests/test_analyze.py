@@ -61,13 +61,15 @@ class TestClassify:
         prof = synthetic_profile(u, 0.6 * (1.0 + np.tanh(0.3 * g)), grid=g)
         assert classify(prof).tag == "MonotoneBoth"
 
-    def test_requires_convergence(self):
+    @pytest.mark.parametrize("check", [classify, oscillation_coupling],
+                             ids=lambda f: f.__name__)
+    def test_requires_convergence(self, check):
         g = np.linspace(-40.0, 40.0, 101)
         prof = synthetic_profile(np.linspace(0, 1, 101),
                                  np.linspace(0, 0.5, 101), grid=g,
                                  converged=False)
-        with pytest.raises(ValueError, match="converged profile"):
-            classify(prof)
+        with pytest.raises(ValueError, match=f"^{check.__name__} requires converged profile"):
+            check(prof)
 
 
 class TestBoxAlarm:
