@@ -9,13 +9,13 @@ differential inequalities
     d v_up'' - s v_up' + v_up (a - b u_lo - v_up) <= 0,
     d v_lo'' - s v_lo' + v_lo (a - b u_up - v_lo) >= 0.
 
-For s > s* every envelope piece is a sum of terms c e^{r xi}, so on each
-cell between join points every residual and both ordering gaps are such
-sums too; check_cells decides their signs cell by cell on the whole real
-line.  At s = s* the inequalities and the ordering are checked on a dense
-grid, with small exclusion windows around the joins where second
-derivatives are undefined.  Both are floating-point checks, not interval
-arithmetic.
+Every envelope piece is a sum of terms c (-xi)^p e^{r xi}, so on each cell
+between join points every residual and both ordering gaps are such sums
+too; check_cells decides their signs cell by cell on the whole real line,
+at s > s* and at s = s* alike.  This is a floating-point check, not
+interval arithmetic.  make_grid, check_differential_inequalities and
+check_ordering evaluate the same conditions on a dense grid; certify does
+not call them, and the tests keep them as an independent reference.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import math
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -52,7 +53,9 @@ ORDERING_TOL = 1e-12
 #: MAX_CELLS cells at once; a cell still undecided then fails
 MAX_BISECTIONS = 200
 MAX_CELLS = 4096
-#: grid points (s = s* only) closer than this to a join point are skipped
+#: decide_sums halves a cell this many times at once, into 2^_HALVINGS parts
+_HALVINGS = 4
+#: grid points of make_grid closer than this to a join point are skipped
 EXCLUSION_RADIUS = 1e-6
 #: distances from each join at which make_grid adds points on both sides
 _JOIN_OFFSETS = np.geomspace(2.0 * EXCLUSION_RADIUS, 1.0, 80)
@@ -72,12 +75,10 @@ class CornerCheck:
 class Certificate:
     """The verdict on an envelope set and what it rests on.
 
-    Above s*, inequality_margins holds one bound per cell between join
-    points (check_cells), ordering_gap is the smallest cell bound of the
-    two gaps and grid is {left, right, cells}; at s*, the residuals on the
-    grid, the smallest gap on it and the grid's span, size and exclusion
-    radius.  Upper residuals are bounded above, lower ones below, and
-    min_margins holds the worst of each.
+    inequality_margins holds one bound per cell between join points
+    (check_cells), ordering_gap is the smallest cell bound of the two gaps
+    and grid is {left, right, cells}.  Upper residuals are bounded above,
+    lower ones below, and min_margins holds the worst of each.
     """
 
     inequality_margins: Dict[str, np.ndarray]
@@ -88,7 +89,7 @@ class Certificate:
     grid: Dict[str, float]
     verdict: str
     envelope: EnvelopeSet
-    #: xi of each inequality's worst residual (s = s*) or worst cell bound
+    #: xi of each inequality's worst cell bound
     tightest: Dict[str, float] = field(default_factory=dict)
     #: the first failed check, None on a pass
     reason: Optional[str] = None
@@ -100,7 +101,7 @@ class Certificate:
 
 def grid_span(env: EnvelopeSet) -> Tuple[float, float]:
     """[leftmost join - 40/lam_min, 30]: the span of make_grid, and the
-    span that a certificate reports in either case."""
+    span that a certificate reports."""
     return left_reach(env, 40.0), 30.0
 
 
@@ -129,13 +130,7 @@ def make_grid(env: EnvelopeSet, n_points: int = 20001) -> np.ndarray:
 
 def check_ordering(env: EnvelopeSet, grid: np.ndarray) -> Tuple[bool, float]:
     """Pointwise u_lower <= u_upper and v_lower <= v_upper on the sorted grid."""
-    return _ordering(env.jet(grid)[:, 0])
-
-
-def _ordering(values: np.ndarray) -> Tuple[bool, float]:
-    """check_ordering from the (4, n) values of u_upper, u_lower, v_upper
-    and v_lower."""
-    uu, ul, vu, vl = values
+    uu, ul, vu, vl = env.jet(grid)[:, 0]
     worst = float(min((uu - ul).min(), (vu - vl).min()))
     return worst >= -ORDERING_TOL, worst
 
@@ -160,26 +155,15 @@ def check_corners(env: EnvelopeSet) -> List[CornerCheck]:
 
 
 def check_differential_inequalities(env: EnvelopeSet, p: SystemParams, s: float,
-                                    grid: np.ndarray, *,
-                                    jet: Optional[np.ndarray] = None) -> Dict[str, np.ndarray]:
+                                    grid: np.ndarray) -> Dict[str, np.ndarray]:
     """Signed residuals of the four inequalities from closed-form derivatives
-    on the sorted grid, with one jet (value, first, second) per envelope.
-
-    jet, if given, is env.jet(grid, 2), already evaluated by the caller.
-    """
+    on the sorted grid, with one jet (value, first, second) per envelope."""
     a, b, c, d = p.a, p.b, p.c, p.d
-    # the residuals are allocated before any jet evaluated here, so that the
-    # jets and the temporaries are freed from the top of the heap and the
-    # next certificate reuses that memory instead of faulting in fresh pages
-    res = np.empty((4, grid.size))
-    if jet is None:
-        jet = env.jet(grid, 2)
-    (uu, uu1, uu2), (ul, ul1, ul2), (vu, vu1, vu2), (vl, vl1, vl2) = jet
-    np.add(uu2 - s * uu1, uu * (1.0 - uu - c * vl), out=res[0])
-    np.add(ul2 - s * ul1, ul * (1.0 - ul - c * vu), out=res[1])
-    np.add(d * vu2 - s * vu1, vu * (a - b * ul - vu), out=res[2])
-    np.add(d * vl2 - s * vl1, vl * (a - b * uu - vl), out=res[3])
-    return dict(zip(_INEQUALITIES, res))
+    (uu, uu1, uu2), (ul, ul1, ul2), (vu, vu1, vu2), (vl, vl1, vl2) = env.jet(grid, 2)
+    return dict(zip(_INEQUALITIES, (uu2 - s * uu1 + uu * (1.0 - uu - c * vl),
+                                    ul2 - s * ul1 + ul * (1.0 - ul - c * vu),
+                                    d * vu2 - s * vu1 + vu * (a - b * ul - vu),
+                                    d * vl2 - s * vl1 + vl * (a - b * uu - vl))))
 
 
 class CellCheck(NamedTuple):
@@ -195,119 +179,179 @@ class CellCheck(NamedTuple):
     reasons: Dict[str, str]
 
 
-def _exp(rate, x):
-    """e^{rate x} elementwise, 1 where rate is 0 (also at an infinite x)."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.where(rate == 0.0, 1.0, np.exp(rate * x))
+#: stands in for an infinite cell end, where a term's factors are 0 or 1
+_BIG = np.finfo(float).max
 
 
-def _left_split(terms: Dict[float, float], sigma: float, hi: float) -> Tuple[float, float]:
-    """The sigma-signed coefficient c0 of the slowest term on (-inf, hi]
-    and, if c0 > 0, a split point y <= hi left of which each of the n terms
-    of the wrong sign is at most c0/(2n) relative to the slowest term."""
-    r0 = min(terms)
-    c0 = sigma * terms[r0]
-    bad = [(-sigma * c, r - r0) for r, c in terms.items() if sigma * c < 0.0]
+def _left_split(terms: Dict[Tuple[float, float], float], sigma: float,
+                hi: float) -> Tuple[float, float]:
+    """The sigma-signed coefficient c0 of the leading term as xi -> -inf (the
+    smallest rate, and among equal rates the highest power) and, if c0 > 0,
+    a split point y <= hi left of which each of the n terms of the wrong
+    sign is at most c0/(2n) relative to it.  With x = -xi such a term is
+    x^k e^{-eps x} relative to the leading one, and x^k e^{-eps x} <=
+    (2k/(e eps))^k e^{-eps x/2} for k > 0, x^k <= 1 for k < 0 and x >= 1."""
+    r0, p0 = min(terms, key=lambda rp: (rp[0], -rp[1]))
+    c0 = sigma * terms[r0, p0]
+    bad = [(-sigma * c, r - r0, p - p0) for (r, p), c in terms.items() if sigma * c < 0.0]
     y = hi
-    if c0 > 0.0:
-        for mag, dr in bad:
-            y = min(y, math.log(c0 / (2.0 * len(bad) * mag)) / dr)
+    for mag, eps, k in bad if c0 > 0.0 else ():
+        lim = math.log(c0 / (2.0 * len(bad) * mag))
+        if k > 0:
+            lim = 2.0 * (lim - k * math.log(2.0 * k / (math.e * eps)))
+        y = min(y, lim / eps if k >= 0 else -math.exp(lim / k) if eps == 0.0
+                else min(-1.0, lim / eps))
     return c0, y
 
 
 class _Rows(NamedTuple):
-    """Flat sigma-signed terms (coefs, rates) grouped by row, a row being one
-    sum on one cell between cuts: its terms start at start[row], count[row]
-    many, with smallest rate rmin[row] and largest rmax[row]."""
+    """The sigma-signed terms c x^p e^{r xi} (x = -xi) of every row, a row
+    being one sum (or the negated second derivative of one) on one cell
+    between cuts, padded with zero terms, and the row's reference term
+    x^{p0} e^{r0 xi} in the last column: the leading term, or the largest
+    rate on the cell reaching +inf.  terms holds c, r - r0 and, if powered,
+    p - p0 and the x of the term's maximum relative to the reference (0 if
+    none), with r0, p0 and the x of its own maximum in the last column."""
 
-    coefs: np.ndarray
-    rates: np.ndarray
-    start: np.ndarray
-    count: np.ndarray
-    rmin: np.ndarray
-    rmax: np.ndarray
+    terms: np.ndarray
+    powered: bool
 
     def bound(self, row, lo, hi):
-        """For the cells [lo, hi] of the rows row: a lower bound of the
-        row's sum on the cell, and the sum at both ends.
+        """For the cells [lo, hi] of the rows row: a lower bound of the row's
+        sum on the cell, and the sum at both ends.
 
-        The sum is e^{r_m xi} sum_k c_k e^{(r_k - r_m) xi}, with r_m the
-        row's smallest rate (its largest on a cell reaching +inf), and each
-        term of the second sum lies between its values at the cell ends.
+        The sum is x^{p0} e^{r0 xi} sum_k c_k x^{p_k - p0} e^{(r_k - r0) xi}.
+        Each factor x^k e^{eps xi} (the reference's too) is monotone on the
+        cell or has one maximum, at x = k/eps (k, eps > 0), so it lies
+        between its values at the cell ends and there.
         """
-        m = row.size
-        cnt = self.count[row]
-        cell = np.repeat(np.arange(m), cnt)
-        idx = np.arange(cell.size) + np.repeat(self.start[row] - (np.cumsum(cnt) - cnt), cnt)
-        ref = np.where(hi == math.inf, self.rmax[row], self.rmin[row])
-        dr = self.rates[idx] - ref[cell]
-        t_lo = self.coefs[idx] * _exp(dr, lo[cell])
-        t_hi = self.coefs[idx] * _exp(dr, hi[cell])
-        inner = np.bincount(cell, np.minimum(t_lo, t_hi), m)
-        e_lo, e_hi = _exp(ref, lo), _exp(ref, hi)
-        bound = np.where(inner >= 0.0, inner * np.minimum(e_lo, e_hi),
-                         inner * np.maximum(e_lo, e_hi))
-        return bound, e_lo * np.bincount(cell, t_lo, m), e_hi * np.bincount(cell, t_hi, m)
+        c, dr, *power = self.terms[row].transpose(1, 0, 2)
+        xi = np.stack((np.maximum(lo, -_BIG), np.minimum(hi, _BIG)))[:, :, None]
+        if self.powered:
+            # one exponential per value, so that a vanishing factor is never
+            # multiplied by an overflowing one; x^0 = 1 where x <= 0
+            dp, peak = power
+            x = np.minimum(np.maximum(peak, -xi[1]), -xi[0])
+            x = np.concatenate((np.broadcast_to(-xi, (2,) + x.shape), x[None]))
+            e = np.exp(dp * np.log(np.where(x > 0.0, x, 1.0)) - dr * x)
+        else:
+            e = np.exp(dr * xi)
+        ce, outer = c * e, e[..., -1]
+        inner = ce.min(0).sum(-1)
+        ends = outer[:2] * ce[:2].sum(-1)
+        return np.where(inner >= 0.0, inner * outer[:2].min(0), inner * outer.max(0)), ends
 
 
-def decide_sums(sums: Dict[str, Tuple[float, float, List[Dict[float, float]]]],
-                cuts: Tuple[float, ...]) -> CellCheck:
+def _rows(c, dr, dp=None) -> _Rows:
+    if dp is None:
+        return _Rows(np.stack((c, dr), 1), False)
+    peak = np.where(dp > 0.0, dp, 0.0) / np.where(dr > 0.0, dr, math.inf)
+    return _Rows(np.stack((c, dr, dp, peak), 1), True)
+
+
+def decide_sums(sums: Dict[str, Tuple[float, float, List[Dict[Tuple[float, float], float]]]],
+                cuts: Tuple[float, ...], shift: float = 0.0) -> CellCheck:
     """Decide sigma * f >= -tol on the whole line for each named sum
-    (sigma, tol, cells), where cells holds f = sum_k c_k e^{r_k xi} as
-    {r_k: c_k} on each cell of the line split at the sorted cuts.
+    (sigma, tol, cells), where cells holds f = sum_k c_k (-t)^{p_k} e^{r_k t}
+    as {(r_k, p_k): c_k} on each cell of the line split at the sorted cuts,
+    in t = xi - shift; tightest and reasons are reported in xi.
 
-    Zero coefficients are dropped.  On (-inf, cuts[0]] the slowest term
-    must have the strict sign; left of a split point (_left_split) the
-    others cannot undo it, and the rest of the half-line is checked as a
-    finite cell.  All cells are bounded at once (_Rows.bound).  A finite
-    cell whose bound misses -tol is halved, unless a cell end already
-    breaks it; a cell reaching +inf is not.  Rates must not exceed 0 on
-    that cell, or its bound is infinite.
+    Zero coefficients are dropped; a nonzero power needs a cell left of
+    t = 0.  On (-inf, cuts[0]] the leading term must have the strict sign,
+    and left of a split point (_left_split) the others cannot undo it.  All
+    other cells are bounded at once (_Rows.bound), a finite one whose bound
+    misses -tol while neither end does also by min(f(lo), f(hi)) - w^2/8
+    max(0, sup f'') for its width w (Suli & Mayers, An Introduction to
+    Numerical Analysis, CUP 2003, Thm 6.2).  A finite cell still short is
+    halved _HALVINGS times at once, unless an end breaks it; a cell reaching
+    +inf is not, and its rates must not exceed 0.
     """
     lefts = (-math.inf,) + tuple(cuts)
     ends = lefts[1:] + (math.inf,)
     n_cells = len(lefts)
     names = list(sums)
     reasons: Dict[int, str] = {}
-    coefs, term_rates, start, count, rmin, rmax = [], [], [], [], [], []
-    row, lo, hi = [], [], []
+    keys, coefs, counts, signs, settled = [], [], [], [], []
+    lo, hi = list(lefts * len(sums)), ends * len(sums)
     for k, (name, (sigma, _, cells)) in enumerate(sums.items()):
-        for i, terms in enumerate(cells):
-            terms = {r: x for r, x in terms.items() if x != 0.0}
-            start.append(len(coefs))
-            count.append(len(terms))
-            coefs += [sigma * x for x in terms.values()]
-            term_rates += terms
-            rmin.append(min(terms, default=0.0))
-            rmax.append(max(terms, default=0.0))
-            cut = [lefts[i], ends[i]]
-            if i == 0 and terms:
-                c0, y = _left_split(terms, sigma, ends[0])
-                if c0 < 0.0:
-                    sign = "negative" if sigma > 0.0 else "positive"
-                    reasons[k] = f"{name}: leading coefficient {sign} as xi -> -inf"
-                elif y < ends[0]:
-                    cut.insert(1, y)
-            row += [k * n_cells + i] * (len(cut) - 1)
-            lo += cut[:-1]
-            hi += cut[1:]
-    rows = _Rows(*map(np.array, (coefs, term_rates, start, count, rmin, rmax)))
-    row, lo, hi = np.array(row), np.array(lo), np.array(hi)
+        for terms in cells:
+            keys += terms
+            coefs += terms.values()
+            counts.append(len(terms))
+        signs += [sigma] * n_cells
+        if leading := {rp: x for rp, x in cells[0].items() if x}:
+            c0, y = _left_split(leading, sigma, ends[0])
+            if c0 < 0.0:
+                sign = "negative" if sigma > 0.0 else "positive"
+                reasons[k] = f"{name}: leading coefficient {sign} as xi -> -inf"
+            else:  # (-inf, y] is bounded by 0, the sum's limit there
+                settled.append(k * n_cells)
+                lo[k * n_cells] = y
+    # each row's terms, padded with zeros; its reference (r0, p0) goes into
+    # the padding and zero terms, so that these contribute nothing
+    counts = np.array(counts)
+    at = np.repeat(np.arange(counts.size), counts)
+    col = np.arange(at.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    c, r, p = np.zeros((3, counts.size, counts.max() + 1))
+    c[at, col] = np.repeat(signs, counts) * coefs
+    r[at, col], p[at, col] = np.fromiter(chain.from_iterable(keys), float).reshape(-1, 2).T
+    lo, hi = np.array((lo, hi))
+    pad, last = c == 0.0, hi == math.inf
+    r0 = np.where(last, np.where(pad, -math.inf, r).max(1), np.where(pad, math.inf, r).min(1))
+    r0[pad.all(1)] = 0.0
+    r = np.where(pad, r0[:, None], r)
+    dr = r - r0[:, None]
+    dr[:, -1] = r0
+    if not p.any():
+        rows, curvature = _rows(c, dr), _rows(-c * r * r, dr)
+    else:
+        lead = ~pad & (r == r0[:, None]) & ~last[:, None]
+        p0 = np.nan_to_num(np.where(lead, p, -math.inf).max(1), neginf=0.0)
+        p = np.where(pad, p0[:, None], p)
+        if (p[hi >= 0.0] != 0.0).any():
+            raise ValueError(f"a power of -xi on a cell reaching xi >= {shift:.6g}")
+        dp = p - p0[:, None]
+        dp[:, -1] = p0
+        # -(c x^p e^{r xi})'' = -c (r^2 x^p - 2 r p x^{p - 1} + p (p - 1) x^{p - 2}) e^{r xi}
+        rows, curvature = _rows(c, dr, dp), _rows(
+            np.concatenate([-c[:, :-1] * f[:, :-1] for f in (r * r, -2.0 * r * p, p * (p - 1.0))]
+                           + [c[:, -1:]], 1),
+            np.concatenate([dr[:, :-1]] * 3 + [dr[:, -1:]], 1),
+            np.concatenate([dp[:, :-1] - j for j in range(3)] + [dp[:, -1:]], 1))
     tol = np.array([t for _, t, _ in sums.values()])
-    failed = np.zeros(len(sums), dtype=bool)
-    failed[list(reasons)] = True
+    failed = np.array([k in reasons for k in range(len(sums))])
 
-    done = []  # (row, bound, xi) of every decided cell
-    for _ in range(MAX_BISECTIONS + 1):
-        bound, v_lo, v_hi = rows.bound(row, lo, hi)
+    # (row, bound, xi) of every decided cell, the settled ones first
+    done = [(np.array(settled, int), np.zeros(len(settled)), np.full(len(settled), -math.inf))]
+    row = np.flatnonzero(lo < hi)
+    lo, hi = lo[row], hi[row]
+    frac = np.arange(1, 1 << _HALVINGS) / (1 << _HALVINGS)
+    for _ in range(MAX_BISECTIONS // _HALVINGS + 1):
         k_of = row // n_cells
-        short = bound < -tol[k_of]
-        witness = np.minimum(v_lo, v_hi) < -tol[k_of]
-        mid = 0.5 * (lo + hi)
-        split = (short & ~witness & ~failed[k_of] & (lo < mid) & (mid < hi)
-                 & (row.size < MAX_CELLS))
-        keep = ~split
-        done.append((row[keep], bound[keep], np.where(v_hi < v_lo, hi, lo)[keep]))
+        tol_of = tol[k_of]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            bound, (v_lo, v_hi) = rows.bound(row, lo, hi)
+            # a NaN bound decides nothing
+            short, xi = ~(bound >= -tol_of), np.where(v_hi < v_lo, hi, lo)
+            if not short.any():
+                done.append((row, bound, xi))
+                break
+            low = np.minimum(v_lo, v_hi)
+            witness = low < -tol_of
+            need = np.flatnonzero(short & ~witness & (hi - lo < math.inf))
+            if need.size:
+                width = hi[need] - lo[need]
+                bend = np.maximum(0.0, -curvature.bound(row[need], lo[need], hi[need])[0])
+                bound[need] = np.maximum(bound[need], low[need] - width * width / 8.0 * bend)
+                short = ~(bound >= -tol_of)
+            split = np.flatnonzero(short & ~witness & ~failed[k_of] & (row.size < MAX_CELLS))
+            # the inner cut points of each cell to split; an infinite cell has none
+            inner = lo[split, None] + (hi[split] - lo[split])[:, None] * frac
+            ok = (inner[:, 0] > lo[split]) & (inner[:, -1] < hi[split])
+        split, inner = split[ok], inner[ok]
+        keep = np.ones(row.size, dtype=bool)
+        keep[split] = False
+        done.append((row[keep], bound[keep], xi[keep]))
         for j in np.flatnonzero(keep & short & ~failed[k_of]).tolist():
             k = int(k_of[j])
             if failed[k]:
@@ -315,15 +359,14 @@ def decide_sums(sums: Dict[str, Tuple[float, float, List[Dict[float, float]]]],
             failed[k] = True
             if witness[j]:
                 at, value = (hi[j], v_hi[j]) if v_hi[j] < v_lo[j] else (lo[j], v_lo[j])
-                sigma = sums[names[k]][0]
-                reasons[k] = f"{names[k]} = {sigma * value:.3g} at xi = {at:.6g}"
+                reasons[k] = f"{names[k]} = {signs[row[j]] * value:.3g} at xi = {at + shift:.6g}"
             else:
-                reasons[k] = f"{names[k]}: sign undecided on [{lo[j]:.6g}, {hi[j]:.6g}]"
-        if not split.any():
+                reasons[k] = (f"{names[k]}: sign undecided on "
+                              f"[{lo[j] + shift:.6g}, {hi[j] + shift:.6g}]")
+        if not split.size:
             break
-        row = np.repeat(row[split], 2)
-        lo, hi = (np.column_stack(pair).ravel() for pair in
-                  ((lo[split], mid[split]), (mid[split], hi[split])))
+        row = np.repeat(row[split], frac.size + 1)
+        lo, hi = (np.column_stack(cut).ravel() for cut in ((lo[split], inner), (inner, hi[split])))
 
     # the worst bound of each row, the leftmost of equal ones
     done_row, done_bound, done_xi = map(np.concatenate, zip(*done))
@@ -334,66 +377,78 @@ def decide_sums(sums: Dict[str, Tuple[float, float, List[Dict[float, float]]]],
     bounds, tightest = {}, {}
     for k, (name, (sigma, _, _)) in enumerate(sums.items()):
         bounds[name] = sigma * worst[k] + 0.0
-        tightest[name] = float(worst_xi[k, np.argmin(worst[k])])
+        tightest[name] = float(worst_xi[k, np.argmin(worst[k])] + shift)
     return CellCheck(bounds, tightest, done_row.size,
                      {names[k]: reasons[k] for k in sorted(reasons)})
 
 
-def _xi_pieces(prof: PiecewiseProfile) -> List[List[Tuple[float, float]]]:
-    """The (c, r) pairs of c e^{r xi} of each piece, in the shifted frame."""
-    out = []
+def _frame_pieces(prof: PiecewiseProfile, frame: float) -> List[List[Tuple[float, float, float]]]:
+    """The (c, p, r) triples of c (-t)^p e^{r t} of each piece in t = xi -
+    frame; a profile shifted by delta = shift - frame has its terms
+    c (delta - t)^p e^{r (t - delta)} expanded, which needs p in {0, 1}."""
+    delta, out = prof.shift - frame, []
     for pc in prof.pieces:
-        if any(p for _, p, _ in pc.terms):
-            raise ValueError("check_cells needs exponential terms (s > s*)")
-        out.append([(c * math.exp(-r * prof.shift) if prof.shift else c, r)
-                    for c, _, r in pc.terms])
+        terms = [] if delta else pc.terms
+        for c, p, r in pc.terms if delta else ():
+            if p not in (0, 1):
+                raise ValueError("check_cells cannot shift a (-xi)^(1/2) term by itself")
+            c *= math.exp(-r * delta)
+            terms += [(c, p, r), (c * delta, 0, r)] if p else [(c, p, r)]
+        out.append(terms)
     return out
 
 
-def _residual_terms(w, other, diff, growth, coupling, s, root) -> Dict[float, float]:
-    """{rate: coefficient} of diff w'' - s w' + w (growth - w - coupling other)
-    for the (c, r) pairs w and other; the linear term of rate root, bitwise
-    the component's own decay rate, is zero analytically and is left out."""
+def _residual_terms(w, other, diff, growth, coupling, s, root):
+    """{(rate, power): coefficient} of diff w'' - s w' + w (growth - w -
+    coupling other) for the (c, p, r) triples w and other: with x = -t, the
+    linear part of a term is c e^{r t} [(diff r^2 - s r + growth) x^p +
+    p (s - 2 diff r) x^{p - 1} + diff p (p - 1) x^{p - 2}].  At the rate
+    root, bitwise the component's own decay rate, the first two coefficients
+    vanish analytically (the second at the double root of s = s*) and are
+    left out."""
     acc = defaultdict(float)
-    for c, r in w:
+    for c, p, r in w:
         if r != root:
-            acc[r] += (diff * r * r - s * r + growth) * c
-    for c1, r1 in w:
-        for c2, r2 in w:
-            acc[r1 + r2] -= c1 * c2
-        for c2, r2 in other:
-            acc[r1 + r2] -= coupling * c1 * c2
+            acc[r, p] += (diff * r * r - s * r + growth) * c
+            if p:
+                acc[r, p - 1] += p * (s - 2.0 * diff * r) * c
+        if p not in (0, 1):
+            acc[r, p - 2] += diff * p * (p - 1.0) * c
+    for c1, p1, r1 in w:
+        for c2, p2, r2 in w:
+            acc[r1 + r2, p1 + p2] -= c1 * c2
+        for c2, p2, r2 in other:
+            acc[r1 + r2, p1 + p2] -= coupling * c1 * c2
     return acc
 
 
-def _gap_terms(upper, lower) -> Dict[float, float]:
+def _gap_terms(upper, lower):
     acc = defaultdict(float)
-    for c, r in upper:
-        acc[r] += c
-    for c, r in lower:
-        acc[r] -= c
+    for sign, terms in ((1.0, upper), (-1.0, lower)):
+        for c, p, r in terms:
+            acc[r, p] += sign * c
     return acc
 
 
 def check_cells(env: EnvelopeSet, p: SystemParams, s: float) -> CellCheck:
     """The four residuals and the two ordering gaps u_ordering = u_upper -
-    u_lower and v_ordering = v_upper - v_lower of a supercritical envelope
-    set, decided by decide_sums on the cells between its join points.
+    u_lower and v_ordering = v_upper - v_lower of an envelope set, decided
+    by decide_sums on the cells between its join points.
 
-    On a cell each residual is a sum of terms c e^{r xi}: the products of
-    the pieces' terms and one operator coefficient diff r^2 - s r + growth
-    per term, like rates merged.  The residuals must clear RESIDUAL_TOL and
-    the gaps ORDERING_TOL.
+    On a cell each residual is a sum of terms c (-xi)^p e^{r xi}: the
+    products of the pieces' terms and the operator applied to each term
+    (_residual_terms), like terms merged.  The residuals must clear
+    RESIDUAL_TOL and the gaps ORDERING_TOL.  A set shifted as a whole is
+    decided in its unshifted frame.
     """
     a, b, c, d = p.a, p.b, p.c, p.d
     rates = decay_rates(p, s)
-    lefts = (-math.inf,) + env.join_points
-
-    def on_cells(prof):
-        pieces, joins = _xi_pieces(prof), prof.join_points
-        return [pieces[bisect_right(joins, x)] for x in lefts]
-
-    uu, ul, vu, vl = map(on_cells, (env.u_upper, env.u_lower, env.v_upper, env.v_lower))
+    profs = (env.u_upper, env.u_lower, env.v_upper, env.v_lower)
+    frame = profs[0].shift if len({prof.shift for prof in profs}) == 1 else 0.0
+    joins = [tuple(pc.hi + (prof.shift - frame) for pc in prof.pieces[:-1]) for prof in profs]
+    cuts = tuple(sorted(set().union(*joins)))
+    uu, ul, vu, vl = ([pieces[bisect_right(js, x)] for x in (-math.inf,) + cuts]
+                      for pieces, js in zip((_frame_pieces(pr, frame) for pr in profs), joins))
     sums = {}
     for name, sigma, w, o, diff, growth, k, root in (
             ("u_upper", -1.0, uu, vl, 1.0, 1.0, c, rates.lambda1),
@@ -404,7 +459,7 @@ def check_cells(env: EnvelopeSet, p: SystemParams, s: float) -> CellCheck:
                                             for wi, oi in zip(w, o)])
     for name, up, low in (("u_ordering", uu, ul), ("v_ordering", vu, vl)):
         sums[name] = (1.0, ORDERING_TOL, [_gap_terms(x, y) for x, y in zip(up, low)])
-    return decide_sums(sums, env.join_points)
+    return decide_sums(sums, cuts, frame)
 
 
 def _mode_knobs(mode: str) -> SelectionKnobs:
@@ -436,11 +491,8 @@ def select_and_build(p: SystemParams, s: float, mode: str = "default",
 
 def certify(p: SystemParams, s: float, mode: str = "default",
             knobs: SelectionKnobs = None) -> Certificate:
-    """Build envelopes for (p, s) and verify all bracketing conditions.
-
-    Above s* the signs are decided cell by cell (check_cells); at s* on the
-    grid of make_grid(env).
-    """
+    """Build envelopes for (p, s) and verify all bracketing conditions, the
+    signs cell by cell (check_cells)."""
     adm = admissibility(p, s)
     if not adm.admissible:
         raise ValueError(adm.reason)
@@ -448,36 +500,14 @@ def certify(p: SystemParams, s: float, mode: str = "default",
         raise ValueError("unsupported regime")
     env = select_and_build(p, s, mode, knobs)
     corners = check_corners(env)
-    if isinstance(env.params, SupercriticalParams):
-        cells = check_cells(env, p, s)
-        margins = {name: cells.bounds[name] for name in _INEQUALITIES}
-        tightest = {name: cells.tightest[name] for name in margins}
-        gap = float(min(cells.bounds["u_ordering"].min(), cells.bounds["v_ordering"].min()))
-        ordering_ok = not {"u_ordering", "v_ordering"} & set(cells.reasons)
-        reasons = list(cells.reasons.values())
-        left, right = grid_span(env)
-        grid_desc = {"left": left, "right": right, "cells": cells.cells}
-    else:
-        grid = make_grid(env)
-        jet = env.jet(grid, 2)
-        ordering_ok, gap = _ordering(jet[:, 0])
-        margins = check_differential_inequalities(env, p, s, grid, jet=jet)
-        tightest, reasons = {}, []
-        for name, arr in margins.items():
-            k = int(arr.argmax() if name.endswith("upper") else arr.argmin())
-            tightest[name] = float(grid[k])
-            if not (arr[k] <= RESIDUAL_TOL if name.endswith("upper") else arr[k] >= -RESIDUAL_TOL):
-                reasons.append(f"{name} = {arr[k]:.3g} at xi = {grid[k]:.6g}")
-        if not ordering_ok:
-            reasons.append(f"ordering gap = {gap:.3g}")
-        grid_desc = {
-            "left": float(grid[0]), "right": float(grid[-1]),
-            "n_points": int(grid.size), "exclusion_radius": EXCLUSION_RADIUS,
-        }
-    reasons += [f"{cc.profile}: corner at xi = {cc.location:.6g} is not "
-                + ("concave" if cc.profile.endswith("upper") else "convex")
-                for cc in corners if not cc.ok]
-
+    cells = check_cells(env, p, s)
+    margins = {name: cells.bounds[name] for name in _INEQUALITIES}
+    tightest = {name: cells.tightest[name] for name in margins}
+    gap = float(min(cells.bounds["u_ordering"].min(), cells.bounds["v_ordering"].min()))
+    ordering_ok = not {"u_ordering", "v_ordering"} & set(cells.reasons)
+    reasons = list(cells.reasons.values()) + [
+        f"{cc.profile}: corner at xi = {cc.location:.6g} is not "
+        + ("concave" if cc.profile.endswith("upper") else "convex") for cc in corners if not cc.ok]
     min_margins = {name: float(arr.max() if name.endswith("upper") else arr.min())
                    for name, arr in margins.items()}
     return Certificate(
@@ -486,7 +516,7 @@ def certify(p: SystemParams, s: float, mode: str = "default",
         corner_checks=corners,
         ordering_ok=ordering_ok,
         ordering_gap=gap,
-        grid=grid_desc,
+        grid=dict(zip(("left", "right"), grid_span(env)), cells=cells.cells),
         verdict="fail" if reasons else "pass",
         envelope=env,
         tightest=tightest,

@@ -212,12 +212,12 @@ def run_continuation(plan: ContinuationPlan, refine: bool = True) -> PulseResult
     if limit_prof is not None:
         p_lim = degenerate_system(plan)
         deg_res = ode_residual(limit_prof, p_lim)
+        # the companion is judged against its nullcline given the pulsed tail
+        u, v = limit_prof.u[-1], limit_prof.v[-1]
         if plan.target == "c_to_1_over_a":
-            pulsed_right = abs(limit_prof.u[-1])
-            companion_right = abs(limit_prof.v[-1] - plan.base.a)
+            pulsed_right, companion_right = abs(u), abs(v - (p_lim.a - p_lim.b * u))
         else:
-            pulsed_right = abs(limit_prof.v[-1])
-            companion_right = abs(limit_prof.u[-1] - 1.0)
+            pulsed_right, companion_right = abs(v), abs(u - (1.0 - p_lim.c * v))
         tails = {
             "pulsed_right_small": bool(pulsed_right <= 1e-2),
             "companion_right_at_carrying": bool(companion_right <= 1e-2),

@@ -1,5 +1,5 @@
-"""Verification of envelope bracketing: signs, corners, ordering, on the
-cells between joins above s* and on the grid at s*."""
+"""Verification of envelope bracketing: signs, corners and ordering, on the
+cells between joins, with the dense grid as an independent reference."""
 
 import dataclasses
 import importlib
@@ -63,10 +63,10 @@ class TestCertify:
     @pytest.mark.parametrize("mutate,reason", [
         # half the ladder's q-hat leaves the u g-bump too tall for a sub-solution
         (lambda env: build_envelopes(P, 2.0, dataclasses.replace(
-            env.params, qhat1=0.5 * env.params.qhat1)), "u_lower = -0.074 at xi = -2.53091"),
+            env.params, qhat1=0.5 * env.params.qhat1)), "u_lower = -0.00105 at xi = -6.14914"),
         (lambda env: dataclasses.replace(env, u_upper=env.u_upper.shifted(1.0)),
-         "ordering gap = -5.46e-08"),
-    ])
+         "u_ordering: leading coefficient negative as xi -> -inf"),
+    ], ids=["halved_qhat1", "shifted_u_upper"])
     def test_critical_certificate_names_the_reason(self, mutate, reason, monkeypatch):
         env = mutate(select_and_build(P, 2.0))
         monkeypatch.setattr(certify_module, "select_and_build", lambda *args: env)
@@ -101,14 +101,21 @@ class TestCertify:
         assert cert.grid["right"] == 30.0
         assert cert.grid["cells"] >= 6 * n_cells
 
-    def test_critical_tightest_is_the_worst_grid_point(self):
+    def test_critical_margins_are_cell_bounds(self):
         cert = certify(P, 2.0)
-        grid = make_grid(cert.envelope)
-        for name, res in cert.inequality_margins.items():
-            k = res.argmax() if name.endswith("upper") else res.argmin()
-            assert cert.tightest[name] == grid[k]
+        env = cert.envelope
+        n_cells = len(env.join_points) + 1
+        for name, bounds in cert.inequality_margins.items():
+            assert bounds.shape == (n_cells,)
+            worst = bounds.max() if name.endswith("upper") else bounds.min()
+            assert cert.min_margins[name] == worst == 0.0
+        assert cert.tightest == dict.fromkeys(cert.min_margins, -math.inf)
+        assert cert.ordering_gap == 0.0
         assert cert.reason is None
-        assert set(cert.grid) == {"left", "right", "n_points", "exclusion_radius"}
+        assert cert.grid["left"] == min(env.join_points) - 40.0 / min_decay_rate(env)
+        assert cert.grid["right"] == 30.0
+        assert cert.grid["cells"] >= 6 * n_cells
+        assert set(cert.grid) == {"left", "right", "cells"}
 
 
 class TestGrid:
@@ -234,8 +241,7 @@ class TestGridConstruction:
 class TestOneJetPerCertificate:
     @pytest.mark.parametrize("p,s,mode", POINTWISE_CASES)
     def test_one_jet_and_same_results(self, p, s, mode, monkeypatch):
-        # one jet of order 2 at s*; none above it, where the signs are
-        # decided cell by cell
+        # no jet and no grid: the signs are decided cell by cell at every speed
         calls = []
         jet = EnvelopeSet.jet
 
@@ -248,24 +254,14 @@ class TestOneJetPerCertificate:
         monkeypatch.undo()
         env = cert.envelope
 
-        if s != critical_speed(p):
-            assert calls == []
-            assert cert.passed
-            cells = check_cells(env, p, s)
-            assert list(cert.inequality_margins) == ["u_upper", "u_lower", "v_upper", "v_lower"]
-            for name in cert.inequality_margins:
-                assert np.array_equal(cert.inequality_margins[name], cells.bounds[name]), name
-            gap = min(cells.bounds["u_ordering"].min(), cells.bounds["v_ordering"].min())
-            assert (cert.ordering_ok, cert.ordering_gap) == (True, gap)
-            return
-
-        assert calls == [2]
-        grid = make_grid(env)
-        res = check_differential_inequalities(env, p, s, grid)
-        assert list(cert.inequality_margins) == list(res)
-        for name in res:
-            assert np.array_equal(cert.inequality_margins[name], res[name]), name
-        assert (cert.ordering_ok, cert.ordering_gap) == check_ordering(env, grid)
+        assert calls == []
+        assert cert.passed
+        cells = check_cells(env, p, s)
+        assert list(cert.inequality_margins) == ["u_upper", "u_lower", "v_upper", "v_lower"]
+        for name in cert.inequality_margins:
+            assert np.array_equal(cert.inequality_margins[name], cells.bounds[name]), name
+        gap = min(cells.bounds["u_ordering"].min(), cells.bounds["v_ordering"].min())
+        assert (cert.ordering_ok, cert.ordering_gap) == (True, gap)
 
 
 #: the critical parameter sets of POINTWISE_CASES
@@ -336,16 +332,27 @@ class TestCells:
         for delta in (-2.5, 0.37):
             assert not check_cells(env.shifted(delta), p, s).reasons
 
-    def test_critical_envelopes_are_refused(self):
-        env = select_and_build(P, 2.0)
-        with pytest.raises(ValueError, match="exponential terms"):
-            check_cells(env, P, 2.0)
+    @pytest.mark.parametrize("p", CRITICAL_SETS)
+    def test_critical_envelopes_are_decided(self, p):
+        # the g-bump's sqrt term and the linear-exponential pieces are powers
+        # of -xi, and the residuals carry powers from -3/2 to 2
+        env = select_and_build(p, 2.0)
+        check = check_cells(env, p, 2.0)
+        assert not check.reasons
+        assert check.cells >= 6 * (len(env.join_points) + 1)
+        assert {pw for pc in env.u_lower.pieces for _, pw, _ in pc.terms} == {0, 0.5, 1}
+
+
+def _decide_terms(cells, cuts, sigma=1.0, tol=RESIDUAL_TOL):
+    """decide_sums on the one sum f given by its cells as {(rate, power): c},
+    with the constant 1 (or -1 for sigma = -1) right of the last cut."""
+    return decide_sums({"f": (sigma, tol, list(cells) + [{(0.0, 0): sigma}])}, cuts)
 
 
 def _decide(cells, cuts=(0.0,), sigma=1.0, tol=RESIDUAL_TOL):
-    """decide_sums on the one sum f given by its cells, with the constant 1
-    (or -1 for sigma = -1) right of the last cut."""
-    return decide_sums({"f": (sigma, tol, list(cells) + [{0.0: sigma}])}, cuts)
+    """_decide_terms on cells given as {rate: c}."""
+    return _decide_terms([{(r, 0): c for r, c in terms.items()} for terms in cells],
+                         cuts, sigma, tol)
 
 
 class TestSignPrimitive:
@@ -412,6 +419,40 @@ def strict_weak_draws(draw):
     return p, s, draw(st.sampled_from(["default", "nonmonotone-u", "nonmonotone-v"]))
 
 
+@st.composite
+def critical_draws(draw):
+    """Strict-weak sets at s* with a*d <= 0.99, a and d in [0.5, 2]."""
+    a = math.exp(draw(st.floats(math.log(0.5), math.log(1.98))))
+    d = math.exp(draw(st.floats(math.log(0.5), math.log(0.99 / a))))
+    p = SystemParams(a, a * draw(st.floats(0.1, 0.95)), draw(st.floats(0.05, 0.95)) / a, d)
+    mode = draw(st.sampled_from(["default", "nonmonotone-u", "nonmonotone-v"]))
+    return p, critical_speed(p), mode
+
+
+#: draw 16 of the table of s* solves, a*d = 0.979
+DRAW_16 = SystemParams(1.108, 0.690, 0.717, 0.884)
+
+
+def _cells_agree_with_grid(p, s, mode):
+    """The cell verdict equals the grid verdict, and each cell's bound lies
+    on the safe side of every grid residual and ordering gap inside it."""
+    env = select_and_build(p, s, mode)
+    check = check_cells(env, p, s)
+    grid = make_grid(env)
+    res = check_differential_inequalities(env, p, s, grid)
+    ordering_ok, _ = check_ordering(env, grid)
+    grid_ok = ordering_ok and all(
+        r.max() <= RESIDUAL_TOL if name.endswith("upper") else r.min() >= -RESIDUAL_TOL
+        for name, r in res.items())
+    assert grid_ok == (not check.reasons)
+    uu, ul, vu, vl = env.jet(grid)[:, 0]
+    res.update(u_ordering=uu - ul, v_ordering=vu - vl)
+    cell = np.searchsorted(env.join_points, grid, side="right")
+    for name, r in res.items():
+        sigma = -1.0 if name.endswith("upper") else 1.0
+        assert np.all(sigma * check.bounds[name][cell] <= sigma * r + 1e-12), name
+
+
 class TestCellsAgreeWithGrid:
     @given(case=strict_weak_draws())
     @settings(max_examples=60, deadline=None)
@@ -432,3 +473,86 @@ class TestCellsAgreeWithGrid:
                 assert worst <= RESIDUAL_TOL, name
             gaps = check.bounds["u_ordering"].min(), check.bounds["v_ordering"].min()
             assert min(gaps) >= -ORDERING_TOL
+
+    @given(case=critical_draws())
+    @settings(max_examples=40, deadline=None)
+    def test_critical_verdicts_agree_and_bounds_hold(self, case):
+        _cells_agree_with_grid(*case)
+
+    @pytest.mark.parametrize("p,mode", [(p, mode) for p, s, mode in POINTWISE_CASES
+                                        if s == critical_speed(p) and p.a * p.d == 1.0]
+                             + [(DRAW_16, "default")])
+    def test_critical_fixtures_agree_and_bounds_hold(self, p, mode):
+        _cells_agree_with_grid(p, 2.0, mode)
+
+
+class TestCriticalMutations:
+    @pytest.mark.parametrize("p", [P, SystemParams(0.5, 0.25, 1.0, 1.0), DRAW_16])
+    @pytest.mark.parametrize("factor", [0.5, 0.8, 1.0])
+    def test_shrunk_qhat1_fails_on_cells_and_grid(self, p, factor):
+        # a smaller q-hat makes the u g-bump too tall for a sub-solution
+        ep = select_and_build(p, 2.0).params
+        env = build_envelopes(p, 2.0, dataclasses.replace(ep, qhat1=factor * ep.qhat1))
+        check = check_cells(env, p, 2.0)
+        res = check_differential_inequalities(env, p, 2.0, make_grid(env))
+        assert (not check.reasons) == (factor == 1.0)
+        assert (res["u_lower"].min() >= -RESIDUAL_TOL) == (factor == 1.0)
+        if factor < 1.0:
+            assert check.reasons["u_lower"].startswith("u_lower = -")
+
+    def test_shifted_set_is_decided_in_its_own_frame(self):
+        env = select_and_build(P, 2.0)
+        check, moved = check_cells(env, P, 2.0), check_cells(env.shifted(1.5), P, 2.0)
+        assert not moved.reasons and moved.cells == check.cells
+        for name, bounds in check.bounds.items():
+            assert np.array_equal(moved.bounds[name], bounds), name
+            assert moved.tightest[name] == check.tightest[name] + 1.5
+
+    def test_a_shifted_square_root_piece_is_refused(self):
+        env = select_and_build(P, 2.0)
+        env = dataclasses.replace(env, u_lower=env.u_lower.shifted(0.5))
+        with pytest.raises(ValueError, match="cannot shift a"):
+            check_cells(env, P, 2.0)
+
+
+class TestPowers:
+    def test_square_root_against_a_square(self):
+        # sqrt(x) e^xi - 1e-3 x^2 e^{2 xi} > 0 for x = -xi > 0
+        cells = [{(1.0, 0.5): 1.0, (2.0, 2.0): -1e-3}] * 2
+        check = _decide_terms(cells, (-4.0, -0.01), tol=0.0)
+        assert not check.reasons
+        assert check.bounds["f"].min() >= 0.0
+        check = _decide_terms([{(1.0, 0.5): -1.0, (2.0, 2.0): 1e-3}] * 2, (-4.0, -0.01), -1.0, 0.0)
+        assert not check.reasons
+
+    def test_thin_minimum_takes_few_cells(self):
+        # x (1 - 2x)^2 + 1e-4 x > 0 with x = e^xi, by 1e-4 x near x = 1/2
+        cells = [{(1.0, 0): 1.0 + 1e-4, (2.0, 0): -4.0, (3.0, 0): 4.0}] * 2
+        check = _decide_terms(cells, (-3.0, 0.0))
+        assert not check.reasons
+        assert check.cells < 100
+
+    def test_dip_between_cell_ends_has_a_witness(self):
+        # 1 - 1e-4 - e x e^{-x} with x = -xi dips to -1e-4 at x = 1, and is
+        # positive at both ends of [-3, -0.01]
+        cells = [{(0.0, 0): 1.0 - 1e-4, (1.0, 1): -math.e}] * 2
+        check = _decide_terms(cells, (-3.0, -0.01))
+        reason = check.reasons["f"]
+        assert reason.startswith("f = -")
+        assert -1.015 < float(reason.rsplit("=", 1)[1]) < -0.985
+
+    def test_leading_inverse_power_decides_the_left_half_line(self):
+        # x^{-3/2} e^xi outlasts -5 x^2 e^{1.5 xi} as xi -> -inf, and is the
+        # whole sign left of the split point
+        check = _decide_terms([{(1.0, -1.5): 1.0, (1.5, 2.0): -5.0}], (-40.0,), tol=0.0)
+        assert not check.reasons
+        assert check.tightest["f"] == -math.inf
+        check = _decide_terms([{(1.0, -1.5): -1.0, (1.5, 2.0): 5.0}], (-40.0,), tol=0.0)
+        assert check.reasons == {"f": "f: leading coefficient negative as xi -> -inf"}
+        # among equal rates the highest power leads: e^xi - 5 x^{-1} e^xi
+        check = _decide_terms([{(1.0, 0): 1.0, (1.0, -1.0): -5.0}], (-10.0,), tol=0.0)
+        assert not check.reasons
+
+    def test_power_right_of_zero_is_refused(self):
+        with pytest.raises(ValueError, match="power of -xi"):
+            _decide_terms([{(1.0, 1): 1.0}], (0.5,))

@@ -1,6 +1,7 @@
 """Continuation toward the degenerate limit and the pulse diagnostics."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -247,3 +248,28 @@ def test_one_certificate_per_step(monkeypatch):
     res = run_continuation(plan, refine=True)
     assert res.degenerate_residual_refined is not None
     assert len(calls) == len(plan.steps) == 2
+
+
+@pytest.mark.parametrize("target", ["b_to_a", "c_to_1_over_a"])
+@pytest.mark.parametrize("offset,held", [(0.0, True), (0.02, False)])
+def test_companion_is_judged_against_its_nullcline(monkeypatch, target, offset, held):
+    # a synthetic limit profile whose pulsed tail is still 0.0085 at the
+    # right edge and whose companion sits offset off its nullcline there,
+    # 1 - c v for u (b -> a) and a - b u for v (c -> 1/a)
+    p = SystemParams(0.339, 0.323, 1.557, 0.904)
+    plan = plan_continuation(p, 2.5, target, 2)
+    t = np.linspace(0.0, 1.0, 401)
+    pulsed = 0.2 * np.sin(np.pi * t) ** 2 + 0.0085 * t
+    if target == "b_to_a":
+        companion = t * (1.0 - p.c * 0.0085 + offset)
+    else:
+        companion = t * (p.a - p.b * 0.0085 + offset)
+    u, v = (companion, pulsed) if target == "b_to_a" else (pulsed, companion)
+    prof = Profile(grid=np.linspace(-100.0, 100.0, t.size), u=u, v=v, speed=2.5,
+                   params=p, residual=0.0, converged=True)
+    monkeypatch.setattr(pulse, "iterate",
+                        lambda *args, **kwargs: (prof, SimpleNamespace(converged=True)))
+    res = run_continuation(plan, refine=False)
+    assert res.tail_verdicts["pulsed_right_small"]
+    assert res.tail_verdicts["left_both_small"]
+    assert res.tail_verdicts["companion_right_at_carrying"] == held
