@@ -71,15 +71,17 @@ class RegionScan:
     star: np.ndarray
 
 
-def _interior_extrema(grid: np.ndarray, y: np.ndarray, component: str) -> List[Extremum]:
+def _interior_extrema(grid: np.ndarray, y: np.ndarray, component: str,
+                      start: int = 0) -> List[Extremum]:
+    """Extrema of y[start:], prominent against the span of the whole of y."""
     span = float(y.max() - y.min())
     if span <= 0.0:
         return []
     prom = PROMINENCE_FRAC * span
     out = []
     for sign, kind in ((1.0, "max"), (-1.0, "min")):
-        idx, _ = find_peaks(sign * y, prominence=prom)
-        out.extend(Extremum(component, float(grid[i]), float(y[i]), kind)
+        idx, _ = find_peaks(sign * y[start:], prominence=prom)
+        out.extend(Extremum(component, float(grid[start + i]), float(y[start + i]), kind)
                    for i in idx)
     out.sort(key=lambda e: e.location)
     return out
@@ -190,13 +192,11 @@ def ma_front_criterion(env: EnvelopeSet, p: SystemParams) -> bool:
 
 
 def right_tail_extrema(prof: Profile, component: str) -> Tuple[bool, List[Extremum]]:
-    """Prominence-filtered extrema of one component on the rightmost
-    quarter of the truncated domain, and whether the component oscillates
-    there, which it does when it has at least two of them."""
-    n = prof.grid.size
-    sl = slice(3 * n // 4, n)
+    """Extrema of one component on the rightmost quarter of the truncated
+    domain, prominent against the whole component's span, and whether the
+    component oscillates there, which it does when it has at least two."""
     y = prof.u if component == "u" else prof.v
-    ex = _interior_extrema(prof.grid[sl], y[sl], component)
+    ex = _interior_extrema(prof.grid, y, component, 3 * prof.grid.size // 4)
     return len(ex) >= 2, ex
 
 

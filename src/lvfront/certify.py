@@ -385,13 +385,11 @@ def decide_sums(sums: Dict[str, Tuple[float, float, List[Dict[Tuple[float, float
 def _frame_pieces(prof: PiecewiseProfile, frame: float) -> List[List[Tuple[float, float, float]]]:
     """The (c, p, r) triples of c (-t)^p e^{r t} of each piece in t = xi -
     frame; a profile shifted by delta = shift - frame has its terms
-    c (delta - t)^p e^{r (t - delta)} expanded, which needs p in {0, 1}."""
+    c (delta - t)^p e^{r (t - delta)}, p in {0, 1}, expanded."""
     delta, out = prof.shift - frame, []
     for pc in prof.pieces:
         terms = [] if delta else pc.terms
         for c, p, r in pc.terms if delta else ():
-            if p not in (0, 1):
-                raise ValueError("check_cells cannot shift a (-xi)^(1/2) term by itself")
             c *= math.exp(-r * delta)
             terms += [(c, p, r), (c * delta, 0, r)] if p else [(c, p, r)]
         out.append(terms)
@@ -400,20 +398,17 @@ def _frame_pieces(prof: PiecewiseProfile, frame: float) -> List[List[Tuple[float
 
 def _residual_terms(w, other, diff, growth, coupling, s, root):
     """{(rate, power): coefficient} of diff w'' - s w' + w (growth - w -
-    coupling other) for the (c, p, r) triples w and other: with x = -t, the
-    linear part of a term is c e^{r t} [(diff r^2 - s r + growth) x^p +
-    p (s - 2 diff r) x^{p - 1} + diff p (p - 1) x^{p - 2}].  At the rate
-    root, bitwise the component's own decay rate, the first two coefficients
-    vanish analytically (the second at the double root of s = s*) and are
-    left out."""
+    coupling other) for the (c, p, r) triples w and other: with x = -t and
+    p in {0, 1}, the linear part of a term is c e^{r t} [(diff r^2 - s r +
+    growth) x^p + p (s - 2 diff r) x^{p - 1}].  At the rate root, bitwise
+    the component's own decay rate, both coefficients vanish analytically
+    (the second at the double root of s = s*) and are left out."""
     acc = defaultdict(float)
     for c, p, r in w:
         if r != root:
             acc[r, p] += (diff * r * r - s * r + growth) * c
             if p:
                 acc[r, p - 1] += p * (s - 2.0 * diff * r) * c
-        if p not in (0, 1):
-            acc[r, p - 2] += diff * p * (p - 1.0) * c
     for c1, p1, r1 in w:
         for c2, p2, r2 in w:
             acc[r1 + r2, p1 + p2] -= c1 * c2

@@ -1,13 +1,14 @@
 """Explicit super/sub-solution envelopes for the competition wave system.
 
 The four envelopes are piecewise-analytic.  Each piece is a sum of terms
-c (-xi)^p e^{r xi} with p in {0, 1/2, 1}, held as (c, p, r) triples, and
-one evaluator reads them all.  The upper pair is a decaying exponential
+c (-xi)^p e^{r xi} with p in {0, 1}, held as (c, p, r) triples, and one
+evaluator reads them all.  The upper pair is a decaying exponential
 e^{lam xi} (at s = s*, -h xi e^{lam xi}) capped by a constant; the lower
-pair is a positive bump coef e^{lam xi} - q e^{mu lam xi} (at s = s*, the
-g-bump (-h xi - q sqrt(-xi)) e^{lam xi}) glued to a small constant.  The
-free constants are selected so that the differential inequalities
-verified in :mod:`lvfront.certify` hold with positive margin.
+pair is a positive bump coef e^{lam xi} - q e^{mu lam xi} (at s = s*, where
+the rate is a double root, e^{lam xi} (h x - (q/nu)(1 - e^{-nu x})) with
+x = -xi) glued to a small constant.  The free constants are selected so
+that the differential inequalities verified in :mod:`lvfront.certify`
+hold with positive margin.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import exprel
 
 from .model import EQ_TOL, Regime, SystemParams, classify_regime, critical_speed, decay_rates
 
@@ -26,14 +28,12 @@ SUPERCRITICAL = "Supercritical"
 CRITICAL_AD_EQ1 = "CriticalAdEq1"
 CRITICAL_AD_LT1 = "CriticalAdLt1"
 
-#: smallest bump maximum considered representable; below this the join
-#: point and the lower envelope drown in floating-point underflow
-MIN_BUMP_MAX = 1e-250
 #: multiplicative margin carried by every strict lower bound on q
 Q_SAFETY = 1.1
 #: places each delta at this fraction of its cap
 DELTA_FRACTION = 0.5
-#: places mu at 1 + THETA_MU (cap - 1), mid-way in its interval (1, cap)
+#: places mu at 1 + THETA_MU (cap - 1), mid-way in its interval (1, cap),
+#: and the rate of the correction at s = s* at THETA_MU min(lambda1, lambda2)
 THETA_MU = 0.5
 #: mu placement in the overshoot modes, near the top of the interval where
 #: the lower-envelope maximum is largest
@@ -44,38 +44,28 @@ THETA_MU_NONMONOTONE = 0.9
 SOLVE_REACH = 45.0
 #: iterate refuses a left edge at or right of left_reach(env, MIN_REACH)
 MIN_REACH = 10.0
-#: distances left of the g-bump zero that _critical_q_search checks in
-#: addition to its uniform grid, largest first so that xi0 - offsets ascends
-_LADDER_OFFSETS = np.geomspace(1e-9, 1.0, 500)[::-1]
-_LADDER_OFFSETS.flags.writeable = False
-#: uniform ladder points nearest the g-bump zero, checked before the rest
-_LADDER_NEAR = 600
 
 
 # ---------------------------------------------------------------------------
 # piecewise profiles
 # ---------------------------------------------------------------------------
 
-def _terms_jet(terms, t, out, exp=np.exp, sqrt=np.sqrt):
+def _terms_jet(terms, t, out, exp=np.exp):
     """Fills out[k], for k < len(out), with the k-th derivative of
-    sum c (-t)^p e^{r t} over the (c, p, r) triples of terms.
+    sum c (-t)^p e^{r t} over the (c, p, r) triples of terms, p in {0, 1}.
 
-    p is 0, 1/2 or 1, and a p != 0 term is only ever evaluated at t < 0.
     Adjacent terms that share a rate are summed in order into phi(t), the
     factor of one exponential e^{r t}, and each row sums these products in
-    order; (-t)^{1/2} is taken once.  Row k is formed after row k - 1 from
-    phi's derivatives up to k, so that few arrays are alive at once.  out
-    is an array of rows at the array t, or a list of floats at the float t
-    with exp=math.exp and sqrt=math.sqrt.  Row k does not depend on
-    len(out).
+    order.  Row k is formed after row k - 1 from phi's derivatives up to k,
+    so that few arrays are alive at once.  out is an array of rows at the
+    array t, or a list of floats at the float t with exp=math.exp.  Row k
+    does not depend on len(out).
     """
-    mt = root = None
+    mt = None
     rates = []  # (r, e^{r t}, the rate's (c, p), phi and its derivatives so far)
     for c, p, r in terms:
         if p and mt is None:
             mt = -t
-        if p == 0.5 and root is None:
-            root = sqrt(mt)
         if rates and rates[-1][0] == r:
             rates[-1][2].append((c, p))
         else:
@@ -86,13 +76,11 @@ def _terms_jet(terms, t, out, exp=np.exp, sqrt=np.sqrt):
             phi_k = None
             for c, p in cps:
                 if k == 0:
-                    part = c if p == 0 else c * mt if p == 1 else c * root
-                elif p == 0 or (p == 1 and k == 2):
-                    continue  # a zero derivative
-                elif p == 1:
+                    part = c * mt if p else c
+                elif p and k == 1:
                     part = -c
                 else:
-                    part = -0.5 * c / root if k == 1 else -0.25 * c / (mt * root)
+                    continue  # a zero derivative
                 phi_k = part if phi_k is None else phi_k + part
             phi.append(0.0 if phi_k is None else phi_k)
             if k == 0:
@@ -103,9 +91,7 @@ def _terms_jet(terms, t, out, exp=np.exp, sqrt=np.sqrt):
                 f = (phi[2] + 2.0 * r * phi[1] + r * r * phi[0]) * e
             row = f if row is None else row + f
         out[k] = row
-        # drop this row's arrays before the next is formed: a higher peak
-        # lets the heap be trimmed after a certificate and faulted in again
-        row = f = part = None
+        row = f = part = None  # free this row's arrays before the next is formed
 
 
 def _check_order(order: int) -> None:
@@ -126,14 +112,13 @@ class Piece:
     terms: Tuple[Tuple[float, float, float], ...]
 
     def __post_init__(self):
-        if any(p not in (0, 0.5, 1) for _, p, _ in self.terms):
-            raise ValueError("term power must be 0, 1/2 or 1")
+        if any(p not in (0, 1) for _, p, _ in self.terms):
+            raise ValueError("term power must be 0 or 1")
 
     def at(self, t: float, order: int = 0) -> List[float]:
-        """Value and derivatives up to order at the float t, from math.exp
-        and math.sqrt."""
+        """Value and derivatives up to order at the float t, from math.exp."""
         out = [0.0] * (order + 1)
-        _terms_jet(self.terms, t, out, math.exp, math.sqrt)
+        _terms_jet(self.terms, t, out, math.exp)
         return out
 
 
@@ -242,37 +227,6 @@ def exp_or_zero(log_f: float) -> float:
     return math.exp(log_f) if log_f > -700.0 else 0.0
 
 
-def gbump_extrema(h: float, q: float, lam: float) -> Tuple[float, float, float]:
-    """Zero, maximum point and maximum of g(xi) = (-h xi - q sqrt(-xi)) e^{lam xi}.
-
-    g is positive exactly on (-inf, xi0_hat) with xi0_hat = -(q/h)^2.  With
-    t = sqrt(-xi), g = (h t^2 - q t) e^{-lam t^2} and g'(t) = -e^{-lam t^2} P(t)
-    for the cubic P(t) = 2 lam h t^3 - 2 lam q t^2 - 2 h t + q.  P(q/h) = -q
-    and P is convex on t >= q/h, so the maximum point is its one root there.
-    Newton's method from t0 = (lam q + sqrt(lam^2 q^2 + 4 lam h^2)) / (2 lam h),
-    where P(t0) = q > 0, decreases monotonically to that root; it stops at the
-    first step that no longer decreases t.  It runs on u = t - q/h, in which
-    P = 2 h u (lam t^2 - 1) - q, P' = 2 lam t (q + 3 h u) - 2 h and
-    g = h t u e^{-lam t^2} have no cancellation.
-    """
-    if min(h, q, lam) <= 0.0:
-        raise ValueError("g-bump requires h, q, lam > 0")
-    r = q / h
-    xi0_hat = -(r ** 2)
-    u = 2.0 * h / (lam * q + math.hypot(lam * q, 2.0 * h * math.sqrt(lam)))  # t0 - q/h
-    t = r + u
-    for _ in range(100):
-        P = 2.0 * h * u * (lam * t * t - 1.0) - q
-        dP = 2.0 * lam * t * (q + 3.0 * h * u) - 2.0 * h
-        u_next = u - P / dP
-        if not u_next < u:
-            break
-        u, t = u_next, r + u_next
-    xiM_hat = -t * t
-    gmax = h * t * u * math.exp(-lam * t * t)
-    return xi0_hat, xiM_hat, gmax
-
-
 def join_point(f: Callable[[float], float], delta: float,
                bracket: Tuple[float, float]) -> float:
     """Point in (xiM, xi0) where the bump equals delta on its decreasing branch.
@@ -331,9 +285,12 @@ class SupercriticalParams:
 class CriticalParams:
     """Envelope constants at s = s*.
 
-    The u lower envelope is the g-bump (h1, qhat1) capped at deltahat1.  The
-    v lower envelope, capped at deltahat2, is the g-bump (h2, qhat2) when
-    a*d = 1 and the bump (muhat2, Qhat2) when a*d < 1; the other pair is None.
+    The u lower envelope is the critical bump (h1, qhat1) capped at
+    deltahat1: e^{lam xi} (h1 x - (qhat1/nu)(1 - e^{-nu x})) with x = -xi,
+    lam = s/2 and nu = THETA_MU min(lambda1, lambda2).  The v lower
+    envelope, capped at deltahat2, is the critical bump (h2, qhat2), with
+    lam = s/(2d), when a*d = 1 and the bump (muhat2, Qhat2) when a*d < 1;
+    the other pair is None.
     """
 
     h1: float
@@ -485,49 +442,50 @@ def select_supercritical(p: SystemParams, s: float,
                                delta1=delta1, delta2=delta2)
 
 
-def _critical_q_search(lam: float, h: float, dcoef: float, coupling: float,
-                       other: PiecewiseProfile) -> Tuple[float, float]:
-    """Smallest q (on a deterministic geometric ladder) whose sub-solution
-    residual is nonnegative on a dense grid left of the g-bump zero, and
-    the maximum of its g-bump.
+def _critical_nu(p: SystemParams, s: float) -> float:
+    """Rate nu of the correction term of the critical bumps."""
+    r = decay_rates(p, s)
+    return THETA_MU * min(r.lambda1, r.lambda2)
 
-    residual(xi) = dcoef e^{lam xi} (q/4)(-xi)^{-3/2} - g^2 - coupling*g*other
-    where g is the (h, q, lam) bump and other is the upper envelope of the
-    other species.  The ladder starts at Q_SAFETY *
-    max(sqrt(h (1/lam + 1)), h sqrt(1 + 1/lam)); it stops where gmax underflows.
-    Each rung checks the points nearest the zero first, where failing rungs
-    fail, and stops at the first chunk with a negative residual; the minimum
-    over all of them does not depend on that order.
+
+def _critical_q(h: float, lam: float, nu: float, diff: float, coupling: float,
+                other: PiecewiseProfile) -> float:
+    """Q_SAFETY times the q at which q diff nu meets a closed-form bound on
+    the losses of the critical bump w = (h, q, lam, nu) beyond its zero x0.
+
+    At the double root lam the linear part of the operator leaves
+    q diff nu e^{(lam + nu) xi}, and the losses w^2 + coupling w o, with o
+    the other species' upper envelope, must stay below it.  Beyond x0,
+    w <= h (x - x0) e^{-lam x} (see _critical_bump: g' < h), and from x = 1/lam_o on
+    o <= c_o x^{k_o} e^{-lam_o x}, with (c_o, k_o, lam_o) the leading term of
+    other.  So the losses times e^{(lam + nu) x} are at most
+    h^2 e^{-(lam - nu) x0} (2/(e (lam - nu)))^2 + coupling h c_o e^{-(lam_o - nu) x0}
+    (x0^{k_o}/(e (lam_o - nu)) + k_o (2/(e (lam_o - nu)))^2).  The q whose
+    bump vanishes at x0, h nu x0/(1 - e^{-nu x0}), rises with x0 and the
+    bound falls; brentq finds where they meet.
     """
-    q = Q_SAFETY * max(math.sqrt(h * (1.0 / lam + 1.0)), h * math.sqrt(1.0 + 1.0 / lam))
-    for _ in range(80):
-        xi0 = -((q / h) ** 2)   # < -Q_SAFETY**2, as q/h >= Q_SAFETY sqrt(1 + 1/lam) and q grows
-        _, _, gmax = gbump_extrema(h, q, lam)
-        if gmax < MIN_BUMP_MAX:
-            break
-        uniform = np.linspace(xi0 - 200.0 / lam, xi0 - 1e-9, 6000)
-        for xs in (xi0 - _LADDER_OFFSETS, uniform[-_LADDER_NEAR:], uniform[:-_LADDER_NEAR]):
-            mxs = -xs
-            e = np.exp(lam * xs)
-            g = (h * mxs - q * np.sqrt(mxs)) * e
-            res = dcoef * e * (q / 4.0) * mxs ** -1.5 - g * g - coupling * g * other.jet(xs)[0]
-            if not res.min() >= -1e-12:  # a NaN residual fails the rung too
-                break
-        else:
-            return q, gmax
-        q *= 1.25
-    raise ValueError("no admissible critical q found")
+    c_o, k_o, lam_o = other.pieces[0].terms[0]
+    sq = (2.0 / (math.e * (lam - nu))) ** 2
+    b = 1.0 / (math.e * (lam_o - nu))
+
+    def excess(x0):
+        loss = (h * h * math.exp(-(lam - nu) * x0) * sq + coupling * h * c_o
+                * math.exp(-(lam_o - nu) * x0) * (x0 ** k_o * b + k_o * (2.0 * b) ** 2))
+        return h / exprel(-nu * x0) * diff * nu - loss
+
+    hi = 1.0 / nu
+    while excess(hi) < 0.0:
+        hi *= 2.0
+    x0 = brentq(excess, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
+    return Q_SAFETY * h / float(exprel(-nu * x0))
 
 
 def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -> CriticalParams:
     """Pick the envelope constants at the critical speed s = s* (a*d <= 1).
 
     The slope constants h follow the closed forms that make the capped
-    piece continuous.  The analytic lower bounds on q-hat scale like
-    4 h^2 (7/(2e lam))^{7/2}; taken literally they push the bump support so
-    far left that its maximum underflows double precision, so q-hat is
-    instead chosen as the smallest ladder value whose differential-
-    inequality residuals verify numerically (see _critical_q_search).
+    upper piece continuous; each critical bump takes its upper envelope's
+    slope h and the q of _critical_q.
     """
     if classify_regime(p) is not Regime.STRICT_WEAK:
         raise ValueError("unsupported regime")
@@ -537,22 +495,24 @@ def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -
     s = critical_speed(p)
     lh1 = s / 2.0
     h1 = _critical_slope(1.0, lh1)
+    nu = _critical_nu(p, s)
 
     if abs(a * d - 1.0) <= EQ_TOL:
         lh2 = s / (2.0 * d)
         h2 = _critical_slope(a, lh2)
-        qhat1, gmax1 = _critical_q_search(lh1, h1, 1.0, c, _capped_linexp(h2, lh2, a))
-        qhat2, gmax2 = _critical_q_search(lh2, h2, d, p.b, _capped_linexp(h1, lh1, 1.0))
+        qhat1 = _critical_q(h1, lh1, nu, 1.0, c, _capped_linexp(h2, lh2, a))
+        qhat2 = _critical_q(h2, lh2, nu, d, p.b, _capped_linexp(h1, lh1, 1.0))
+        bump2 = _critical_bump(h2, qhat2, lh2, nu)
         v_shape = dict(h2=h2, qhat2=qhat2)
     else:
         # a*d < 1: the v-side keeps its supercritical shape with rates from
         # the (now non-degenerate) second quadratic
         v = lower_bump(p, s, "v", knobs.mu2, knobs.q2, knobs.nonmonotone_v)
         check_bumps(v)
-        qhat1, gmax1 = _critical_q_search(lh1, h1, 1.0, c, _capped_exp(a, v.lam))
-        gmax2 = _bump(a, v.lam, v.mu, v.q).fmax
+        qhat1 = _critical_q(h1, lh1, nu, 1.0, c, _capped_exp(a, v.lam))
+        bump2 = _bump(a, v.lam, v.mu, v.q)
         v_shape = dict(muhat2=v.mu, Qhat2=v.q)
-    deltahat1, deltahat2 = _deltas(p, gmax1, gmax2)
+    deltahat1, deltahat2 = _deltas(p, _critical_bump(h1, qhat1, lh1, nu).fmax, bump2.fmax)
     return CriticalParams(h1=h1, qhat1=qhat1, deltahat1=deltahat1, deltahat2=deltahat2,
                           **v_shape)
 
@@ -593,24 +553,40 @@ def _bump(coef, lam, mu, q) -> LowerBump:
                      exp_or_zero(log_fmax), log_fmax)
 
 
-def _gbump(h, q, lam) -> LowerBump:
-    """(-h xi - q sqrt(-xi)) e^{lam xi}; its maximum comes from gbump_extrema."""
-    xi0, xiM, gmax = gbump_extrema(h, q, lam)
-    return LowerBump(((h, 1, lam), (-q, 0.5, lam)), (xiM, xi0),
-                     gmax, math.log(gmax) if gmax > 0.0 else -math.inf)
+def _critical_bump(h, q, lam, nu) -> LowerBump:
+    """e^{lam xi} g(x) with x = -xi and g(x) = h x + (q/nu) expm1(-nu x).
+
+    g is convex with g(0) = 0 and g'(0) = h - q, so for q > h it has one
+    zero x0 > 0, in [ln(q/h)/nu, q/(nu h)].  The maximum point, where
+    g' = lam g, lies in [x0, x0 + h/(lam g'(x0))], because g' < h and g
+    lies above its tangent at x0; the search runs on twice that width, whose
+    end keeps its sign under rounding.  The log of the maximum is
+    ln g(xM) - lam xM.
+    """
+    if q <= h:
+        raise ValueError("no interior zero")
+    g = lambda x: h * x + q / nu * math.expm1(-nu * x)
+    dg = lambda x: h - q * math.exp(-nu * x)
+    x0 = brentq(g, math.log(q / h) / nu, q / (nu * h), xtol=1e-14, rtol=8.9e-16)
+    xM = brentq(lambda x: dg(x) - lam * g(x), x0, x0 + 2.0 * h / (lam * dg(x0)),
+                xtol=1e-14, rtol=8.9e-16)
+    log_fmax = math.log(g(xM)) - lam * xM
+    return LowerBump(((h, 1, lam), (-q / nu, 0, lam), (q / nu, 0, lam + nu)), (-xM, -x0),
+                     exp_or_zero(log_fmax), log_fmax)
 
 
 def lower_bumps(p: SystemParams, s: float,
                 ep: Union[SupercriticalParams, CriticalParams]) -> Tuple[LowerBump, LowerBump]:
     """The u and v lower bumps of ep at the envelope speed s, before their
-    caps: the exponential bump above s*, the g-bump at s*, and at s* with
-    a*d < 1 the exponential bump for v."""
+    caps: the exponential bump above s*, the critical bump at s*, and at s*
+    with a*d < 1 the exponential bump for v."""
     if isinstance(ep, SupercriticalParams):
         r = decay_rates(p, s)
         return _bump(1.0, r.lambda1, ep.mu1, ep.q1), _bump(p.a, r.lambda2, ep.mu2, ep.q2)
-    u = _gbump(ep.h1, ep.qhat1, s / 2.0)
+    nu = _critical_nu(p, s)
+    u = _critical_bump(ep.h1, ep.qhat1, s / 2.0, nu)
     if ep.case == CRITICAL_AD_EQ1:
-        return u, _gbump(ep.h2, ep.qhat2, s / (2.0 * p.d))
+        return u, _critical_bump(ep.h2, ep.qhat2, s / (2.0 * p.d), nu)
     return u, _bump(p.a, decay_rates(p, s).lambda2, ep.muhat2, ep.Qhat2)
 
 

@@ -4,15 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq, minimize_scalar
 
 from lvfront.model import SystemParams, critical_speed, decay_rates, equilibria
 from lvfront.envelopes import (
+    THETA_MU,
     Piece,
     PiecewiseProfile,
     SelectionKnobs,
     bump_extrema,
     bump_log_max,
-    gbump_extrema,
     select_critical,
     select_supercritical,
 )
@@ -105,6 +106,20 @@ class TestOscillationCoupling:
         assert check.v_oscillates and not check.u_oscillates
         assert not check.passed
 
+    def test_rounding_noise_on_a_flat_tail_is_quiet(self):
+        # the last quarter is flat to 1e-12: its ripples are prominent against
+        # the tail's own span, but not against the component's
+        g = np.linspace(-40.0, 40.0, 4001)
+        u = 0.5 * (1.0 + np.tanh(g))
+        noise = 1e-12 * np.random.default_rng(0).standard_normal((2, g.size))
+        check = oscillation_coupling(synthetic_profile(u + noise[0], 0.6 * u + noise[1], grid=g))
+        assert not check.u_oscillates and not check.v_oscillates
+        # a decaying oscillation on the same tail still counts
+        ring = 1e-3 * np.exp(-0.1 * (g - 20.0)) * np.sin(2.0 * g) * (g > 20.0)
+        check = oscillation_coupling(synthetic_profile(u + noise[0] + ring, 0.6 * u + noise[1],
+                                                       grid=g))
+        assert check.u_oscillates and not check.v_oscillates
+
 
 class TestOvershootCriterion:
     def test_remark_knobs_reproduce_threshold(self):
@@ -158,19 +173,31 @@ class TestOvershootCriterion:
 
     @pytest.mark.parametrize("p", [P, SystemParams(0.5, 0.25, 1.0, 1.0)])
     def test_critical_g_bump_maximum_matches_recomputation(self, p):
-        # the criterion reads the maximum of the selected g-bump bit for bit
+        # the criterion reads the maximum of the selected critical bump
+        # e^{lam xi} g(-xi), g(x) = h x + (q/nu) expm1(-nu x), which a bounded
+        # search for the largest ln g(x) - lam x recomputes
         s = critical_speed(p)
+        r = decay_rates(p, s)
+        nu = THETA_MU * min(r.lambda1, r.lambda2)
+
+        def log_max(h, q, lam):
+            g = lambda x: h * x + q / nu * math.expm1(-nu * x)
+            x0 = brentq(g, 1e-3, q / (nu * h))
+            res = minimize_scalar(lambda x: lam * x - math.log(g(x)), method="bounded",
+                                  bounds=(x0 * (1.0 + 1e-9), x0 + 10.0 / lam),
+                                  options={"xatol": 1e-12})
+            return -res.fun
+
         ep_u = select_critical(p, SelectionKnobs(nonmonotone_u=True))
-        gmax_u = gbump_extrema(ep_u.h1, ep_u.qhat1, s / 2.0)[2]
         cond_u = nonmonotone_condition_u(p, s)
-        assert cond_u.fmax == gmax_u
-        assert cond_u.log_fmax == math.log(gmax_u)
+        assert cond_u.log_fmax == pytest.approx(log_max(ep_u.h1, ep_u.qhat1, s / 2.0), rel=1e-12)
+        assert cond_u.fmax == math.exp(cond_u.log_fmax)
         ep_v = select_critical(p, SelectionKnobs(nonmonotone_v=True))
         cond_v = nonmonotone_condition_v(p, s)
         if ep_v.qhat2 is not None:
-            gmax_v = gbump_extrema(ep_v.h2, ep_v.qhat2, s / (2.0 * p.d))[2]
-            assert cond_v.fmax == gmax_v
-            assert cond_v.log_fmax == math.log(gmax_v)
+            assert cond_v.log_fmax == pytest.approx(
+                log_max(ep_v.h2, ep_v.qhat2, s / (2.0 * p.d)), rel=1e-12)
+            assert cond_v.fmax == math.exp(cond_v.log_fmax)
         else:
             assert cond_v.log_fmax == bump_log_max(
                 p.a, decay_rates(p, s).lambda2, ep_v.muhat2, ep_v.Qhat2)

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from lvfront.model import SystemParams, critical_speed, decay_rates
 from lvfront.certify import (
@@ -23,7 +24,8 @@ from lvfront.certify import (
     make_grid,
     select_and_build,
 )
-from lvfront.envelopes import (Q_SAFETY, EnvelopeSet, _bump, _capped_lower, build_envelopes,
+from lvfront.envelopes import (Q_SAFETY, THETA_MU, EnvelopeSet, Piece, PiecewiseProfile, _bump,
+                               _capped, _capped_lower, build_envelopes, lower_bumps,
                                min_decay_rate)
 
 #: the module, which the package's certify function shadows
@@ -61,9 +63,9 @@ class TestCertify:
             certify(SystemParams(1.0, 2.0, 2.0, 1.0), 3.0)
 
     @pytest.mark.parametrize("mutate,reason", [
-        # half the ladder's q-hat leaves the u g-bump too tall for a sub-solution
+        # half the selected q-hat leaves the u bump too tall for a sub-solution
         (lambda env: build_envelopes(P, 2.0, dataclasses.replace(
-            env.params, qhat1=0.5 * env.params.qhat1)), "u_lower = -0.00105 at xi = -6.14914"),
+            env.params, qhat1=0.5 * env.params.qhat1)), "u_lower = -0.00103 at xi = -6.10374"),
         (lambda env: dataclasses.replace(env, u_upper=env.u_upper.shifted(1.0)),
          "u_ordering: leading coefficient negative as xi -> -inf"),
     ], ids=["halved_qhat1", "shifted_u_upper"])
@@ -73,6 +75,36 @@ class TestCertify:
         cert = certify(P, 2.0)
         assert cert.verdict == "fail"
         assert cert.reason == reason
+
+    @pytest.mark.parametrize("corner", ["lower_capped_on_its_rise", "upper_steepened"])
+    def test_a_corner_of_the_wrong_orientation_is_named(self, corner, monkeypatch):
+        # each envelope is a sub- or super-solution on its pieces, so only the
+        # corner check fails
+        env = select_and_build(P, 3.0)
+        ep = env.params
+        if corner == "lower_capped_on_its_rise":
+            # the u bump capped at delta1 where it still increases
+            bump = lower_bumps(P, 3.0, ep)[0]
+            rise = PiecewiseProfile((Piece(-math.inf, math.inf, bump.terms),))
+            xi = brentq(lambda x: rise(x) - ep.delta1, bump.bracket[0] - 60.0, bump.bracket[0])
+            env = dataclasses.replace(env, u_lower=_capped(bump.terms, xi, ep.delta1))
+            reason = "u_lower: corner at xi = -13.2971 is not convex"
+        else:
+            # e^{lam1 xi} turns into the steeper e^{xi + 1 - lam1} at xi = -1,
+            # which the cap 1 meets at xi = lam1 - 1
+            lam1 = decay_rates(P, 3.0).lambda1
+            env = dataclasses.replace(env, u_upper=PiecewiseProfile((
+                Piece(-math.inf, -1.0, ((1.0, 0, lam1),)),
+                Piece(-1.0, lam1 - 1.0, ((math.exp(1.0 - lam1), 0, 1.0),)),
+                Piece(lam1 - 1.0, math.inf, ((1.0, 0, 0.0),)))))
+            reason = "u_upper: corner at xi = -1 is not concave"
+        for prof in (env.u_upper, env.u_lower):
+            assert max(prof.continuity_defects()) <= 1e-12
+        monkeypatch.setattr(certify_module, "select_and_build", lambda *args: env)
+        cert = certify(P, 3.0)
+        assert cert.verdict == "fail"
+        assert cert.reason == reason
+        assert [cc.ok for cc in cert.corner_checks].count(False) == 1
 
     def test_json_summary_shape(self):
         cert = certify(P, 3.0)
@@ -268,30 +300,64 @@ class TestOneJetPerCertificate:
 CRITICAL_SETS = list(dict.fromkeys(p for p, s, mode in POINTWISE_CASES if s == critical_speed(p)))
 
 
-class TestCriticalLadder:
-    @pytest.mark.parametrize("p", CRITICAL_SETS)
-    def test_picks_the_smallest_passing_rung(self, p):
-        # the full residual of every rung on the uniform grid and the
-        # offsets together, checked in one piece
+class TestCriticalQ:
+    """The q of each critical bump e^{lam xi} g(x), x = -xi, g = h x +
+    (q/nu) expm1(-nu x): at its zero x0, q diff nu meets the closed-form
+    bound on the losses w (w + coupling o) e^{(lam + nu) x} beyond x0."""
+
+    @staticmethod
+    def sides(p):
+        """nu and, per critical bump, (h, q, lam, diff, coupling, other
+        upper envelope, bump)."""
         env = select_and_build(p, critical_speed(p))
         ep, s = env.params, env.speed
-        sides = [(ep.qhat1, ep.h1, s / 2.0, 1.0, p.c, env.v_upper)]
+        r = decay_rates(p, s)
+        u, v = lower_bumps(p, s, ep)
+        out = [(ep.h1, ep.qhat1, s / 2.0, 1.0, p.c, env.v_upper, u)]
         if ep.qhat2 is not None:
-            sides.append((ep.qhat2, ep.h2, s / (2.0 * p.d), p.d, p.b, env.u_upper))
-        for qhat, h, lam, dcoef, coupling, other in sides:
-            q = Q_SAFETY * max(math.sqrt(h * (1.0 / lam + 1.0)), h * math.sqrt(1.0 + 1.0 / lam))
-            for _ in range(80):
-                xi0 = -((q / h) ** 2)
-                if xi0 <= -1e-6:
-                    xs = np.concatenate([np.linspace(xi0 - 200.0 / lam, xi0 - 1e-9, 6000),
-                                         xi0 - np.geomspace(1e-9, 1.0, 500)])
-                    g = (h * -xs - q * np.sqrt(-xs)) * np.exp(lam * xs)
-                    res = (dcoef * np.exp(lam * xs) * (q / 4.0) * (-xs) ** -1.5
-                           - g * g - coupling * g * other(xs))
-                    if res.min() >= -1e-12:
-                        break
-                q *= 1.25
-            assert qhat == q
+            out.append((ep.h2, ep.qhat2, s / (2.0 * p.d), p.d, p.b, env.u_upper, v))
+        return THETA_MU * min(r.lambda1, r.lambda2), out
+
+    @staticmethod
+    def bound(h, lam, nu, coupling, other, x0):
+        c_o, k_o, lam_o = other.pieces[0].terms[0]
+        a, b = 2.0 / (math.e * (lam - nu)), 1.0 / (math.e * (lam_o - nu))
+        return (h * h * math.exp(-(lam - nu) * x0) * a * a + coupling * h * c_o
+                * math.exp(-(lam_o - nu) * x0) * (x0 ** k_o * b + k_o * (2.0 * b) ** 2))
+
+    @pytest.mark.parametrize("p", CRITICAL_SETS)
+    def test_q_over_safety_makes_the_bound_tight(self, p):
+        nu, sides = self.sides(p)
+        for h, q, lam, diff, coupling, other, _ in sides:
+            q_star = q / Q_SAFETY
+            x0 = brentq(lambda x: h * x + q_star / nu * math.expm1(-nu * x),
+                        math.log(q_star / h) / nu, q_star / (nu * h), xtol=1e-15, rtol=8.9e-16)
+            assert q_star * diff * nu == pytest.approx(
+                self.bound(h, lam, nu, coupling, other, x0), rel=1e-11)
+
+    @pytest.mark.parametrize("p", CRITICAL_SETS)
+    def test_bound_dominates_the_losses_beyond_the_zero(self, p):
+        nu, sides = self.sides(p)
+        for h, q, lam, diff, coupling, other, bump in sides:
+            x0 = -bump.bracket[1]
+            x = x0 + np.concatenate([np.geomspace(1e-9, 1.0, 500),
+                                     np.linspace(1.0, 1.0 + 200.0 / lam, 20001)])
+            w = PiecewiseProfile((Piece(-math.inf, math.inf, bump.terms),))(-x)
+            losses = w * (w + coupling * other(-x)) * np.exp((lam + nu) * x)
+            bound = self.bound(h, lam, nu, coupling, other, x0)
+            assert losses.max() <= bound
+            assert bound < q * diff * nu
+
+    @pytest.mark.parametrize("p", CRITICAL_SETS)
+    def test_zero_and_maximum_solve_their_equations(self, p):
+        nu, sides = self.sides(p)
+        for h, q, lam, _, _, _, bump in sides:
+            x0, xM = -bump.bracket[1], -bump.bracket[0]
+            g = lambda x: h * x + q / nu * math.expm1(-nu * x)
+            dg = lambda x: h - q * math.exp(-nu * x)
+            assert abs(g(x0)) <= 1e-14 * h * x0
+            assert abs(dg(xM) - lam * g(xM)) <= 1e-14 * (h + lam * h * xM)
+            assert bump.log_fmax == math.log(g(xM)) - lam * xM
 
 
 def _mutated_u_lower(s):
@@ -334,13 +400,13 @@ class TestCells:
 
     @pytest.mark.parametrize("p", CRITICAL_SETS)
     def test_critical_envelopes_are_decided(self, p):
-        # the g-bump's sqrt term and the linear-exponential pieces are powers
-        # of -xi, and the residuals carry powers from -3/2 to 2
+        # the critical bump and the linear-exponential pieces carry the power
+        # 1 of -xi, and the residuals powers 0 to 2
         env = select_and_build(p, 2.0)
         check = check_cells(env, p, 2.0)
         assert not check.reasons
         assert check.cells >= 6 * (len(env.join_points) + 1)
-        assert {pw for pc in env.u_lower.pieces for _, pw, _ in pc.terms} == {0, 0.5, 1}
+        assert {pw for pc in env.u_lower.pieces for _, pw, _ in pc.terms} == {0, 1}
 
 
 def _decide_terms(cells, cuts, sigma=1.0, tol=RESIDUAL_TOL):
@@ -433,10 +499,9 @@ def critical_draws(draw):
 DRAW_16 = SystemParams(1.108, 0.690, 0.717, 0.884)
 
 
-def _cells_agree_with_grid(p, s, mode):
-    """The cell verdict equals the grid verdict, and each cell's bound lies
-    on the safe side of every grid residual and ordering gap inside it."""
-    env = select_and_build(p, s, mode)
+def _cells_agree_with_grid(env, p, s):
+    """The cell verdict on env equals the grid verdict, and each cell's bound
+    lies on the safe side of every grid residual and ordering gap inside it."""
     check = check_cells(env, p, s)
     grid = make_grid(env)
     res = check_differential_inequalities(env, p, s, grid)
@@ -477,20 +542,21 @@ class TestCellsAgreeWithGrid:
     @given(case=critical_draws())
     @settings(max_examples=40, deadline=None)
     def test_critical_verdicts_agree_and_bounds_hold(self, case):
-        _cells_agree_with_grid(*case)
+        p, s, mode = case
+        _cells_agree_with_grid(select_and_build(p, s, mode), p, s)
 
     @pytest.mark.parametrize("p,mode", [(p, mode) for p, s, mode in POINTWISE_CASES
                                         if s == critical_speed(p) and p.a * p.d == 1.0]
                              + [(DRAW_16, "default")])
     def test_critical_fixtures_agree_and_bounds_hold(self, p, mode):
-        _cells_agree_with_grid(p, 2.0, mode)
+        _cells_agree_with_grid(select_and_build(p, 2.0, mode), p, 2.0)
 
 
 class TestCriticalMutations:
     @pytest.mark.parametrize("p", [P, SystemParams(0.5, 0.25, 1.0, 1.0), DRAW_16])
     @pytest.mark.parametrize("factor", [0.5, 0.8, 1.0])
     def test_shrunk_qhat1_fails_on_cells_and_grid(self, p, factor):
-        # a smaller q-hat makes the u g-bump too tall for a sub-solution
+        # a smaller q-hat makes the u bump too tall for a sub-solution
         ep = select_and_build(p, 2.0).params
         env = build_envelopes(p, 2.0, dataclasses.replace(ep, qhat1=factor * ep.qhat1))
         check = check_cells(env, p, 2.0)
@@ -508,11 +574,11 @@ class TestCriticalMutations:
             assert np.array_equal(moved.bounds[name], bounds), name
             assert moved.tightest[name] == check.tightest[name] + 1.5
 
-    def test_a_shifted_square_root_piece_is_refused(self):
+    @pytest.mark.parametrize("delta", [-0.5, 0.5])
+    def test_a_lower_envelope_shifted_alone_is_decided(self, delta):
+        # its p = 1 terms are expanded into the frame of the other three
         env = select_and_build(P, 2.0)
-        env = dataclasses.replace(env, u_lower=env.u_lower.shifted(0.5))
-        with pytest.raises(ValueError, match="cannot shift a"):
-            check_cells(env, P, 2.0)
+        _cells_agree_with_grid(dataclasses.replace(env, u_lower=env.u_lower.shifted(delta)), P, 2.0)
 
 
 class TestPowers:

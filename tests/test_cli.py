@@ -234,7 +234,7 @@ class TestSolve:
         assert not (in_tmp / "crit").exists()
 
     def test_failed_certificate_goes_to_out_json(self, in_tmp, monkeypatch, capsys):
-        # an s* envelope set whose u g-bump has half its q-hat fails the
+        # an s* envelope set whose u bump has half its q-hat fails the
         # u_lower inequality; nothing is solved
         env = certify_module.select_and_build(SystemParams(1.0, 0.5, 0.5, 1.0), 2.0)
         env = build_envelopes(env.system, 2.0, replace(env.params, qhat1=0.5 * env.params.qhat1))

@@ -7,7 +7,6 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import minimize_scalar
 
 from lvfront.model import SystemParams, critical_speed
 from lvfront.envelopes import (
@@ -23,12 +22,12 @@ from lvfront.envelopes import (
     build_envelopes,
     bump_extrema,
     bump_log_max,
-    gbump_extrema,
     join_point,
     min_decay_rate,
     select_critical,
     select_supercritical,
 )
+from lvfront.envelopes import _critical_bump
 
 P = SystemParams(1.0, 0.5, 0.5, 1.0)
 
@@ -67,75 +66,83 @@ class TestBumpExtrema:
             bump_extrema(1.0, 0.5, 1.5, 0.9)
 
 
+def critical_bump_cases(lam_hi=2.0):
+    """(h, q, lam, nu) with q/h in [1.05, 5] and nu/lam in [0.1, 0.5]."""
+    return st.tuples(st.floats(0.5, 30.0), st.floats(1.05, 5.0), st.floats(0.3, lam_hi),
+                     st.floats(0.1, 0.5)).map(lambda t: (t[0], t[1] * t[0], t[2], t[3] * t[2]))
+
+
+def g_of(h, q, nu):
+    """The bracket g(x) = h x + (q/nu) expm1(-nu x) of the critical bump and g'."""
+    return (lambda x: h * x + q / nu * np.expm1(-nu * x),
+            lambda x: h - q * np.exp(-nu * x))
+
+
 class TestGBump:
-    @given(h=st.floats(0.5, 10.0), qf=st.floats(1.1, 5.0),
-           lam=st.floats(0.3, 2.0))
-    @settings(max_examples=40)
-    def test_zero_and_max(self, h, qf, lam):
-        q = qf * h
-        xi0, xiM, gmax = gbump_extrema(h, q, lam)
-        g = lambda x: (h * (-x) - q * np.sqrt(-x)) * np.exp(lam * x)
-        assert xi0 == pytest.approx(-((q / h) ** 2), rel=1e-12)
-        assert xiM < xi0
-        assert abs(g(xi0)) < 1e-10
-        xs = np.linspace(xi0 - 40.0 / lam, xi0 - 1e-9, 20001)
-        assert gmax >= g(xs).max() - 1e-9 * max(gmax, 1e-300)
-        assert gmax > 0.0
+    """The critical bump e^{lam xi} g(x), x = -xi: its zero, maximum point
+    and maximum."""
+
+    @given(case=critical_bump_cases())
+    @settings(max_examples=60)
+    def test_zero_and_max(self, case):
+        h, q, lam, nu = case
+        bump = _critical_bump(h, q, lam, nu)
+        xiM, xi0 = bump.bracket
+        f = PiecewiseProfile((Piece(-math.inf, math.inf, bump.terms),))
+        g, _ = g_of(h, q, nu)
+        assert xiM < xi0 < 0.0
+        assert abs(g(-xi0)) <= 1e-13 * h * -xi0
+        xs = np.linspace(xi0 - 40.0 / lam, xi0, 20001)
+        assert bump.fmax >= f(xs).max() * (1.0 - 1e-12)
+        assert f(xiM) == pytest.approx(bump.fmax, rel=1e-12)
+        assert bump.log_fmax == pytest.approx(math.log(bump.fmax), rel=1e-12)
+
+    @given(case=critical_bump_cases(lam_hi=5.0))
+    @settings(max_examples=60)
+    def test_zero_and_maximum_solve_their_equations_in_their_brackets(self, case):
+        # g(x0) = 0 in [ln(q/h)/nu, q/(nu h)], and g' = lam g at xM in
+        # [x0, x0 + h/(lam g'(x0))], each to a few ulps of its terms
+        h, q, lam, nu = case
+        bump = _critical_bump(h, q, lam, nu)
+        x0, xM = -bump.bracket[1], -bump.bracket[0]
+        g, dg = g_of(h, q, nu)
+        assert math.log(q / h) / nu <= x0 <= q / (nu * h)
+        assert x0 < xM <= x0 + h / (lam * dg(x0)) * (1.0 + 1e-12)
+        assert abs(dg(xM) - lam * g(xM)) <= 1e-12 * h * (1.0 + lam * xM)
+        assert bump.log_fmax == pytest.approx(math.log(g(xM)) - lam * xM, rel=1e-14)
+
+    @given(case=critical_bump_cases(lam_hi=5.0))
+    @settings(max_examples=60)
+    def test_maximum_matches_a_40_digit_evaluation(self, case):
+        # the zero, the maximum point and the log of the maximum, each found
+        # again at 40 digits on the same brackets
+        h, q, lam, nu = case
+        bump = _critical_bump(h, q, lam, nu)
+        with mpmath.workdps(40):
+            H, Q, L, N = map(mpmath.mpf, (h, q, lam, nu))
+            g = lambda x: H * x + Q / N * mpmath.expm1(-N * x)
+            dg = lambda x: H - Q * mpmath.exp(-N * x)
+            x0 = mpmath.findroot(g, (mpmath.log(Q / H) / N, Q / (N * H)), solver="anderson")
+            xM = mpmath.findroot(lambda x: dg(x) - L * g(x), (x0, x0 + 2 * H / (L * dg(x0))),
+                                 solver="anderson")
+            log_fmax = float(mpmath.log(g(xM)) - L * xM)
+        assert -bump.bracket[1] == pytest.approx(float(x0), rel=1e-13)
+        assert -bump.bracket[0] == pytest.approx(float(xM), rel=1e-13)
+        assert abs(bump.log_fmax - log_fmax) <= 1e-14 * (1.0 + abs(log_fmax))
+
+    @given(h=st.floats(0.5, 10.0), qf=st.floats(1e3, 1e5), lam=st.floats(1.0, 2.0))
+    @settings(max_examples=30)
+    def test_underflow_regime_gives_zero(self, h, qf, lam):
+        # a zero this far left leaves a maximum below double precision, and
+        # its log finite
+        bump = _critical_bump(h, qf * h, lam, 0.5)
+        assert bump.fmax == 0.0
+        assert -math.inf < bump.log_fmax < -700.0
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            gbump_extrema(-1.0, 1.0, 1.0)
-
-
-def assert_root_of_the_cubic(h, q, lam, xiM):
-    """P(sqrt(-xiM)) is zero to a few ulps of its largest terms."""
-    t = math.sqrt(-xiM)
-    terms = (2.0 * lam * h * t ** 3, -2.0 * lam * q * t * t, -2.0 * h * t, q)
-    assert abs(math.fsum(terms)) <= 8.0 * np.finfo(float).eps * sum(map(abs, terms))
-
-
-class TestGBumpClosedForm:
-    """The maximum point is the root of P(t) = 2 lam h t^3 - 2 lam q t^2
-    - 2 h t + q beyond q/h, with t = sqrt(-xi)."""
-
-    # g is conditioned like e^{-lam t^2}: a relative change of lam moves it
-    # lam t^2 times as much, so the oracle comparison keeps lam (q/h)^2 <= 10
-    @given(h=st.floats(0.5, 10.0), qf=st.floats(1.1, 2.5), lam=st.floats(0.3, 1.5))
-    @settings(max_examples=60)
-    def test_root_of_the_cubic_and_oracle(self, h, qf, lam):
-        q = qf * h
-        xi0, xiM, gmax = gbump_extrema(h, q, lam)
-        assert_root_of_the_cubic(h, q, lam, xiM)
-
-        g = lambda x: (h * (-x) - q * np.sqrt(-x)) * np.exp(lam * x)
-        xs = np.linspace(xi0 - 40.0 / lam, xi0 - 1e-9, 20001)
-        assert gmax >= g(xs).max() * (1.0 - 1e-14)
-
-        # bounded search in u = t - q/h, where g = u (q + h u) e^{-lam t^2}
-        # has no cancellation and the tolerance is relative to u
-        r = q / h
-        oracle = minimize_scalar(lambda u: -u * (q + h * u) * math.exp(-lam * (r + u) ** 2),
-                                 bounds=(0.0, 10.0 / math.sqrt(lam) + 1.0),
-                                 method="bounded", options={"xatol": 1e-14})
-        assert gmax == pytest.approx(-oracle.fun, rel=1e-14)
-
-    @given(h=st.floats(0.05, 20.0), qf=st.floats(1.01, 20.0), lam=st.floats(0.05, 5.0))
-    @settings(max_examples=60)
-    def test_root_of_the_cubic_on_a_wide_box(self, h, qf, lam):
-        q = qf * h
-        xi0, xiM, gmax = gbump_extrema(h, q, lam)
-        assert_root_of_the_cubic(h, q, lam, xiM)
-        assert xiM < xi0 and gmax >= 0.0
-
-    @given(h=st.floats(0.5, 10.0), qf=st.floats(100.0, 1e6), lam=st.floats(0.3, 2.0))
-    @settings(max_examples=60)
-    def test_underflow_regime_gives_zero(self, h, qf, lam):
-        # q lam this large is where the critical q ladder stops: e^{lam xi}
-        # underflows on the whole positive part of the bump
-        q = qf * h
-        xi0, xiM, gmax = gbump_extrema(h, q, lam)
-        assert gmax == 0.0
-        assert math.isfinite(xi0) and math.isfinite(xiM) and xiM < xi0
+        # q <= h: g rises from g(0) = 0, so the bump has no zero x0 > 0
+        with pytest.raises(ValueError, match="no interior zero"):
+            _critical_bump(1.0, 1.0, 1.0, 0.5)
 
 
 class TestJoinPoint:
@@ -283,10 +290,10 @@ class TestEnvelopeSet:
         assert lam1 == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0, rel=1e-9)
 
 
-#: one profile with a piece of every envelope shape: g-bump, bump, linexp,
-#: exp and constant; the pieces with p != 0 terms stay at t < 0
+#: one profile with a piece of every envelope shape: critical bump, bump,
+#: linexp, exp and constant; the pieces with p != 0 terms stay at t < 0
 ALL_KINDS = PiecewiseProfile((
-    Piece(-math.inf, -8.0, ((2.0, 1, 0.8), (-3.0, 0.5, 0.8))),
+    Piece(-math.inf, -8.0, ((2.0, 1, 0.8), (-3.0, 0, 0.8), (3.0, 0, 1.2))),
     Piece(-8.0, -4.0, ((1.0, 0, 0.6), (-2.5, 0, 1.5 * 0.6))),
     Piece(-4.0, -1.0, ((0.7, 1, 1.2),)),
     Piece(-1.0, 2.0, ((0.5, 0, 0.9),)),
@@ -352,7 +359,7 @@ def term_sums(draw):
     """Terms (c, p, r) with coefficients of both signs, shared rates and the
     rate 0, and sorted points, all at t < 0 where a term has p != 0."""
     rates = draw(st.lists(st.floats(-1.0, 3.0), min_size=1, max_size=2)) + [0.0]
-    terms = draw(st.lists(st.tuples(st.floats(-5.0, 5.0), st.sampled_from([0, 0.5, 1]),
+    terms = draw(st.lists(st.tuples(st.floats(-5.0, 5.0), st.sampled_from([0, 1]),
                                     st.sampled_from(rates)), min_size=1, max_size=5))
     hi = -1e-3 if any(p for _, p, _ in terms) else 10.0
     t = draw(st.lists(st.floats(-30.0, hi), min_size=1, max_size=8))
@@ -393,23 +400,25 @@ class TestTermEvaluator:
 
     def test_value_row_is_the_written_out_formula(self):
         # the five envelope shapes, each with the operand order of its
-        # closed form: constant, exp, bump, linexp, g-bump
+        # closed form: constant, exp, bump, linexp, critical bump
         t = np.linspace(-30.0, -0.25, 3001)
-        A, lam, mu, q, h, c0 = 0.7, 1.3, 1.4, 2.2, 3.69, 0.45
+        A, lam, mu, q, h, c0, nu = 0.7, 1.3, 1.4, 2.2, 3.69, 0.45, 0.65
         shapes = (
             (((c0, 0, 0.0),), np.full(t.size, c0)),
             (((A, 0, lam),), A * np.exp(lam * t)),
             (((A, 0, lam), (-q, 0, mu * lam)), A * np.exp(lam * t) - q * np.exp(mu * lam * t)),
             (((h, 1, lam),), -h * t * np.exp(lam * t)),
-            (((h, 1, lam), (-q, 0.5, lam)), (h * -t - q * np.sqrt(-t)) * np.exp(lam * t)),
+            (((h, 1, lam), (-q / nu, 0, lam), (q / nu, 0, lam + nu)),
+             (h * -t + -q / nu) * np.exp(lam * t) + q / nu * np.exp((lam + nu) * t)),
         )
         for terms, want in shapes:
             assert np.array_equal(PiecewiseProfile((Piece(-math.inf, math.inf, terms),)).jet(t)[0],
                                   want)
 
-    def test_power_outside_zero_half_one_rejected(self):
-        with pytest.raises(ValueError, match="term power"):
-            Piece(-math.inf, math.inf, ((1.0, 2, 0.5),))
+    def test_power_outside_zero_one_rejected(self):
+        for p in (2, 0.5):
+            with pytest.raises(ValueError, match="term power"):
+                Piece(-math.inf, math.inf, ((1.0, p, 0.5),))
 
 
 class TestParamsTypes:
