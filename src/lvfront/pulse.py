@@ -180,8 +180,11 @@ def _pulsed_component(plan: ContinuationPlan, prof: Profile) -> np.ndarray:
 def run_continuation(plan: ContinuationPlan, refine: bool = True) -> PulseResult:
     """Solve every step warm-started from the previous profile.
 
-    Each step is certified with the frozen constants before solving; the
-    floor must survive every step.  The limit profile (last step) is
+    iterate corrects each warm start by Newton and keeps the result only as
+    a verified bracket (IterationReport.handover reads "accepted"); a
+    rejected or failed hand-over falls back to one Picard sequence.  Each
+    step is certified with the frozen constants before solving; the floor
+    must survive every step.  The limit profile (last step) is
     checked against the degenerate system obtained at the exact limit,
     optionally re-solved at doubled resolution to confirm the residual
     drops with the grid.
@@ -290,6 +293,7 @@ def write_pulse_result(res: PulseResult, out_dir: str,
         "max_pulsed": [st.max_pulsed for st in res.steps],
         "floor_ok": [st.floor_ok for st in res.steps],
         "iterations": [st.report.iterations_used for st in res.steps],
+        "handover": [st.report.handover for st in res.steps],
         "degenerate_residual": res.degenerate_residual,
         "degenerate_residual_refined": res.degenerate_residual_refined,
         "tail_verdicts": res.tail_verdicts,

@@ -18,17 +18,23 @@ Near the critical speed the pair gap shrinks by only about 0.998 per step.
 Once it has shrunk by NEWTON_RATE or more slowly per step over the last
 NEWTON_WINDOW steps, after NEWTON_WARMUP steps, the pair is handed over
 once to a semismooth Newton method on the clipped map x = clip(P(x), lo, hi)
-(Qi & Sun, Math. Programming 58, 1993).  The clip pins the wave's
-translation, so no phase condition is needed.  Its Jacobian is banded:
-_kernel_bands writes each kernel as T^-1 M with T and M tridiagonal.  Newton
-runs under the pair's shifts and again under shift_bounds of its answer x;
-from the margin direction e, (I - Pi DP) e = (u, -v), it seeds the pair
-x +- eps*e.  The next pair step, under the same shifts, must map the seeded
-pair inside itself in the mixed order, exactly: a discrete super- and
-sub-solution pair (Sattinger, Indiana Univ. Math. J. 21, 1972).  The pair
-loop then goes on unchanged.  If Newton fails or the check does not hold,
-the seed is dropped and the run is the one that never handed over, bit for
-bit.  IterationReport.handover says which happened.
+(Qi & Sun, Math. Programming 58, 1993).  A warm start is handed over at its
+first step, from the warm profile: Newton is the corrector of a
+continuation step (Allgower & Georg, Introduction to Numerical Continuation
+Methods, SIAM 2003).  The clip pins the wave's translation, so no phase
+condition is needed.  Its Jacobian is banded: _kernel_bands writes each
+kernel as T^-1 M with T and M tridiagonal, constant but for their end rows,
+and each Newton step fills one (3, 3) band over the interleaved unknowns in
+place and factors it once.  Newton runs under the pair's shifts and again
+under shift_bounds of its answer x; the margin direction e,
+(I - Pi DP) e = (u, -v), is solved once, with the last factor, and seeds
+the pair x +- eps*e.  The next pair step, under the same shifts, must map
+the seeded pair inside itself in the mixed order, exactly: a discrete
+super- and sub-solution pair (Sattinger, Indiana Univ. Math. J. 21, 1972).
+The pair loop then goes on unchanged; a warm start so becomes a bracket.
+If Newton fails or the check does not hold, the seed is dropped and the run
+is the one that never handed over, bit for bit.  IterationReport.handover
+says which happened.
 """
 
 from __future__ import annotations
@@ -36,10 +42,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.signal import lfilter
 
 from .model import SystemParams, equilibria
@@ -239,7 +245,17 @@ def _clip_to(arr: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return out, events, worst
 
 
-def _kernel_bands(h: float, alpha: float, gamma: float, dcoef: float, n: int):
+class _Tridiagonal(NamedTuple):
+    """A tridiagonal matrix with constant diagonals, except for the two end
+    values of the main diagonal."""
+    sub: float
+    diag: float
+    sup: float
+    first: float
+    last: float
+
+
+def _kernel_bands(h: float, alpha: float, gamma: float, dcoef: float):
     """Banded form of one kernel: T @ _kernel_apply(F) = M @ F + tail terms.
 
     With S the down-shift and k = dcoef * (gamma - alpha), T is
@@ -247,70 +263,90 @@ def _kernel_bands(h: float, alpha: float, gamma: float, dcoef: float, n: int):
     keep only k (I - eg S^T)'s and k (I - ea S)'s row: there L_0 and
     R_{n-1} are the tail constants, so no recurrence needs undoing.  Then
     M = (I - eg S^T) B_L + (I - ea S) B_R, with B_L, B_R the recurrences'
-    bidiagonal weights, and T and M are tridiagonal.  The tail terms vanish
-    when F_left = F_right = 0.  Returns (T, M) in solve_banded's (1, 1)
-    layout, band[1 + i - j, j] = A[i, j].
+    bidiagonal weights, and T and M are tridiagonal with constant
+    diagonals but for their end rows.  The tail terms vanish when
+    F_left = F_right = 0.  Returns (T, M).
     """
     ea, c1, c2, eg, d1, d2 = _kernel_coefficients(h, alpha, gamma)
     k = dcoef * (gamma - alpha)
-    T = np.empty((3, n))
-    T[0], T[1], T[2] = -k * eg, k * (1.0 + ea * eg), -k * ea
-    T[1, 0] = T[1, -1] = k
-    M = np.empty((3, n))
-    M[0], M[1], M[2] = d2 - eg * c2, (c2 - ea * d2) + (d1 - eg * c1), c1 - ea * d1
-    M[1, 0], M[1, -1] = d1 - eg * c1, c2 - ea * d2
-    T[0, 0] = T[2, -1] = M[0, 0] = M[2, -1] = 0.0
+    T = _Tridiagonal(sub=-k * ea, diag=k * (1.0 + ea * eg), sup=-k * eg, first=k, last=k)
+    M = _Tridiagonal(sub=c1 - ea * d1, diag=(c2 - ea * d2) + (d1 - eg * c1),
+                     sup=d2 - eg * c2, first=d1 - eg * c1, last=c2 - ea * d2)
     return T, M
 
 
-def _band_apply(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Tridiagonal matrix in solve_banded's (1, 1) layout times x."""
-    y = band[1] * x
-    y[:-1] += band[0, 1:] * x[1:]
-    y[1:] += band[2, :-1] * x[:-1]
+def _band_apply(band: _Tridiagonal, x: np.ndarray) -> np.ndarray:
+    """band @ x for len(x) >= 2."""
+    y = band.diag * x
+    y[0], y[-1] = band.first * x[0], band.last * x[-1]
+    y[:-1] += band.sup * x[1:]
+    y[1:] += band.sub * x[:-1]
     return y
 
 
-def _newton_solve(X, rhs, active, p: SystemParams, beta, kernels):
-    """Solve (I - Pi DP(X)) delta = rhs for each rhs in the list.
+def _reaction_jacobian(X, p: SystemParams, beta, k: int, l: int) -> np.ndarray:
+    """Entry (k, l) of the pointwise 2x2 Jacobian D of the shifted reactions
+    at X = (u, v)."""
+    u, v = X
+    beta_u, beta_v = _beta_pair(beta)
+    if k == 0:
+        return beta_u + 1.0 - 2.0 * u - p.c * v if l == 0 else -p.c * u
+    return -p.b * v if l == 0 else beta_v + p.a - p.b * u - 2.0 * v
+
+
+#: the diagonals of a kernel band as (row of the block (0, 0) in gbtrf's
+#: layout, columns, the rows they meet, _Tridiagonal field); the main
+#: diagonal's end values overwrite its first and last entry
+_DIAGONALS = ((4, slice(1, None), slice(None, -1), "sup"),
+              (6, slice(None), slice(None), "diag"),
+              (6, slice(None, 1), slice(None, 1), "first"),
+              (6, slice(-1, None), slice(-1, None), "last"),
+              (8, slice(None, -1), slice(1, None), "sub"))
+
+
+def _newton_factor(ab: np.ndarray, X, W, free, p: SystemParams, beta, kernels):
+    """Fill ab with the Newton matrix at X and factor it in place; returns
+    the pivots.
 
     DP = T^-1 M D per component, with D the pointwise 2x2 Jacobian of the
-    shifted reactions, and Pi zeroes the active rows.  With z = T^-1 M D
-    delta the system is (T - M D Pi) z = M D rhs, delta = rhs + Pi z: banded
-    (3, 3) over the interleaved unknowns (u_0, v_0, u_1, ...).  Rows and
-    unknowns are scaled by |X|, whose tails reach 1e-24.
+    shifted reactions, and Pi = diag(free) zeroes the active rows.  With
+    z = T^-1 M D delta, (I - Pi DP) delta = rhs becomes
+    (T - M D Pi) z = M D rhs, delta = rhs + Pi z: banded (3, 3) over the
+    interleaved unknowns (u_0, v_0, u_1, ...).  Rows and unknowns are scaled
+    by W = |X|, whose tails reach 1e-24.  ab is (n, 2, 10), gbtrf's layout
+    ab[6 + i - j, j] = A[i, j] stored by columns; its rows 0-2 take the
+    fill-in of the pivoting.
     """
-    a, b, c = p.a, p.b, p.c
-    beta_u, beta_v = _beta_pair(beta)
-    u, v = X
-    n = u.size
-    D = ((beta_u + 1.0 - 2.0 * u - c * v, -c * u),
-         (-b * v, beta_v + a - b * u - 2.0 * v))
-    W = np.maximum(np.abs(X), np.finfo(float).tiny)
-    free = ~active
-    # gbsv's band layout, ab[6 + i - j, j] = A[i, j], stored by columns;
-    # rows 0-2 take the fill-in of the pivoting
-    ab = np.zeros((n, 2, 10))
+    # inside the band but outside the tridiagonal blocks
+    ab[:, 0, 3] = ab[:, 1, 9] = 0.0
     for k, (T, M) in enumerate(kernels):
         for l in range(2):
-            DPi = D[k][l] * free[l] * W[l]
-            for dj in (-1, 0, 1):
-                val = -M[1 - dj] * DPi
+            G = _reaction_jacobian(X, p, beta, k, l) * free[l] * W[l]
+            for row, cols, rows, name in _DIAGONALS:
+                val = -getattr(M, name) * G[cols]
                 if k == l:
-                    val += T[1 - dj] * W[l]
-                rows = np.roll(W[k], dj)   # W[k, j - dj]; the wrapped end is a zero band entry
-                ab[:, l, 6 - 2 * dj + k - l] = val / rows
-    B = np.empty((len(rhs), n, 2))
-    for i, r in enumerate(rhs):
-        Dr = (D[0][0] * r[0] + D[0][1] * r[1], D[1][0] * r[0] + D[1][1] * r[1])
-        for k, (_, M) in enumerate(kernels):
-            B[i, :, k] = _band_apply(M, Dr[k]) / W[k]
-    # solve_banded's LAPACK routine, called in place
-    _, _, Z, info = dgbsv(3, 3, ab.reshape(2 * n, 10).T, B.reshape(len(rhs), 2 * n).T,
-                          overwrite_ab=True, overwrite_b=True)
+                    val += getattr(T, name) * W[l][cols]
+                np.divide(val, W[k][rows], out=ab[cols, l, row + k - l])
+    n = X.shape[1]
+    _, piv, info = dgbtrf(ab.reshape(2 * n, 10).T, 3, 3, overwrite_ab=True)
     if info != 0:
         raise np.linalg.LinAlgError("singular Newton matrix")
-    return [r + free * W * Z[:, i].reshape(n, 2).T for i, r in enumerate(rhs)]
+    return piv
+
+
+def _newton_solve(ab: np.ndarray, piv, X, W, free, rhs, p: SystemParams, beta, kernels):
+    """Solve (I - Pi DP(X)) delta = rhs with the factor of _newton_factor."""
+    n = X.shape[1]
+    B = np.empty((n, 2))
+    for k, (_, M) in enumerate(kernels):
+        Dr = (_reaction_jacobian(X, p, beta, k, 0) * rhs[0]
+              + _reaction_jacobian(X, p, beta, k, 1) * rhs[1])
+        np.divide(_band_apply(M, Dr), W[k], out=B[:, k])
+    Z, _ = dgbtrs(ab.reshape(2 * n, 10).T, 3, 3, B.reshape(2 * n, 1), piv, overwrite_b=True)
+    delta = np.multiply(free, W)
+    delta *= Z.reshape(n, 2).T
+    delta += rhs
+    return delta
 
 
 def _clipped_newton(X, p: SystemParams, s: float, beta, h: float, star,
@@ -320,30 +356,37 @@ def _clipped_newton(X, p: SystemParams, s: float, beta, h: float, star,
     The rows where P(X) leaves (lo, hi) are active and solve X_i = bound;
     the clip pins the wave's translation, so no phase condition is needed.
     Returns (X, e) once the step is below NEWTON_TOL relative to |X|, where
-    (I - Pi DP) e = (u, -v) is the mixed-order margin direction from the
-    last Jacobian, or None if Newton does not converge.
+    (I - Pi DP) e = (u, -v) is the mixed-order margin direction, solved
+    with the last Jacobian's factor, or None if Newton does not converge.
     """
     n = X.shape[1]
-    kernels = [_kernel_bands(h, al, ga, dc, n)
+    kernels = [_kernel_bands(h, al, ga, dc)
                for (al, ga), dc in zip(kernel_rates(p, s, beta), (1.0, p.d))]
+    ab = np.empty((n, 2, 10))
     # a diverging Newton overflows in its row scaling before its iterate
     # turns non-finite; that exit, not a warning, reports the failure
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(NEWTON_MAX_STEPS):
-            PX = np.array(apply_P(X[0], X[1], p, s, beta, h, star))
-            active = (PX <= lo) | (PX >= hi)
+            # clip(P(X)) - X is formed in P(X)'s buffer, X + step in the step's
+            step = np.array(apply_P(X[0], X[1], p, s, beta, h, star))
+            free = ~((step <= lo) | (step >= hi))
+            np.clip(step, lo, hi, out=step)
+            step -= X
+            W = np.maximum(np.abs(X), np.finfo(float).tiny)
             try:
-                # e's right-hand side (u, -v) points up in the mixed order
-                step, e = _newton_solve(X, [np.clip(PX, lo, hi) - X, X * [[1.0], [-1.0]]],
-                                        active, p, beta, kernels)
+                piv = _newton_factor(ab, X, W, free, p, beta, kernels)
+                step = _newton_solve(ab, piv, X, W, free, step, p, beta, kernels)
             except np.linalg.LinAlgError:
                 return None
-            scale = np.maximum(np.abs(X), np.finfo(float).tiny)
-            X = X + step
-            if not np.all(np.isfinite(X)):
+            converged = np.max(np.abs(step) / W) <= NEWTON_TOL
+            X_new = np.add(X, step, out=step)
+            if not np.all(np.isfinite(X_new)):
                 return None
-            if np.max(np.abs(step) / scale) <= NEWTON_TOL:
-                return X, e
+            if converged:
+                # e's right-hand side (u, -v) points up in the mixed order
+                return X_new, _newton_solve(ab, piv, X, W, free, X * [[1.0], [-1.0]],
+                                            p, beta, kernels)
+            X = X_new
     return None
 
 
@@ -363,11 +406,13 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
 
     A cold solve iterates the upper pair (u_up, v_lo) and the lower pair
     (u_lo, v_up), which bracket every fixed point in the mixed quasimonotone
-    order.  A warm start iterates one sequence, from warm_start clipped to
-    the sandwich, and its pair gap is 0.  Converged when both the pair gap
-    and the step change drop below cfg.tol; the returned Profile is the
-    midpoint of the first and last sequence.  A slowly contracting pair is
-    handed over to Newton once (module docstring).
+    order.  A warm start begins with warm_start clipped to the sandwich and
+    is handed over to Newton at its first step; if the seeded pair is
+    accepted it is iterated as a bracket, and otherwise the warm start
+    iterates one sequence, whose pair gap is 0.  Converged when both the
+    pair gap and the step change drop below cfg.tol; the returned Profile
+    is the midpoint of the first and last sequence.  A cold pair that
+    contracts slowly is handed over to Newton once (module docstring).
     """
     if cfg.left >= left_reach(env, MIN_REACH):
         raise ValueError("domain too small")
@@ -378,8 +423,8 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
     grid = np.linspace(cfg.left, cfg.right, cfg.n_points)
     h = grid[1] - grid[0]
     star = equilibria(p).coexistence
-    lo = (np.maximum(env.u_lower(grid), 0.0), np.maximum(env.v_lower(grid), 0.0))
-    hi = (np.minimum(env.u_upper(grid), 1.0), np.minimum(env.v_upper(grid), p.a))
+    lo = np.maximum([env.u_lower(grid), env.v_lower(grid)], 0.0)
+    hi = np.minimum([env.u_upper(grid), env.v_upper(grid)], [[1.0], [p.a]])
 
     if warm_start is None:
         X = [(hi[0], lo[1]), (lo[0], hi[1])]   # upper pair, lower pair
@@ -417,21 +462,21 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
         return nX, events, escapes
 
     def hand_over(X, beta):
-        """Newton from the pair's midpoint under beta and, with adaptive
-        shifts, again under beta' = shift_bounds of its answer x; then the
-        seed x +- eps*e, eps*max|e| = tol/4, and its pair step under beta'.
-        Returns the outcome and, if accepted, (seed, beta', step)."""
-        lo2, hi2 = np.array(lo), np.array(hi)
-        out = _clipped_newton(0.5 * (np.array(X[0]) + np.array(X[-1])), p, s, beta, h, star,
-                              lo2, hi2)
+        """Newton from the pair's midpoint (a warm start's one sequence)
+        under beta and, with adaptive shifts, again under beta' =
+        shift_bounds of its answer x; then the seed x +- eps*e,
+        eps*max|e| = tol/4, and its pair step under beta'.  Returns the
+        outcome and, if accepted, (seed, beta', step)."""
+        out = _clipped_newton(0.5 * np.add(X[0], X[-1]), p, s, beta, h, star, lo, hi)
         if out is not None and cfg.beta is None:
-            beta = shift_bounds(p, out[0][0], out[0][1])
-            out = _clipped_newton(out[0], p, s, beta, h, star, lo2, hi2)
+            x, out = out[0], None   # the first run's e is not used
+            beta = shift_bounds(p, x[0], x[1])
+            out = _clipped_newton(x, p, s, beta, h, star, lo, hi)
         if out is None:
             return "newton_failed", None
         x, e = out
         eps = 0.25 * cfg.tol / np.max(np.abs(e))
-        seed = [tuple(np.clip(x + eps * e, lo2, hi2)), tuple(np.clip(x - eps * e, lo2, hi2))]
+        seed = [tuple(np.clip(x + eps * e, lo, hi)), tuple(np.clip(x - eps * e, lo, hi))]
         nxt = pair_step(seed, beta)
         ((nAu, nAv), (nBu, nBv)), _, escapes = nxt
         (sAu, sAv), (sBu, sBv) = seed
@@ -450,7 +495,7 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         nxt = None
-        if handover == "none" and _slow_pair(gap_hist):
+        if handover == "none" and (warm_start is not None or _slow_pair(gap_hist)):
             handover, seeded = hand_over(X, beta)
             if seeded is not None:
                 X, beta, nxt = seeded

@@ -1,5 +1,7 @@
 """Continuation toward the degenerate limit and the pulse diagnostics."""
 
+import json
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -19,6 +21,7 @@ from lvfront.pulse import (
     pulse_tail_diagnostics,
     run_continuation,
     widen_left_edge,
+    write_pulse_result,
     _step_params,
 )
 
@@ -185,6 +188,52 @@ class TestRun:
     def test_passed_summary(self, short_run):
         _, res = short_run
         assert res.passed
+
+
+@pytest.fixture(scope="module")
+def u_pulse():
+    plan = plan_continuation(P, 2.5, "c_to_1_over_a", 8)
+    return plan, run_continuation(plan, refine=False)
+
+
+class TestNewtonCorrector:
+    """Each warm step is corrected by Newton into a verified bracket."""
+
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    def test_warm_step_brackets_the_cold_answer(self, u_pulse, k):
+        plan, res = u_pulse
+        rep, prof = res.steps[k].report, res.steps[k].profile
+        assert rep.handover == "accepted" and rep.converged
+        assert rep.pair_gap_history[0] > 0.0
+        p_k = _step_params(plan, plan.steps[k])
+        env = certify(p_k, plan.speed, knobs=plan.knobs).envelope
+        cold, cold_rep = iterate(env, p_k, plan.speed, plan.config)
+        assert cold_rep.converged and cold_rep.handover == "none"
+        assert np.abs(prof.u - cold.u).max() <= plan.config.tol
+        assert np.abs(prof.v - cold.v).max() <= plan.config.tol
+
+    def test_accepted_warm_solve_fits_in_48_arrays(self, u_pulse):
+        plan, res = u_pulse
+        p1 = _step_params(plan, plan.steps[1])
+        env = certify(p1, plan.speed, knobs=plan.knobs).envelope
+        warm = (res.steps[0].profile.u, res.steps[0].profile.v)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _, rep = iterate(env, p1, plan.speed, plan.config, warm_start=warm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.handover == "accepted"
+        assert peak - start <= 48 * plan.config.n_points * 8
+
+    def test_summary_lists_each_hand_over(self, u_pulse, tmp_path):
+        _, res = u_pulse
+        write_pulse_result(res, str(tmp_path))
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["handover"] == [st.report.handover for st in res.steps]
+        assert summary["handover"][0] == "none"
+        assert max(summary["iterations"][1:]) < 10
 
 
 class TestDiagnostics:

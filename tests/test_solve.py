@@ -21,7 +21,8 @@ from lvfront.envelopes import min_decay_rate
 from lvfront.model import critical_speed
 from lvfront.solve import BETA_MARGIN, shift_bounds
 from lvfront import solve as solve_mod
-from lvfront.solve import _band_apply, _kernel_apply, _kernel_bands, _newton_solve
+from lvfront.solve import (_band_apply, _kernel_apply, _kernel_bands, _newton_factor,
+                           _newton_solve)
 from lvfront.solve import (CLIP_EVENT_TOL, CSV_BLOCK_ROWS, _clip_to, _kernel_coefficients,
                            write_csv)
 from scipy.signal import lfilter
@@ -134,9 +135,11 @@ def apply_p_calls(monkeypatch):
 
 
 class TestWarmStart:
-    """A warm start iterates one clipped Picard sequence, written out here."""
+    """A warm start whose Newton hand-over fails iterates one clipped Picard
+    sequence, written out here."""
 
-    def test_matches_written_out_sequence(self, solved, apply_p_calls):
+    def test_matches_written_out_sequence(self, solved, apply_p_calls, monkeypatch):
+        monkeypatch.setattr(solve_mod, "_clipped_newton", lambda *args: None)
         cert, prof, _ = solved
         env, grid = cert.envelope, prof.grid
         h, star = grid[1] - grid[0], equilibria(P).coexistence
@@ -157,6 +160,7 @@ class TestWarmStart:
         residual = max(np.abs(y - w).max() for y, w in zip(Px, x))
 
         wprof, wrep = iterate(env, P, S, CFG, warm_start=warm)
+        assert wrep.handover == "newton_failed"
         assert wrep.converged and wrep.iterations_used == len(steps) > 1
         assert np.array_equal(wrep.residual_history, steps)
         assert not wrep.pair_gap_history.any()
@@ -164,6 +168,17 @@ class TestWarmStart:
         assert wprof.residual == residual and wrep.beta_used == beta
         # one P per step and one for the final residual
         assert len(apply_p_calls) == wrep.iterations_used + 1
+
+    def test_accepted_hand_over_brackets_the_cold_answer(self, solved):
+        cert, prof, _ = solved
+        grid = prof.grid
+        warm = (prof.u * (1.0 + 1e-3 * np.sin(grid)), prof.v)
+        wprof, wrep = iterate(cert.envelope, P, S, CFG, warm_start=warm)
+        assert wrep.handover == "accepted" and wrep.converged
+        assert wrep.pair_gap_history[0] > 0.0
+        assert sum(wrep.sandwich_violations) == 0
+        assert np.abs(wprof.u - prof.u).max() <= CFG.tol
+        assert np.abs(wprof.v - prof.v).max() <= CFG.tol
 
     def test_cold_solve_applies_P_twice_per_step(self, solved, apply_p_calls):
         cert, _, rep = solved
@@ -319,7 +334,7 @@ class TestKernelBands:
     @pytest.mark.parametrize("n", [2, 3, 500, 54401])
     def test_kernel_times_T_is_M(self, h, alpha, gamma, dcoef, n):
         F = np.random.default_rng(n).uniform(-1.0, 1.0, n)
-        T, M = _kernel_bands(h, alpha, gamma, dcoef, n)
+        T, M = _kernel_bands(h, alpha, gamma, dcoef)
         lhs = _band_apply(T, _kernel_apply(F, h, alpha, gamma, dcoef, 0.0, 0.0))
         rhs = _band_apply(M, F)
         assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
@@ -334,8 +349,13 @@ class TestKernelBands:
         active = rng.uniform(size=(2, n)) < 0.2
         rhs = rng.uniform(-1.0, 1.0, (2, n))
         rates = kernel_rates(P, s, beta)
-        kernels = [_kernel_bands(h, al, ga, dc, n) for (al, ga), dc in zip(rates, (1.0, P.d))]
-        (delta,) = _newton_solve(X, [rhs], active, P, beta, kernels)
+        kernels = [_kernel_bands(h, al, ga, dc) for (al, ga), dc in zip(rates, (1.0, P.d))]
+        W, free = np.abs(X), ~active
+        # the band is refilled over an earlier factor, as in a Newton run
+        ab = np.full((n, 2, 10), np.nan)
+        _newton_factor(ab, X[::-1], W[::-1], free, P, beta, kernels)
+        piv = _newton_factor(ab, X, W, free, P, beta, kernels)
+        delta = _newton_solve(ab, piv, X, W, free, rhs, P, beta, kernels)
         # dense DP: kernel columns times the pointwise reaction Jacobian
         K = [np.column_stack([_kernel_apply(col, h, al, ga, dc, 0.0, 0.0)
                               for col in np.eye(n)])
