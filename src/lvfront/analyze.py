@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.signal import find_peaks
 
-from .model import EQ_TOL, Regime, SystemParams, classify_regime, critical_speed, equilibria
+from .model import EQ_TOL, SystemParams, critical_speed, equilibria, require_strict_weak
 from .envelopes import EnvelopeSet, InadmissibleBump, SelectionKnobs, lower_bumps
 from .certify import select_params
 from .solve import Profile
@@ -122,8 +122,7 @@ def interior_box_implies_monotone(prof: Profile, p: SystemParams) -> BoxMonotoni
 
 def _nonmonotone_condition(p: SystemParams, s: float, knobs: SelectionKnobs,
                            component: str) -> NonMonotoneCondition:
-    if classify_regime(p) is not Regime.STRICT_WEAK:
-        raise ValueError("unsupported regime")
+    require_strict_weak(p)
     if s < critical_speed(p) - EQ_TOL:
         raise ValueError("subcritical speed")
     ustar, vstar = equilibria(p).coexistence
@@ -228,8 +227,7 @@ def scan_region(base: SystemParams, s_values, gap_values,
         if b <= 0.0:
             raise ValueError("a - b gap exceeds a: b must stay positive")
         p = SystemParams(base.a, b, base.c, base.d)
-        if classify_regime(p) is not Regime.STRICT_WEAK:
-            raise ValueError("unsupported regime")
+        require_strict_weak(p)
         for j, s in enumerate(s_values):
             s_eff = max(s, critical_speed(p))
             cond = nonmonotone_condition_v(p, s_eff, knobs)

@@ -1,8 +1,8 @@
 """Verification that an envelope set brackets a true wave.
 
-Checks three things: the ordering of the envelopes, the corner
-(one-sided derivative) conditions at the join points, and the four
-differential inequalities
+Checks four things: the continuity of each envelope at its join points,
+the ordering of the envelopes, the corner (one-sided derivative)
+conditions at the joins, and the four differential inequalities
 
     u_up'' - s u_up' + u_up (1 - u_up - c v_lo) <= 0,
     u_lo'' - s u_lo' + u_lo (1 - u_lo - c v_up) >= 0,
@@ -29,12 +29,11 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .model import (Regime, SystemParams, admissibility, at_critical_speed, classify_regime,
-                    critical_speed, decay_rates)
+from .model import (SystemParams, admissibility, at_critical_speed, critical_speed, decay_rates,
+                    require_strict_weak)
 from .envelopes import (
     CriticalParams,
     EnvelopeSet,
-    PiecewiseProfile,
     SelectionKnobs,
     SupercriticalParams,
     build_envelopes,
@@ -49,6 +48,8 @@ _INEQUALITIES = ("u_upper", "u_lower", "v_upper", "v_lower")
 RESIDUAL_TOL = 1e-10
 #: ordering gap within this band of zero counts as ordered
 ORDERING_TOL = 1e-12
+#: a jump at a join within this band of zero counts as continuous
+CONTINUITY_TOL = 1e-10
 #: decide_sums halves a cell at most this often, and holds at most
 #: MAX_CELLS cells at once; a cell still undecided then fails
 MAX_BISECTIONS = 200
@@ -250,14 +251,13 @@ def _rows(c, dr, dp=None) -> _Rows:
 
 
 def decide_sums(sums: Dict[str, Tuple[float, float, List[Dict[Tuple[float, float], float]]]],
-                cuts: Tuple[float, ...], shift: float = 0.0) -> CellCheck:
+                cuts: Tuple[float, ...]) -> CellCheck:
     """Decide sigma * f >= -tol on the whole line for each named sum
-    (sigma, tol, cells), where cells holds f = sum_k c_k (-t)^{p_k} e^{r_k t}
-    as {(r_k, p_k): c_k} on each cell of the line split at the sorted cuts,
-    in t = xi - shift; tightest and reasons are reported in xi.
+    (sigma, tol, cells), where cells holds f = sum_k c_k (-xi)^{p_k} e^{r_k xi}
+    as {(r_k, p_k): c_k} on each cell of the line split at the sorted cuts.
 
     Zero coefficients are dropped; a nonzero power needs a cell left of
-    t = 0.  On (-inf, cuts[0]] the leading term must have the strict sign,
+    xi = 0.  On (-inf, cuts[0]] the leading term must have the strict sign,
     and left of a split point (_left_split) the others cannot undo it.  All
     other cells are bounded at once (_Rows.bound), a finite one whose bound
     misses -tol while neither end does also by min(f(lo), f(hi)) - w^2/8
@@ -309,7 +309,7 @@ def decide_sums(sums: Dict[str, Tuple[float, float, List[Dict[Tuple[float, float
         p0 = np.nan_to_num(np.where(lead, p, -math.inf).max(1), neginf=0.0)
         p = np.where(pad, p0[:, None], p)
         if (p[hi >= 0.0] != 0.0).any():
-            raise ValueError(f"a power of -xi on a cell reaching xi >= {shift:.6g}")
+            raise ValueError("a power of -xi on a cell reaching xi >= 0")
         dp = p - p0[:, None]
         dp[:, -1] = p0
         # -(c x^p e^{r xi})'' = -c (r^2 x^p - 2 r p x^{p - 1} + p (p - 1) x^{p - 2}) e^{r xi}
@@ -359,10 +359,9 @@ def decide_sums(sums: Dict[str, Tuple[float, float, List[Dict[Tuple[float, float
             failed[k] = True
             if witness[j]:
                 at, value = (hi[j], v_hi[j]) if v_hi[j] < v_lo[j] else (lo[j], v_lo[j])
-                reasons[k] = f"{names[k]} = {signs[row[j]] * value:.3g} at xi = {at + shift:.6g}"
+                reasons[k] = f"{names[k]} = {signs[row[j]] * value:.3g} at xi = {at:.6g}"
             else:
-                reasons[k] = (f"{names[k]}: sign undecided on "
-                              f"[{lo[j] + shift:.6g}, {hi[j] + shift:.6g}]")
+                reasons[k] = f"{names[k]}: sign undecided on [{lo[j]:.6g}, {hi[j]:.6g}]"
         if not split.size:
             break
         row = np.repeat(row[split], frac.size + 1)
@@ -377,23 +376,9 @@ def decide_sums(sums: Dict[str, Tuple[float, float, List[Dict[Tuple[float, float
     bounds, tightest = {}, {}
     for k, (name, (sigma, _, _)) in enumerate(sums.items()):
         bounds[name] = sigma * worst[k] + 0.0
-        tightest[name] = float(worst_xi[k, np.argmin(worst[k])] + shift)
+        tightest[name] = float(worst_xi[k, np.argmin(worst[k])])
     return CellCheck(bounds, tightest, done_row.size,
                      {names[k]: reasons[k] for k in sorted(reasons)})
-
-
-def _frame_pieces(prof: PiecewiseProfile, frame: float) -> List[List[Tuple[float, float, float]]]:
-    """The (c, p, r) triples of c (-t)^p e^{r t} of each piece in t = xi -
-    frame; a profile shifted by delta = shift - frame has its terms
-    c (delta - t)^p e^{r (t - delta)}, p in {0, 1}, expanded."""
-    delta, out = prof.shift - frame, []
-    for pc in prof.pieces:
-        terms = [] if delta else pc.terms
-        for c, p, r in pc.terms if delta else ():
-            c *= math.exp(-r * delta)
-            terms += [(c, p, r), (c * delta, 0, r)] if p else [(c, p, r)]
-        out.append(terms)
-    return out
 
 
 def _residual_terms(w, other, diff, growth, coupling, s, root):
@@ -433,17 +418,15 @@ def check_cells(env: EnvelopeSet, p: SystemParams, s: float) -> CellCheck:
     On a cell each residual is a sum of terms c (-xi)^p e^{r xi}: the
     products of the pieces' terms and the operator applied to each term
     (_residual_terms), like terms merged.  The residuals must clear
-    RESIDUAL_TOL and the gaps ORDERING_TOL.  A set shifted as a whole is
-    decided in its unshifted frame.
+    RESIDUAL_TOL and the gaps ORDERING_TOL.
     """
     a, b, c, d = p.a, p.b, p.c, p.d
     rates = decay_rates(p, s)
     profs = (env.u_upper, env.u_lower, env.v_upper, env.v_lower)
-    frame = profs[0].shift if len({prof.shift for prof in profs}) == 1 else 0.0
-    joins = [tuple(pc.hi + (prof.shift - frame) for pc in prof.pieces[:-1]) for prof in profs]
+    joins = [prof.join_points for prof in profs]
     cuts = tuple(sorted(set().union(*joins)))
-    uu, ul, vu, vl = ([pieces[bisect_right(js, x)] for x in (-math.inf,) + cuts]
-                      for pieces, js in zip((_frame_pieces(pr, frame) for pr in profs), joins))
+    uu, ul, vu, vl = ([prof.pieces[bisect_right(js, x)].terms for x in (-math.inf,) + cuts]
+                      for prof, js in zip(profs, joins))
     sums = {}
     for name, sigma, w, o, diff, growth, k, root in (
             ("u_upper", -1.0, uu, vl, 1.0, 1.0, c, rates.lambda1),
@@ -454,7 +437,7 @@ def check_cells(env: EnvelopeSet, p: SystemParams, s: float) -> CellCheck:
                                             for wi, oi in zip(w, o)])
     for name, up, low in (("u_ordering", uu, ul), ("v_ordering", vu, vl)):
         sums[name] = (1.0, ORDERING_TOL, [_gap_terms(x, y) for x, y in zip(up, low)])
-    return decide_sums(sums, cuts, frame)
+    return decide_sums(sums, cuts)
 
 
 def _mode_knobs(mode: str) -> SelectionKnobs:
@@ -486,21 +469,26 @@ def select_and_build(p: SystemParams, s: float, mode: str = "default",
 
 def certify(p: SystemParams, s: float, mode: str = "default",
             knobs: SelectionKnobs = None) -> Certificate:
-    """Build envelopes for (p, s) and verify all bracketing conditions, the
-    signs cell by cell (check_cells)."""
+    """Build envelopes for (p, s) and verify all bracketing conditions: the
+    continuity of each profile at its joins first, then the signs cell by
+    cell (check_cells) and the corners."""
     adm = admissibility(p, s)
     if not adm.admissible:
         raise ValueError(adm.reason)
-    if classify_regime(p) is not Regime.STRICT_WEAK:
-        raise ValueError("unsupported regime")
+    require_strict_weak(p)
     env = select_and_build(p, s, mode, knobs)
+    jumps = []
+    for name, prof in zip(_INEQUALITIES, (env.u_upper, env.u_lower, env.v_upper, env.v_lower)):
+        jumps += [f"{name}: jump of {jump:.3g} at xi = {x:.6g}"
+                  for x, jump in zip(prof.join_points, prof.continuity_defects())
+                  if jump > CONTINUITY_TOL]
     corners = check_corners(env)
     cells = check_cells(env, p, s)
     margins = {name: cells.bounds[name] for name in _INEQUALITIES}
     tightest = {name: cells.tightest[name] for name in margins}
     gap = float(min(cells.bounds["u_ordering"].min(), cells.bounds["v_ordering"].min()))
     ordering_ok = not {"u_ordering", "v_ordering"} & set(cells.reasons)
-    reasons = list(cells.reasons.values()) + [
+    reasons = jumps + list(cells.reasons.values()) + [
         f"{cc.profile}: corner at xi = {cc.location:.6g} is not "
         + ("concave" if cc.profile.endswith("upper") else "convex") for cc in corners if not cc.ok]
     min_margins = {name: float(arr.max() if name.endswith("upper") else arr.min())

@@ -14,14 +14,14 @@ hold with positive margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import exprel
 
-from .model import EQ_TOL, Regime, SystemParams, classify_regime, critical_speed, decay_rates
+from .model import EQ_TOL, SystemParams, critical_speed, decay_rates, require_strict_weak
 
 # envelope cases
 SUPERCRITICAL = "Supercritical"
@@ -126,13 +126,11 @@ class Piece:
 class PiecewiseProfile:
     """Piecewise-analytic function tiling the real line.
 
-    Pieces are evaluated in the unshifted frame; `shift` translates the
-    whole profile to the right.  Value and the first two derivatives are
-    available in closed form away from the join points.
+    Value and the first two derivatives are available in closed form away
+    from the join points.
     """
 
     pieces: Tuple[Piece, ...]
-    shift: float = 0.0
 
     def __post_init__(self):
         if not self.pieces:
@@ -145,7 +143,7 @@ class PiecewiseProfile:
 
     @property
     def join_points(self) -> Tuple[float, ...]:
-        return tuple(pc.hi + self.shift for pc in self.pieces[:-1])
+        return tuple(pc.hi for pc in self.pieces[:-1])
 
     def __call__(self, x, deriv: int = 0):
         """The deriv-th derivative at x, in any order and shape: jet at the
@@ -165,16 +163,13 @@ class PiecewiseProfile:
         the piece boundaries, so no masks are built.
         """
         _check_order(order)
-        # envelopes are built unshifted, and x - 0.0 == x bit for bit
         t = np.asarray(x, dtype=float)
         # NaN sorts last, so a sorted x holds one only if it ends with one
         if t.size and math.isnan(t[-1]):
             raise ValueError("abscissa is NaN")
-        if self.shift != 0.0:
-            t = t - self.shift
         if out is None:
             out = np.empty((order + 1, t.size))
-        cuts = np.searchsorted(t, [pc.hi for pc in self.pieces[:-1]]).tolist()
+        cuts = np.searchsorted(t, self.join_points).tolist()
         for pc, i, j in zip(self.pieces, [0] + cuts, cuts + [t.size]):
             if j > i:
                 _terms_jet(pc.terms, t[i:j], out[:, i:j])
@@ -182,14 +177,10 @@ class PiecewiseProfile:
 
     def one_sided(self, x_join: float) -> Tuple[float, float]:
         """Closed-form one-sided first derivatives at an interior join."""
-        t = x_join - self.shift
         for left, right in zip(self.pieces, self.pieces[1:]):
-            if abs(left.hi - t) <= 1e-12:
-                return left.at(t, 1)[1], right.at(t, 1)[1]
+            if abs(left.hi - x_join) <= 1e-12:
+                return left.at(x_join, 1)[1], right.at(x_join, 1)[1]
         raise ValueError(f"{x_join} is not a join point of this profile")
-
-    def shifted(self, delta: float) -> "PiecewiseProfile":
-        return replace(self, shift=self.shift + delta)
 
     def continuity_defects(self) -> Tuple[float, ...]:
         return tuple(abs(left.at(left.hi)[0] - right.at(left.hi)[0])
@@ -321,15 +312,6 @@ class EnvelopeSet:
     def case(self) -> str:
         return self.params.case
 
-    def shifted(self, delta: float) -> "EnvelopeSet":
-        return replace(
-            self,
-            u_upper=self.u_upper.shifted(delta),
-            u_lower=self.u_lower.shifted(delta),
-            v_upper=self.v_upper.shifted(delta),
-            v_lower=self.v_lower.shifted(delta),
-        )
-
     def jet(self, x, order: int = 0) -> np.ndarray:
         """Jets of u_upper, u_lower, v_upper and v_lower at the sorted x, in
         one array of shape (4, order + 1, x.size)."""
@@ -429,8 +411,7 @@ def select_supercritical(p: SystemParams, s: float,
     mu and q come from lower_bump and are checked against their
     admissible intervals; delta sits at DELTA_FRACTION of its cap.
     """
-    if classify_regime(p) is not Regime.STRICT_WEAK:
-        raise ValueError("unsupported regime")
+    require_strict_weak(p)
     if s <= critical_speed(p):
         raise ValueError("subcritical speed")
     u = lower_bump(p, s, "u", knobs.mu1, knobs.q1, knobs.nonmonotone_u)
@@ -487,8 +468,7 @@ def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -
     upper piece continuous; each critical bump takes its upper envelope's
     slope h and the q of _critical_q.
     """
-    if classify_regime(p) is not Regime.STRICT_WEAK:
-        raise ValueError("unsupported regime")
+    require_strict_weak(p)
     a, c, d = p.a, p.c, p.d
     if a * d > 1.0 + EQ_TOL:
         raise ValueError("apply species swap")
@@ -602,8 +582,8 @@ def build_envelopes(p: SystemParams, s: float,
     """Assemble the four piecewise envelopes for the case of ep.
 
     The lower envelopes are the bumps of lower_bumps capped at their
-    deltas, from join points located by join_point; the continuity of
-    every profile is verified to 1e-10.
+    deltas at the join points of join_point, continuous to 1e-12; the
+    upper envelopes are continuous by construction.  certify checks both.
     """
     r = decay_rates(p, s)
     supercritical = isinstance(ep, SupercriticalParams)
@@ -613,10 +593,6 @@ def build_envelopes(p: SystemParams, s: float,
     deltas = (ep.delta1, ep.delta2) if supercritical else (ep.deltahat1, ep.deltahat2)
     u_lo, v_lo = (_capped_lower(bump, delta)
                   for bump, delta in zip(lower_bumps(p, s, ep), deltas))
-
-    for prof in (u_up, u_lo, v_up, v_lo):
-        if max(prof.continuity_defects()) > 1e-10:
-            raise ValueError("no continuity point in bracket")
     return EnvelopeSet(u_upper=u_up, u_lower=u_lo, v_upper=v_up, v_lower=v_lo,
                        params=ep, speed=s, system=p)
 

@@ -91,6 +91,13 @@ def classify_regime(p: SystemParams) -> Regime:
     return Regime.OUT_OF_SCOPE
 
 
+def require_strict_weak(p: SystemParams) -> None:
+    """Raise "unsupported regime" unless p is strict-weak, the one regime
+    that the envelopes, the continuation and the overshoot criteria support."""
+    if classify_regime(p) is not Regime.STRICT_WEAK:
+        raise ValueError("unsupported regime")
+
+
 def equilibria(p: SystemParams) -> Equilibria:
     """Constant states of the system; coexistence from the closed form."""
     regime = classify_regime(p)

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .model import Regime, SystemParams, at_critical_speed, classify_regime, critical_speed
+from .model import SystemParams, at_critical_speed, critical_speed, require_strict_weak
 from .envelopes import (MIN_REACH, Q_SAFETY, SOLVE_REACH, SelectionKnobs, left_reach,
                         lower_bump, lower_bumps, select_supercritical)
 from .certify import certify, select_and_build
@@ -31,11 +31,11 @@ from .solve import (
     write_profile,
 )
 
-#: the final continuation step must land within this distance of the limit
+#: a base within this distance of the limit is refused ("target not reachable")
 LIMIT_GAP = 1e-4
-#: distance actually used for the final step: small enough that the limit
-#: profile's residual against the degenerate system is dominated by grid
-#: truncation (which refinement shrinks), not by the parameter gap
+#: the final step lands within this distance of the limit: small enough that
+#: the limit profile's residual against the degenerate system is dominated
+#: by grid truncation (which refinement shrinks), not by the parameter gap
 FINAL_GAP = 1e-7
 #: operator for every step; h = 0.04 keeps the quadrature overshoot of the
 #: envelope pair an order of magnitude under the sandwich-violation abort
@@ -102,14 +102,14 @@ def plan_continuation(p_base: SystemParams, s: float, target: str,
                       config: OperatorConfig = PULSE_CONFIG) -> ContinuationPlan:
     """Geometric schedule toward the degenerate limit with frozen envelopes.
 
-    Step distances to the limit halve each step; the final step is forced
-    to within LIMIT_GAP of it.  The pulsed q (the bump's selection floor at
+    Step distances to the limit halve each step; the final step lands
+    within FINAL_GAP of it, and a base within LIMIT_GAP of it is refused.
+    The pulsed q (the bump's selection floor at
     the limit, times Q_SAFETY where that floor is only its constant term)
     and the mu placements are computed once and reused at every
     step, which keeps the lower-envelope maximum -- the floor -- fixed.
     """
-    if classify_regime(p_base) is not Regime.STRICT_WEAK:
-        raise ValueError("unsupported regime")
+    require_strict_weak(p_base)
     if s < critical_speed(p_base):
         raise ValueError("subcritical speed")
     if at_critical_speed(p_base, s):

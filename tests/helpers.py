@@ -1,0 +1,60 @@
+"""Shared test helpers: envelopes moved along the line, and the table of
+entry points that the regime gate guards."""
+
+import dataclasses
+import math
+
+import pytest
+
+from lvfront.analyze import nonmonotone_condition_u, nonmonotone_condition_v, scan_region
+from lvfront.certify import certify
+from lvfront.envelopes import (EnvelopeSet, Piece, PiecewiseProfile, select_critical,
+                               select_supercritical)
+from lvfront.model import SystemParams
+from lvfront.pulse import plan_continuation
+
+
+def translated(env, delta):
+    """The profile or envelope set env moved right by delta.
+
+    Each piece's ends move by delta, and its term c (-t)^p e^{r t} becomes
+    c (delta - xi)^p e^{r (xi - delta)}: the term c e^{-r delta} (-xi)^p e^{r xi}
+    and, for p = 1, the term c delta e^{-r delta} e^{r xi}.
+    """
+    if isinstance(env, EnvelopeSet):
+        return dataclasses.replace(env, **{
+            name: translated(getattr(env, name), delta)
+            for name in ("u_upper", "u_lower", "v_upper", "v_lower")})
+    pieces = []
+    for pc in env.pieces:
+        terms = []
+        for c, p, r in pc.terms:
+            c *= math.exp(-r * delta)
+            terms += [(c, p, r), (c * delta, 0, r)] if p else [(c, p, r)]
+        pieces.append(Piece(pc.lo + delta, pc.hi + delta, tuple(terms)))
+    return PiecewiseProfile(tuple(pieces))
+
+
+#: the sets outside the strict-weak regime that the gate refuses: a*c = 1,
+#: b = a, and out of scope; s* = 2 for each
+UNSUPPORTED = (SystemParams(1.0, 0.5, 1.0, 1.0), SystemParams(1.0, 1.0, 0.5, 1.0),
+               SystemParams(1.0, 2.0, 2.0, 1.0))
+
+#: every entry point that calls model.require_strict_weak, by module, each
+#: called with a set at the speed 2.5
+GATED = {
+    "certify": [lambda p: certify(p, 2.5)],
+    "envelopes": [lambda p: select_supercritical(p, 2.5), select_critical],
+    "analyze": [lambda p: nonmonotone_condition_u(p, 2.5),
+                lambda p: nonmonotone_condition_v(p, 2.5),
+                lambda p: scan_region(p, [2.5], [p.a - p.b])],
+    "pulse": [lambda p: plan_continuation(p, 2.5, "c_to_1_over_a", 4)],
+}
+
+
+def assert_gated(module):
+    """Every gated entry point of module refuses every UNSUPPORTED set."""
+    for call in GATED[module]:
+        for p in UNSUPPORTED:
+            with pytest.raises(ValueError, match="unsupported regime"):
+                call(p)

@@ -27,6 +27,7 @@ from lvfront.certify import (
 from lvfront.envelopes import (Q_SAFETY, THETA_MU, EnvelopeSet, Piece, PiecewiseProfile, _bump,
                                _capped, _capped_lower, build_envelopes, lower_bumps,
                                min_decay_rate)
+from helpers import assert_gated, translated
 
 #: the module, which the package's certify function shadows
 certify_module = importlib.import_module("lvfront.certify")
@@ -59,14 +60,29 @@ class TestCertify:
             certify(P, 1.5)
 
     def test_out_of_regime_rejected(self):
-        with pytest.raises(ValueError, match="unsupported regime"):
-            certify(SystemParams(1.0, 2.0, 2.0, 1.0), 3.0)
+        assert_gated("certify")
+
+    def test_a_discontinuous_envelope_is_refused(self, monkeypatch):
+        # e^{lam1 xi}, then e^{lam1 - 1} e^xi from xi = -1, then 1 from
+        # xi = lam1 - 1: every cell and corner check passes, but the profile
+        # drops from 0.683 to 0.198 at xi = -1
+        s = 3.0
+        lam1 = decay_rates(P, s).lambda1
+        env = dataclasses.replace(select_and_build(P, s), u_upper=PiecewiseProfile((
+            Piece(-math.inf, -1.0, ((1.0, 0, lam1),)),
+            Piece(-1.0, lam1 - 1.0, ((math.exp(lam1 - 1.0), 0, 1.0),)),
+            Piece(lam1 - 1.0, math.inf, ((1.0, 0, 0.0),)))))
+        assert max(env.u_upper.continuity_defects()) > 0.7
+        monkeypatch.setattr(certify_module, "select_and_build", lambda *args: env)
+        cert = certify(P, s)
+        assert cert.verdict == "fail"
+        assert cert.reason == "u_upper: jump of 0.484 at xi = -1"
 
     @pytest.mark.parametrize("mutate,reason", [
         # half the selected q-hat leaves the u bump too tall for a sub-solution
         (lambda env: build_envelopes(P, 2.0, dataclasses.replace(
             env.params, qhat1=0.5 * env.params.qhat1)), "u_lower = -0.00103 at xi = -6.10374"),
-        (lambda env: dataclasses.replace(env, u_upper=env.u_upper.shifted(1.0)),
+        (lambda env: dataclasses.replace(env, u_upper=translated(env.u_upper, 1.0)),
          "u_ordering: leading coefficient negative as xi -> -inf"),
     ], ids=["halved_qhat1", "shifted_u_upper"])
     def test_critical_certificate_names_the_reason(self, mutate, reason, monkeypatch):
@@ -254,7 +270,7 @@ class TestGridConstruction:
     @pytest.mark.parametrize("n_points", [2001, 20001])
     def test_equals_unique_construction(self, p, s, mode, n_points):
         env = select_and_build(p, s, mode)
-        for shifted in (env, env.shifted(0.37)):
+        for shifted in (env, translated(env, 0.37)):
             lam_min = min_decay_rate(shifted)
             joins = shifted.join_points
             left = min(joins) - 40.0 / lam_min
@@ -396,7 +412,7 @@ class TestCells:
     def test_shift_keeps_the_verdict(self, p, s, mode):
         env = select_and_build(p, s, mode)
         for delta in (-2.5, 0.37):
-            assert not check_cells(env.shifted(delta), p, s).reasons
+            assert not check_cells(translated(env, delta), p, s).reasons
 
     @pytest.mark.parametrize("p", CRITICAL_SETS)
     def test_critical_envelopes_are_decided(self, p):
@@ -566,19 +582,12 @@ class TestCriticalMutations:
         if factor < 1.0:
             assert check.reasons["u_lower"].startswith("u_lower = -")
 
-    def test_shifted_set_is_decided_in_its_own_frame(self):
-        env = select_and_build(P, 2.0)
-        check, moved = check_cells(env, P, 2.0), check_cells(env.shifted(1.5), P, 2.0)
-        assert not moved.reasons and moved.cells == check.cells
-        for name, bounds in check.bounds.items():
-            assert np.array_equal(moved.bounds[name], bounds), name
-            assert moved.tightest[name] == check.tightest[name] + 1.5
-
     @pytest.mark.parametrize("delta", [-0.5, 0.5])
     def test_a_lower_envelope_shifted_alone_is_decided(self, delta):
-        # its p = 1 terms are expanded into the frame of the other three
+        # moved alone, it carries p = 1 terms with a p = 0 term of the same rate
         env = select_and_build(P, 2.0)
-        _cells_agree_with_grid(dataclasses.replace(env, u_lower=env.u_lower.shifted(delta)), P, 2.0)
+        _cells_agree_with_grid(dataclasses.replace(env, u_lower=translated(env.u_lower, delta)),
+                               P, 2.0)
 
 
 class TestPowers:

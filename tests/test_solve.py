@@ -26,6 +26,7 @@ from lvfront.solve import (_band_apply, _kernel_apply, _kernel_bands, _newton_fa
 from lvfront.solve import (CLIP_EVENT_TOL, CSV_BLOCK_ROWS, _clip_to, _kernel_coefficients,
                            write_csv)
 from scipy.signal import lfilter
+from helpers import translated
 
 P = SystemParams(1.0, 0.5, 0.5, 1.0)
 S = 3.0
@@ -209,7 +210,7 @@ class TestAccuracy:
     def test_translation_covariance(self, solved):
         cert, prof, _ = solved
         delta = 4.0
-        env2 = cert.envelope.shifted(delta)
+        env2 = translated(cert.envelope, delta)
         prof2, rep2 = iterate(env2, P, S, CFG)
         assert rep2.converged
         inner = (prof.grid > CFG.left + delta + 1.0) & (prof.grid < CFG.right - 1.0)
