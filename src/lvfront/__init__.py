@@ -21,11 +21,12 @@ from .model import (
     species_swap,
 )
 from .envelopes import (
-    CriticalParams,
+    CriticalBump,
+    EnvelopeParams,
     EnvelopeSet,
+    ExpBump,
     PiecewiseProfile,
     SelectionKnobs,
-    SupercriticalParams,
     build_envelopes,
     select_critical,
     select_supercritical,
@@ -49,8 +50,8 @@ __all__ = [
     "Admissibility", "DecayRates", "Equilibria", "Regime", "SystemParams",
     "admissibility", "classify_regime", "critical_speed", "decay_rates",
     "equilibria", "species_swap",
-    "CriticalParams", "EnvelopeSet", "PiecewiseProfile", "SelectionKnobs",
-    "SupercriticalParams", "build_envelopes", "select_critical", "select_supercritical",
+    "CriticalBump", "EnvelopeParams", "EnvelopeSet", "ExpBump", "PiecewiseProfile",
+    "SelectionKnobs", "build_envelopes", "select_critical", "select_supercritical",
     "Certificate", "certify",
     "OperatorConfig", "Profile", "apply_P", "iterate", "ode_residual",
     "tail_check",

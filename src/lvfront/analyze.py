@@ -19,7 +19,7 @@ import numpy as np
 from scipy.signal import find_peaks
 
 from .model import EQ_TOL, SystemParams, critical_speed, equilibria, require_strict_weak
-from .envelopes import EnvelopeSet, InadmissibleBump, SelectionKnobs, lower_bumps
+from .envelopes import EnvelopeSet, InadmissibleBump, SelectionKnobs
 from .certify import select_params
 from .solve import Profile
 
@@ -133,12 +133,11 @@ def _nonmonotone_condition(p: SystemParams, s: float, knobs: SelectionKnobs,
     ck = (SelectionKnobs(nonmonotone_u=True, mu1=knobs.mu1, q1=knobs.q1) if component == "u"
           else SelectionKnobs(nonmonotone_v=True, mu2=knobs.mu2, q2=knobs.q2))
     try:
-        speed, ep = select_params(p, s, ck)
+        _, ep = select_params(p, s, ck)
     except InadmissibleBump:
         # constants that the selection refuses give no envelope
         return NonMonotoneCondition(holds=False, fmax=0.0, star=star, log_fmax=-math.inf)
-    u, v = lower_bumps(p, speed, ep)
-    bump = u if component == "u" else v
+    bump = ep.u if component == "u" else ep.v
     return NonMonotoneCondition(holds=bump.log_fmax > math.log(star), fmax=bump.fmax,
                                 star=star, log_fmax=bump.log_fmax)
 

@@ -24,18 +24,18 @@ import math
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
+from functools import cache
 from itertools import chain
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .model import (SystemParams, admissibility, at_critical_speed, critical_speed, decay_rates,
                     require_strict_weak)
 from .envelopes import (
-    CriticalParams,
+    EnvelopeParams,
     EnvelopeSet,
     SelectionKnobs,
-    SupercriticalParams,
     build_envelopes,
     left_reach,
     select_critical,
@@ -302,8 +302,9 @@ def decide_sums(sums: Dict[str, Tuple[float, float, List[Dict[Tuple[float, float
     r = np.where(pad, r0[:, None], r)
     dr = r - r0[:, None]
     dr[:, -1] = r0
+    # the rows of -f'' (curvature) are built when a cell first needs them
     if not p.any():
-        rows, curvature = _rows(c, dr), _rows(-c * r * r, dr)
+        rows, curvature = _rows(c, dr), cache(lambda: _rows(-c * r * r, dr))
     else:
         lead = ~pad & (r == r0[:, None]) & ~last[:, None]
         p0 = np.nan_to_num(np.where(lead, p, -math.inf).max(1), neginf=0.0)
@@ -313,11 +314,11 @@ def decide_sums(sums: Dict[str, Tuple[float, float, List[Dict[Tuple[float, float
         dp = p - p0[:, None]
         dp[:, -1] = p0
         # -(c x^p e^{r xi})'' = -c (r^2 x^p - 2 r p x^{p - 1} + p (p - 1) x^{p - 2}) e^{r xi}
-        rows, curvature = _rows(c, dr, dp), _rows(
+        rows, curvature = _rows(c, dr, dp), cache(lambda: _rows(
             np.concatenate([-c[:, :-1] * f[:, :-1] for f in (r * r, -2.0 * r * p, p * (p - 1.0))]
                            + [c[:, -1:]], 1),
             np.concatenate([dr[:, :-1]] * 3 + [dr[:, -1:]], 1),
-            np.concatenate([dp[:, :-1] - j for j in range(3)] + [dp[:, -1:]], 1))
+            np.concatenate([dp[:, :-1] - j for j in range(3)] + [dp[:, -1:]], 1)))
     tol = np.array([t for _, t, _ in sums.values()])
     failed = np.array([k in reasons for k in range(len(sums))])
 
@@ -341,7 +342,7 @@ def decide_sums(sums: Dict[str, Tuple[float, float, List[Dict[Tuple[float, float
             need = np.flatnonzero(short & ~witness & (hi - lo < math.inf))
             if need.size:
                 width = hi[need] - lo[need]
-                bend = np.maximum(0.0, -curvature.bound(row[need], lo[need], hi[need])[0])
+                bend = np.maximum(0.0, -curvature().bound(row[need], lo[need], hi[need])[0])
                 bound[need] = np.maximum(bound[need], low[need] - width * width / 8.0 * bend)
                 short = ~(bound >= -tol_of)
             split = np.flatnonzero(short & ~witness & ~failed[k_of] & (row.size < MAX_CELLS))
@@ -451,7 +452,7 @@ def _mode_knobs(mode: str) -> SelectionKnobs:
 
 
 def select_params(p: SystemParams, s: float, knobs: SelectionKnobs
-                  ) -> Tuple[float, Union[SupercriticalParams, CriticalParams]]:
+                  ) -> Tuple[float, EnvelopeParams]:
     """The envelope speed and constants that (p, s, knobs) select: the critical
     selection at s* (model.at_critical_speed), the supercritical one above."""
     if at_critical_speed(p, s):

@@ -14,8 +14,8 @@ hold with positive margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -188,34 +188,127 @@ class PiecewiseProfile:
 
 
 # ---------------------------------------------------------------------------
-# bump profiles and their extrema
+# lower bumps: each carries its component's shape
 # ---------------------------------------------------------------------------
-
-def bump_extrema(coef: float, lam: float, mu: float, q: float) -> Tuple[float, float, float]:
-    """Zero, maximum point and maximum of f(xi) = coef e^{lam xi} - q e^{mu lam xi}.
-
-    Closed forms: xi0 = -log(q/coef)/((mu-1) lam), xiM = -log(q mu/coef)/((mu-1) lam),
-    fmax = coef (1 - 1/mu) (q mu / coef)^{-1/(mu-1)}.
-    """
-    if q <= coef:
-        raise ValueError("no interior zero")
-    if mu <= 1.0 or lam <= 0.0 or coef <= 0.0:
-        raise ValueError("bump requires coef > 0, lam > 0, mu > 1")
-    xi0 = -math.log(q / coef) / ((mu - 1.0) * lam)
-    xiM = -math.log(q * mu / coef) / ((mu - 1.0) * lam)
-    return xi0, xiM, exp_or_zero(bump_log_max(coef, lam, mu, q))
-
-
-def bump_log_max(coef: float, lam: float, mu: float, q: float) -> float:
-    """log of the bump maximum, safe against underflow for mu near 1."""
-    if q <= coef:
-        raise ValueError("no interior zero")
-    return math.log(coef * (1.0 - 1.0 / mu)) - math.log(q * mu / coef) / (mu - 1.0)
-
 
 def exp_or_zero(log_f: float) -> float:
     """exp(log_f), flushed to 0.0 at log_f <= -700, where it nears underflow."""
     return math.exp(log_f) if log_f > -700.0 else 0.0
+
+
+def _capped(terms, join, cap):
+    """The terms left of join and the constant cap from join on."""
+    return PiecewiseProfile((Piece(-math.inf, join, terms),
+                             Piece(join, math.inf, ((cap, 0, 0.0),))))
+
+
+class Bump:
+    """A lower bump, which carries its component's shape: its terms, the
+    bracket (maximum point, zero) of its decreasing branch, log_fmax, the log
+    of its maximum, and upper(), the upper envelope of its component.  An
+    ExpBump reads them from closed forms; a CriticalBump solves for them
+    once, when it is made."""
+
+    __slots__ = ()
+
+    @property
+    def fmax(self) -> float:
+        return exp_or_zero(self.log_fmax)
+
+
+@dataclass(frozen=True, slots=True)
+class ExpBump(Bump):
+    """coef e^{lam xi} - q e^{mu lam xi}, under the upper envelope
+    coef e^{lam xi} capped at coef.
+
+    Closed forms: xi0 = -log(q/coef)/((mu-1) lam), xiM = -log(q mu/coef)/((mu-1) lam),
+    fmax = coef (1 - 1/mu) (q mu / coef)^{-1/(mu-1)}, taken through its log,
+    which is safe against underflow for mu near 1.
+    """
+
+    coef: float
+    lam: float
+    mu: float
+    q: float
+
+    def __post_init__(self):
+        if self.q <= self.coef:
+            raise ValueError("no interior zero")
+        if self.mu <= 1.0 or self.lam <= 0.0 or self.coef <= 0.0:
+            raise ValueError("bump requires coef > 0, lam > 0, mu > 1")
+
+    @property
+    def terms(self) -> Tuple[Tuple[float, float, float], ...]:
+        return (self.coef, 0, self.lam), (-self.q, 0, self.mu * self.lam)
+
+    @property
+    def bracket(self) -> Tuple[float, float]:
+        coef, lam, mu, q = self.coef, self.lam, self.mu, self.q
+        return (-math.log(q * mu / coef) / ((mu - 1.0) * lam),
+                -math.log(q / coef) / ((mu - 1.0) * lam))
+
+    @property
+    def log_fmax(self) -> float:
+        coef, mu, q = self.coef, self.mu, self.q
+        return math.log(coef * (1.0 - 1.0 / mu)) - math.log(q * mu / coef) / (mu - 1.0)
+
+    def upper(self) -> PiecewiseProfile:
+        return _capped(((self.coef, 0, self.lam),), 0.0, self.coef)
+
+
+@dataclass(frozen=True, slots=True)
+class CriticalBump(Bump):
+    """e^{lam xi} g(x) with x = -xi and g(x) = h x + (q/nu) expm1(-nu x), the
+    lower bump at a double root lam, under the upper envelope -h xi e^{lam xi}
+    capped at cap.
+
+    g is convex with g(0) = 0 and g'(0) = h - q, so for q > h it has one
+    zero x0 > 0, in [ln(q/h)/nu, q/(nu h)].  The maximum point, where
+    g' = lam g, lies in [x0, x0 + h/(lam g'(x0))], because g' < h and g
+    lies above its tangent at x0; the search runs on twice that width, whose
+    end keeps its sign under rounding.  The log of the maximum is
+    ln g(xM) - lam xM.
+    """
+
+    h: float
+    q: float
+    lam: float
+    nu: float
+    cap: float
+    bracket: Tuple[float, float] = field(init=False, repr=False, compare=False)
+    log_fmax: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        h, q, lam, nu = self.h, self.q, self.lam, self.nu
+        if q <= h:
+            raise ValueError("no interior zero")
+        g = lambda x: h * x + q / nu * math.expm1(-nu * x)
+        dg = lambda x: h - q * math.exp(-nu * x)
+        x0 = brentq(g, math.log(q / h) / nu, q / (nu * h), xtol=1e-14, rtol=8.9e-16)
+        xM = brentq(lambda x: dg(x) - lam * g(x), x0, x0 + 2.0 * h / (lam * dg(x0)),
+                    xtol=1e-14, rtol=8.9e-16)
+        object.__setattr__(self, "bracket", (-xM, -x0))
+        object.__setattr__(self, "log_fmax", math.log(g(xM)) - lam * xM)
+
+    @property
+    def terms(self) -> Tuple[Tuple[float, float, float], ...]:
+        h, q, lam, nu = self.h, self.q, self.lam, self.nu
+        return (h, 1, lam), (-q / nu, 0, lam), (q / nu, 0, lam + nu)
+
+    def upper(self) -> PiecewiseProfile:
+        return _capped(((self.h, 1, self.lam),), -1.0 / self.lam - 1.0, self.cap)
+
+
+def bump_extrema(coef: float, lam: float, mu: float, q: float) -> Tuple[float, float, float]:
+    """Zero, maximum point and maximum of f(xi) = coef e^{lam xi} - q e^{mu lam xi}."""
+    bump = ExpBump(coef, lam, mu, q)
+    xiM, xi0 = bump.bracket
+    return xi0, xiM, bump.fmax
+
+
+def bump_log_max(coef: float, lam: float, mu: float, q: float) -> float:
+    """log of the maximum of coef e^{lam xi} - q e^{mu lam xi}."""
+    return ExpBump(coef, lam, mu, q).log_fmax
 
 
 def join_point(f: Callable[[float], float], delta: float,
@@ -258,44 +351,25 @@ class SelectionKnobs:
     q2: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class SupercriticalParams:
-    """Envelope constants for s > s*: each lower envelope is the bump
-    coef e^{lam xi} - q e^{mu lam xi} capped at delta."""
+@dataclass(frozen=True, slots=True)
+class EnvelopeParams:
+    """Envelope constants: the u and v lower bumps, which also carry their
+    components' upper envelopes, and the deltas that cap the bumps.  Above s*
+    both bumps are ExpBumps; at s* the u bump is a CriticalBump, and so is
+    the v bump when a*d = 1."""
 
-    case = SUPERCRITICAL
-    mu1: float
-    mu2: float
-    q1: float
-    q2: float
+    u: Bump
+    v: Bump
     delta1: float
     delta2: float
 
-
-@dataclass(frozen=True)
-class CriticalParams:
-    """Envelope constants at s = s*.
-
-    The u lower envelope is the critical bump (h1, qhat1) capped at
-    deltahat1: e^{lam xi} (h1 x - (qhat1/nu)(1 - e^{-nu x})) with x = -xi,
-    lam = s/2 and nu = THETA_MU min(lambda1, lambda2).  The v lower
-    envelope, capped at deltahat2, is the critical bump (h2, qhat2), with
-    lam = s/(2d), when a*d = 1 and the bump (muhat2, Qhat2) when a*d < 1;
-    the other pair is None.
-    """
-
-    h1: float
-    qhat1: float
-    deltahat1: float
-    deltahat2: float
-    h2: Optional[float] = None
-    qhat2: Optional[float] = None
-    muhat2: Optional[float] = None
-    Qhat2: Optional[float] = None
-
     @property
     def case(self) -> str:
-        return CRITICAL_AD_EQ1 if self.qhat2 is not None else CRITICAL_AD_LT1
+        return _CASES[type(self.u), type(self.v)]
+
+
+_CASES = {(ExpBump, ExpBump): SUPERCRITICAL, (CriticalBump, CriticalBump): CRITICAL_AD_EQ1,
+          (CriticalBump, ExpBump): CRITICAL_AD_LT1}
 
 
 @dataclass(frozen=True)
@@ -304,7 +378,7 @@ class EnvelopeSet:
     u_lower: PiecewiseProfile
     v_upper: PiecewiseProfile
     v_lower: PiecewiseProfile
-    params: Union[SupercriticalParams, CriticalParams]
+    params: EnvelopeParams
     speed: float
     system: SystemParams
 
@@ -338,6 +412,9 @@ class BumpConstants(NamedTuple):
     mu: float
     floor: float
     q: float
+
+    def bump(self) -> ExpBump:
+        return ExpBump(self.coef, self.lam, self.mu, self.q)
 
 
 def _critical_slope(coef: float, lam: float) -> float:
@@ -397,15 +474,15 @@ def check_bumps(*bumps: BumpConstants) -> None:
         raise InadmissibleBump("q below its selection floor")
 
 
-def _deltas(p: SystemParams, max1: float, max2: float) -> Tuple[float, float]:
-    """delta1 and delta2, each at DELTA_FRACTION of its cap min(coexistence
-    gap, lower-bump maximum)."""
-    return (DELTA_FRACTION * min(1.0 - p.a * p.c, max1),
-            DELTA_FRACTION * min(p.a - p.b, max2))
+def _params(p: SystemParams, u: Bump, v: Bump) -> EnvelopeParams:
+    """The bumps u and v with delta1 and delta2, each at DELTA_FRACTION of its
+    cap min(coexistence gap, lower-bump maximum)."""
+    return EnvelopeParams(u, v, DELTA_FRACTION * min(1.0 - p.a * p.c, u.fmax),
+                          DELTA_FRACTION * min(p.a - p.b, v.fmax))
 
 
 def select_supercritical(p: SystemParams, s: float,
-                         knobs: SelectionKnobs = SelectionKnobs()) -> SupercriticalParams:
+                         knobs: SelectionKnobs = SelectionKnobs()) -> EnvelopeParams:
     """Pick mu, q and delta for the supercritical envelopes (s > s*).
 
     mu and q come from lower_bump and are checked against their
@@ -417,35 +494,26 @@ def select_supercritical(p: SystemParams, s: float,
     u = lower_bump(p, s, "u", knobs.mu1, knobs.q1, knobs.nonmonotone_u)
     v = lower_bump(p, s, "v", knobs.mu2, knobs.q2, knobs.nonmonotone_v)
     check_bumps(u, v)
-    delta1, delta2 = _deltas(p, _bump(u.coef, u.lam, u.mu, u.q).fmax,
-                             _bump(v.coef, v.lam, v.mu, v.q).fmax)
-    return SupercriticalParams(mu1=u.mu, mu2=v.mu, q1=u.q, q2=v.q,
-                               delta1=delta1, delta2=delta2)
-
-
-def _critical_nu(p: SystemParams, s: float) -> float:
-    """Rate nu of the correction term of the critical bumps."""
-    r = decay_rates(p, s)
-    return THETA_MU * min(r.lambda1, r.lambda2)
+    return _params(p, u.bump(), v.bump())
 
 
 def _critical_q(h: float, lam: float, nu: float, diff: float, coupling: float,
-                other: PiecewiseProfile) -> float:
+                other: Tuple[float, float, float]) -> float:
     """Q_SAFETY times the q at which q diff nu meets a closed-form bound on
     the losses of the critical bump w = (h, q, lam, nu) beyond its zero x0.
 
     At the double root lam the linear part of the operator leaves
     q diff nu e^{(lam + nu) xi}, and the losses w^2 + coupling w o, with o
     the other species' upper envelope, must stay below it.  Beyond x0,
-    w <= h (x - x0) e^{-lam x} (see _critical_bump: g' < h), and from x = 1/lam_o on
-    o <= c_o x^{k_o} e^{-lam_o x}, with (c_o, k_o, lam_o) the leading term of
-    other.  So the losses times e^{(lam + nu) x} are at most
+    w <= h (x - x0) e^{-lam x} (see CriticalBump: g' < h), and from x = 1/lam_o on
+    o <= c_o x^{k_o} e^{-lam_o x}, with other = (c_o, k_o, lam_o) the leading
+    term of o.  So the losses times e^{(lam + nu) x} are at most
     h^2 e^{-(lam - nu) x0} (2/(e (lam - nu)))^2 + coupling h c_o e^{-(lam_o - nu) x0}
     (x0^{k_o}/(e (lam_o - nu)) + k_o (2/(e (lam_o - nu)))^2).  The q whose
     bump vanishes at x0, h nu x0/(1 - e^{-nu x0}), rises with x0 and the
     bound falls; brentq finds where they meet.
     """
-    c_o, k_o, lam_o = other.pieces[0].terms[0]
+    c_o, k_o, lam_o = other
     sq = (2.0 / (math.e * (lam - nu))) ** 2
     b = 1.0 / (math.e * (lam_o - nu))
 
@@ -461,12 +529,15 @@ def _critical_q(h: float, lam: float, nu: float, diff: float, coupling: float,
     return Q_SAFETY * h / float(exprel(-nu * x0))
 
 
-def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -> CriticalParams:
+def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -> EnvelopeParams:
     """Pick the envelope constants at the critical speed s = s* (a*d <= 1).
 
     The slope constants h follow the closed forms that make the capped
     upper piece continuous; each critical bump takes its upper envelope's
-    slope h and the q of _critical_q.
+    slope h, the q of _critical_q and the correction rate
+    nu = THETA_MU min(lambda1, lambda2).  When a*d < 1 the v bump keeps its
+    supercritical shape, with rates from the (now non-degenerate) second
+    quadratic.
     """
     require_strict_weak(p)
     a, c, d = p.a, p.c, p.d
@@ -475,125 +546,41 @@ def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -
     s = critical_speed(p)
     lh1 = s / 2.0
     h1 = _critical_slope(1.0, lh1)
-    nu = _critical_nu(p, s)
-
+    r = decay_rates(p, s)
+    nu = THETA_MU * min(r.lambda1, r.lambda2)
     if abs(a * d - 1.0) <= EQ_TOL:
         lh2 = s / (2.0 * d)
         h2 = _critical_slope(a, lh2)
-        qhat1 = _critical_q(h1, lh1, nu, 1.0, c, _capped_linexp(h2, lh2, a))
-        qhat2 = _critical_q(h2, lh2, nu, d, p.b, _capped_linexp(h1, lh1, 1.0))
-        bump2 = _critical_bump(h2, qhat2, lh2, nu)
-        v_shape = dict(h2=h2, qhat2=qhat2)
+        u_q = _critical_q(h1, lh1, nu, 1.0, c, (h2, 1, lh2))
+        v = CriticalBump(h2, _critical_q(h2, lh2, nu, d, p.b, (h1, 1, lh1)), lh2, nu, a)
     else:
-        # a*d < 1: the v-side keeps its supercritical shape with rates from
-        # the (now non-degenerate) second quadratic
-        v = lower_bump(p, s, "v", knobs.mu2, knobs.q2, knobs.nonmonotone_v)
-        check_bumps(v)
-        qhat1 = _critical_q(h1, lh1, nu, 1.0, c, _capped_exp(a, v.lam))
-        bump2 = _bump(a, v.lam, v.mu, v.q)
-        v_shape = dict(muhat2=v.mu, Qhat2=v.q)
-    deltahat1, deltahat2 = _deltas(p, _critical_bump(h1, qhat1, lh1, nu).fmax, bump2.fmax)
-    return CriticalParams(h1=h1, qhat1=qhat1, deltahat1=deltahat1, deltahat2=deltahat2,
-                          **v_shape)
+        vc = lower_bump(p, s, "v", knobs.mu2, knobs.q2, knobs.nonmonotone_v)
+        check_bumps(vc)
+        u_q = _critical_q(h1, lh1, nu, 1.0, c, (a, 0, vc.lam))
+        v = vc.bump()
+    return _params(p, CriticalBump(h1, u_q, lh1, nu, 1.0), v)
 
 
 # ---------------------------------------------------------------------------
 # envelope assembly
 # ---------------------------------------------------------------------------
 
-def _capped(terms, join, cap):
-    """The terms left of join and the constant cap from join on."""
-    return PiecewiseProfile((Piece(-math.inf, join, terms),
-                             Piece(join, math.inf, ((cap, 0, 0.0),))))
-
-
-def _capped_exp(coef, lam):
-    return _capped(((coef, 0, lam),), 0.0, coef)
-
-
-def _capped_linexp(h, lam, cap):
-    return _capped(((h, 1, lam),), -1.0 / lam - 1.0, cap)
-
-
-class LowerBump(NamedTuple):
-    """One lower bump before its cap: its terms, the bracket (maximum point,
-    zero) of its decreasing branch, its maximum and that maximum's log."""
-
-    terms: Tuple[Tuple[float, float, float], ...]
-    bracket: Tuple[float, float]
-    fmax: float
-    log_fmax: float
-
-
-def _bump(coef, lam, mu, q) -> LowerBump:
-    """coef e^{lam xi} - q e^{mu lam xi}, with maximum exp_or_zero(bump_log_max)."""
-    xi0, xiM, _ = bump_extrema(coef, lam, mu, q)
-    log_fmax = bump_log_max(coef, lam, mu, q)
-    return LowerBump(((coef, 0, lam), (-q, 0, mu * lam)), (xiM, xi0),
-                     exp_or_zero(log_fmax), log_fmax)
-
-
-def _critical_bump(h, q, lam, nu) -> LowerBump:
-    """e^{lam xi} g(x) with x = -xi and g(x) = h x + (q/nu) expm1(-nu x).
-
-    g is convex with g(0) = 0 and g'(0) = h - q, so for q > h it has one
-    zero x0 > 0, in [ln(q/h)/nu, q/(nu h)].  The maximum point, where
-    g' = lam g, lies in [x0, x0 + h/(lam g'(x0))], because g' < h and g
-    lies above its tangent at x0; the search runs on twice that width, whose
-    end keeps its sign under rounding.  The log of the maximum is
-    ln g(xM) - lam xM.
-    """
-    if q <= h:
-        raise ValueError("no interior zero")
-    g = lambda x: h * x + q / nu * math.expm1(-nu * x)
-    dg = lambda x: h - q * math.exp(-nu * x)
-    x0 = brentq(g, math.log(q / h) / nu, q / (nu * h), xtol=1e-14, rtol=8.9e-16)
-    xM = brentq(lambda x: dg(x) - lam * g(x), x0, x0 + 2.0 * h / (lam * dg(x0)),
-                xtol=1e-14, rtol=8.9e-16)
-    log_fmax = math.log(g(xM)) - lam * xM
-    return LowerBump(((h, 1, lam), (-q / nu, 0, lam), (q / nu, 0, lam + nu)), (-xM, -x0),
-                     exp_or_zero(log_fmax), log_fmax)
-
-
-def lower_bumps(p: SystemParams, s: float,
-                ep: Union[SupercriticalParams, CriticalParams]) -> Tuple[LowerBump, LowerBump]:
-    """The u and v lower bumps of ep at the envelope speed s, before their
-    caps: the exponential bump above s*, the critical bump at s*, and at s*
-    with a*d < 1 the exponential bump for v."""
-    if isinstance(ep, SupercriticalParams):
-        r = decay_rates(p, s)
-        return _bump(1.0, r.lambda1, ep.mu1, ep.q1), _bump(p.a, r.lambda2, ep.mu2, ep.q2)
-    nu = _critical_nu(p, s)
-    u = _critical_bump(ep.h1, ep.qhat1, s / 2.0, nu)
-    if ep.case == CRITICAL_AD_EQ1:
-        return u, _critical_bump(ep.h2, ep.qhat2, s / (2.0 * p.d), nu)
-    return u, _bump(p.a, decay_rates(p, s).lambda2, ep.muhat2, ep.Qhat2)
-
-
-def _capped_lower(bump: LowerBump, delta: float) -> PiecewiseProfile:
+def _capped_lower(bump: Bump, delta: float) -> PiecewiseProfile:
     """A lower bump capped at delta from where its decreasing branch meets
     delta."""
     piece = Piece(-math.inf, math.inf, bump.terms)
     return _capped(bump.terms, join_point(lambda x: piece.at(x)[0], delta, bump.bracket), delta)
 
 
-def build_envelopes(p: SystemParams, s: float,
-                    ep: Union[SupercriticalParams, CriticalParams]) -> EnvelopeSet:
-    """Assemble the four piecewise envelopes for the case of ep.
+def build_envelopes(p: SystemParams, s: float, ep: EnvelopeParams) -> EnvelopeSet:
+    """Assemble the four piecewise envelopes of ep at the speed s.
 
-    The lower envelopes are the bumps of lower_bumps capped at their
-    deltas at the join points of join_point, continuous to 1e-12; the
-    upper envelopes are continuous by construction.  certify checks both.
+    Each upper envelope is its bump's, continuous by construction; each
+    lower one is its bump capped at its delta at the join point of
+    join_point, continuous to 1e-12.  certify checks both.
     """
-    r = decay_rates(p, s)
-    supercritical = isinstance(ep, SupercriticalParams)
-    u_up = _capped_exp(1.0, r.lambda1) if supercritical else _capped_linexp(ep.h1, s / 2.0, 1.0)
-    v_up = (_capped_linexp(ep.h2, s / (2.0 * p.d), p.a) if ep.case == CRITICAL_AD_EQ1
-            else _capped_exp(p.a, r.lambda2))
-    deltas = (ep.delta1, ep.delta2) if supercritical else (ep.deltahat1, ep.deltahat2)
-    u_lo, v_lo = (_capped_lower(bump, delta)
-                  for bump, delta in zip(lower_bumps(p, s, ep), deltas))
-    return EnvelopeSet(u_upper=u_up, u_lower=u_lo, v_upper=v_up, v_lower=v_lo,
+    return EnvelopeSet(u_upper=ep.u.upper(), u_lower=_capped_lower(ep.u, ep.delta1),
+                       v_upper=ep.v.upper(), v_lower=_capped_lower(ep.v, ep.delta2),
                        params=ep, speed=s, system=p)
 
 

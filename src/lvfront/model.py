@@ -123,13 +123,9 @@ def critical_speed(p: SystemParams) -> float:
     return max(2.0, 2.0 * math.sqrt(p.a * p.d))
 
 
-#: speeds this close to s* take the critical-speed envelopes
-CRITICAL_SPEED_TOL = 1e-9
-
-
 def at_critical_speed(p: SystemParams, s: float) -> bool:
-    """Whether s counts as the critical speed s* of p."""
-    return abs(s - critical_speed(p)) <= CRITICAL_SPEED_TOL
+    """Whether s is the critical speed s* of p, as critical_speed computes it."""
+    return s == critical_speed(p)
 
 
 def decay_rates(p: SystemParams, s: float) -> DecayRates:

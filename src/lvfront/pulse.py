@@ -19,7 +19,7 @@ import numpy as np
 
 from .model import SystemParams, at_critical_speed, critical_speed, require_strict_weak
 from .envelopes import (MIN_REACH, Q_SAFETY, SOLVE_REACH, SelectionKnobs, left_reach,
-                        lower_bump, lower_bumps, select_supercritical)
+                        lower_bump, select_supercritical)
 from .certify import certify, select_and_build
 from .analyze import classify, right_tail_extrema
 from .solve import (
@@ -143,9 +143,8 @@ def plan_continuation(p_base: SystemParams, s: float, target: str,
     pinned = (SelectionKnobs(nonmonotone_u=True, q1=q) if pulse_u
               else SelectionKnobs(nonmonotone_v=True, q2=q))
     ep = select_supercritical(p_base, s, pinned)
-    u, v = lower_bumps(p_base, s, ep)
-    floor = (u if pulse_u else v).fmax
-    knobs = SelectionKnobs(mu1=ep.mu1, mu2=ep.mu2, q1=ep.q1, q2=ep.q2)
+    floor = (ep.u if pulse_u else ep.v).fmax
+    knobs = SelectionKnobs(mu1=ep.u.mu, mu2=ep.v.mu, q1=ep.u.q, q2=ep.v.q)
     return ContinuationPlan(target=target, base=p_base, speed=s,
                             steps=tuple(steps), knobs=knobs, config=config,
                             floor=floor)

@@ -9,6 +9,7 @@ from scipy.optimize import brentq, minimize_scalar
 from lvfront.model import SystemParams, critical_speed, decay_rates, equilibria
 from lvfront.envelopes import (
     THETA_MU,
+    CriticalBump,
     Piece,
     PiecewiseProfile,
     SelectionKnobs,
@@ -167,9 +168,9 @@ class TestOvershootCriterion:
         ep_u = select_supercritical(p, s, SelectionKnobs(nonmonotone_u=True))
         ep_v = select_supercritical(p, s, SelectionKnobs(nonmonotone_v=True))
         assert nonmonotone_condition_u(p, s).log_fmax == bump_log_max(
-            1.0, r.lambda1, ep_u.mu1, ep_u.q1)
+            1.0, r.lambda1, ep_u.u.mu, ep_u.u.q)
         assert nonmonotone_condition_v(p, s).log_fmax == bump_log_max(
-            p.a, r.lambda2, ep_v.mu2, ep_v.q2)
+            p.a, r.lambda2, ep_v.v.mu, ep_v.v.q)
 
     @pytest.mark.parametrize("p", [P, SystemParams(0.5, 0.25, 1.0, 1.0)])
     def test_critical_g_bump_maximum_matches_recomputation(self, p):
@@ -190,17 +191,17 @@ class TestOvershootCriterion:
 
         ep_u = select_critical(p, SelectionKnobs(nonmonotone_u=True))
         cond_u = nonmonotone_condition_u(p, s)
-        assert cond_u.log_fmax == pytest.approx(log_max(ep_u.h1, ep_u.qhat1, s / 2.0), rel=1e-12)
+        assert cond_u.log_fmax == pytest.approx(log_max(ep_u.u.h, ep_u.u.q, s / 2.0), rel=1e-12)
         assert cond_u.fmax == math.exp(cond_u.log_fmax)
         ep_v = select_critical(p, SelectionKnobs(nonmonotone_v=True))
         cond_v = nonmonotone_condition_v(p, s)
-        if ep_v.qhat2 is not None:
+        if isinstance(ep_v.v, CriticalBump):
             assert cond_v.log_fmax == pytest.approx(
-                log_max(ep_v.h2, ep_v.qhat2, s / (2.0 * p.d)), rel=1e-12)
+                log_max(ep_v.v.h, ep_v.v.q, s / (2.0 * p.d)), rel=1e-12)
             assert cond_v.fmax == math.exp(cond_v.log_fmax)
         else:
             assert cond_v.log_fmax == bump_log_max(
-                p.a, decay_rates(p, s).lambda2, ep_v.muhat2, ep_v.Qhat2)
+                p.a, decay_rates(p, s).lambda2, ep_v.v.mu, ep_v.v.q)
 
     def test_pinned_bump_outside_selection_does_not_hold(self):
         # (1, .99, .5, 1) at s = 2.1: q2 = 1.01 is below the v floor, which

@@ -24,15 +24,19 @@ from lvfront.certify import (
     make_grid,
     select_and_build,
 )
-from lvfront.envelopes import (Q_SAFETY, THETA_MU, EnvelopeSet, Piece, PiecewiseProfile, _bump,
-                               _capped, _capped_lower, build_envelopes, lower_bumps,
+from lvfront.envelopes import (Q_SAFETY, THETA_MU, CriticalBump, EnvelopeSet, ExpBump, Piece,
+                               PiecewiseProfile, _capped, _capped_lower, build_envelopes,
                                min_decay_rate)
 from helpers import assert_gated, translated
 
 #: the module, which the package's certify function shadows
 certify_module = importlib.import_module("lvfront.certify")
+envelopes_module = importlib.import_module("lvfront.envelopes")
 
 P = SystemParams(1.0, 0.5, 0.5, 1.0)
+#: a*d = 1 with d = 1 and with d != 1, a*d < 1, and a*d = 0.979; s* = 2 for each
+NEAR_CRITICAL_SETS = [P, SystemParams(0.5, 0.25, 1.0, 1.0), SystemParams(2.0, 0.2, 0.05, 0.5),
+                      SystemParams(1.108, 0.69, 0.717, 0.884)]
 
 
 class TestCertify:
@@ -59,6 +63,38 @@ class TestCertify:
         with pytest.raises(ValueError, match="complex linearization roots"):
             certify(P, 1.5)
 
+    @pytest.mark.parametrize("offset", [1e-13, 1e-10, 5e-10])
+    @pytest.mark.parametrize("p", NEAR_CRITICAL_SETS)
+    def test_speeds_just_above_s_star_are_supercritical(self, p, offset):
+        # only s* itself takes the critical envelopes; just above it the
+        # supercritical bump is too flat to reach its delta
+        with pytest.raises(ValueError, match="delta above envelope maximum"):
+            certify(p, critical_speed(p) + offset)
+
+    @pytest.mark.parametrize("p", NEAR_CRITICAL_SETS)
+    def test_s_star_alone_takes_the_critical_envelopes(self, p):
+        s = critical_speed(p)
+        assert certify(p, s).passed
+        with pytest.raises(ValueError, match="subcritical speed"):
+            certify(p, s - 1e-13)
+
+    @pytest.mark.parametrize("p", [P, SystemParams(0.5, 0.25, 1.0, 1.0)])
+    def test_each_critical_bump_is_solved_once(self, p, monkeypatch):
+        # the selection reads each critical bump's maximum and the build its
+        # bracket; one zero search and one maximum search serve both
+        solves = []
+
+        def counting(f, *args, **kwargs):
+            if f.__qualname__.startswith("CriticalBump."):
+                solves.append(f.__qualname__)
+            return brentq(f, *args, **kwargs)
+
+        monkeypatch.setattr(envelopes_module, "brentq", counting)
+        ep = certify(p, 2.0).envelope.params
+        bumps = [b for b in (ep.u, ep.v) if isinstance(b, CriticalBump)]
+        assert len(bumps) == (2 if p.a * p.d == 1.0 else 1)
+        assert len(solves) == 2 * len(bumps)
+
     def test_out_of_regime_rejected(self):
         assert_gated("certify")
 
@@ -81,7 +117,8 @@ class TestCertify:
     @pytest.mark.parametrize("mutate,reason", [
         # half the selected q-hat leaves the u bump too tall for a sub-solution
         (lambda env: build_envelopes(P, 2.0, dataclasses.replace(
-            env.params, qhat1=0.5 * env.params.qhat1)), "u_lower = -0.00103 at xi = -6.10374"),
+            env.params, u=dataclasses.replace(env.params.u, q=0.5 * env.params.u.q))),
+         "u_lower = -0.00103 at xi = -6.10374"),
         (lambda env: dataclasses.replace(env, u_upper=translated(env.u_upper, 1.0)),
          "u_ordering: leading coefficient negative as xi -> -inf"),
     ], ids=["halved_qhat1", "shifted_u_upper"])
@@ -100,7 +137,7 @@ class TestCertify:
         ep = env.params
         if corner == "lower_capped_on_its_rise":
             # the u bump capped at delta1 where it still increases
-            bump = lower_bumps(P, 3.0, ep)[0]
+            bump = ep.u
             rise = PiecewiseProfile((Piece(-math.inf, math.inf, bump.terms),))
             xi = brentq(lambda x: rise(x) - ep.delta1, bump.bracket[0] - 60.0, bump.bracket[0])
             env = dataclasses.replace(env, u_lower=_capped(bump.terms, xi, ep.delta1))
@@ -328,10 +365,10 @@ class TestCriticalQ:
         env = select_and_build(p, critical_speed(p))
         ep, s = env.params, env.speed
         r = decay_rates(p, s)
-        u, v = lower_bumps(p, s, ep)
-        out = [(ep.h1, ep.qhat1, s / 2.0, 1.0, p.c, env.v_upper, u)]
-        if ep.qhat2 is not None:
-            out.append((ep.h2, ep.qhat2, s / (2.0 * p.d), p.d, p.b, env.u_upper, v))
+        u, v = ep.u, ep.v
+        out = [(u.h, u.q, s / 2.0, 1.0, p.c, env.v_upper, u)]
+        if isinstance(v, CriticalBump):
+            out.append((v.h, v.q, s / (2.0 * p.d), p.d, p.b, env.u_upper, v))
         return THETA_MU * min(r.lambda1, r.lambda2), out
 
     @staticmethod
@@ -382,7 +419,8 @@ def _mutated_u_lower(s):
     env = select_and_build(P, s)
     ep = env.params
     lam = 1.01 * decay_rates(P, s).lambda1
-    return dataclasses.replace(env, u_lower=_capped_lower(_bump(1.0, lam, ep.mu1, ep.q1), ep.delta1))
+    return dataclasses.replace(env, u_lower=_capped_lower(ExpBump(1.0, lam, ep.u.mu, ep.u.q),
+                                                          ep.delta1))
 
 
 class TestCells:
@@ -574,7 +612,8 @@ class TestCriticalMutations:
     def test_shrunk_qhat1_fails_on_cells_and_grid(self, p, factor):
         # a smaller q-hat makes the u bump too tall for a sub-solution
         ep = select_and_build(p, 2.0).params
-        env = build_envelopes(p, 2.0, dataclasses.replace(ep, qhat1=factor * ep.qhat1))
+        env = build_envelopes(p, 2.0, dataclasses.replace(
+            ep, u=dataclasses.replace(ep.u, q=factor * ep.u.q)))
         check = check_cells(env, p, 2.0)
         res = check_differential_inequalities(env, p, 2.0, make_grid(env))
         assert (not check.reasons) == (factor == 1.0)

@@ -237,7 +237,8 @@ class TestSolve:
         # an s* envelope set whose u bump has half its q-hat fails the
         # u_lower inequality; nothing is solved
         env = certify_module.select_and_build(SystemParams(1.0, 0.5, 0.5, 1.0), 2.0)
-        env = build_envelopes(env.system, 2.0, replace(env.params, qhat1=0.5 * env.params.qhat1))
+        env = build_envelopes(env.system, 2.0,
+                              replace(env.params, u=replace(env.params.u, q=0.5 * env.params.u.q)))
         monkeypatch.setattr(certify_module, "select_and_build", lambda *args: env)
         assert cli.main(["solve", "--params", "1,0.5,0.5,1", "--speed", "2",
                          "--out", "crit"]) == 2

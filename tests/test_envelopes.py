@@ -13,11 +13,12 @@ from lvfront.envelopes import (
     CRITICAL_AD_EQ1,
     CRITICAL_AD_LT1,
     SUPERCRITICAL,
-    CriticalParams,
+    CriticalBump,
+    EnvelopeParams,
+    ExpBump,
     Piece,
     PiecewiseProfile,
     SelectionKnobs,
-    SupercriticalParams,
     build_envelopes,
     bump_extrema,
     bump_log_max,
@@ -26,7 +27,6 @@ from lvfront.envelopes import (
     select_critical,
     select_supercritical,
 )
-from lvfront.envelopes import _critical_bump
 from helpers import assert_gated, translated
 
 P = SystemParams(1.0, 0.5, 0.5, 1.0)
@@ -86,7 +86,7 @@ class TestGBump:
     @settings(max_examples=60)
     def test_zero_and_max(self, case):
         h, q, lam, nu = case
-        bump = _critical_bump(h, q, lam, nu)
+        bump = CriticalBump(h, q, lam, nu, 1.0)
         xiM, xi0 = bump.bracket
         f = PiecewiseProfile((Piece(-math.inf, math.inf, bump.terms),))
         g, _ = g_of(h, q, nu)
@@ -103,7 +103,7 @@ class TestGBump:
         # g(x0) = 0 in [ln(q/h)/nu, q/(nu h)], and g' = lam g at xM in
         # [x0, x0 + h/(lam g'(x0))], each to a few ulps of its terms
         h, q, lam, nu = case
-        bump = _critical_bump(h, q, lam, nu)
+        bump = CriticalBump(h, q, lam, nu, 1.0)
         x0, xM = -bump.bracket[1], -bump.bracket[0]
         g, dg = g_of(h, q, nu)
         assert math.log(q / h) / nu <= x0 <= q / (nu * h)
@@ -117,7 +117,7 @@ class TestGBump:
         # the zero, the maximum point and the log of the maximum, each found
         # again at 40 digits on the same brackets
         h, q, lam, nu = case
-        bump = _critical_bump(h, q, lam, nu)
+        bump = CriticalBump(h, q, lam, nu, 1.0)
         with mpmath.workdps(40):
             H, Q, L, N = map(mpmath.mpf, (h, q, lam, nu))
             g = lambda x: H * x + Q / N * mpmath.expm1(-N * x)
@@ -135,14 +135,14 @@ class TestGBump:
     def test_underflow_regime_gives_zero(self, h, qf, lam):
         # a zero this far left leaves a maximum below double precision, and
         # its log finite
-        bump = _critical_bump(h, qf * h, lam, 0.5)
+        bump = CriticalBump(h, qf * h, lam, 0.5, 1.0)
         assert bump.fmax == 0.0
         assert -math.inf < bump.log_fmax < -700.0
 
     def test_rejects_nonpositive(self):
         # q <= h: g rises from g(0) = 0, so the bump has no zero x0 > 0
         with pytest.raises(ValueError, match="no interior zero"):
-            _critical_bump(1.0, 1.0, 1.0, 0.5)
+            CriticalBump(1.0, 1.0, 1.0, 0.5, 1.0)
 
 
 class TestJoinPoint:
@@ -245,8 +245,8 @@ class TestSelection:
     def test_nonmonotone_knobs_raise_lower_maximum(self):
         ep_d = select_supercritical(P, 4.5)
         ep_n = select_supercritical(P, 4.5, SelectionKnobs(nonmonotone_v=True))
-        _, _, fmax_d = bump_extrema(P.a, 0.2344, ep_d.mu2, ep_d.q2)
-        _, _, fmax_n = bump_extrema(P.a, 0.2344, ep_n.mu2, ep_n.q2)
+        _, _, fmax_d = bump_extrema(P.a, 0.2344, ep_d.v.mu, ep_d.v.q)
+        _, _, fmax_n = bump_extrema(P.a, 0.2344, ep_n.v.mu, ep_n.v.q)
         assert fmax_n > fmax_d
 
     def test_critical_requires_small_product(self):
@@ -256,9 +256,9 @@ class TestSelection:
     def test_critical_constants(self):
         # a = d = 1: slope constant h = (1/2) e^2 at lam-hat = 1
         ep = select_critical(P)
-        assert ep.h1 == pytest.approx(0.5 * math.e ** 2, rel=1e-12)
-        assert ep.h2 == pytest.approx(ep.h1, rel=1e-12)
-        assert ep.qhat1 > 0.0 and ep.qhat2 > 0.0
+        assert ep.u.h == pytest.approx(0.5 * math.e ** 2, rel=1e-12)
+        assert ep.v.h == pytest.approx(ep.u.h, rel=1e-12)
+        assert ep.u.q > 0.0 and ep.v.q > 0.0
 
     @given(s=st.floats(2.1, 8.0))
     @settings(max_examples=30)
@@ -408,27 +408,34 @@ class TestTermEvaluator:
 
 
 class TestParamsTypes:
+    def test_params_have_no_optional_field(self):
+        # every case is the same four fields, each set; the bumps carry the shape
+        for ep in (select_supercritical(P, 3.0), select_critical(P),
+                   select_critical(SystemParams(0.5, 0.25, 1.0, 1.0))):
+            assert isinstance(ep, EnvelopeParams)
+            names = [f.name for f in dataclasses.fields(ep)]
+            assert names == ["u", "v", "delta1", "delta2"]
+            assert all(getattr(ep, name) is not None for name in names)
+            for bump in (ep.u, ep.v):
+                assert all(getattr(bump, f.name) is not None for f in dataclasses.fields(bump))
+        for f in dataclasses.fields(EnvelopeParams):
+            assert "Optional" not in str(f.type) and "None" not in str(f.type), f
+
     def test_supercritical_params_have_no_critical_fields(self):
         ep = select_supercritical(P, 3.0)
-        assert isinstance(ep, SupercriticalParams)
-        names = [f.name for f in dataclasses.fields(ep)]
-        assert names == ["mu1", "mu2", "q1", "q2", "delta1", "delta2"]
-        assert all(getattr(ep, name) is not None for name in names)
-        for name in ("h1", "h2", "qhat1", "qhat2", "muhat2", "Qhat2", "xi1", "xihat1"):
-            assert not hasattr(ep, name), name
+        assert isinstance(ep.u, ExpBump) and isinstance(ep.v, ExpBump)
+        for name in ("h", "nu", "cap"):
+            assert not hasattr(ep.u, name) and not hasattr(ep.v, name), name
+        assert ep.case == SUPERCRITICAL
 
     def test_critical_ad_below_one_takes_the_exponential_bump(self):
         ep = select_critical(SystemParams(0.5, 0.25, 1.0, 1.0))
-        assert isinstance(ep, CriticalParams)
-        assert ep.qhat2 is None and ep.h2 is None
-        assert ep.muhat2 is not None and ep.Qhat2 is not None
+        assert isinstance(ep.u, CriticalBump) and isinstance(ep.v, ExpBump)
         assert ep.case == CRITICAL_AD_LT1
 
     def test_critical_ad_one_takes_the_g_bump(self):
         ep = select_critical(P)
-        assert isinstance(ep, CriticalParams)
-        assert ep.qhat2 is not None and ep.h2 is not None
-        assert ep.muhat2 is None and ep.Qhat2 is None
+        assert isinstance(ep.u, CriticalBump) and isinstance(ep.v, CriticalBump)
         assert ep.case == CRITICAL_AD_EQ1
 
     def test_envelope_case_is_the_params_case(self):
