@@ -20,8 +20,7 @@ import numpy as np
 from .model import SystemParams, admissibility, critical_speed, decay_rates
 from .envelopes import SOLVE_REACH, SelectionKnobs, left_reach
 from .certify import certify, certificate_to_json
-from .solve import (OperatorConfig, iterate, tail_check, with_tail_report, write_csv,
-                    write_profile)
+from .solve import OperatorConfig, iterate, tail_check, write_csv, write_profile
 from .analyze import classify, interior_box_implies_monotone, oscillation_coupling, scan_region
 from .pulse import (
     PULSE_CONFIG,
@@ -264,11 +263,12 @@ def cmd_solve(cfg: RunConfig) -> int:
         return EXIT_NO_CONVERGENCE
     extra = {"run_config": asdict(cfg),
              "iterations": report.iterations_used,
+             "handover": report.handover,
+             "pair_gap": float(report.pair_gap_history[-1]),
              "beta_used": list(report.beta_used),
              "sandwich_violations": int(sum(report.sandwich_violations))}
     if report.converged:
-        tr = tail_check(prof, p, cert.envelope)
-        prof = with_tail_report(prof, tr)
+        prof = replace(prof, tail_report=tail_check(prof, p, cert.envelope))
         shape = classify(prof)
         extra["shape_class"] = shape.tag
         extra["extrema"] = [asdict(e) for e in shape.extrema]

@@ -299,18 +299,6 @@ class CriticalBump(Bump):
         return _capped(((self.h, 1, self.lam),), -1.0 / self.lam - 1.0, self.cap)
 
 
-def bump_extrema(coef: float, lam: float, mu: float, q: float) -> Tuple[float, float, float]:
-    """Zero, maximum point and maximum of f(xi) = coef e^{lam xi} - q e^{mu lam xi}."""
-    bump = ExpBump(coef, lam, mu, q)
-    xiM, xi0 = bump.bracket
-    return xi0, xiM, bump.fmax
-
-
-def bump_log_max(coef: float, lam: float, mu: float, q: float) -> float:
-    """log of the maximum of coef e^{lam xi} - q e^{mu lam xi}."""
-    return ExpBump(coef, lam, mu, q).log_fmax
-
-
 def join_point(f: Callable[[float], float], delta: float,
                bracket: Tuple[float, float]) -> float:
     """Point in (xiM, xi0) where the bump equals delta on its decreasing branch.

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 #: absolute tolerance used to decide the boundary cases a*c = 1 and a = b,
-#: and to detect the critical speed s = s*
+#: to clamp the discriminants at s = s* and to refuse subcritical speeds
 EQ_TOL = 1e-12
 
 

@@ -108,6 +108,8 @@ def plan_continuation(p_base: SystemParams, s: float, target: str,
     the limit, times Q_SAFETY where that floor is only its constant term)
     and the mu placements are computed once and reused at every
     step, which keeps the lower-envelope maximum -- the floor -- fixed.
+    Constants that build no envelope set at the base are refused with the
+    build's reason.
     """
     require_strict_weak(p_base)
     if s < critical_speed(p_base):
@@ -145,6 +147,10 @@ def plan_continuation(p_base: SystemParams, s: float, target: str,
     ep = select_supercritical(p_base, s, pinned)
     floor = (ep.u if pulse_u else ep.v).fmax
     knobs = SelectionKnobs(mu1=ep.u.mu, mu2=ep.v.mu, q1=ep.u.q, q2=ep.v.q)
+    # the bumps do not move along the continuation, so the base set fails to
+    # build (e.g. "delta above envelope maximum" in a dead band near s*)
+    # exactly when a step's set does
+    select_and_build(p_base, s, knobs=knobs)
     return ContinuationPlan(target=target, base=p_base, speed=s,
                             steps=tuple(steps), knobs=knobs, config=config,
                             floor=floor)
@@ -179,9 +185,9 @@ def _pulsed_component(plan: ContinuationPlan, prof: Profile) -> np.ndarray:
 def run_continuation(plan: ContinuationPlan, refine: bool = True) -> PulseResult:
     """Solve every step warm-started from the previous profile.
 
-    iterate corrects each warm start by Newton and keeps the result only as
-    a verified bracket (IterationReport.handover reads "accepted"); a
-    rejected or failed hand-over falls back to one Picard sequence.  Each
+    A warm start only seeds iterate's Newton hand-over, whose result is kept
+    only as a verified bracket (IterationReport.handover reads "accepted");
+    after a rejected or failed hand-over the step is solved cold.  Each
     step is certified with the frozen constants before solving; the floor
     must survive every step.  The limit profile (last step) is
     checked against the degenerate system obtained at the exact limit,

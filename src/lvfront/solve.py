@@ -6,42 +6,41 @@ d_i w'' - s w' - beta_i w against F_i = beta_i*w_i + reaction_i.  With
 shifts above shift_bounds the reactions are monotone in their own
 variable on the order interval the iterates span, and Picard iteration
 from the upper pair (u_up, v_lo) and the lower pair (u_lo, v_up) squeezes
-the wave from both sides.  By default iterate recomputes one shift per
-component from the current pair at every step, so the shifts fall from
-at most their values on the box [0,1] x [0,a] as the pair closes, to
-BETA_MARGIN * (u*, v*) on a monotone front; an explicit
-OperatorConfig.beta fixes one shift for both components.  The fixed
-point -Lx = f(x) does not depend on the shift; its discretisation does, at
-O(h^2).
+the wave from both sides.  iterate recomputes one shift per component
+from the current pair at every step, so the shifts fall from at most their
+values on the box [0,1] x [0,a] as the pair closes, to
+BETA_MARGIN * (u*, v*) on a monotone front.  The fixed point -Lx = f(x)
+does not depend on the shift; its discretisation does, at O(h^2).
 
 Near the critical speed the pair gap shrinks by only about 0.998 per step.
 Once it has shrunk by NEWTON_RATE or more slowly per step over the last
 NEWTON_WINDOW steps, after NEWTON_WARMUP steps, the pair is handed over
 once to a semismooth Newton method on the clipped map x = clip(P(x), lo, hi)
-(Qi & Sun, Math. Programming 58, 1993).  A warm start is handed over at its
-first step, from the warm profile: Newton is the corrector of a
-continuation step (Allgower & Georg, Introduction to Numerical Continuation
-Methods, SIAM 2003).  The clip pins the wave's translation, so no phase
-condition is needed.  Its Jacobian is banded: _kernel_bands writes each
-kernel as T^-1 M with T and M tridiagonal, constant but for their end rows,
-and each Newton step fills one (3, 3) band over the interleaved unknowns in
-place and factors it once.  Newton runs under the pair's shifts and again
+(Qi & Sun, Math. Programming 58, 1993).  A warm start only seeds that
+hand-over, which it makes at the first step, from the warm profile: Newton
+is the corrector of a continuation step (Allgower & Georg, Introduction to
+Numerical Continuation Methods, SIAM 2003).  The clip pins the wave's
+translation, so no phase condition is needed.  Its Jacobian is banded:
+_kernel_bands writes each kernel as T^-1 M with T and M tridiagonal,
+constant but for their end rows, and each Newton step fills one (3, 3)
+band over the interleaved unknowns in place and factors it once.  Newton
+runs under the pair's shifts (a warm start's own shift_bounds) and again
 under shift_bounds of its answer x; the margin direction e,
 (I - Pi DP) e = (u, -v), is solved once, with the last factor, and seeds
 the pair x +- eps*e.  The next pair step, under the same shifts, must map
 the seeded pair inside itself in the mixed order, exactly: a discrete
 super- and sub-solution pair (Sattinger, Indiana Univ. Math. J. 21, 1972).
 The pair loop then goes on unchanged; a warm start so becomes a bracket.
-If Newton fails or the check does not hold, the seed is dropped and the run
-is the one that never handed over, bit for bit.  IterationReport.handover
-says which happened.
+If Newton fails or the check does not hold, the seed is dropped and the
+pair loop goes on as if it never handed over, bit for bit: a warm run is
+then the cold run.  IterationReport.handover says which happened.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -75,9 +74,6 @@ class OperatorConfig:
     left: float = -60.0
     right: float = 80.0
     n_points: int = 2801
-    # None: per-component shifts from the current pair (shift_bounds) at
-    # every iteration; a number: that shift for both components throughout
-    beta: Optional[float] = None
     max_iters: int = 5000
     tol: float = 1e-8
 
@@ -119,15 +115,6 @@ class IterationReport:
     handover: str = "none"
 
 
-def beta_floor(p: SystemParams) -> float:
-    """Smallest beta making both shifted reactions monotone on the box.
-
-    beta + 1 - 2u - cv >= 0 and beta + a - bu - 2v >= 0 on [0,1] x [0,a]
-    are tightest at the corner (1, a).
-    """
-    return max(1.0 + p.a * p.c, p.a + p.b)
-
-
 def shift_bounds(p: SystemParams, u_hi, v_hi) -> Tuple[float, float]:
     """Per-component shifts (beta_u, beta_v) for pairs below (u_hi, v_hi).
 
@@ -143,17 +130,11 @@ def shift_bounds(p: SystemParams, u_hi, v_hi) -> Tuple[float, float]:
             BETA_MARGIN * need_v if need_v > 0.0 else p.a + p.b)
 
 
-def _beta_pair(beta) -> Tuple[float, float]:
-    return (beta, beta) if np.ndim(beta) == 0 else (beta[0], beta[1])
-
-
 def kernel_rates(p: SystemParams, s: float, beta):
-    """Real roots (negative, positive) of d_i r^2 - s r - beta_i for i = 1, 2.
-
-    beta is one shift for both components or a pair (beta_u, beta_v).
-    """
+    """Real roots (negative, positive) of d_i r^2 - s r - beta_i for i = 1, 2,
+    with beta the pair (beta_u, beta_v)."""
     out = []
-    for d, bt in zip((1.0, p.d), _beta_pair(beta)):
+    for d, bt in zip((1.0, p.d), beta):
         disc = math.sqrt(s * s + 4.0 * d * bt)
         out.append(((s - disc) / (2.0 * d), (s + disc) / (2.0 * d)))
     return tuple(out)
@@ -202,9 +183,9 @@ def _kernel_apply(F: np.ndarray, h: float, alpha: float, gamma: float,
 def apply_P(u: np.ndarray, v: np.ndarray, p: SystemParams, s: float,
             beta, h: float, right_state: Tuple[float, float],
             left_state: Tuple[float, float] = (0.0, 0.0)):
-    """One application of the integral operator to sampled (u, v).
+    """One application of the integral operator to sampled (u, v) under the
+    shifts beta = (beta_u, beta_v).
 
-    beta is one shift for both components or a pair (beta_u, beta_v).
     Samples are extended by constant states beyond the truncated domain:
     left_state (the extinction state by default) and right_state (normally
     the coexistence state).
@@ -212,7 +193,7 @@ def apply_P(u: np.ndarray, v: np.ndarray, p: SystemParams, s: float,
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ValueError("invalid input profile")
     a, b, c = p.a, p.b, p.c
-    beta_u, beta_v = _beta_pair(beta)
+    beta_u, beta_v = beta
 
     def F(uu, vv):
         return (beta_u * uu + uu * (1.0 - uu - c * vv),
@@ -288,7 +269,7 @@ def _reaction_jacobian(X, p: SystemParams, beta, k: int, l: int) -> np.ndarray:
     """Entry (k, l) of the pointwise 2x2 Jacobian D of the shifted reactions
     at X = (u, v)."""
     u, v = X
-    beta_u, beta_v = _beta_pair(beta)
+    beta_u, beta_v = beta
     if k == 0:
         return beta_u + 1.0 - 2.0 * u - p.c * v if l == 0 else -p.c * u
     return -p.b * v if l == 0 else beta_v + p.a - p.b * u - 2.0 * v
@@ -401,24 +382,20 @@ def _slow_pair(gap_hist: List[float]) -> bool:
 
 def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
             warm_start: Optional[Tuple[np.ndarray, np.ndarray]] = None):
-    """Picard iteration under P of (u, v) sequences clipped to the box and to
-    the envelope sandwich.
+    """Picard iteration under P of the upper pair (u_up, v_lo) and the lower
+    pair (u_lo, v_up), clipped to the box and to the envelope sandwich; they
+    bracket every fixed point in the mixed quasimonotone order.
 
-    A cold solve iterates the upper pair (u_up, v_lo) and the lower pair
-    (u_lo, v_up), which bracket every fixed point in the mixed quasimonotone
-    order.  A warm start begins with warm_start clipped to the sandwich and
-    is handed over to Newton at its first step; if the seeded pair is
-    accepted it is iterated as a bracket, and otherwise the warm start
-    iterates one sequence, whose pair gap is 0.  Converged when both the
-    pair gap and the step change drop below cfg.tol; the returned Profile
-    is the midpoint of the first and last sequence.  A cold pair that
-    contracts slowly is handed over to Newton once (module docstring).
+    A pair that contracts slowly is handed over to Newton once (module
+    docstring).  A warm start only seeds that hand-over, at the first step,
+    from warm_start clipped to the sandwich and under its shift_bounds; if
+    the seeded pair is accepted it is iterated as the bracket, and otherwise
+    the cold pair goes on, which hands over no more.  Converged when both
+    the pair gap and the step change drop below cfg.tol; the returned
+    Profile is the midpoint of the two pairs.
     """
     if cfg.left >= left_reach(env, MIN_REACH):
         raise ValueError("domain too small")
-    beta = cfg.beta
-    if beta is not None and beta < beta_floor(p):
-        raise ValueError("beta below monotonicity floor")
 
     grid = np.linspace(cfg.left, cfg.right, cfg.n_points)
     h = grid[1] - grid[0]
@@ -426,10 +403,7 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
     lo = np.maximum([env.u_lower(grid), env.v_lower(grid)], 0.0)
     hi = np.minimum([env.u_upper(grid), env.v_upper(grid)], [[1.0], [p.a]])
 
-    if warm_start is None:
-        X = [(hi[0], lo[1]), (lo[0], hi[1])]   # upper pair, lower pair
-    else:
-        X = [tuple(np.clip(w, l, u) for w, l, u in zip(warm_start, lo, hi))]
+    X = [(hi[0], lo[1]), (lo[0], hi[1])]   # upper pair, lower pair
     # the step and gap norms and shift_bounds' u input go through one buffer
     scratch = np.empty_like(grid)
 
@@ -438,17 +412,19 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
         return np.abs(diff, out=diff).max()
 
     def pair_shifts(X):
-        return shift_bounds(p, np.maximum(X[0][0], X[-1][0], out=scratch),
-                            np.maximum(X[0][1], X[-1][1]))
+        return shift_bounds(p, np.maximum(X[0][0], X[1][0], out=scratch),
+                            np.maximum(X[0][1], X[1][1]))
 
-    if beta is None:
-        beta = pair_shifts(X)
+    beta = pair_shifts(X)
+    start = None
+    if warm_start is not None:
+        x0 = np.clip(warm_start, lo, hi)
+        start = x0, shift_bounds(p, x0[0], x0[1])
 
     def pair_step(X, beta):
-        """(the clipped P of each sequence, clip events, escapes): each
-        escape is a clip above CLIP_ABORT_TOL, as (size, index of the worst
-        point, component and pair).  A warm start's one sequence is named
-        the upper pair."""
+        """(the clipped P of each pair, clip events, escapes): each escape
+        is a clip above CLIP_ABORT_TOL, as (size, index of the worst point,
+        component and pair)."""
         nX, events, escapes = [], 0, []
         for pair, x in zip(("upper", "lower"), X):
             y = list(apply_P(*x, p, s, beta, h, star))
@@ -461,14 +437,13 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
             nX.append(tuple(y))
         return nX, events, escapes
 
-    def hand_over(X, beta):
-        """Newton from the pair's midpoint (a warm start's one sequence)
-        under beta and, with adaptive shifts, again under beta' =
-        shift_bounds of its answer x; then the seed x +- eps*e,
-        eps*max|e| = tol/4, and its pair step under beta'.  Returns the
-        outcome and, if accepted, (seed, beta', step)."""
-        out = _clipped_newton(0.5 * np.add(X[0], X[-1]), p, s, beta, h, star, lo, hi)
-        if out is not None and cfg.beta is None:
+    def hand_over(x0, beta):
+        """Newton from x0 under beta and again under beta' = shift_bounds
+        of its answer x; then the seed x +- eps*e, eps*max|e| = tol/4, and
+        its pair step under beta'.  Returns the outcome and, if accepted,
+        (seed, beta', step)."""
+        out = _clipped_newton(x0, p, s, beta, h, star, lo, hi)
+        if out is not None:
             x, out = out[0], None   # the first run's e is not used
             beta = shift_bounds(p, x[0], x[1])
             out = _clipped_newton(x, p, s, beta, h, star, lo, hi)
@@ -495,8 +470,9 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         nxt = None
-        if handover == "none" and (warm_start is not None or _slow_pair(gap_hist)):
-            handover, seeded = hand_over(X, beta)
+        if handover == "none" and (start is not None or _slow_pair(gap_hist)):
+            handover, seeded = hand_over(*(start or (0.5 * np.add(X[0], X[1]), beta)))
+            start = None   # the clipped warm start is not needed again
             if seeded is not None:
                 X, beta, nxt = seeded
         if nxt is None:
@@ -509,17 +485,16 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
         violations.append(step_events)
 
         step = max(max_abs_diff(y, x) for new, old in zip(nX, X) for y, x in zip(new, old))
-        gap = max(max_abs_diff(nX[0][k], nX[-1][k]) for k in (0, 1))
+        gap = max(max_abs_diff(nX[0][k], nX[1][k]) for k in (0, 1))
         res_hist.append(step)
         gap_hist.append(gap)
         X = nX
-        if cfg.beta is None:
-            beta = pair_shifts(X)
+        beta = pair_shifts(X)
         if step < cfg.tol and gap < cfg.tol:
             converged = True
             break
 
-    u, v = (0.5 * (a + b) for a, b in zip(X[0], X[-1]))
+    u, v = (0.5 * (a + b) for a, b in zip(X[0], X[1]))
     Pu, Pv = apply_P(u, v, p, s, beta, h, star)
     residual = float(max(np.abs(Pu - u).max(), np.abs(Pv - v).max()))
     prof = Profile(grid=grid, u=u, v=v, speed=s, params=p, residual=residual,
@@ -530,7 +505,7 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
         sandwich_violations=violations,
         converged=converged,
         iterations_used=iterations,
-        beta_used=_beta_pair(beta),
+        beta_used=beta,
         handover=handover,
     )
     return prof, report
@@ -572,10 +547,6 @@ def tail_check(prof: Profile, p: SystemParams, env: EnvelopeSet) -> TailReport:
                       entry_abscissas=tuple(abscissas), right_gap=right_gap,
                       left_bound_ok=left_bound_ok, increasing_ok=increasing_ok,
                       right_ok=right_ok, passed=passed)
-
-
-def with_tail_report(prof: Profile, report: TailReport) -> Profile:
-    return replace(prof, tail_report=report)
 
 
 def ode_residual(prof: Profile, p: SystemParams) -> float:

@@ -4,15 +4,16 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lvfront.model import SystemParams, admissibility, critical_speed, decay_rates, equilibria
-from lvfront.envelopes import bump_extrema
+from lvfront.envelopes import ExpBump
 from lvfront.certify import certify
-from lvfront.solve import OperatorConfig, apply_P, beta_floor, iterate, ode_residual, tail_check, with_tail_report
+from lvfront.solve import OperatorConfig, apply_P, iterate, ode_residual, tail_check
 from lvfront.analyze import classify, interior_box_implies_monotone, oscillation_coupling, sturm_interval
 from lvfront.pulse import plan_continuation, run_continuation
 from lvfront import cli
@@ -31,7 +32,7 @@ def front_run():
     t0 = time.time()
     cert = certify(P_FRONT, 4.5, mode="nonmonotone-v")
     prof, rep = iterate(cert.envelope, P_FRONT, 4.5, CFG_FRONT)
-    prof = with_tail_report(prof, tail_check(prof, P_FRONT, cert.envelope))
+    prof = replace(prof, tail_report=tail_check(prof, P_FRONT, cert.envelope))
     return SimpleNamespace(cert=cert, prof=prof, rep=rep,
                            elapsed=time.time() - t0)
 
@@ -43,7 +44,7 @@ def critical_run():
     s = critical_speed(P_CRIT)
     cert = certify(P_CRIT, s)
     prof, rep = iterate(cert.envelope, P_CRIT, s, CFG_CRIT)
-    prof = with_tail_report(prof, tail_check(prof, P_CRIT, cert.envelope))
+    prof = replace(prof, tail_report=tail_check(prof, P_CRIT, cert.envelope))
     return SimpleNamespace(cert=cert, prof=prof, rep=rep,
                            elapsed=time.time() - t0)
 
@@ -68,7 +69,7 @@ def test_decay_rate_values():
 def test_overshoot_maximum_and_integer_threshold():
     lam2 = decay_rates(SystemParams(1.0, 0.5, 0.5, 1.0), 4.5).lambda2
     mu2 = 1.0 + 1.0 / 1.1
-    _, _, fmax = bump_extrema(1.0, lam2, mu2, 2.6)
+    fmax = ExpBump(1.0, lam2, mu2, 2.6).fmax
     assert fmax == pytest.approx(0.0817, abs=5e-4)
     threshold = min(n for n in range(1, 200) if 2.0 / (n + 1) < fmax)
     assert threshold == 24
@@ -100,7 +101,7 @@ def test_certificate_parameter_sweep():
 def test_operator_normalization_and_fixed_points():
     p = SystemParams(1.0, 0.5, 0.5, 1.0)
     s, h = 3.0, 0.05
-    beta = 1.05 * beta_floor(p)
+    beta = 1.05 * max(1.0 + p.a * p.c, p.a + p.b)
     n = 2001
 
     def F(uu, vv):
@@ -113,7 +114,7 @@ def test_operator_normalization_and_fixed_points():
         K2 = float(rng.uniform(0.0, p.a))
         u = np.full(n, K1)
         v = np.full(n, K2)
-        Pu, Pv = apply_P(u, v, p, s, beta, h, (K1, K2), (K1, K2))
+        Pu, Pv = apply_P(u, v, p, s, (beta, beta), h, (K1, K2), (K1, K2))
         F1, F2 = F(K1, K2)
         assert np.abs(Pu - F1 / beta).max() < 1e-10
         assert np.abs(Pv - F2 / beta).max() < 1e-10
@@ -122,7 +123,7 @@ def test_operator_normalization_and_fixed_points():
     for K1, K2 in [(0.0, 0.0), (1.0, 0.0), (ustar, vstar)]:
         u = np.full(n, K1)
         v = np.full(n, K2)
-        Pu, Pv = apply_P(u, v, p, s, beta, h, (K1, K2), (K1, K2))
+        Pu, Pv = apply_P(u, v, p, s, (beta, beta), h, (K1, K2), (K1, K2))
         assert np.abs(Pu - K1).max() < 1e-10
         assert np.abs(Pv - K2).max() < 1e-10
 

@@ -10,11 +10,10 @@ from lvfront.model import SystemParams, critical_speed, decay_rates, equilibria
 from lvfront.envelopes import (
     THETA_MU,
     CriticalBump,
+    ExpBump,
     Piece,
     PiecewiseProfile,
     SelectionKnobs,
-    bump_extrema,
-    bump_log_max,
     select_critical,
     select_supercritical,
 )
@@ -167,10 +166,10 @@ class TestOvershootCriterion:
         r = decay_rates(p, s)
         ep_u = select_supercritical(p, s, SelectionKnobs(nonmonotone_u=True))
         ep_v = select_supercritical(p, s, SelectionKnobs(nonmonotone_v=True))
-        assert nonmonotone_condition_u(p, s).log_fmax == bump_log_max(
-            1.0, r.lambda1, ep_u.u.mu, ep_u.u.q)
-        assert nonmonotone_condition_v(p, s).log_fmax == bump_log_max(
-            p.a, r.lambda2, ep_v.v.mu, ep_v.v.q)
+        assert nonmonotone_condition_u(p, s).log_fmax == ExpBump(
+            1.0, r.lambda1, ep_u.u.mu, ep_u.u.q).log_fmax
+        assert nonmonotone_condition_v(p, s).log_fmax == ExpBump(
+            p.a, r.lambda2, ep_v.v.mu, ep_v.v.q).log_fmax
 
     @pytest.mark.parametrize("p", [P, SystemParams(0.5, 0.25, 1.0, 1.0)])
     def test_critical_g_bump_maximum_matches_recomputation(self, p):
@@ -200,8 +199,8 @@ class TestOvershootCriterion:
                 log_max(ep_v.v.h, ep_v.v.q, s / (2.0 * p.d)), rel=1e-12)
             assert cond_v.fmax == math.exp(cond_v.log_fmax)
         else:
-            assert cond_v.log_fmax == bump_log_max(
-                p.a, decay_rates(p, s).lambda2, ep_v.v.mu, ep_v.v.q)
+            assert cond_v.log_fmax == ExpBump(
+                p.a, decay_rates(p, s).lambda2, ep_v.v.mu, ep_v.v.q).log_fmax
 
     def test_pinned_bump_outside_selection_does_not_hold(self):
         # (1, .99, .5, 1) at s = 2.1: q2 = 1.01 is below the v floor, which

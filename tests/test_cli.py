@@ -191,6 +191,9 @@ class TestSolve:
         # 1.05 * (u*, v*) once the pair has closed on a monotone front
         assert beta_u == pytest.approx(0.7, abs=1e-6)
         assert beta_v == pytest.approx(0.7, abs=1e-6)
+        # the bracket: a fast pair is never handed over, and it closes below tol
+        assert head["handover"] == "none"
+        assert 0.0 < head["pair_gap"] < 1e-9
 
     def test_config_file_overrides_flags(self, in_tmp, capsys):
         cfg = {"speed": 3.0, "grid": 4401, "tol": 1e-9, "out": "viacfg"}
@@ -258,7 +261,8 @@ class TestSolve:
         assert head["converged"]
         assert head["iterations"] < 5000
         assert head["tail_report"]["passed"]
-        assert "handover" not in head
+        assert head["handover"] == "accepted"
+        assert 0.0 < head["pair_gap"] < 1e-8
 
     def test_escape_error_goes_to_out_json(self, in_tmp, capsys):
         # s* on the default grid escapes its envelopes within a few steps
@@ -396,6 +400,18 @@ class TestPulse:
         summary = json.loads((in_tmp / "pulse_out" / "summary.json").read_text())
         assert summary["failure_index"] is None and all(summary["floor_ok"])
         assert not summary["passed"]
+
+    @pytest.mark.parametrize("speed", ["2.000001", "2.0000000005"])
+    @pytest.mark.parametrize("domain", [[], ["--domain=-200,600"]])
+    def test_dead_band_speed_is_refused_while_planning(self, in_tmp, capsys, speed, domain):
+        # the frozen constants build no envelope set: nothing is solved
+        code = cli.main(["pulse", "--params", "1,0.5,0.5,1", "--speed", speed,
+                         "--out", "pulse_out"] + domain)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: delta above envelope maximum\n"
+        assert not captured.out
+        assert not (in_tmp / "pulse_out").exists()
 
     def test_error_during_the_run_exits_three(self, in_tmp, capsys):
         # a given domain is not widened, and this one is too small

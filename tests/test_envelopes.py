@@ -20,8 +20,6 @@ from lvfront.envelopes import (
     PiecewiseProfile,
     SelectionKnobs,
     build_envelopes,
-    bump_extrema,
-    bump_log_max,
     join_point,
     min_decay_rate,
     select_critical,
@@ -43,7 +41,8 @@ class TestBumpExtrema:
     @settings(max_examples=60)
     def test_closed_forms_match_grid_scan(self, coef, lam, mu, qf):
         q = qf * coef
-        xi0, xiM, fmax = bump_extrema(coef, lam, mu, q)
+        bump = ExpBump(coef, lam, mu, q)
+        (xiM, xi0), fmax = bump.bracket, bump.fmax
         f = lambda x: coef * np.exp(lam * x) - q * np.exp(mu * lam * x)
         assert xiM < xi0 < 0.0
         assert abs(f(xi0)) < 1e-12 * max(1.0, fmax)
@@ -52,18 +51,18 @@ class TestBumpExtrema:
         assert f(xiM) == pytest.approx(fmax, rel=1e-10)
 
     def test_log_max_consistent(self):
-        _, _, fmax = bump_extrema(1.0, 0.5, 1.5, 3.0)
-        assert bump_log_max(1.0, 0.5, 1.5, 3.0) == pytest.approx(math.log(fmax), rel=1e-12)
+        bump = ExpBump(1.0, 0.5, 1.5, 3.0)
+        assert bump.log_fmax == pytest.approx(math.log(bump.fmax), rel=1e-12)
 
     def test_log_max_survives_underflow(self):
         # mu barely above 1 drives the max below double-precision range
-        lg = bump_log_max(1.0, 0.2344, 1.001, 2.6)
+        lg = ExpBump(1.0, 0.2344, 1.001, 2.6).log_fmax
         assert lg < -900.0  # exp(lg) underflows to 0.0 in double precision
         assert math.isfinite(lg)
 
     def test_requires_interior_zero(self):
         with pytest.raises(ValueError, match="no interior zero"):
-            bump_extrema(1.0, 0.5, 1.5, 0.9)
+            ExpBump(1.0, 0.5, 1.5, 0.9)
 
 
 def critical_bump_cases(lam_hi=2.0):
@@ -148,7 +147,8 @@ class TestGBump:
 class TestJoinPoint:
     def test_value_matches_delta(self):
         coef, lam, mu, q = 1.0, 0.5, 1.5, 3.0
-        xi0, xiM, fmax = bump_extrema(coef, lam, mu, q)
+        bump = ExpBump(coef, lam, mu, q)
+        (xiM, xi0), fmax = bump.bracket, bump.fmax
         f = lambda x: coef * math.exp(lam * x) - q * math.exp(mu * lam * x)
         xi = join_point(f, 0.3 * fmax, (xiM, xi0))
         assert xiM < xi < xi0
@@ -156,7 +156,8 @@ class TestJoinPoint:
 
     def test_delta_above_maximum_rejected(self):
         coef, lam, mu, q = 1.0, 0.5, 1.5, 3.0
-        xi0, xiM, fmax = bump_extrema(coef, lam, mu, q)
+        bump = ExpBump(coef, lam, mu, q)
+        (xiM, xi0), fmax = bump.bracket, bump.fmax
         f = lambda x: coef * math.exp(lam * x) - q * math.exp(mu * lam * x)
         with pytest.raises(ValueError, match="delta above envelope maximum"):
             join_point(f, 2.0 * fmax, (xiM, xi0))
@@ -245,8 +246,8 @@ class TestSelection:
     def test_nonmonotone_knobs_raise_lower_maximum(self):
         ep_d = select_supercritical(P, 4.5)
         ep_n = select_supercritical(P, 4.5, SelectionKnobs(nonmonotone_v=True))
-        _, _, fmax_d = bump_extrema(P.a, 0.2344, ep_d.v.mu, ep_d.v.q)
-        _, _, fmax_n = bump_extrema(P.a, 0.2344, ep_n.v.mu, ep_n.v.q)
+        fmax_d = ExpBump(P.a, 0.2344, ep_d.v.mu, ep_d.v.q).fmax
+        fmax_n = ExpBump(P.a, 0.2344, ep_n.v.mu, ep_n.v.q).fmax
         assert fmax_n > fmax_d
 
     def test_critical_requires_small_product(self):

@@ -11,7 +11,7 @@ import pytest
 from lvfront import pulse
 from lvfront.model import SystemParams, decay_rates
 from lvfront.certify import certify
-from lvfront.envelopes import Q_SAFETY, bump_extrema, lower_bump, min_decay_rate
+from lvfront.envelopes import Q_SAFETY, ExpBump, lower_bump, min_decay_rate
 from lvfront.solve import Profile, iterate
 from helpers import assert_gated
 from lvfront.pulse import (
@@ -121,9 +121,9 @@ class TestPlan:
         plan = plan_continuation(p, 2.5, target, 8)
         r, k = decay_rates(p, 2.5), plan.knobs
         if target == "c_to_1_over_a":
-            floor = bump_extrema(1.0, r.lambda1, k.mu1, k.q1)[2]
+            floor = ExpBump(1.0, r.lambda1, k.mu1, k.q1).fmax
         else:
-            floor = bump_extrema(p.a, r.lambda2, k.mu2, k.q2)[2]
+            floor = ExpBump(p.a, r.lambda2, k.mu2, k.q2).fmax
         assert plan.floor == floor
         assert certify(p, 2.5, knobs=plan.knobs).passed
 

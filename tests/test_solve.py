@@ -9,17 +9,16 @@ from lvfront.certify import certify
 from lvfront.solve import (
     OperatorConfig,
     apply_P,
-    beta_floor,
     iterate,
     kernel_rates,
     ode_residual,
     tail_check,
-    with_tail_report,
 )
 from dataclasses import replace
+from types import SimpleNamespace
 from lvfront.envelopes import min_decay_rate
 from lvfront.model import critical_speed
-from lvfront.solve import BETA_MARGIN, shift_bounds
+from lvfront.solve import BETA_MARGIN, CLIP_ABORT_TOL, shift_bounds
 from lvfront import solve as solve_mod
 from lvfront.solve import (_band_apply, _kernel_apply, _kernel_bands, _newton_factor,
                            _newton_solve)
@@ -43,20 +42,17 @@ def solved():
 
 class TestKernel:
     def test_rates_bracket_zero(self):
-        (a1, g1), (a2, g2) = kernel_rates(P, S, 2.0)
+        (a1, g1), (a2, g2) = kernel_rates(P, S, (2.0, 2.0))
         assert a1 < 0.0 < g1
         assert a2 < 0.0 < g2
-
-    def test_beta_floor_corner(self):
-        assert beta_floor(P) == max(1.0 + P.a * P.c, P.a + P.b)
 
     @given(K1=st.floats(0.0, 1.0), K2=st.floats(0.0, 1.0))
     @settings(max_examples=25)
     def test_constants_map_to_reaction_over_beta(self, K1, K2):
-        beta = 1.05 * beta_floor(P)
+        beta = 1.05 * max(1.0 + P.a * P.c, P.a + P.b)
         u = np.full(801, K1)
         v = np.full(801, K2)
-        Pu, Pv = apply_P(u, v, P, S, beta, 0.1, (K1, K2), (K1, K2))
+        Pu, Pv = apply_P(u, v, P, S, (beta, beta), 0.1, (K1, K2), (K1, K2))
         F1 = beta * K1 + K1 * (1.0 - K1 - P.c * K2)
         F2 = beta * K2 + K2 * (P.a - P.b * K1 - K2)
         assert np.abs(Pu - F1 / beta).max() < 1e-10
@@ -67,7 +63,7 @@ class TestKernel:
         v = np.full(101, 0.5)
         u[50] = np.nan
         with pytest.raises(ValueError, match="invalid input profile"):
-            apply_P(u, v, P, S, 2.0, 0.1, (0.5, 0.5))
+            apply_P(u, v, P, S, (2.0, 2.0), 0.1, (0.5, 0.5))
 
 
 class TestIterate:
@@ -105,12 +101,6 @@ class TestIterate:
         with pytest.raises(ValueError, match="domain too small"):
             iterate(cert.envelope, P, S, bad)
 
-    def test_beta_floor_enforced(self):
-        cert = certify(P, S)
-        bad = OperatorConfig(left=-100.0, right=120.0, n_points=2201, beta=0.5)
-        with pytest.raises(ValueError, match="beta below monotonicity floor"):
-            iterate(cert.envelope, P, S, bad)
-
     def test_warm_start_faster_than_cold(self, solved):
         cert, prof, rep = solved
         _, rep2 = iterate(cert.envelope, P, S, CFG, warm_start=(prof.u, prof.v))
@@ -135,40 +125,39 @@ def apply_p_calls(monkeypatch):
     return calls
 
 
+def _broken_newton(outcome):
+    """_clipped_newton made to fail: it returns None for "newton_failed", and
+    for "rejected" an answer perturbed so that its seed is not verified."""
+    newton = solve_mod._clipped_newton
+
+    def broken(X, *args):
+        if outcome == "newton_failed":
+            return None
+        X, e = newton(X, *args)
+        return X * (1.0 + 1e-6 * np.sin(np.arange(X.shape[1]))), e
+
+    return broken
+
+
 class TestWarmStart:
-    """A warm start whose Newton hand-over fails iterates one clipped Picard
-    sequence, written out here."""
+    """A warm start only seeds the Newton hand-over; when that fails, the run
+    is the cold run."""
 
-    def test_matches_written_out_sequence(self, solved, apply_p_calls, monkeypatch):
-        monkeypatch.setattr(solve_mod, "_clipped_newton", lambda *args: None)
-        cert, prof, _ = solved
-        env, grid = cert.envelope, prof.grid
-        h, star = grid[1] - grid[0], equilibria(P).coexistence
-        lo = (np.maximum(env.u_lower(grid), 0.0), np.maximum(env.v_lower(grid), 0.0))
-        hi = (np.minimum(env.u_upper(grid), 1.0), np.minimum(env.v_upper(grid), P.a))
-        warm = (prof.u * (1.0 + 1e-3 * np.sin(grid)), prof.v)
-        x = [np.clip(w, l, u) for w, l, u in zip(warm, lo, hi)]
-        steps = []
-        for _ in range(CFG.max_iters):
-            beta = shift_bounds(P, *x)
-            nx = [np.clip(y, l, u) for y, l, u in zip(apply_P(*x, P, S, beta, h, star), lo, hi)]
-            steps.append(max(np.abs(n - o).max() for n, o in zip(nx, x)))
-            x = nx
-            if steps[-1] < CFG.tol:
-                break
-        beta = shift_bounds(P, *x)
-        Px = apply_P(*x, P, S, beta, h, star)
-        residual = max(np.abs(y - w).max() for y, w in zip(Px, x))
-
-        wprof, wrep = iterate(env, P, S, CFG, warm_start=warm)
-        assert wrep.handover == "newton_failed"
-        assert wrep.converged and wrep.iterations_used == len(steps) > 1
-        assert np.array_equal(wrep.residual_history, steps)
-        assert not wrep.pair_gap_history.any()
-        assert np.array_equal(wprof.u, x[0]) and np.array_equal(wprof.v, x[1])
-        assert wprof.residual == residual and wrep.beta_used == beta
-        # one P per step and one for the final residual
-        assert len(apply_p_calls) == wrep.iterations_used + 1
+    @pytest.mark.parametrize("outcome", ["rejected", "newton_failed"])
+    def test_failed_hand_over_is_the_cold_run(self, solved, monkeypatch, outcome):
+        monkeypatch.setattr(solve_mod, "_clipped_newton", _broken_newton(outcome))
+        cert, ref_prof, ref = solved
+        warm = (ref_prof.u * (1.0 + 1e-3 * np.sin(ref_prof.grid)), ref_prof.v)
+        prof, rep = iterate(cert.envelope, P, S, CFG, warm_start=warm)
+        assert rep.handover == outcome and ref.handover == "none"
+        assert rep.iterations_used == ref.iterations_used
+        assert np.array_equal(rep.residual_history, ref.residual_history)
+        assert np.array_equal(rep.pair_gap_history, ref.pair_gap_history)
+        assert rep.pair_gap_history[0] > 0.0
+        assert rep.sandwich_violations == ref.sandwich_violations
+        assert rep.beta_used == ref.beta_used
+        assert np.array_equal(prof.u, ref_prof.u) and np.array_equal(prof.v, ref_prof.v)
+        assert prof.residual == ref_prof.residual
 
     def test_accepted_hand_over_brackets_the_cold_answer(self, solved):
         cert, prof, _ = solved
@@ -237,7 +226,7 @@ class TestTailCheck:
     def test_attached_report_round_trips(self, solved):
         cert, prof, _ = solved
         tr = tail_check(prof, P, cert.envelope)
-        prof2 = with_tail_report(prof, tr)
+        prof2 = replace(prof, tail_report=tr)
         assert prof2.tail_report is tr
         assert prof2.u is prof.u
 
@@ -272,7 +261,8 @@ class TestAdaptiveShift:
         beta_u, beta_v = shift_bounds(p, np.ones(7), np.full(7, p.a))
         assert beta_u == pytest.approx(BETA_MARGIN * (1.0 + p.a * p.c), rel=1e-14)
         assert beta_v == pytest.approx(BETA_MARGIN * (p.a + p.b), rel=1e-14)
-        assert max(beta_u, beta_v) == pytest.approx(BETA_MARGIN * beta_floor(p), rel=1e-14)
+        assert max(beta_u, beta_v) == pytest.approx(
+            BETA_MARGIN * max(1.0 + p.a * p.c, p.a + p.b), rel=1e-14)
 
     def test_bounds_positive_at_extinction(self):
         beta_u, beta_v = shift_bounds(P, np.zeros(7), np.zeros(7))
@@ -281,26 +271,45 @@ class TestAdaptiveShift:
 
     @pytest.fixture(scope="class")
     def fixed(self):
-        cert = certify(P, S)
-        return iterate(cert.envelope, P, S, replace(CFG, beta=1.05 * beta_floor(P)))
+        """The pair loop of iterate under one fixed shift for both
+        components, the larger of the two bounds on the box [0,1] x [0,a]."""
+        env = certify(P, S).envelope
+        grid = np.linspace(CFG.left, CFG.right, CFG.n_points)
+        h, star = grid[1] - grid[0], equilibria(P).coexistence
+        lo = np.maximum([env.u_lower(grid), env.v_lower(grid)], 0.0)
+        hi = np.minimum([env.u_upper(grid), env.v_upper(grid)], [[1.0], [P.a]])
+        beta = max(shift_bounds(P, np.ones(1), np.full(1, P.a)))
+        X = [np.array([hi[0], lo[1]]), np.array([lo[0], hi[1]])]   # upper pair, lower pair
+        for iterations in range(1, CFG.max_iters + 1):
+            nX = [np.array(apply_P(*x, P, S, (beta, beta), h, star)) for x in X]
+            assert all(np.all(y >= lo - CLIP_ABORT_TOL) and np.all(y <= hi + CLIP_ABORT_TOL)
+                       for y in nX)
+            nX = [np.clip(y, lo, hi) for y in nX]
+            step = max(np.abs(y - x).max() for y, x in zip(nX, X))
+            gap = np.abs(nX[0] - nX[1]).max()
+            X = nX
+            if step < CFG.tol and gap < CFG.tol:
+                break
+        u, v = 0.5 * (X[0] + X[1])
+        return SimpleNamespace(u=u, v=v, iterations_used=iterations,
+                               converged=step < CFG.tol and gap < CFG.tol,
+                               beta_used=(beta, beta))
 
     def test_fewer_iterations_than_fixed_shift(self, solved, fixed):
         _, prof, rep = solved
-        prof_f, rep_f = fixed
-        assert rep.converged and rep_f.converged
+        assert rep.converged and fixed.converged
         assert sum(rep.sandwich_violations) == 0
-        assert rep.iterations_used < rep_f.iterations_used
+        assert rep.iterations_used < fixed.iterations_used
 
     def test_same_profile_as_fixed_shift(self, solved, fixed):
         _, prof, _ = solved
-        prof_f, _ = fixed
-        assert np.abs(prof.u - prof_f.u).max() < 1e-4
-        assert np.abs(prof.v - prof_f.v).max() < 1e-4
+        assert np.abs(prof.u - fixed.u).max() < 1e-4
+        assert np.abs(prof.v - fixed.v).max() < 1e-4
 
     def test_reported_shifts(self, solved, fixed):
         _, _, rep = solved
-        _, rep_f = fixed
-        assert rep_f.beta_used == (1.05 * beta_floor(P), 1.05 * beta_floor(P))
+        beta = 1.05 * max(1.0 + P.a * P.c, P.a + P.b)
+        assert fixed.beta_used == (beta, beta)
         # a monotone front peaks at the coexistence state, where the
         # bounds reduce to BETA_MARGIN * (u*, v*)
         ustar, vstar = equilibria(P).coexistence
@@ -394,15 +403,7 @@ class TestNewtonHandover:
 
     @pytest.mark.parametrize("outcome", ["rejected", "newton_failed"])
     def test_fallback_leaves_no_trace(self, monkeypatch, cert, outcome):
-        newton = solve_mod._clipped_newton
-
-        def broken(X, *args):
-            if outcome == "newton_failed":
-                return None
-            X, e = newton(X, *args)
-            return X * (1.0 + 1e-6 * np.sin(np.arange(X.shape[1]))), e
-
-        prof, rep = self._run(monkeypatch, cert, 0.5, broken)
+        prof, rep = self._run(monkeypatch, cert, 0.5, _broken_newton(outcome))
         ref_prof, ref = self._run(monkeypatch, cert, 2.0)
         assert rep.handover == outcome and ref.handover == "none"
         assert rep.iterations_used == ref.iterations_used
