@@ -50,53 +50,32 @@ MIN_REACH = 10.0
 # piecewise profiles
 # ---------------------------------------------------------------------------
 
-def _terms_jet(terms, t, out, exp=np.exp):
-    """Fills out[k], for k < len(out), with the k-th derivative of
-    sum c (-t)^p e^{r t} over the (c, p, r) triples of terms, p in {0, 1}.
-
-    Adjacent terms that share a rate are summed in order into phi(t), the
-    factor of one exponential e^{r t}, and each row sums these products in
-    order.  Row k is formed after row k - 1 from phi's derivatives up to k,
-    so that few arrays are alive at once.  out is an array of rows at the
-    array t, or a list of floats at the float t with exp=math.exp.  Row k
-    does not depend on len(out).
+def _terms_jet(terms, t, order, exp=np.exp):
+    """The derivatives 0..order of sum c (-t)^p e^{r t} over the (c, p, r)
+    triples of terms, p in {0, 1}: arrays at the array t, or floats at the
+    float t with exp=math.exp.  A run of adjacent terms with one rate r is
+    phi e^{r t}, with phi = A + B (-t) and phi' = -B, where A and B sum the
+    run's p = 0 and p = 1 coefficients in order; row k sums phi e,
+    (phi' + r phi) e or (2 r phi' + r^2 phi) e over the runs in order.
     """
-    mt = None
-    rates = []  # (r, e^{r t}, the rate's (c, p), phi and its derivatives so far)
+    runs = []  # [r, A, B], with None for a sum of no terms
     for c, p, r in terms:
-        if p and mt is None:
-            mt = -t
-        if rates and rates[-1][0] == r:
-            rates[-1][2].append((c, p))
-        else:
-            rates.append((r, exp(r * t) if r else 1.0, [(c, p)], []))
-    for k in range(len(out)):
-        row = None
-        for r, e, cps, phi in rates:
-            phi_k = None
-            for c, p in cps:
-                if k == 0:
-                    part = c * mt if p else c
-                elif p and k == 1:
-                    part = -c
-                else:
-                    continue  # a zero derivative
-                phi_k = part if phi_k is None else phi_k + part
-            phi.append(0.0 if phi_k is None else phi_k)
-            if k == 0:
-                f = phi[0] * e
-            elif k == 1:
-                f = (phi[1] + r * phi[0]) * e
-            else:
-                f = (phi[2] + 2.0 * r * phi[1] + r * r * phi[0]) * e
-            row = f if row is None else row + f
-        out[k] = row
-        row = f = part = None  # free this row's arrays before the next is formed
-
-
-def _check_order(order: int) -> None:
-    if order not in (0, 1, 2):
-        raise ValueError("derivative order must be 0, 1 or 2")
+        if not runs or runs[-1][0] != r:
+            runs.append([r, None, None])
+        run = runs[-1]
+        run[1 + p] = c if run[1 + p] is None else run[1 + p] + c
+    rows = []
+    for r, A, B in runs:
+        phi = A if B is None else B * -t if A is None else A + B * -t
+        e = exp(r * t) if r else 1.0
+        fs = [phi * e]
+        if order:
+            dphi = 0.0 if B is None else -B
+            fs.append((dphi + r * phi) * e)
+            if order > 1:
+                fs.append((2.0 * r * dphi + r * r * phi) * e)
+        rows = [row + f for row, f in zip(rows, fs)] if rows else fs
+    return rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,9 +96,7 @@ class Piece:
 
     def at(self, t: float, order: int = 0) -> List[float]:
         """Value and derivatives up to order at the float t, from math.exp."""
-        out = [0.0] * (order + 1)
-        _terms_jet(self.terms, t, out, math.exp)
-        return out
+        return _terms_jet(self.terms, t, order, math.exp)
 
 
 @dataclass(frozen=True)
@@ -155,24 +132,25 @@ class PiecewiseProfile:
         out[idx] = self.jet(flat[idx], deriv)[deriv]
         return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
-    def jet(self, x, order: int = 0, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Value and derivatives up to order at the sorted 1-D array x.
+    def jet(self, x, order: int = 0) -> np.ndarray:
+        """Value and derivatives up to order at the sorted 1-D array x, in
+        shape (order + 1, x.size).
 
-        Returns shape (order + 1, x.size), filled into out if given.  Each
-        piece covers the contiguous slice of x that searchsorted finds on
-        the piece boundaries, so no masks are built.
+        Each piece fills the contiguous slice of x that searchsorted finds
+        on the piece boundaries, so no masks are built.
         """
-        _check_order(order)
+        if order not in (0, 1, 2):
+            raise ValueError("derivative order must be 0, 1 or 2")
         t = np.asarray(x, dtype=float)
         # NaN sorts last, so a sorted x holds one only if it ends with one
         if t.size and math.isnan(t[-1]):
             raise ValueError("abscissa is NaN")
-        if out is None:
-            out = np.empty((order + 1, t.size))
+        out = np.empty((order + 1, t.size))
         cuts = np.searchsorted(t, self.join_points).tolist()
         for pc, i, j in zip(self.pieces, [0] + cuts, cuts + [t.size]):
             if j > i:
-                _terms_jet(pc.terms, t[i:j], out[:, i:j])
+                for k, row in enumerate(_terms_jet(pc.terms, t[i:j], order)):
+                    out[k, i:j] = row
         return out
 
     def one_sided(self, x_join: float) -> Tuple[float, float]:
@@ -377,11 +355,8 @@ class EnvelopeSet:
     def jet(self, x, order: int = 0) -> np.ndarray:
         """Jets of u_upper, u_lower, v_upper and v_lower at the sorted x, in
         one array of shape (4, order + 1, x.size)."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty((4, order + 1, x.size))
-        for prof, o in zip((self.u_upper, self.u_lower, self.v_upper, self.v_lower), out):
-            prof.jet(x, order, o)
-        return out
+        return np.stack([prof.jet(x, order) for prof in
+                         (self.u_upper, self.u_lower, self.v_upper, self.v_lower)])
 
     @property
     def join_points(self) -> Tuple[float, ...]:

@@ -385,22 +385,60 @@ class TestTermEvaluator:
                 err = abs(mpmath.mpf(float(jet[k, i])) - rows[k])
                 assert err <= 8 * eps * mags[k] + tiny, (k, ti)
 
-    def test_value_row_is_the_written_out_formula(self):
-        # the five envelope shapes, each with the operand order of its
-        # closed form: constant, exp, bump, linexp, critical bump
-        t = np.linspace(-30.0, -0.25, 3001)
+    @staticmethod
+    def written_out_shapes(t):
+        """The five envelope shapes, each with its rows 0, 1 and 2 in the
+        operand order of its closed form: constant, exp, bump, linexp and
+        critical bump."""
         A, lam, mu, q, h, c0, nu = 0.7, 1.3, 1.4, 2.2, 3.69, 0.45, 0.65
-        shapes = (
-            (((c0, 0, 0.0),), np.full(t.size, c0)),
-            (((A, 0, lam),), A * np.exp(lam * t)),
-            (((A, 0, lam), (-q, 0, mu * lam)), A * np.exp(lam * t) - q * np.exp(mu * lam * t)),
-            (((h, 1, lam),), -h * t * np.exp(lam * t)),
-            (((h, 1, lam), (-q / nu, 0, lam), (q / nu, 0, lam + nu)),
-             (h * -t + -q / nu) * np.exp(lam * t) + q / nu * np.exp((lam + nu) * t)),
+        e, mr, lr = np.exp(lam * t), mu * lam, lam + nu
+        zero = np.zeros(t.size)
+        phi = h * -t + -q / nu
+        return (
+            (((c0, 0, 0.0),), (np.full(t.size, c0), zero, zero)),
+            (((A, 0, lam),), (A * e, lam * A * e, lam * lam * A * e)),
+            (((A, 0, lam), (-q, 0, mr)),
+             (A * e - q * np.exp(mr * t), lam * A * e + mr * -q * np.exp(mr * t),
+              lam * lam * A * e + mr * mr * -q * np.exp(mr * t))),
+            (((h, 1, lam),),
+             (-h * t * e, (-h + lam * (h * -t)) * e,
+              (2.0 * lam * -h + lam * lam * (h * -t)) * e)),
+            (((h, 1, lam), (-q / nu, 0, lam), (q / nu, 0, lr)),
+             (phi * e + q / nu * np.exp(lr * t),
+              (-h + lam * phi) * e + lr * (q / nu) * np.exp(lr * t),
+              (2.0 * lam * -h + lam * lam * phi) * e + lr * lr * (q / nu) * np.exp(lr * t))),
         )
-        for terms, want in shapes:
+
+    def test_value_row_is_the_written_out_formula(self):
+        t = np.linspace(-30.0, -0.25, 3001)
+        for terms, want in self.written_out_shapes(t):
             assert np.array_equal(PiecewiseProfile((Piece(-math.inf, math.inf, terms),)).jet(t)[0],
-                                  want)
+                                  want[0])
+
+    def test_derivative_rows_are_the_written_out_formulas(self):
+        t = np.linspace(-30.0, -0.25, 3001)
+        for terms, want in self.written_out_shapes(t):
+            jet = PiecewiseProfile((Piece(-math.inf, math.inf, terms),)).jet(t, 2)
+            for k in (1, 2):
+                assert np.array_equal(jet[k], want[k]), (terms, k)
+
+    def test_float_path_equals_the_array_rows(self):
+        # Piece.at (math.exp, the path of every brentq) and jet (np.exp)
+        # compute the same closed forms, so they give the same bits wherever
+        # the two exponentials do; np.exp may differ from math.exp in the
+        # last bit, at a few percent of the points
+        t = np.linspace(-30.0, -0.25, 997)
+        for terms, _ in self.written_out_shapes(t):
+            same_exp = np.ones(t.size, dtype=bool)
+            for r in {r for _, _, r in terms}:
+                same_exp &= np.exp(r * t) == np.array([math.exp(r * ti) for ti in t])
+            assert same_exp.mean() > 0.8
+            piece = Piece(-math.inf, math.inf, terms)
+            jet = PiecewiseProfile((piece,)).jet(t[same_exp], 2)
+            for k in range(3):
+                floats = [piece.at(float(ti), k)[k] for ti in t[same_exp]]
+                assert all(type(f) is float for f in floats)
+                assert np.array_equal(np.array(floats), jet[k]), (terms, k)
 
     def test_power_outside_zero_one_rejected(self):
         for p in (2, 0.5):
