@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.signal import find_peaks
 
-from .model import EQ_TOL, SystemParams, critical_speed, equilibria, require_strict_weak
+from .model import SystemParams, critical_speed, equilibria, require_strict_weak
 from .envelopes import EnvelopeSet, InadmissibleBump, SelectionKnobs
 from .certify import select_params
 from .solve import Profile
@@ -123,8 +123,6 @@ def interior_box_implies_monotone(prof: Profile, p: SystemParams) -> BoxMonotoni
 def _nonmonotone_condition(p: SystemParams, s: float, knobs: SelectionKnobs,
                            component: str) -> NonMonotoneCondition:
     require_strict_weak(p)
-    if s < critical_speed(p) - EQ_TOL:
-        raise ValueError("subcritical speed")
     ustar, vstar = equilibria(p).coexistence
     star = ustar if component == "u" else vstar
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
-#: absolute tolerance used to decide the boundary cases a*c = 1 and a = b,
-#: to clamp the discriminants at s = s* and to refuse subcritical speeds
+#: absolute tolerance used to decide the boundary cases a*c = 1, a = b and
+#: a*d = 1, and to clamp the discriminants at s = s*
 EQ_TOL = 1e-12
 
 
@@ -131,13 +131,15 @@ def at_critical_speed(p: SystemParams, s: float) -> bool:
 def decay_rates(p: SystemParams, s: float) -> DecayRates:
     """Roots of the two linearization quadratics at the origin.
 
-    Discriminants within EQ_TOL of zero are clamped to zero so the double
-    root at s = s* is produced deterministically.  Raises for s < s* and
-    for a non-finite s.
+    Discriminants within EQ_TOL of zero are clamped to zero, which absorbs
+    the rounding of s*^2 so that s = s* gives the double root.  Raises for a
+    non-finite s, for an s whose square overflows and for s < s*.
     """
     if not math.isfinite(s):
         raise ValueError("non-finite speed")
-    if s < critical_speed(p) - EQ_TOL:
+    if not math.isfinite(s * s):
+        raise ValueError("speed squared overflows")
+    if s < critical_speed(p):
         raise ValueError("subcritical speed")
 
     def clamp(x):
@@ -158,13 +160,16 @@ def admissibility(p: SystemParams, s: float) -> Admissibility:
 
     Below s* one of the linearization quadratics has complex roots, which
     forces sign changes in any candidate profile; nonpositive and
-    non-finite speeds are ruled out separately.
+    non-finite speeds, and speeds whose square overflows, are ruled out
+    separately.
     """
     if not math.isfinite(s):
         return Admissibility(False, "non-finite speed")
     if s <= 0.0:
         return Admissibility(False, "nonpositive speed")
-    if s < critical_speed(p) - EQ_TOL:
+    if not math.isfinite(s * s):
+        return Admissibility(False, "speed squared overflows")
+    if s < critical_speed(p):
         return Admissibility(False, "complex linearization roots")
     return Admissibility(True)
 

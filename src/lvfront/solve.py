@@ -181,14 +181,13 @@ def _kernel_apply(F: np.ndarray, h: float, alpha: float, gamma: float,
 
 
 def apply_P(u: np.ndarray, v: np.ndarray, p: SystemParams, s: float,
-            beta, h: float, right_state: Tuple[float, float],
-            left_state: Tuple[float, float] = (0.0, 0.0)):
+            beta, h: float, right_state: Tuple[float, float]):
     """One application of the integral operator to sampled (u, v) under the
     shifts beta = (beta_u, beta_v).
 
-    Samples are extended by constant states beyond the truncated domain:
-    left_state (the extinction state by default) and right_state (normally
-    the coexistence state).
+    Samples are extended by constant states beyond the truncated domain: the
+    extinction state on the left, where the reaction F vanishes, and
+    right_state (normally the coexistence state) on the right.
     """
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ValueError("invalid input profile")
@@ -201,10 +200,9 @@ def apply_P(u: np.ndarray, v: np.ndarray, p: SystemParams, s: float,
 
     F1, F2 = F(u, v)
     F1_right, F2_right = F(*right_state)
-    F1_left, F2_left = F(*left_state)
     (a1, g1), (a2, g2) = kernel_rates(p, s, beta)
-    Pu = _kernel_apply(F1, h, a1, g1, 1.0, F1_left, F1_right)
-    Pv = _kernel_apply(F2, h, a2, g2, p.d, F2_left, F2_right)
+    Pu = _kernel_apply(F1, h, a1, g1, 1.0, 0.0, F1_right)
+    Pv = _kernel_apply(F2, h, a2, g2, p.d, 0.0, F2_right)
     return Pu, Pv
 
 
@@ -594,7 +592,8 @@ def write_profile(prof: Profile, csv_path: str, json_path: str,
         tr = prof.tail_report
         head["tail_report"] = {
             "passed": tr.passed, "right_gap": tr.right_gap, "eps": tr.eps,
-            "entry_abscissas": list(tr.entry_abscissas),
+            # JSON has no inf: null marks a box that is never entered
+            "entry_abscissas": [x if math.isfinite(x) else None for x in tr.entry_abscissas],
         }
     if header_extra:
         head.update(header_extra)

@@ -1,9 +1,10 @@
-"""Shared test helpers: envelopes moved along the line, and the table of
-entry points that the regime gate guards."""
+"""Shared test helpers: envelopes moved along the line, the operator on a
+constant state, and the table of entry points that the regime gate guards."""
 
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from lvfront.analyze import nonmonotone_condition_u, nonmonotone_condition_v, scan_region
@@ -12,6 +13,7 @@ from lvfront.envelopes import (EnvelopeSet, Piece, PiecewiseProfile, select_crit
                                select_supercritical)
 from lvfront.model import SystemParams
 from lvfront.pulse import plan_continuation
+from lvfront.solve import _kernel_apply, kernel_rates
 
 
 def translated(env, delta):
@@ -33,6 +35,19 @@ def translated(env, delta):
             terms += [(c, p, r), (c * delta, 0, r)] if p else [(c, p, r)]
         pieces.append(Piece(pc.lo + delta, pc.hi + delta, tuple(terms)))
     return PiecewiseProfile(tuple(pieces))
+
+
+def constant_image(K1, K2, p, s, beta, h, n):
+    """P of the constant state (K1, K2) on n points, extended by the same
+    state on both sides: the kernel of each component applied to its shifted
+    reaction F(K1, K2), with that value as both tails (apply_P extends by
+    the extinction state on the left)."""
+    beta_u, beta_v = beta
+    F1 = beta_u * K1 + K1 * (1.0 - K1 - p.c * K2)
+    F2 = beta_v * K2 + K2 * (p.a - p.b * K1 - K2)
+    (a1, g1), (a2, g2) = kernel_rates(p, s, beta)
+    return (_kernel_apply(np.full(n, F1), h, a1, g1, 1.0, F1, F1),
+            _kernel_apply(np.full(n, F2), h, a2, g2, p.d, F2, F2))
 
 
 #: the sets outside the strict-weak regime that the gate refuses: a*c = 1,

@@ -13,10 +13,11 @@ import pytest
 from lvfront.model import SystemParams, admissibility, critical_speed, decay_rates, equilibria
 from lvfront.envelopes import ExpBump
 from lvfront.certify import certify
-from lvfront.solve import OperatorConfig, apply_P, iterate, ode_residual, tail_check
+from lvfront.solve import OperatorConfig, iterate, ode_residual, tail_check
 from lvfront.analyze import classify, interior_box_implies_monotone, oscillation_coupling, sturm_interval
 from lvfront.pulse import plan_continuation, run_continuation
 from lvfront import cli
+from helpers import constant_image
 
 P_FRONT = SystemParams(1.0, 25.0 / 26.0, 0.5, 1.0)
 CFG_FRONT = OperatorConfig(left=-120.0, right=2600.0, n_points=54401,
@@ -112,18 +113,14 @@ def test_operator_normalization_and_fixed_points():
     for _ in range(20):
         K1 = float(rng.uniform(0.0, 1.0))
         K2 = float(rng.uniform(0.0, p.a))
-        u = np.full(n, K1)
-        v = np.full(n, K2)
-        Pu, Pv = apply_P(u, v, p, s, (beta, beta), h, (K1, K2), (K1, K2))
+        Pu, Pv = constant_image(K1, K2, p, s, (beta, beta), h, n)
         F1, F2 = F(K1, K2)
         assert np.abs(Pu - F1 / beta).max() < 1e-10
         assert np.abs(Pv - F2 / beta).max() < 1e-10
 
     ustar, vstar = equilibria(p).coexistence
     for K1, K2 in [(0.0, 0.0), (1.0, 0.0), (ustar, vstar)]:
-        u = np.full(n, K1)
-        v = np.full(n, K2)
-        Pu, Pv = apply_P(u, v, p, s, (beta, beta), h, (K1, K2), (K1, K2))
+        Pu, Pv = constant_image(K1, K2, p, s, (beta, beta), h, n)
         assert np.abs(Pu - K1).max() < 1e-10
         assert np.abs(Pv - K2).max() < 1e-10
 

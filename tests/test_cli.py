@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import os
 import re
 from dataclasses import asdict, replace
@@ -18,6 +19,13 @@ from lvfront.pulse import PULSE_CONFIG
 
 #: the module, which the package's certify function shadows
 certify_module = importlib.import_module("lvfront.certify")
+
+
+def strict_loads(text):
+    """json.loads that refuses the non-standard constants Infinity and NaN."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.fixture()
@@ -143,6 +151,20 @@ class TestSpeed:
         payload = json.loads(capsys.readouterr().out)
         assert payload["reason"] == "complex linearization roots"
 
+    def test_speed_just_below_s_star_exits_two(self, capsys):
+        assert cli.main(["speed", "--params", "1,0.5,0.5,1",
+                         "--speed", "1.9999999999999"]) == 2
+        payload = strict_loads(capsys.readouterr().out)
+        assert payload["admissible"] is False
+        assert payload["reason"] == "complex linearization roots"
+
+    def test_overflowing_speed_exits_two_in_strict_json(self, capsys):
+        assert cli.main(["speed", "--params", "1,0.5,0.5,1", "--speed", "1e300"]) == 2
+        payload = strict_loads(capsys.readouterr().out)
+        assert payload["admissible"] is False
+        assert payload["reason"] == "speed squared overflows"
+        assert "decay_rates" not in payload
+
     def test_defaults_to_critical_speed(self, capsys):
         assert cli.main(["speed", "--params", "1,0.5,0.5,1"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -228,6 +250,17 @@ class TestSolve:
         assert cli.main(["solve", "--params", "1,0.5,0.5,1",
                          "--speed", "1.0"]) == 2
         capsys.readouterr()
+
+    def test_unentered_box_writes_null_in_strict_json(self, in_tmp, capsys):
+        # far above s* the default right edge cuts the tail short, so the
+        # innermost box is never entered and the tail check fails
+        assert cli.main(["solve", "--params", "1,0.5,0.5,1", "--speed", "10"]) == 2
+        capsys.readouterr()
+        head = strict_loads((in_tmp / "profile.json").read_text())
+        assert head["converged"] and not head["tail_report"]["passed"]
+        entries = head["tail_report"]["entry_abscissas"]
+        assert entries[-1] is None
+        assert all(x is None or math.isfinite(x) for x in entries)
 
     def test_certify_error_goes_to_out_json(self, in_tmp, capsys):
         assert cli.main(["solve", "--params", "1,0.5,0.5,1",

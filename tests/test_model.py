@@ -99,6 +99,27 @@ class TestCriticalSpeedAndRates:
         with pytest.raises(ValueError, match="subcritical"):
             decay_rates(SystemParams(1.0, 0.5, 0.5, 1.0), 1.5)
 
+    @pytest.mark.parametrize("p", [SystemParams(1.0, 0.5, 0.5, 1.0),
+                                   SystemParams(2.0, 0.2, 0.05, 0.5),
+                                   SystemParams(1.108, 0.69, 0.717, 0.884)])
+    def test_gate_is_exact_at_s_star(self, p):
+        s = critical_speed(p)
+        decay_rates(p, s)
+        assert admissibility(p, s).admissible
+        below = math.nextafter(s, 0.0)
+        with pytest.raises(ValueError, match="subcritical speed"):
+            decay_rates(p, below)
+        assert admissibility(p, below) == Admissibility(False, "complex linearization roots")
+
+    @pytest.mark.parametrize("s", [1e155, 1e300, 1.7e308])
+    def test_overflowing_speed_refused(self, s):
+        p = SystemParams(1.0, 0.5, 0.5, 1.0)
+        assert admissibility(p, s) == Admissibility(False, "speed squared overflows")
+        with pytest.raises(ValueError, match="speed squared overflows"):
+            decay_rates(p, s)
+        with pytest.raises(ValueError, match="speed squared overflows"):
+            certify(p, s)
+
     @given(a=positive, d=positive, extra=st.floats(0.01, 3.0))
     def test_root_products(self, a, d, extra):
         p = SystemParams(a, 0.5 * a, 0.5 / a, d)

@@ -25,7 +25,7 @@ from lvfront.solve import (_band_apply, _kernel_apply, _kernel_bands, _newton_fa
 from lvfront.solve import (CLIP_EVENT_TOL, CSV_BLOCK_ROWS, _clip_to, _kernel_coefficients,
                            write_csv)
 from scipy.signal import lfilter
-from helpers import translated
+from helpers import constant_image, translated
 
 P = SystemParams(1.0, 0.5, 0.5, 1.0)
 S = 3.0
@@ -50,9 +50,7 @@ class TestKernel:
     @settings(max_examples=25)
     def test_constants_map_to_reaction_over_beta(self, K1, K2):
         beta = 1.05 * max(1.0 + P.a * P.c, P.a + P.b)
-        u = np.full(801, K1)
-        v = np.full(801, K2)
-        Pu, Pv = apply_P(u, v, P, S, (beta, beta), 0.1, (K1, K2), (K1, K2))
+        Pu, Pv = constant_image(K1, K2, P, S, (beta, beta), 0.1, 801)
         F1 = beta * K1 + K1 * (1.0 - K1 - P.c * K2)
         F2 = beta * K2 + K2 * (P.a - P.b * K1 - K2)
         assert np.abs(Pu - F1 / beta).max() < 1e-10
@@ -245,9 +243,7 @@ class TestAdaptiveShift:
            beta_u=st.floats(0.3, 3.0), beta_v=st.floats(0.3, 3.0))
     @settings(max_examples=25)
     def test_constants_map_to_reaction_over_own_beta(self, K1, K2, beta_u, beta_v):
-        u = np.full(801, K1)
-        v = np.full(801, K2)
-        Pu, Pv = apply_P(u, v, P, S, (beta_u, beta_v), 0.1, (K1, K2), (K1, K2))
+        Pu, Pv = constant_image(K1, K2, P, S, (beta_u, beta_v), 0.1, 801)
         F1 = beta_u * K1 + K1 * (1.0 - K1 - P.c * K2)
         F2 = beta_v * K2 + K2 * (P.a - P.b * K1 - K2)
         assert np.abs(Pu - F1 / beta_u).max() < 1e-10
