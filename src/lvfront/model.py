@@ -151,7 +151,9 @@ def decay_rates(p: SystemParams, s: float) -> DecayRates:
         raise ValueError("subcritical speed")
     r1 = math.sqrt(disc1)
     r2 = math.sqrt(disc2)
-    return DecayRates(lambda1=(s - r1) / 2.0, lambda2=(s - r2) / (2.0 * p.d),
+    # each small root from the product of the roots, A/D: 2A/(s + r) does
+    # not cancel as s grows, as (s - r)/(2D) does
+    return DecayRates(lambda1=2.0 / (s + r1), lambda2=2.0 * p.a / (s + r2),
                       lambda3=(s + r1) / 2.0, lambda4=(s + r2) / (2.0 * p.d))
 
 

@@ -2,8 +2,9 @@
 
 import math
 
+import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lvfront.certify import certify
 from lvfront.model import (
@@ -129,6 +130,26 @@ class TestCriticalSpeedAndRates:
         assert r.lambda2 * r.lambda4 == pytest.approx(a / d, rel=1e-9)
         assert 0.0 < r.lambda1 <= r.lambda3
         assert 0.0 < r.lambda2 <= r.lambda4
+
+    @given(a=positive, d=positive, log_s=st.floats(0.0, 8.0))
+    @example(a=1.0, d=1.0, log_s=2.0)
+    @example(a=1.0, d=1.0, log_s=5.0)
+    @example(a=1.0, d=1.0, log_s=8.0)
+    @settings(max_examples=200)
+    def test_each_root_satisfies_its_quadratic_to_a_few_ulps(self, a, d, log_s):
+        # the residual D x^2 - s x + A of each float root, at 50 digits, is a
+        # few rounding units of the size of its terms from s* up to s = 1e8;
+        # (s - sqrt(s^2 - 4))/2 misses lambda1 by 25 % at s = 1e8
+        p = SystemParams(a, 0.5 * a, 0.5 / a, d)
+        s = max(critical_speed(p), 10.0 ** log_s)
+        r = decay_rates(p, s)
+        eps = 2.0 ** -52
+        with mpmath.workdps(50):
+            for x, D, A in ((r.lambda1, 1.0, 1.0), (r.lambda3, 1.0, 1.0),
+                            (r.lambda2, d, a), (r.lambda4, d, a)):
+                x = mpmath.mpf(x)
+                size = D * x * x + s * x + A
+                assert abs(D * x * x - s * x + A) <= 4 * eps * size, (x, D, A, s)
 
 
 class TestAdmissibility:
