@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 #: absolute tolerance used to decide the boundary cases a*c = 1, a = b and
-#: a*d = 1, and to clamp the discriminants at s = s*
+#: a*d = 1; relative to s^2, it clamps the discriminants at s = s*
 EQ_TOL = 1e-12
 
 
@@ -131,8 +131,8 @@ def at_critical_speed(p: SystemParams, s: float) -> bool:
 def decay_rates(p: SystemParams, s: float) -> DecayRates:
     """Roots of the two linearization quadratics at the origin.
 
-    Discriminants within EQ_TOL of zero are clamped to zero, which absorbs
-    the rounding of s*^2 so that s = s* gives the double root.  Raises for a
+    Discriminants within EQ_TOL s^2 of zero are clamped to zero, which
+    absorbs the rounding of s*^2 so that s = s* gives the double root.  Raises for a
     non-finite s, for an s whose square overflows and for s < s*.
     """
     if not math.isfinite(s):
@@ -143,7 +143,7 @@ def decay_rates(p: SystemParams, s: float) -> DecayRates:
         raise ValueError("subcritical speed")
 
     def clamp(x):
-        return 0.0 if -EQ_TOL < x < 0.0 else x
+        return 0.0 if -EQ_TOL * s * s < x < 0.0 else x
 
     disc1 = clamp(s * s - 4.0)
     disc2 = clamp(s * s - 4.0 * p.a * p.d)
@@ -151,10 +151,12 @@ def decay_rates(p: SystemParams, s: float) -> DecayRates:
         raise ValueError("subcritical speed")
     r1 = math.sqrt(disc1)
     r2 = math.sqrt(disc2)
+    lambda3, lambda4 = (s + r1) / 2.0, (s + r2) / (2.0 * p.d)
     # each small root from the product of the roots, A/D: 2A/(s + r) does
-    # not cancel as s grows, as (s - r)/(2D) does
-    return DecayRates(lambda1=2.0 / (s + r1), lambda2=2.0 * p.a / (s + r2),
-                      lambda3=(s + r1) / 2.0, lambda4=(s + r2) / (2.0 * p.d))
+    # not cancel as s grows, as (s - r)/(2D) does; a double root is one float
+    return DecayRates(lambda1=2.0 / (s + r1) if r1 else lambda3,
+                      lambda2=2.0 * p.a / (s + r2) if r2 else lambda4,
+                      lambda3=lambda3, lambda4=lambda4)
 
 
 def admissibility(p: SystemParams, s: float) -> Admissibility:

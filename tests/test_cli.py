@@ -146,17 +146,12 @@ class TestSpeed:
         assert payload["run_config"]["params"] == [1.0, 0.5, 0.5, 1.0]
 
     def test_subcritical_exits_two(self, capsys):
-        assert cli.main(["speed", "--params", "1,0.5,0.5,1",
-                         "--speed", "1.9"]) == 2
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["reason"] == "complex linearization roots"
-
-    def test_speed_just_below_s_star_exits_two(self, capsys):
-        assert cli.main(["speed", "--params", "1,0.5,0.5,1",
-                         "--speed", "1.9999999999999"]) == 2
-        payload = strict_loads(capsys.readouterr().out)
-        assert payload["admissible"] is False
-        assert payload["reason"] == "complex linearization roots"
+        # the gate is exact at s* = 2: 2 - 1e-13 is refused too
+        for speed in ("1.9", "1.9999999999999"):
+            assert cli.main(["speed", "--params", "1,0.5,0.5,1", "--speed", speed]) == 2
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["admissible"] is False
+            assert payload["reason"] == "complex linearization roots"
 
     def test_overflowing_speed_exits_two_in_strict_json(self, capsys):
         assert cli.main(["speed", "--params", "1,0.5,0.5,1", "--speed", "1e300"]) == 2

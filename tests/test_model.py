@@ -97,29 +97,10 @@ class TestCriticalSpeedAndRates:
         assert r.lambda1 == r.lambda3 == 1.0
 
     def test_subcritical_raises(self):
-        with pytest.raises(ValueError, match="subcritical"):
-            decay_rates(SystemParams(1.0, 0.5, 0.5, 1.0), 1.5)
-
-    @pytest.mark.parametrize("p", [SystemParams(1.0, 0.5, 0.5, 1.0),
-                                   SystemParams(2.0, 0.2, 0.05, 0.5),
-                                   SystemParams(1.108, 0.69, 0.717, 0.884)])
-    def test_gate_is_exact_at_s_star(self, p):
-        s = critical_speed(p)
-        decay_rates(p, s)
-        assert admissibility(p, s).admissible
-        below = math.nextafter(s, 0.0)
-        with pytest.raises(ValueError, match="subcritical speed"):
-            decay_rates(p, below)
-        assert admissibility(p, below) == Admissibility(False, "complex linearization roots")
-
-    @pytest.mark.parametrize("s", [1e155, 1e300, 1.7e308])
-    def test_overflowing_speed_refused(self, s):
-        p = SystemParams(1.0, 0.5, 0.5, 1.0)
-        assert admissibility(p, s) == Admissibility(False, "speed squared overflows")
-        with pytest.raises(ValueError, match="speed squared overflows"):
-            decay_rates(p, s)
-        with pytest.raises(ValueError, match="speed squared overflows"):
-            certify(p, s)
+        # the gate is exact: the float just below s* is refused
+        for s in (1.5, math.nextafter(2.0, 0.0)):
+            with pytest.raises(ValueError, match="subcritical"):
+                decay_rates(SystemParams(1.0, 0.5, 0.5, 1.0), s)
 
     @given(a=positive, d=positive, extra=st.floats(0.01, 3.0))
     def test_root_products(self, a, d, extra):
@@ -157,6 +138,7 @@ class TestAdmissibility:
         p = SystemParams(1.0, 0.5, 0.5, 1.0)
         assert admissibility(p, -1.0).reason == "nonpositive speed"
         assert admissibility(p, 1.9).reason == "complex linearization roots"
+        assert admissibility(p, math.nextafter(2.0, 0.0)).reason == "complex linearization roots"
         assert admissibility(p, 2.0).admissible
 
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
@@ -168,10 +150,28 @@ class TestAdmissibility:
         with pytest.raises(ValueError, match="non-finite speed"):
             certify(p, s)
 
+    @pytest.mark.parametrize("s", [1e155, 1e300, 1.7e308])
+    def test_speed_whose_square_overflows(self, s):
+        p = SystemParams(1.0, 0.5, 0.5, 1.0)
+        assert admissibility(p, s) == Admissibility(False, "speed squared overflows")
+        with pytest.raises(ValueError, match="speed squared overflows"):
+            decay_rates(p, s)
+        with pytest.raises(ValueError, match="speed squared overflows"):
+            certify(p, s)
+
     @given(a=positive, d=positive)
     def test_critical_speed_is_admissible(self, a, d):
         p = SystemParams(a, 0.5 * a, 0.5 / a, d)
         assert admissibility(p, critical_speed(p)).admissible
+
+    @given(a=st.floats(0.05, 3000.0), d=st.floats(0.05, 3000.0))
+    @example(a=64.55533093067538, d=291.7673862868019)
+    def test_decay_rates_at_the_admissible_s_star(self, a, d):
+        # the clamp scales with s^2, the size of its rounding, so the rates
+        # exist wherever the gate admits s*, a*d in the thousands included
+        p = SystemParams(a, 0.5 * a, 0.5 / a, d)
+        r = decay_rates(p, critical_speed(p))
+        assert 0.0 < r.lambda1 <= r.lambda3 and 0.0 < r.lambda2 <= r.lambda4
 
 
 class TestSpeciesSwap:
