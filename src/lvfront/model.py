@@ -131,9 +131,11 @@ def at_critical_speed(p: SystemParams, s: float) -> bool:
 def decay_rates(p: SystemParams, s: float) -> DecayRates:
     """Roots of the two linearization quadratics at the origin.
 
-    Discriminants within EQ_TOL s^2 of zero are clamped to zero, which
-    absorbs the rounding of s*^2 so that s = s* gives the double root.  Raises for a
-    non-finite s, for an s whose square overflows and for s < s*.
+    Negative discriminants within EQ_TOL s^2 of zero are clamped to zero,
+    which absorbs the rounding of s*^2.  At s = s* (at_critical_speed) a
+    discriminant of either sign within EQ_TOL s^2 is clamped, so that a*d
+    within rounding of 1 gives the double root that select_critical builds.
+    Raises for a non-finite s, for an s whose square overflows and for s < s*.
     """
     if not math.isfinite(s):
         raise ValueError("non-finite speed")
@@ -141,9 +143,12 @@ def decay_rates(p: SystemParams, s: float) -> DecayRates:
         raise ValueError("speed squared overflows")
     if s < critical_speed(p):
         raise ValueError("subcritical speed")
+    tol = EQ_TOL * s * s
 
     def clamp(x):
-        return 0.0 if -EQ_TOL * s * s < x < 0.0 else x
+        if -tol < x < 0.0 or (0.0 < x < tol and at_critical_speed(p, s)):
+            return 0.0
+        return x
 
     disc1 = clamp(s * s - 4.0)
     disc2 = clamp(s * s - 4.0 * p.a * p.d)

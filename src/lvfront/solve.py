@@ -12,10 +12,12 @@ values on the box [0,1] x [0,a] as the pair closes, to
 BETA_MARGIN * (u*, v*) on a monotone front.  The fixed point -Lx = f(x)
 does not depend on the shift; its discretisation does, at O(h^2).
 
-Near the critical speed the pair gap shrinks by only about 0.998 per step.
-Once it has shrunk by NEWTON_RATE or more slowly per step over the last
-NEWTON_WINDOW steps, after NEWTON_WARMUP steps, the pair is handed over
-once to a semismooth Newton method on the clipped map x = clip(P(x), lo, hi)
+Near the critical speed the pair gap shrinks by only about 0.998 per step,
+on the non-monotone front by 0.925.  After NEWTON_WARMUP steps the gap's
+rate r over the last NEWTON_WINDOW steps predicts log(tol/gap)/log(r) more
+steps; once that is more than NEWTON_COST, the cost of one hand-over in
+pair steps, or the gap is not contracting, the pair is handed over once to
+a semismooth Newton method on the clipped map x = clip(P(x), lo, hi)
 (Qi & Sun, Math. Programming 58, 1993).  A warm start only seeds that
 hand-over, which it makes at the first step, from the warm profile: Newton
 is the corrector of a continuation step (Allgower & Georg, Introduction to
@@ -23,11 +25,12 @@ Numerical Continuation Methods, SIAM 2003).  The clip pins the wave's
 translation, so no phase condition is needed.  Its Jacobian is banded:
 _kernel_bands writes each kernel as T^-1 M with T and M tridiagonal,
 constant but for their end rows, and each Newton step fills one (3, 3)
-band over the interleaved unknowns in place and factors it once.  Newton
-runs under the pair's shifts (a warm start's own shift_bounds) and again
-under shift_bounds of its answer x; the margin direction e,
-(I - Pi DP) e = (u, -v), is solved once, with the last factor, and seeds
-the pair x +- eps*e.  The next pair step, under the same shifts, must map
+band over the interleaved unknowns in place and factors it once; the band
+is 20 arrays of n doubles, and a hand-over holds at most about 40 of them,
+the pair loop's own included.  Newton runs under the pair's shifts (a warm
+start's own shift_bounds) and again under shift_bounds of its answer x;
+the margin direction e, (I - Pi DP) e = (u, -v), is solved once, with the
+last factor, and seeds the pair x +- eps*e.  The next pair step, under the same shifts, must map
 the seeded pair inside itself in the mixed order, exactly: a discrete
 super- and sub-solution pair (Sattinger, Indiana Univ. Math. J. 21, 1972).
 The pair loop then goes on unchanged; a warm start so becomes a bracket.
@@ -58,10 +61,11 @@ CLIP_ABORT_TOL = 1e-8
 BETA_MARGIN = 1.05
 #: rows formatted per call by write_csv
 CSV_BLOCK_ROWS = 1024
-#: a pair whose gap shrinks per step by this factor or more slowly, over
-#: the last NEWTON_WINDOW steps and after NEWTON_WARMUP steps, is handed
-#: over to Newton once
-NEWTON_RATE = 0.99
+#: the cost of one hand-over to Newton (two Newton runs and the check), in
+#: pair steps; after NEWTON_WARMUP steps a pair whose gap, at its rate over
+#: the last NEWTON_WINDOW steps, is predicted to need more steps than this
+#: to reach tol is handed over once
+NEWTON_COST = 43
 NEWTON_WARMUP = 50
 NEWTON_WINDOW = 10
 #: Newton stops when its step is this small relative to the iterate
@@ -156,7 +160,8 @@ def _kernel_coefficients(h: float, alpha: float, gamma: float):
 
 
 def _kernel_apply(F: np.ndarray, h: float, alpha: float, gamma: float,
-                  dcoef: float, F_left: float, F_right: float) -> np.ndarray:
+                  dcoef: float, F_left: float, F_right: float,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact convolution of the piecewise-linear interpolant of F with the
     two-sided exponential kernel, plus the constant-tail contributions.
 
@@ -166,13 +171,15 @@ def _kernel_apply(F: np.ndarray, h: float, alpha: float, gamma: float,
     from its tail end: the tail integrals L_0 = -F_left/alpha and
     R_{n-1} = F_right/gamma enter through the first state zi, c1 F_0 + ea L_0
     or d2 F_{n-1} + eg R_{n-1}, which cancels against nothing.  Needs n >= 2.
+    Writes into out if given.
     """
     ea, c1, c2, eg, d1, d2 = _kernel_coefficients(h, alpha, gamma)
     L0, R_last = F_left * (-1.0 / alpha), F_right / gamma
     L, _ = lfilter([c2, c1], [1.0, -ea], F[1:], zi=[c1 * F[0] + ea * L0])   # L_1 .. L_{n-1}
     R, _ = lfilter([d1, d2], [1.0, -eg], F[-2::-1],
                    zi=[d2 * F[-1] + eg * R_last])                           # R_{n-2} .. R_0
-    out = np.empty_like(F)
+    if out is None:
+        out = np.empty_like(F)
     np.add(L[:-1], R[-2::-1], out=out[1:-1])
     out[0] = L0 + R[-1]
     out[-1] = L[-1] + R_last
@@ -181,29 +188,28 @@ def _kernel_apply(F: np.ndarray, h: float, alpha: float, gamma: float,
 
 
 def apply_P(u: np.ndarray, v: np.ndarray, p: SystemParams, s: float,
-            beta, h: float, right_state: Tuple[float, float]):
+            beta, h: float, right_state: Tuple[float, float],
+            out: Optional[np.ndarray] = None):
     """One application of the integral operator to sampled (u, v) under the
-    shifts beta = (beta_u, beta_v).
+    shifts beta = (beta_u, beta_v): (Pu, Pv), or out, a (2, n) array, with
+    Pu and Pv written into its rows.
 
     Samples are extended by constant states beyond the truncated domain: the
     extinction state on the left, where the reaction F vanishes, and
-    right_state (normally the coexistence state) on the right.
+    right_state (normally the coexistence state) on the right.  One
+    component is formed at a time.
     """
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ValueError("invalid input profile")
     a, b, c = p.a, p.b, p.c
     beta_u, beta_v = beta
-
-    def F(uu, vv):
-        return (beta_u * uu + uu * (1.0 - uu - c * vv),
-                beta_v * vv + vv * (a - b * uu - vv))
-
-    F1, F2 = F(u, v)
-    F1_right, F2_right = F(*right_state)
-    (a1, g1), (a2, g2) = kernel_rates(p, s, beta)
-    Pu = _kernel_apply(F1, h, a1, g1, 1.0, 0.0, F1_right)
-    Pv = _kernel_apply(F2, h, a2, g2, p.d, 0.0, F2_right)
-    return Pu, Pv
+    reactions = (lambda uu, vv: beta_u * uu + uu * (1.0 - uu - c * vv),
+                 lambda uu, vv: beta_v * vv + vv * (a - b * uu - vv))
+    rows = (None, None) if out is None else out
+    images = tuple(_kernel_apply(F(u, v), h, al, ga, dc, 0.0, F(*right_state), out=row)
+                   for F, (al, ga), dc, row in zip(reactions, kernel_rates(p, s, beta),
+                                                   (1.0, p.d), rows))
+    return images if out is None else out
 
 
 def _clip_to(arr: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -254,23 +260,42 @@ def _kernel_bands(h: float, alpha: float, gamma: float, dcoef: float):
     return T, M
 
 
-def _band_apply(band: _Tridiagonal, x: np.ndarray) -> np.ndarray:
-    """band @ x for len(x) >= 2."""
-    y = band.diag * x
+def _band_apply(band: _Tridiagonal, x: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """band @ x for len(x) >= 2, into out if given."""
+    y = np.multiply(x, band.diag, out=out)
     y[0], y[-1] = band.first * x[0], band.last * x[-1]
     y[:-1] += band.sup * x[1:]
     y[1:] += band.sub * x[:-1]
     return y
 
 
-def _reaction_jacobian(X, p: SystemParams, beta, k: int, l: int) -> np.ndarray:
+def _reaction_jacobian(X, p: SystemParams, beta, k: int, l: int, out: np.ndarray,
+                       work: Optional[np.ndarray] = None) -> np.ndarray:
     """Entry (k, l) of the pointwise 2x2 Jacobian D of the shifted reactions
-    at X = (u, v)."""
+    at X = (u, v), written into out: beta_u + 1 - 2u - cv, -cu, -bv and
+    beta_v + a - bu - 2v.  A diagonal entry takes work as its one temporary."""
     u, v = X
-    beta_u, beta_v = beta
-    if k == 0:
-        return beta_u + 1.0 - 2.0 * u - p.c * v if l == 0 else -p.c * u
-    return -p.b * v if l == 0 else beta_v + p.a - p.b * u - 2.0 * v
+    if k != l:
+        return np.multiply(X[k], -(p.c, p.b)[k], out=out)
+    np.multiply(u, (2.0, p.b)[k], out=out)
+    np.subtract(beta[k] + (1.0, p.a)[k], out, out=out)
+    out -= np.multiply(v, (p.c, 2.0)[k], out=work)
+    return out
+
+
+def _reaction_product(X, p: SystemParams, beta, k: int, rhs, v_sign: float,
+                      out: np.ndarray) -> np.ndarray:
+    """Row k of D(X) times (rhs[0], v_sign * rhs[1]), written into out, with
+    one temporary."""
+    work = np.empty_like(out)
+    _reaction_jacobian(X, p, beta, k, k, out, work)
+    out *= rhs[k]
+    _reaction_jacobian(X, p, beta, k, 1 - k, work)
+    work *= rhs[1 - k]
+    # D_k0 rhs_0 first, as the sum is written
+    first, second = (out, work) if k == 0 else (work, out)
+    return (np.add if v_sign > 0.0 else np.subtract)(first, second, out=out)
 
 
 #: the diagonals of a kernel band as (row of the block (0, 0) in gbtrf's
@@ -296,86 +321,110 @@ def _newton_factor(ab: np.ndarray, X, W, free, p: SystemParams, beta, kernels):
     ab[6 + i - j, j] = A[i, j] stored by columns; its rows 0-2 take the
     fill-in of the pivoting.
     """
+    n = X.shape[1]
     # inside the band but outside the tridiagonal blocks
     ab[:, 0, 3] = ab[:, 1, 9] = 0.0
+    G = np.empty(n)
     for k, (T, M) in enumerate(kernels):
         for l in range(2):
-            G = _reaction_jacobian(X, p, beta, k, l) * free[l] * W[l]
+            _reaction_jacobian(X, p, beta, k, l, out=G)
+            G *= free[l]
+            G *= W[l]
             for row, cols, rows, name in _DIAGONALS:
-                val = -getattr(M, name) * G[cols]
+                entries = np.multiply(G[cols], -getattr(M, name), out=ab[cols, l, row + k - l])
                 if k == l:
-                    val += getattr(T, name) * W[l][cols]
-                np.divide(val, W[k][rows], out=ab[cols, l, row + k - l])
-    n = X.shape[1]
+                    entries += getattr(T, name) * W[l][cols]
+                entries /= W[k][rows]
     _, piv, info = dgbtrf(ab.reshape(2 * n, 10).T, 3, 3, overwrite_ab=True)
     if info != 0:
         raise np.linalg.LinAlgError("singular Newton matrix")
     return piv
 
 
-def _newton_solve(ab: np.ndarray, piv, X, W, free, rhs, p: SystemParams, beta, kernels):
-    """Solve (I - Pi DP(X)) delta = rhs with the factor of _newton_factor."""
+def _newton_solve(ab: np.ndarray, piv, X, W, free, rhs, p: SystemParams, beta, kernels,
+                  out: Optional[np.ndarray] = None, v_sign: float = 1.0):
+    """Solve (I - Pi DP(X)) delta = (rhs[0], v_sign * rhs[1]) with the factor
+    of _newton_factor.
+
+    M D rhs is formed in the columns of one (n, 2) array, which the band
+    solve overwrites with z.  delta = rhs + Pi W z goes into out, which may
+    be rhs itself, or else into that array, returned as a (2, n) view.
+    """
     n = X.shape[1]
     B = np.empty((n, 2))
+    Dr = np.empty(n)
     for k, (_, M) in enumerate(kernels):
-        Dr = (_reaction_jacobian(X, p, beta, k, 0) * rhs[0]
-              + _reaction_jacobian(X, p, beta, k, 1) * rhs[1])
-        np.divide(_band_apply(M, Dr), W[k], out=B[:, k])
+        _band_apply(M, _reaction_product(X, p, beta, k, rhs, v_sign, Dr), out=B[:, k])
+        B[:, k] /= W[k]
     Z, _ = dgbtrs(ab.reshape(2 * n, 10).T, 3, 3, B.reshape(2 * n, 1), piv, overwrite_b=True)
-    delta = np.multiply(free, W)
-    delta *= Z.reshape(n, 2).T
-    delta += rhs
+    Z = Z.reshape(n, 2).T
+    delta = Z if out is None else out
+    for k in range(2):
+        np.multiply(free[k], W[k], out=Dr)
+        Dr *= Z[k]
+        (np.add if k == 0 or v_sign > 0.0 else np.subtract)(Dr, rhs[k], out=delta[k])
     return delta
 
 
 def _clipped_newton(X, p: SystemParams, s: float, beta, h: float, star,
                     lo, hi):
-    """Semismooth Newton on X = clip(P_beta(X), lo, hi) from X.
+    """Semismooth Newton on X = clip(P_beta(X), lo, hi) from X, a (2, n)
+    array that it updates in place.
 
     The rows where P(X) leaves (lo, hi) are active and solve X_i = bound;
     the clip pins the wave's translation, so no phase condition is needed.
     Returns (X, e) once the step is below NEWTON_TOL relative to |X|, where
     (I - Pi DP) e = (u, -v) is the mixed-order margin direction, solved
     with the last Jacobian's factor, or None if Newton does not converge.
+    Besides X and e, a run holds the band and two (2, n) arrays.
     """
     n = X.shape[1]
     kernels = [_kernel_bands(h, al, ga, dc)
                for (al, ga), dc in zip(kernel_rates(p, s, beta), (1.0, p.d))]
     ab = np.empty((n, 2, 10))
+    step, W = np.empty_like(X), np.empty_like(X)
     # a diverging Newton overflows in its row scaling before its iterate
     # turns non-finite; that exit, not a warning, reports the failure
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(NEWTON_MAX_STEPS):
-            # clip(P(X)) - X is formed in P(X)'s buffer, X + step in the step's
-            step = np.array(apply_P(X[0], X[1], p, s, beta, h, star))
+            # clip(P(X)) - X, then the Newton step, are formed in step
+            apply_P(X[0], X[1], p, s, beta, h, star, out=step)
             free = ~((step <= lo) | (step >= hi))
             np.clip(step, lo, hi, out=step)
             step -= X
-            W = np.maximum(np.abs(X), np.finfo(float).tiny)
+            np.maximum(np.abs(X, out=W), np.finfo(float).tiny, out=W)
             try:
                 piv = _newton_factor(ab, X, W, free, p, beta, kernels)
-                step = _newton_solve(ab, piv, X, W, free, step, p, beta, kernels)
+                _newton_solve(ab, piv, X, W, free, step, p, beta, kernels, out=step)
             except np.linalg.LinAlgError:
                 return None
-            converged = np.max(np.abs(step) / W) <= NEWTON_TOL
-            X_new = np.add(X, step, out=step)
-            if not np.all(np.isfinite(X_new)):
+            converged = all(np.max(np.abs(d) / w) <= NEWTON_TOL for d, w in zip(step, W))
+            # e's right-hand side (u, -v) points up in the mixed order
+            e = (_newton_solve(ab, piv, X, W, free, X, p, beta, kernels, v_sign=-1.0)
+                 if converged else None)
+            X += step
+            if not np.all(np.isfinite(X)):
                 return None
             if converged:
-                # e's right-hand side (u, -v) points up in the mixed order
-                return X_new, _newton_solve(ab, piv, X, W, free, X * [[1.0], [-1.0]],
-                                            p, beta, kernels)
-            X = X_new
+                return X, e
     return None
 
 
-def _slow_pair(gap_hist: List[float]) -> bool:
-    """The pair gap contracted by NEWTON_RATE or slower per step over the
-    last NEWTON_WINDOW steps, after NEWTON_WARMUP steps."""
+def _hand_over_pays(gap_hist: List[float], tol: float) -> bool:
+    """Whether the pair should be handed over to Newton, after
+    NEWTON_WARMUP steps: at the gap's rate r over the last NEWTON_WINDOW
+    steps, log(tol/gap)/log(r) more steps would close it, and that is more
+    than NEWTON_COST.  A gap that is not contracting, or a tol <= 0, needs
+    infinitely many; a gap at or below tol needs none."""
     if len(gap_hist) < NEWTON_WARMUP:
         return False
     g0, g1 = gap_hist[-1 - NEWTON_WINDOW], gap_hist[-1]
-    return g0 > 0.0 and g1 > 0.0 and g1 >= g0 * NEWTON_RATE ** NEWTON_WINDOW
+    if g1 <= tol:
+        return False
+    steps = math.inf
+    if g1 < g0 and tol > 0.0:
+        steps = NEWTON_WINDOW * math.log(tol / g1) / math.log(g1 / g0)
+    return steps > NEWTON_COST
 
 
 def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
@@ -384,26 +433,33 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
     pair (u_lo, v_up), clipped to the box and to the envelope sandwich; they
     bracket every fixed point in the mixed quasimonotone order.
 
-    A pair that contracts slowly is handed over to Newton once (module
-    docstring).  A warm start only seeds that hand-over, at the first step,
-    from warm_start clipped to the sandwich and under its shift_bounds; if
-    the seeded pair is accepted it is iterated as the bracket, and otherwise
-    the cold pair goes on, which hands over no more.  Converged when both
-    the pair gap and the step change drop below cfg.tol; the returned
-    Profile is the midpoint of the two pairs.
+    A pair predicted to take more pair steps than a hand-over costs is
+    handed over to Newton once (module docstring).  A warm start only seeds
+    that hand-over, at the first step, from warm_start clipped to the
+    sandwich and under its shift_bounds; if the seeded pair is accepted it
+    is iterated as the bracket, and otherwise the cold pair goes on, which
+    hands over no more.  Converged when both the pair gap and the step
+    change drop below cfg.tol; the returned Profile is the midpoint of the
+    two pairs.
     """
     if cfg.left >= left_reach(env, MIN_REACH):
         raise ValueError("domain too small")
 
-    grid = np.linspace(cfg.left, cfg.right, cfg.n_points)
+    def make_grid():
+        # not held by the loop, so that no hand-over holds it
+        return np.linspace(cfg.left, cfg.right, cfg.n_points)
+
+    grid = make_grid()
     h = grid[1] - grid[0]
     star = equilibria(p).coexistence
     lo = np.maximum([env.u_lower(grid), env.v_lower(grid)], 0.0)
     hi = np.minimum([env.u_upper(grid), env.v_upper(grid)], [[1.0], [p.a]])
+    del grid
 
     X = [(hi[0], lo[1]), (lo[0], hi[1])]   # upper pair, lower pair
-    # the step and gap norms and shift_bounds' u input go through one buffer
-    scratch = np.empty_like(grid)
+    # the step and gap norms and shift_bounds' u input go through one
+    # buffer, which a hand-over drops
+    scratch = np.empty(cfg.n_points)
 
     def max_abs_diff(x, y):
         diff = np.subtract(x, y, out=scratch)
@@ -468,9 +524,11 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         nxt = None
-        if handover == "none" and (start is not None or _slow_pair(gap_hist)):
+        if handover == "none" and (start is not None or _hand_over_pays(gap_hist, cfg.tol)):
+            scratch = None
             handover, seeded = hand_over(*(start or (0.5 * np.add(X[0], X[1]), beta)))
             start = None   # the clipped warm start is not needed again
+            scratch = np.empty(cfg.n_points)
             if seeded is not None:
                 X, beta, nxt = seeded
         if nxt is None:
@@ -479,7 +537,7 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
         if escapes:
             size, i, where = max(escapes)
             raise ValueError(f"iteration escaped envelope: clip of {size:.3g} in {where} "
-                             f"at xi = {grid[i]:.6g} (h = {h:.3g})")
+                             f"at xi = {make_grid()[i]:.6g} (h = {h:.3g})")
         violations.append(step_events)
 
         step = max(max_abs_diff(y, x) for new, old in zip(nX, X) for y, x in zip(new, old))
@@ -495,7 +553,7 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
     u, v = (0.5 * (a + b) for a, b in zip(X[0], X[1]))
     Pu, Pv = apply_P(u, v, p, s, beta, h, star)
     residual = float(max(np.abs(Pu - u).max(), np.abs(Pv - v).max()))
-    prof = Profile(grid=grid, u=u, v=v, speed=s, params=p, residual=residual,
+    prof = Profile(grid=make_grid(), u=u, v=v, speed=s, params=p, residual=residual,
                    converged=converged, config=cfg)
     report = IterationReport(
         residual_history=np.asarray(res_hist),

@@ -96,6 +96,29 @@ class TestCriticalSpeedAndRates:
         r = decay_rates(SystemParams(1.0, 0.5, 0.5, 1.0), 2.0)
         assert r.lambda1 == r.lambda3 == 1.0
 
+    def test_a_d_one_ulp_below_one_is_the_double_root_at_s_star(self):
+        # fl(a*d) = 1 - 2^-53: select_critical builds the double root, and
+        # decay_rates clamps the discriminant 4 - 4 fl(a*d) = 4.4e-16 to it
+        p = SystemParams(0.9649368974046932, 0.7283483228761555, 0.5022050152786232,
+                         1.036337197478522)
+        assert p.a * p.d < 1.0 and critical_speed(p) == 2.0
+        r = decay_rates(p, 2.0)
+        assert r.lambda2 == r.lambda4 == 1.0 / p.d
+        assert certify(p, 2.0).passed
+        # above s* the discriminant is kept: two roots
+        r = decay_rates(p, math.nextafter(2.0, 3.0))
+        assert r.lambda2 < r.lambda4
+
+    @given(a=st.floats(0.5, 2.0), bf=st.floats(0.1, 0.9), cf=st.floats(0.1, 0.9))
+    @example(a=1.3750730591825469, bf=0.5, cf=0.5)   # fl(a * (1/a)) < 1
+    @settings(max_examples=25, deadline=None)
+    def test_d_one_over_a_is_a_double_root_certified_at_s_star(self, a, bf, cf):
+        p = SystemParams(a, bf * a, cf / a, 1.0 / a)
+        s = critical_speed(p)
+        r = decay_rates(p, s)
+        assert r.lambda1 == r.lambda3 and r.lambda2 == r.lambda4
+        assert certify(p, s).passed
+
     def test_subcritical_raises(self):
         # the gate is exact: the float just below s* is refused
         for s in (1.5, math.nextafter(2.0, 0.0)):

@@ -1,6 +1,7 @@
 """Continuation toward the degenerate limit and the pulse diagnostics."""
 
 import json
+import math
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ from lvfront import pulse
 from lvfront.model import SystemParams, decay_rates
 from lvfront.certify import certify
 from lvfront.envelopes import Q_SAFETY, ExpBump, lower_bump, min_decay_rate
+from lvfront import solve as solve_mod
 from lvfront.solve import Profile, iterate
 from helpers import assert_gated
 from lvfront.pulse import (
@@ -199,7 +201,9 @@ class TestNewtonCorrector:
     """Each warm step is corrected by Newton into a verified bracket."""
 
     @pytest.mark.parametrize("k", [1, 4, 7])
-    def test_warm_step_brackets_the_cold_answer(self, u_pulse, k):
+    def test_warm_step_brackets_the_cold_answer(self, u_pulse, k, monkeypatch):
+        # the cold reference is Picard alone
+        monkeypatch.setattr(solve_mod, "NEWTON_COST", math.inf)
         plan, res = u_pulse
         rep, prof = res.steps[k].report, res.steps[k].profile
         assert rep.handover == "accepted" and rep.converged
@@ -211,7 +215,7 @@ class TestNewtonCorrector:
         assert np.abs(prof.u - cold.u).max() <= plan.config.tol
         assert np.abs(prof.v - cold.v).max() <= plan.config.tol
 
-    def test_accepted_warm_solve_fits_in_48_arrays(self, u_pulse):
+    def test_accepted_warm_solve_fits_in_36_arrays(self, u_pulse):
         plan, res = u_pulse
         p1 = _step_params(plan, plan.steps[1])
         env = certify(p1, plan.speed, knobs=plan.knobs).envelope
@@ -224,14 +228,15 @@ class TestNewtonCorrector:
         finally:
             tracemalloc.stop()
         assert rep.handover == "accepted"
-        assert peak - start <= 48 * plan.config.n_points * 8
+        assert peak - start <= 36 * plan.config.n_points * 8
 
     def test_summary_lists_each_hand_over(self, u_pulse, tmp_path):
         _, res = u_pulse
         write_pulse_result(res, str(tmp_path))
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["handover"] == [st.report.handover for st in res.steps]
-        assert summary["handover"][0] == "none"
+        # the cold first step is predicted to outlast a hand-over's cost
+        assert summary["handover"][0] == "accepted"
         assert max(summary["iterations"][1:]) < 10
 
 

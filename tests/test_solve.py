@@ -1,5 +1,8 @@
 """Integral-operator solver: kernel exactness, iteration, tails, residuals."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +40,16 @@ CFG = OperatorConfig(left=-100.0, right=120.0, n_points=4401, tol=1e-10,
 def solved():
     cert = certify(P, S)
     prof, rep = iterate(cert.envelope, P, S, CFG)
+    return cert, prof, rep
+
+
+@pytest.fixture(scope="module")
+def picard(solved):
+    """The solve of `solved` with the Newton hand-over forbidden."""
+    cert = solved[0]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solve_mod, "NEWTON_COST", math.inf)
+        prof, rep = iterate(cert.envelope, P, S, CFG)
     return cert, prof, rep
 
 
@@ -142,9 +155,10 @@ class TestWarmStart:
     is the cold run."""
 
     @pytest.mark.parametrize("outcome", ["rejected", "newton_failed"])
-    def test_failed_hand_over_is_the_cold_run(self, solved, monkeypatch, outcome):
+    def test_failed_hand_over_is_the_cold_run(self, picard, monkeypatch, outcome):
+        # the warm run hands over no more, so its cold run is Picard alone
         monkeypatch.setattr(solve_mod, "_clipped_newton", _broken_newton(outcome))
-        cert, ref_prof, ref = solved
+        cert, ref_prof, ref = picard
         warm = (ref_prof.u * (1.0 + 1e-3 * np.sin(ref_prof.grid)), ref_prof.v)
         prof, rep = iterate(cert.envelope, P, S, CFG, warm_start=warm)
         assert rep.handover == outcome and ref.handover == "none"
@@ -168,8 +182,9 @@ class TestWarmStart:
         assert np.abs(wprof.u - prof.u).max() <= CFG.tol
         assert np.abs(wprof.v - prof.v).max() <= CFG.tol
 
-    def test_cold_solve_applies_P_twice_per_step(self, solved, apply_p_calls):
-        cert, _, rep = solved
+    def test_cold_solve_applies_P_twice_per_step(self, picard, monkeypatch, apply_p_calls):
+        monkeypatch.setattr(solve_mod, "NEWTON_COST", math.inf)
+        cert, _, rep = picard
         _, rep2 = iterate(cert.envelope, P, S, CFG)
         assert rep2.iterations_used == rep.iterations_used
         assert len(apply_p_calls) == 2 * rep.iterations_used + 1
@@ -291,8 +306,8 @@ class TestAdaptiveShift:
                                converged=step < CFG.tol and gap < CFG.tol,
                                beta_used=(beta, beta))
 
-    def test_fewer_iterations_than_fixed_shift(self, solved, fixed):
-        _, prof, rep = solved
+    def test_fewer_iterations_than_fixed_shift(self, picard, fixed):
+        _, prof, rep = picard
         assert rep.converged and fixed.converged
         assert sum(rep.sandwich_violations) == 0
         assert rep.iterations_used < fixed.iterations_used
@@ -387,20 +402,32 @@ class TestNewtonHandover:
     def cert(self):
         return certify(P, S)
 
-    def _run(self, monkeypatch, cert, rate, newton=None):
+    def _run(self, monkeypatch, cert, cost, newton=None):
+        """iterate with NEWTON_COST = cost: 0 forces the hand-over after
+        NEWTON_WARMUP steps, inf forbids it."""
         with monkeypatch.context() as m:
-            m.setattr(solve_mod, "NEWTON_RATE", rate)
+            m.setattr(solve_mod, "NEWTON_COST", cost)
             if newton is not None:
                 m.setattr(solve_mod, "_clipped_newton", newton)
             return iterate(cert.envelope, P, S, CFG)
 
-    def test_fast_pairs_never_hand_over(self, solved):
-        assert solved[2].handover == "none"
+    def test_fast_pairs_never_hand_over(self, cert):
+        # at tol 1e-9 the pair is predicted to close in fewer pair steps
+        # than a hand-over costs, from the first step the rule reads on
+        _, rep = iterate(cert.envelope, P, S, replace(CFG, tol=1e-9))
+        assert rep.converged and rep.handover == "none"
+
+    def test_pairs_predicted_to_outlast_the_cost_hand_over(self, solved, picard):
+        # at tol 1e-10 the same pair is predicted to need more than NEWTON_COST steps
+        assert solved[2].handover == "accepted"
+        assert solved[2].iterations_used == solve_mod.NEWTON_WARMUP + 1
+        assert picard[2].handover == "none"
+        assert picard[2].iterations_used > solve_mod.NEWTON_WARMUP + solve_mod.NEWTON_WINDOW
 
     @pytest.mark.parametrize("outcome", ["rejected", "newton_failed"])
     def test_fallback_leaves_no_trace(self, monkeypatch, cert, outcome):
-        prof, rep = self._run(monkeypatch, cert, 0.5, _broken_newton(outcome))
-        ref_prof, ref = self._run(monkeypatch, cert, 2.0)
+        prof, rep = self._run(monkeypatch, cert, 0.0, _broken_newton(outcome))
+        ref_prof, ref = self._run(monkeypatch, cert, math.inf)
         assert rep.handover == outcome and ref.handover == "none"
         assert rep.iterations_used == ref.iterations_used
         assert np.array_equal(rep.residual_history, ref.residual_history)
@@ -410,9 +437,9 @@ class TestNewtonHandover:
         assert np.array_equal(prof.u, ref_prof.u) and np.array_equal(prof.v, ref_prof.v)
         assert prof.residual == ref_prof.residual
 
-    def test_forced_handover_keeps_the_answer(self, monkeypatch, cert, solved):
-        _, ref_prof, _ = solved
-        prof, rep = self._run(monkeypatch, cert, 0.5)
+    def test_forced_handover_keeps_the_answer(self, monkeypatch, cert, picard):
+        _, ref_prof, _ = picard
+        prof, rep = self._run(monkeypatch, cert, 0.0)
         assert rep.handover == "accepted" and rep.converged
         assert rep.iterations_used == solve_mod.NEWTON_WARMUP + 1
         assert sum(rep.sandwich_violations) == 0
@@ -436,6 +463,72 @@ class TestNewtonHandover:
         assert rep.handover == "accepted"
         assert rep.converged and rep.iterations_used < 200
         assert sum(rep.sandwich_violations) == 0
+
+    def test_cold_front_hand_over_fits_in_40_arrays(self):
+        # the benchmark's non-monotone front; its (n, 2, 10) band alone is
+        # 20 arrays of n doubles
+        p = SystemParams(1.0, 25.0 / 26.0, 0.5, 1.0)
+        cfg = OperatorConfig(left=-120.0, right=2600.0, n_points=54401, tol=1e-10)
+        env = certify(p, 4.5, mode="nonmonotone-v").envelope
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _, rep = iterate(env, p, 4.5, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.handover == "accepted" and rep.converged
+        assert peak - start <= 40 * cfg.n_points * 8
+
+
+def _gaps(last, rate, steps=solve_mod.NEWTON_WARMUP):
+    """A gap history of `steps` steps that shrinks by `rate` per step to `last`."""
+    return [last * rate ** (i + 1 - steps) for i in range(steps)]
+
+
+class TestHandOverRule:
+    """_hand_over_pays on gap histories: log(tol/gap)/log(rate) steps are
+    predicted, and more than NEWTON_COST of them pay for a hand-over."""
+
+    TOL = 1e-10
+
+    def _pays(self, hist):
+        return solve_mod._hand_over_pays(hist, self.TOL)
+
+    def test_fast_pair_stays(self):
+        # 0.7 per step from 2.5e-8: about 15 steps left
+        assert not self._pays(_gaps(2.5e-8, 0.7))
+
+    def test_slow_pair_hands_over(self):
+        # 0.95 per step from 0.08: about 400 steps left
+        assert self._pays(_gaps(0.08, 0.95))
+
+    @pytest.mark.parametrize("extra, pays", [(-1, False), (1, True)])
+    def test_threshold_is_the_cost(self, extra, pays):
+        steps = solve_mod.NEWTON_COST + extra
+        assert self._pays(_gaps(self.TOL * 0.9 ** -steps, 0.9)) is pays
+
+    @pytest.mark.parametrize("hist", [[1e-3] * 50, _gaps(1e-3, 1.01), [0.0] * 40 + [1e-3] * 10])
+    def test_pair_not_contracting_hands_over(self, hist):
+        assert self._pays(hist)
+
+    @pytest.mark.parametrize("last", [1e-10, 5e-11, 0.0])
+    def test_gap_at_or_below_tol_stays(self, last):
+        assert not self._pays(_gaps(last, 0.999))
+
+    def test_a_tol_the_gap_never_reaches_hands_over(self):
+        assert solve_mod._hand_over_pays(_gaps(2.5e-8, 0.7), 0.0)
+
+    def test_nothing_before_the_warm_up(self):
+        assert not self._pays(_gaps(1e-3, 1.0, solve_mod.NEWTON_WARMUP - 1))
+        assert self._pays(_gaps(1e-3, 1.0, solve_mod.NEWTON_WARMUP))
+
+    def test_cost_zero_forces_and_inf_forbids(self, monkeypatch):
+        fast, stalled = _gaps(2.5e-8, 0.7), [1e-3] * 50
+        monkeypatch.setattr(solve_mod, "NEWTON_COST", 0.0)
+        assert self._pays(fast) and self._pays(stalled)
+        monkeypatch.setattr(solve_mod, "NEWTON_COST", math.inf)
+        assert not self._pays(fast) and not self._pays(stalled)
 
 
 def _kernel_apply_reference(F, h, alpha, gamma, dcoef, F_left, F_right):
