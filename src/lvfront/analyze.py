@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .model import SystemParams, critical_speed, equilibria, require_strict_weak
 from .envelopes import EnvelopeSet, InadmissibleBump, SelectionKnobs
@@ -71,6 +70,42 @@ class RegionScan:
     star: np.ndarray
 
 
+def _prominent_peaks(x: np.ndarray, prom: float) -> np.ndarray:
+    """Indices of the local maxima of x whose prominence is at least prom,
+    as scipy.signal.find_peaks(x, prominence=prom) gives them.
+
+    A maximum is a run of equal samples above both neighbouring runs; it is
+    reported at its middle sample, rounded down, and the first and last
+    runs are never maxima.  Its prominence is its value minus the larger of
+    the two lowest values met walking left and walking right from it, each
+    walk ending before the first higher sample or at the end of x.  Those
+    lowest values are turning points of the run values, or their two ends,
+    so the walks step over the turning points alone.
+    """
+    if x.size < 3:
+        return np.empty(0, dtype=np.intp)
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    vals = x[starts]
+    rise, fall = vals[1:] > vals[:-1], vals[1:] < vals[:-1]
+    peaks = np.flatnonzero(rise[:-1] & fall[1:]) + 1
+    if peaks.size == 0:
+        return peaks
+    turns = np.flatnonzero(np.r_[True, rise[:-1] != rise[1:], True])
+    tv = vals[turns]
+    kept = []
+    # a peak is never the last run, so its run ends where the next starts
+    for r, mid in zip(peaks, (starts[peaks] + starts[peaks + 1] - 1) // 2):
+        i = np.searchsorted(turns, r)
+        top = tv[i]
+        higher = np.flatnonzero(tv[:i] > top)
+        left = tv[(higher[-1] + 1 if higher.size else 0):i + 1].min()
+        higher = np.flatnonzero(tv[i:] > top)
+        right = tv[i:(i + higher[0] if higher.size else tv.size)].min()
+        if top - max(left, right) >= prom:
+            kept.append(mid)
+    return np.array(kept, dtype=np.intp)
+
+
 def _interior_extrema(grid: np.ndarray, y: np.ndarray, component: str,
                       start: int = 0) -> List[Extremum]:
     """Extrema of y[start:], prominent against the span of the whole of y."""
@@ -80,7 +115,7 @@ def _interior_extrema(grid: np.ndarray, y: np.ndarray, component: str,
     prom = PROMINENCE_FRAC * span
     out = []
     for sign, kind in ((1.0, "max"), (-1.0, "min")):
-        idx, _ = find_peaks(sign * y[start:], prominence=prom)
+        idx = _prominent_peaks(sign * y[start:], prom)
         out.extend(Extremum(component, float(grid[start + i]), float(y[start + i]), kind)
                    for i in idx)
     out.sort(key=lambda e: e.location)

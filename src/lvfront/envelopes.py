@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import exprel
 
 from .model import EQ_TOL, SystemParams, critical_speed, decay_rates, require_strict_weak
 
@@ -44,6 +42,78 @@ THETA_MU_NONMONOTONE = 0.9
 SOLVE_REACH = 45.0
 #: iterate refuses a left edge at or right of left_reach(env, MIN_REACH)
 MIN_REACH = 10.0
+
+
+# ---------------------------------------------------------------------------
+# scalar root finding
+# ---------------------------------------------------------------------------
+
+def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 1e-14,
+            rtol: float = 8.9e-16) -> float:
+    """A zero of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
+    method (Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4), to within xtol + rtol |x|.
+
+    A step-for-step port of scipy.optimize.brentq (its brentq.c), so that it
+    returns the same float for the same f, bracket and tolerances.  Raises
+    ValueError if f(a) and f(b) have one sign or a value is NaN, and
+    RuntimeError after 100 steps, scipy's default limit.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x = {x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        # xblk is the other end of the bracket, xcur the best estimate
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"no convergence after 100 steps, value is {xcur}")
+
+
+def _exprel(x: float) -> float:
+    """(e^x - 1)/x, and its limit 1 at |x| < 1e-16, as scipy.special.exprel
+    forms it for x <= 717."""
+    return 1.0 if abs(x) < 1e-16 else math.expm1(x) / x
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +332,8 @@ class CriticalBump(Bump):
             raise ValueError("no interior zero")
         g = lambda x: h * x + q / nu * math.expm1(-nu * x)
         dg = lambda x: h - q * math.exp(-nu * x)
-        x0 = brentq(g, math.log(q / h) / nu, q / (nu * h), xtol=1e-14, rtol=8.9e-16)
-        xM = brentq(lambda x: dg(x) - lam * g(x), x0, x0 + 2.0 * h / (lam * dg(x0)),
-                    xtol=1e-14, rtol=8.9e-16)
+        x0 = _brentq(g, math.log(q / h) / nu, q / (nu * h))
+        xM = _brentq(lambda x: dg(x) - lam * g(x), x0, x0 + 2.0 * h / (lam * dg(x0)))
         object.__setattr__(self, "bracket", (-xM, -x0))
         object.__setattr__(self, "log_fmax", math.log(g(xM)) - lam * xM)
 
@@ -288,7 +357,7 @@ def join_point(f: Callable[[float], float], delta: float,
     if delta <= 0.0 or delta >= f(xiM):
         raise ValueError("delta above envelope maximum")
     try:
-        xi = brentq(lambda x: f(x) - delta, xiM, xi0, xtol=1e-14, rtol=8.9e-16)
+        xi = _brentq(lambda x: f(x) - delta, xiM, xi0)
     except ValueError as exc:
         raise ValueError("no continuity point in bracket") from exc
     if abs(f(xi) - delta) > 1e-12:
@@ -474,7 +543,7 @@ def _critical_q(h: float, lam: float, nu: float, diff: float, coupling: float,
     h^2 e^{-(lam - nu) x0} (2/(e (lam - nu)))^2 + coupling h c_o e^{-(lam_o - nu) x0}
     (x0^{k_o}/(e (lam_o - nu)) + k_o (2/(e (lam_o - nu)))^2).  The q whose
     bump vanishes at x0, h nu x0/(1 - e^{-nu x0}), rises with x0 and the
-    bound falls; brentq finds where they meet.
+    bound falls; _brentq finds where they meet.
     """
     c_o, k_o, lam_o = other
     sq = (2.0 / (math.e * (lam - nu))) ** 2
@@ -483,13 +552,13 @@ def _critical_q(h: float, lam: float, nu: float, diff: float, coupling: float,
     def excess(x0):
         loss = (h * h * math.exp(-(lam - nu) * x0) * sq + coupling * h * c_o
                 * math.exp(-(lam_o - nu) * x0) * (x0 ** k_o * b + k_o * (2.0 * b) ** 2))
-        return h / exprel(-nu * x0) * diff * nu - loss
+        return h / _exprel(-nu * x0) * diff * nu - loss
 
     hi = 1.0 / nu
     while excess(hi) < 0.0:
         hi *= 2.0
-    x0 = brentq(excess, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
-    return Q_SAFETY * h / float(exprel(-nu * x0))
+    x0 = _brentq(excess, 0.0, hi)
+    return Q_SAFETY * h / _exprel(-nu * x0)
 
 
 def select_critical(p: SystemParams, knobs: SelectionKnobs = SelectionKnobs()) -> EnvelopeParams:

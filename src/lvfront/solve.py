@@ -18,9 +18,9 @@ rate r over the last NEWTON_WINDOW steps predicts log(tol/gap)/log(r) more
 steps; once that is more than NEWTON_COST, the cost of one hand-over in
 pair steps, or the gap is not contracting, the pair is handed over once to
 a semismooth Newton method on the clipped map x = clip(P(x), lo, hi)
-(Qi & Sun, Math. Programming 58, 1993).  A warm start only seeds that
-hand-over, which it makes at the first step, from the warm profile: Newton
-is the corrector of a continuation step (Allgower & Georg, Introduction to
+(Qi & Sun, Math. Programming 58, 1993).  A warm start seeds a hand-over
+of its own at the first step, from the warm profile: Newton is the
+corrector of a continuation step (Allgower & Georg, Introduction to
 Numerical Continuation Methods, SIAM 2003).  The clip pins the wave's
 translation, so no phase condition is needed.  Its Jacobian is banded:
 _kernel_bands writes each kernel as T^-1 M with T and M tridiagonal,
@@ -35,8 +35,10 @@ the seeded pair inside itself in the mixed order, exactly: a discrete
 super- and sub-solution pair (Sattinger, Indiana Univ. Math. J. 21, 1972).
 The pair loop then goes on unchanged; a warm start so becomes a bracket.
 If Newton fails or the check does not hold, the seed is dropped and the
-pair loop goes on as if it never handed over, bit for bit: a warm run is
-then the cold run.  IterationReport.handover says which happened.
+pair loop goes on as if it never handed over, bit for bit.  A failed warm
+seed leaves the cold pair's own hand-over to come, so a warm run is then
+the cold run, that hand-over included.  IterationReport.handover says how
+the last hand-over ended.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from dataclasses import asdict, dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.signal import lfilter
 
 from .model import SystemParams, equilibria
 from .envelopes import MIN_REACH, EnvelopeSet, left_reach
@@ -115,7 +117,7 @@ class IterationReport:
     converged: bool
     iterations_used: int
     beta_used: Tuple[float, float]  # (beta_u, beta_v) on the final pair
-    # Newton hand-over: "none", "accepted", "rejected" or "newton_failed"
+    # the last Newton hand-over: "none", "accepted", "rejected" or "newton_failed"
     handover: str = "none"
 
 
@@ -161,27 +163,40 @@ def _kernel_coefficients(h: float, alpha: float, gamma: float):
 
 def _kernel_apply(F: np.ndarray, h: float, alpha: float, gamma: float,
                   dcoef: float, F_left: float, F_right: float,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
+                  out: Optional[np.ndarray] = None,
+                  band: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact convolution of the piecewise-linear interpolant of F with the
     two-sided exponential kernel, plus the constant-tail contributions.
 
-    Both half-line integrals obey first-order recurrences along the grid,
-    evaluated with lfilter for O(n) cost and stability at stiff rates.  Each
-    is one pass over F with a two-tap numerator that starts one point in
-    from its tail end: the tail integrals L_0 = -F_left/alpha and
-    R_{n-1} = F_right/gamma enter through the first state zi, c1 F_0 + ea L_0
-    or d2 F_{n-1} + eg R_{n-1}, which cancels against nothing.  Needs n >= 2.
-    Writes into out if given.
+    Both half-line integrals obey first-order recurrences along the grid
+    (_kernel_coefficients), which are the bidiagonal solves
+    (I - ea S) L = r_L and (I - eg S^T) R = r_R, with S the down-shift and
+    the two-tap right-hand sides r_L = c2 F_i + c1 F_{i-1} (i >= 1) and
+    r_R = d1 F_i + d2 F_{i+1} (i <= n - 2): O(n), and stable at stiff rates
+    since ea, eg < 1.  The tail integrals L_0 = -F_left/alpha and
+    R_{n-1} = F_right/gamma enter the first entry of each as ea L_0 and
+    eg R_{n-1}.  Both solves are BLAS dtbsv (lower, unit diagonal, one
+    subdiagonal) on one Fortran-ordered band of n - 1 columns, which f2py
+    passes without a copy: L forward, and R on the same band transposed, so
+    F is never reversed.  The band is built in band, a Fortran-ordered
+    (2, >= n - 1) array, if given.  Needs n >= 2.  Writes into out if given.
     """
     ea, c1, c2, eg, d1, d2 = _kernel_coefficients(h, alpha, gamma)
     L0, R_last = F_left * (-1.0 / alpha), F_right / gamma
-    L, _ = lfilter([c2, c1], [1.0, -ea], F[1:], zi=[c1 * F[0] + ea * L0])   # L_1 .. L_{n-1}
-    R, _ = lfilter([d1, d2], [1.0, -eg], F[-2::-1],
-                   zi=[d2 * F[-1] + eg * R_last])                           # R_{n-2} .. R_0
+    m = F.size - 1
+    band = np.empty((2, m), order="F") if band is None else band[:, :m]
+    rL = np.convolve(F, (c2, c1), "valid")
+    rL[0] += ea * L0
+    rR = np.convolve(F, (d2, d1), "valid")
+    rR[-1] += eg * R_last
+    band[1] = -ea
+    L = dtbsv(1, band, rL, lower=1, diag=1, overwrite_x=1)            # L_1 .. L_{n-1}
+    band[1] = -eg
+    R = dtbsv(1, band, rR, lower=1, trans=1, diag=1, overwrite_x=1)   # R_0 .. R_{n-2}
     if out is None:
         out = np.empty_like(F)
-    np.add(L[:-1], R[-2::-1], out=out[1:-1])
-    out[0] = L0 + R[-1]
+    np.add(L[:-1], R[1:], out=out[1:-1])
+    out[0] = L0 + R[0]
     out[-1] = L[-1] + R_last
     out /= dcoef * (gamma - alpha)
     return out
@@ -189,7 +204,7 @@ def _kernel_apply(F: np.ndarray, h: float, alpha: float, gamma: float,
 
 def apply_P(u: np.ndarray, v: np.ndarray, p: SystemParams, s: float,
             beta, h: float, right_state: Tuple[float, float],
-            out: Optional[np.ndarray] = None):
+            out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None):
     """One application of the integral operator to sampled (u, v) under the
     shifts beta = (beta_u, beta_v): (Pu, Pv), or out, a (2, n) array, with
     Pu and Pv written into its rows.
@@ -197,7 +212,8 @@ def apply_P(u: np.ndarray, v: np.ndarray, p: SystemParams, s: float,
     Samples are extended by constant states beyond the truncated domain: the
     extinction state on the left, where the reaction F vanishes, and
     right_state (normally the coexistence state) on the right.  One
-    component is formed at a time.
+    component is formed at a time, and both kernels build their band in
+    work, a C-contiguous (2, n) array whose values are not read, if given.
     """
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ValueError("invalid input profile")
@@ -205,8 +221,12 @@ def apply_P(u: np.ndarray, v: np.ndarray, p: SystemParams, s: float,
     beta_u, beta_v = beta
     reactions = (lambda uu, vv: beta_u * uu + uu * (1.0 - uu - c * vv),
                  lambda uu, vv: beta_v * vv + vv * (a - b * uu - vv))
+    # the same 2n doubles, read by columns
+    band = (np.empty((2, u.size), order="F") if work is None
+            else work.reshape(-1).reshape((2, -1), order="F"))
     rows = (None, None) if out is None else out
-    images = tuple(_kernel_apply(F(u, v), h, al, ga, dc, 0.0, F(*right_state), out=row)
+    images = tuple(_kernel_apply(F(u, v), h, al, ga, dc, 0.0, F(*right_state), out=row,
+                                 band=band)
                    for F, (al, ga), dc, row in zip(reactions, kernel_rates(p, s, beta),
                                                    (1.0, p.d), rows))
     return images if out is None else out
@@ -387,8 +407,9 @@ def _clipped_newton(X, p: SystemParams, s: float, beta, h: float, star,
     # turns non-finite; that exit, not a warning, reports the failure
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(NEWTON_MAX_STEPS):
-            # clip(P(X)) - X, then the Newton step, are formed in step
-            apply_P(X[0], X[1], p, s, beta, h, star, out=step)
+            # clip(P(X)) - X, then the Newton step, are formed in step; the
+            # row scales W are refilled below, so P builds its band in them
+            apply_P(X[0], X[1], p, s, beta, h, star, out=step, work=W)
             free = ~((step <= lo) | (step >= hi))
             np.clip(step, lo, hi, out=step)
             step -= X
@@ -434,13 +455,14 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
     bracket every fixed point in the mixed quasimonotone order.
 
     A pair predicted to take more pair steps than a hand-over costs is
-    handed over to Newton once (module docstring).  A warm start only seeds
-    that hand-over, at the first step, from warm_start clipped to the
-    sandwich and under its shift_bounds; if the seeded pair is accepted it
-    is iterated as the bracket, and otherwise the cold pair goes on, which
-    hands over no more.  Converged when both the pair gap and the step
-    change drop below cfg.tol; the returned Profile is the midpoint of the
-    two pairs.
+    handed over to Newton once (module docstring).  A warm start seeds one
+    more hand-over, at the first step, from warm_start clipped to the
+    sandwich and under its shift_bounds.  If the seeded pair is accepted it
+    is iterated as the bracket and hands over no more; otherwise the cold
+    pair goes on as the cold run, its own hand-over included.  The report's
+    handover is the outcome of the last hand-over.  Converged when both the
+    pair gap and the step change drop below cfg.tol; the returned Profile
+    is the midpoint of the two pairs.
     """
     if cfg.left >= left_reach(env, MIN_REACH):
         raise ValueError("domain too small")
@@ -458,8 +480,8 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
 
     X = [(hi[0], lo[1]), (lo[0], hi[1])]   # upper pair, lower pair
     # the step and gap norms and shift_bounds' u input go through one
-    # buffer, which a hand-over drops
-    scratch = np.empty(cfg.n_points)
+    # buffer, and apply_P builds its band in another; a hand-over drops both
+    scratch, work = np.empty(cfg.n_points), np.empty((2, cfg.n_points))
 
     def max_abs_diff(x, y):
         diff = np.subtract(x, y, out=scratch)
@@ -481,7 +503,7 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
         component and pair)."""
         nX, events, escapes = [], 0, []
         for pair, x in zip(("upper", "lower"), X):
-            y = list(apply_P(*x, p, s, beta, h, star))
+            y = list(apply_P(*x, p, s, beta, h, star, work=work))
             for k in (0, 1):
                 excursion = y[k]   # _clip_to overwrites it with the excursion
                 y[k], ev, w = _clip_to(excursion, lo[k], hi[k]); events += ev
@@ -521,14 +543,17 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
     res_hist, gap_hist, violations = [], [], []
     converged = False
     handover = "none"
+    armed = True
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         nxt = None
-        if handover == "none" and (start is not None or _hand_over_pays(gap_hist, cfg.tol)):
-            scratch = None
+        if armed and (start is not None or _hand_over_pays(gap_hist, cfg.tol)):
+            scratch = work = None
             handover, seeded = hand_over(*(start or (0.5 * np.add(X[0], X[1]), beta)))
+            # only a failed warm seed leaves the cold pair's own hand-over armed
+            armed = start is not None and seeded is None
             start = None   # the clipped warm start is not needed again
-            scratch = np.empty(cfg.n_points)
+            scratch, work = np.empty(cfg.n_points), np.empty((2, cfg.n_points))
             if seeded is not None:
                 X, beta, nxt = seeded
         if nxt is None:
@@ -551,7 +576,7 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
             break
 
     u, v = (0.5 * (a + b) for a, b in zip(X[0], X[1]))
-    Pu, Pv = apply_P(u, v, p, s, beta, h, star)
+    Pu, Pv = apply_P(u, v, p, s, beta, h, star, work=work)
     residual = float(max(np.abs(Pu - u).max(), np.abs(Pv - v).max()))
     prof = Profile(grid=make_grid(), u=u, v=v, speed=s, params=p, residual=residual,
                    converged=converged, config=cfg)

@@ -9,12 +9,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.signal import find_peaks
 
 from lvfront.model import SystemParams, admissibility, critical_speed, decay_rates, equilibria
 from lvfront.envelopes import ExpBump
 from lvfront.certify import certify
 from lvfront.solve import OperatorConfig, iterate, ode_residual, tail_check
-from lvfront.analyze import classify, interior_box_implies_monotone, oscillation_coupling, sturm_interval
+from lvfront.analyze import (PROMINENCE_FRAC, classify, interior_box_implies_monotone,
+                             oscillation_coupling, sturm_interval)
 from lvfront.pulse import plan_continuation, run_continuation
 from lvfront import cli
 from helpers import constant_image
@@ -185,6 +187,24 @@ def test_alarms_silent_on_healthy_runs(front_run, critical_run, pulse_run):
     for prof, p in zip(profiles, params):
         assert interior_box_implies_monotone(prof, p).passed
         assert oscillation_coupling(prof).passed
+
+
+def test_shape_tags_pinned(front_run, critical_run, pulse_run):
+    # each extremum sits where scipy.signal.find_peaks puts it, at the same
+    # prominence
+    runs = [(front_run.prof, "NonMonotoneV"), (critical_run.prof, "MonotoneBoth")]
+    runs += [(st.profile, "NonMonotoneU") for st in pulse_run.res.steps]
+    for prof, tag in runs:
+        shape = classify(prof)
+        assert shape.tag == tag
+        want = set()
+        for component, y in (("u", prof.u), ("v", prof.v)):
+            prom = PROMINENCE_FRAC * float(y.max() - y.min())
+            for sign, kind in ((1.0, "max"), (-1.0, "min")):
+                want |= {(component, kind, float(prof.grid[i]))
+                         for i in find_peaks(sign * y, prominence=prom)[0]}
+        assert {(e.component, e.kind, e.location) for e in shape.extrema} == want
+        assert len(shape.extrema) == len(want)
 
 
 def test_repeat_run_byte_identical(tmp_path, capsys):

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq, minimize_scalar
+from scipy.signal import find_peaks
 
 from lvfront.model import SystemParams, critical_speed, decay_rates, equilibria
 from lvfront.envelopes import (
@@ -20,6 +22,7 @@ from lvfront.envelopes import (
 from lvfront.certify import select_and_build
 from lvfront.solve import Profile
 from lvfront.analyze import (
+    _prominent_peaks,
     classify,
     interior_box_implies_monotone,
     ma_front_criterion,
@@ -39,6 +42,30 @@ def synthetic_profile(u, v, grid=None, converged=True, p=P, s=3.0):
         grid = np.linspace(-40.0, 40.0, u.size)
     return Profile(grid=grid, u=u, v=v, speed=s, params=p,
                    residual=0.0, converged=converged)
+
+
+# a random walk as runs of equal samples: each run's step from the last
+# value (0 makes a tie with it), its length (a plateau from 2 on) and its
+# noise, in absolute size
+_walk = st.lists(st.tuples(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.0, 0.5, 1.0, 2.0]),
+                           st.integers(1, 4),
+                           st.sampled_from([0.0, 0.0, 1e-12, -1e-12, 0.3, -0.3])),
+                 max_size=40)
+
+
+class TestProminentPeaks:
+    @given(walk=_walk, frac=st.sampled_from([0.0, 1e-4, 0.1, 0.5, 1.0, 2.0]))
+    @settings(max_examples=400)
+    def test_matches_find_peaks(self, walk, frac):
+        level, samples = 0.0, []
+        for step, length, noise in walk:
+            level += step
+            samples += [level + noise] * length
+        x = np.array(samples)
+        prom = frac * float(np.ptp(x)) if x.size else frac
+        for sign in (1.0, -1.0):
+            want, _ = find_peaks(sign * x, prominence=prom)
+            assert np.array_equal(_prominent_peaks(sign * x, prom), want)
 
 
 class TestClassify:

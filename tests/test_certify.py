@@ -84,13 +84,14 @@ class TestCertify:
         # the selection reads each critical bump's maximum and the build its
         # bracket; one zero search and one maximum search serve both
         solves = []
+        root = envelopes_module._brentq
 
         def counting(f, *args, **kwargs):
             if f.__qualname__.startswith("CriticalBump."):
                 solves.append(f.__qualname__)
-            return brentq(f, *args, **kwargs)
+            return root(f, *args, **kwargs)
 
-        monkeypatch.setattr(envelopes_module, "brentq", counting)
+        monkeypatch.setattr(envelopes_module, "_brentq", counting)
         ep = certify(p, 2.0).envelope.params
         bumps = [b for b in (ep.u, ep.v) if isinstance(b, CriticalBump)]
         assert len(bumps) == (2 if p.a * p.d == 1.0 else 1)

@@ -1,13 +1,19 @@
 """Piecewise envelope profiles, bump extrema, and constant selection."""
 
 import dataclasses
+import inspect
 import math
+import random
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
+from scipy.special import exprel
 
+from lvfront import envelopes as envelopes_module
+from lvfront.certify import certify
 from lvfront.model import SystemParams, critical_speed
 from lvfront.envelopes import (
     CRITICAL_AD_EQ1,
@@ -19,6 +25,8 @@ from lvfront.envelopes import (
     Piece,
     PiecewiseProfile,
     SelectionKnobs,
+    _brentq,
+    _exprel,
     build_envelopes,
     join_point,
     min_decay_rate,
@@ -161,6 +169,83 @@ class TestJoinPoint:
         f = lambda x: coef * math.exp(lam * x) - q * math.exp(mu * lam * x)
         with pytest.raises(ValueError, match="delta above envelope maximum"):
             join_point(f, 2.0 * fmax, (xiM, xi0))
+
+
+    @pytest.mark.parametrize("f", [lambda x: 2.0, lambda x: math.nan],
+                             ids=["no sign change", "nan"])
+    def test_root_finder_errors_name_the_bracket(self, f):
+        with pytest.raises(ValueError, match="no continuity point in bracket"):
+            join_point(f, 1.0, (0.0, 1.0))
+
+
+def _sweep_critical_sets(count=62, seed=0, ad_max=0.99):
+    """The s* sets of the benchmark's certificate sweep (sweep_cases in
+    bench/workloads.py): strict-weak sets with a, d log-uniform in [0.5, 2],
+    b/a in [0.1, 0.95] and ac in [0.05, 0.95], three supercritical speeds
+    drawn after each, and a*d <= ad_max kept."""
+    rng = random.Random(seed)
+    lo, hi = math.log(0.5), math.log(2.0)
+    out = []
+    while len(out) < count:
+        a = math.exp(rng.uniform(lo, hi))
+        d = math.exp(rng.uniform(lo, hi))
+        p = SystemParams(a, a * rng.uniform(0.1, 0.95), rng.uniform(0.05, 0.95) / a, d)
+        for _ in range(3):
+            rng.uniform(0.01, 1.0)
+        if a * d <= ad_max:
+            out.append(p)
+    return out
+
+
+#: _brentq's own tolerances, which its call sites use
+_TOLS = {name: inspect.signature(_brentq).parameters[name].default for name in ("xtol", "rtol")}
+
+
+class TestBrentq:
+    """The private root finder returns scipy.optimize.brentq's float, and
+    _exprel scipy.special.exprel's."""
+
+    def test_same_float_as_scipy_at_every_call_site(self, monkeypatch):
+        sites, pairs = set(), []
+
+        def both(f, a, b):
+            sites.add(f.__qualname__.split(".")[0])
+            pairs.append((_brentq(f, a, b), brentq(f, a, b, **_TOLS)))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(envelopes_module, "_brentq", both)
+        for p in _sweep_critical_sets():
+            for mode in ("default", "nonmonotone-u", "nonmonotone-v"):
+                certify(p, critical_speed(p), mode=mode)
+        assert sites == {"CriticalBump", "join_point", "_critical_q"}
+        assert all(ours == theirs for ours, theirs in pairs)
+
+    # cubics with a root in the bracket, some at an end of it
+    @given(r=st.floats(-1.0, 1.0), k=st.floats(0.0, 50.0), a=st.floats(-3.0, -1.0),
+           b=st.sampled_from([1.0, 2.5, 40.0]), xtol=st.sampled_from([1e-14, 1e-6]))
+    @settings(max_examples=200)
+    def test_same_float_as_scipy_on_cubics(self, r, k, a, b, xtol):
+        f = lambda x: (x - r) * (1.0 + k * x * x)
+        assert _brentq(f, a, b, xtol=xtol) == brentq(f, a, b, xtol=xtol, rtol=_TOLS["rtol"])
+        assert _brentq(f, r, b) == r
+
+    @pytest.mark.parametrize("f", [lambda x: x * x + 1.0, lambda x: math.nan],
+                             ids=["no sign change", "nan"])
+    def test_value_error(self, f):
+        with pytest.raises(ValueError):
+            _brentq(f, -1.0, 1.0)
+
+    @given(x=st.one_of(st.floats(-745.0, 700.0), st.sampled_from([0.0, -0.0, 1e-17, -5e-324])))
+    @settings(max_examples=300)
+    def test_exprel_is_scipys(self, x):
+        assert _exprel(x) == exprel(x)
+
+    def test_runtime_error_after_100_steps(self):
+        # a step function: about 1000 halvings from 1e300 down to its jump
+        step = lambda x: -1.0 if x < 0.3 else 1.0
+        for root in (_brentq, lambda f, a, b: brentq(f, a, b, **_TOLS)):
+            with pytest.raises(RuntimeError):
+                root(step, -1e300, 1e300)
 
 
 class TestPiecewiseProfile:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from lvfront.model import SystemParams, equilibria
 from lvfront.certify import certify
 from lvfront.solve import (
+    IterationReport,
     OperatorConfig,
     apply_P,
     iterate,
@@ -17,6 +18,7 @@ from lvfront.solve import (
     ode_residual,
     tail_check,
 )
+import dataclasses
 from dataclasses import replace
 from types import SimpleNamespace
 from lvfront.envelopes import min_decay_rate
@@ -156,7 +158,8 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("outcome", ["rejected", "newton_failed"])
     def test_failed_hand_over_is_the_cold_run(self, picard, monkeypatch, outcome):
-        # the warm run hands over no more, so its cold run is Picard alone
+        # every Newton run fails or is perturbed, so the cold pair's own
+        # hand-over fails too, and the cold run is Picard alone
         monkeypatch.setattr(solve_mod, "_clipped_newton", _broken_newton(outcome))
         cert, ref_prof, ref = picard
         warm = (ref_prof.u * (1.0 + 1e-3 * np.sin(ref_prof.grid)), ref_prof.v)
@@ -168,6 +171,27 @@ class TestWarmStart:
         assert rep.pair_gap_history[0] > 0.0
         assert rep.sandwich_violations == ref.sandwich_violations
         assert rep.beta_used == ref.beta_used
+        assert np.array_equal(prof.u, ref_prof.u) and np.array_equal(prof.v, ref_prof.v)
+        assert prof.residual == ref_prof.residual
+
+    def test_failed_warm_seed_leaves_the_cold_hand_over(self, solved, monkeypatch):
+        # only the warm seed's first Newton run fails; the cold pair then
+        # hands over at its own step, as the cold run does
+        newton, calls = solve_mod._clipped_newton, []
+
+        def failing_once(X, *args):
+            calls.append(1)
+            return None if len(calls) == 1 else newton(X, *args)
+
+        monkeypatch.setattr(solve_mod, "_clipped_newton", failing_once)
+        cert, ref_prof, ref = solved
+        warm = (ref_prof.u * (1.0 + 1e-3 * np.sin(ref_prof.grid)), ref_prof.v)
+        prof, rep = iterate(cert.envelope, P, S, CFG, warm_start=warm)
+        assert ref.handover == "accepted" and len(calls) == 3
+        for field in dataclasses.fields(IterationReport):
+            got, want = getattr(rep, field.name), getattr(ref, field.name)
+            assert (np.array_equal(got, want) if isinstance(want, np.ndarray)
+                    else got == want), field.name
         assert np.array_equal(prof.u, ref_prof.u) and np.array_equal(prof.v, ref_prof.v)
         assert prof.residual == ref_prof.residual
 
