@@ -1,8 +1,8 @@
 """Verification that an envelope set brackets a true wave.
 
-Checks four things: the continuity of each envelope at its join points,
-the ordering of the envelopes, the corner (one-sided derivative)
-conditions at the joins, and the four differential inequalities
+Checks that the envelopes are upper and lower solutions: at each join,
+continuity and a concave (upper) or convex (lower) corner, read from one
+jet per side; the ordering of the envelopes; and the four inequalities
 
     u_up'' - s u_up' + u_up (1 - u_up - c v_lo) <= 0,
     u_lo'' - s u_lo' + u_lo (1 - u_lo - c v_up) >= 0,
@@ -134,25 +134,6 @@ def check_ordering(env: EnvelopeSet, grid: np.ndarray) -> Tuple[bool, float]:
     uu, ul, vu, vl = env.jet(grid)[:, 0]
     worst = float(min((uu - ul).min(), (vu - vl).min()))
     return worst >= -ORDERING_TOL, worst
-
-
-def check_corners(env: EnvelopeSet) -> List[CornerCheck]:
-    """One-sided derivative orientation at every join point.
-
-    Upper envelopes must be concave at corners (left derivative >= right);
-    lower envelopes convex (left <= right).
-    """
-    out = []
-    specs = [
-        ("u_upper", env.u_upper, True), ("u_lower", env.u_lower, False),
-        ("v_upper", env.v_upper, True), ("v_lower", env.v_lower, False),
-    ]
-    for name, prof, is_upper in specs:
-        for j in prof.join_points:
-            dl, dr = prof.one_sided(j)
-            ok = dl >= dr - RESIDUAL_TOL if is_upper else dl <= dr + RESIDUAL_TOL
-            out.append(CornerCheck(name, j, dl, dr, ok))
-    return out
 
 
 def check_differential_inequalities(env: EnvelopeSet, p: SystemParams, s: float,
@@ -423,11 +404,10 @@ def check_cells(env: EnvelopeSet, p: SystemParams, s: float) -> CellCheck:
     """
     a, b, c, d = p.a, p.b, p.c, p.d
     rates = decay_rates(p, s)
-    profs = (env.u_upper, env.u_lower, env.v_upper, env.v_lower)
-    joins = [prof.join_points for prof in profs]
-    cuts = tuple(sorted(set().union(*joins)))
-    uu, ul, vu, vl = ([prof.pieces[bisect_right(js, x)].terms for x in (-math.inf,) + cuts]
-                      for prof, js in zip(profs, joins))
+    cuts = env.join_points
+    uu, ul, vu, vl = ([prof.pieces[bisect_right(prof.join_points, x)].terms
+                       for x in (-math.inf,) + cuts]
+                      for prof in (env.u_upper, env.u_lower, env.v_upper, env.v_lower))
     sums = {}
     for name, sigma, w, o, diff, growth, k, root in (
             ("u_upper", -1.0, uu, vl, 1.0, 1.0, c, rates.lambda1),
@@ -470,20 +450,25 @@ def select_and_build(p: SystemParams, s: float, mode: str = "default",
 
 def certify(p: SystemParams, s: float, mode: str = "default",
             knobs: SelectionKnobs = None) -> Certificate:
-    """Build envelopes for (p, s) and verify all bracketing conditions: the
-    continuity of each profile at its joins first, then the signs cell by
-    cell (check_cells) and the corners."""
+    """Build envelopes for (p, s) and verify all bracketing conditions: at
+    each join, one jet of the piece on each side gives the jump and the two
+    one-sided slopes of the corner; check_cells decides the signs.  Reasons
+    name the jumps first, then the cells, then the corners."""
     adm = admissibility(p, s)
     if not adm.admissible:
         raise ValueError(adm.reason)
     require_strict_weak(p)
     env = select_and_build(p, s, mode, knobs)
-    jumps = []
+    jumps, corners = [], []
     for name, prof in zip(_INEQUALITIES, (env.u_upper, env.u_lower, env.v_upper, env.v_lower)):
-        jumps += [f"{name}: jump of {jump:.3g} at xi = {x:.6g}"
-                  for x, jump in zip(prof.join_points, prof.continuity_defects())
-                  if jump > CONTINUITY_TOL]
-    corners = check_corners(env)
+        for left, right in zip(prof.pieces, prof.pieces[1:]):
+            x = left.hi
+            (f_left, d_left), (f_right, d_right) = left.at(x, 1), right.at(x, 1)
+            if (jump := abs(f_left - f_right)) > CONTINUITY_TOL:
+                jumps.append(f"{name}: jump of {jump:.3g} at xi = {x:.6g}")
+            ok = (d_left >= d_right - RESIDUAL_TOL if name.endswith("upper")
+                  else d_left <= d_right + RESIDUAL_TOL)
+            corners.append(CornerCheck(name, x, d_left, d_right, ok))
     cells = check_cells(env, p, s)
     margins = {name: cells.bounds[name] for name in _INEQUALITIES}
     tightest = {name: cells.tightest[name] for name in margins}

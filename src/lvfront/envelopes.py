@@ -91,10 +91,14 @@ def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 1e-14
                 # secant
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
             else:
-                # inverse quadratic interpolation
+                # inverse quadratic interpolation; where the denominator
+                # underflows to 0, C's infinite step falls back to bisection
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                try:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                except ZeroDivisionError:
+                    stry = math.inf
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:
@@ -111,9 +115,9 @@ def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 1e-14
 
 
 def _exprel(x: float) -> float:
-    """(e^x - 1)/x, and its limit 1 at |x| < 1e-16, as scipy.special.exprel
-    forms it for x <= 717."""
-    return 1.0 if abs(x) < 1e-16 else math.expm1(x) / x
+    """(e^x - 1)/x, and its limit 1 at |x| below the machine epsilon 2^-52,
+    as scipy.special.exprel forms it for x <= 717."""
+    return 1.0 if abs(x) < 2.0 ** -52 else math.expm1(x) / x
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +226,6 @@ class PiecewiseProfile:
                 for k, row in enumerate(_terms_jet(pc.terms, t[i:j], order)):
                     out[k, i:j] = row
         return out
-
-    def one_sided(self, x_join: float) -> Tuple[float, float]:
-        """Closed-form one-sided first derivatives at an interior join."""
-        for left, right in zip(self.pieces, self.pieces[1:]):
-            if abs(left.hi - x_join) <= 1e-12:
-                return left.at(x_join, 1)[1], right.at(x_join, 1)[1]
-        raise ValueError(f"{x_join} is not a join point of this profile")
-
-    def continuity_defects(self) -> Tuple[float, ...]:
-        return tuple(abs(left.at(left.hi)[0] - right.at(left.hi)[0])
-                     for left, right in zip(self.pieces, self.pieces[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .model import SystemParams, at_critical_speed, critical_speed, require_strict_weak
-from .envelopes import (MIN_REACH, Q_SAFETY, SOLVE_REACH, SelectionKnobs, left_reach,
-                        lower_bump, select_supercritical)
+from .envelopes import (MIN_REACH, Q_SAFETY, SOLVE_REACH, SelectionKnobs, build_envelopes,
+                        left_reach, lower_bump, select_supercritical)
 from .certify import certify, select_and_build
 from .analyze import classify, right_tail_extrema
 from .solve import (
@@ -147,10 +147,10 @@ def plan_continuation(p_base: SystemParams, s: float, target: str,
     ep = select_supercritical(p_base, s, pinned)
     floor = (ep.u if pulse_u else ep.v).fmax
     knobs = SelectionKnobs(mu1=ep.u.mu, mu2=ep.v.mu, q1=ep.u.q, q2=ep.v.q)
-    # the bumps do not move along the continuation, so the base set fails to
-    # build (e.g. "delta above envelope maximum" in a dead band near s*)
-    # exactly when a step's set does
-    select_and_build(p_base, s, knobs=knobs)
+    # knobs select ep's bumps at every step, where they do not move, so the
+    # base set fails to build (e.g. "delta above envelope maximum" in a dead
+    # band near s*) exactly when a step's set does
+    build_envelopes(p_base, s, ep)
     return ContinuationPlan(target=target, base=p_base, speed=s,
                             steps=tuple(steps), knobs=knobs, config=config,
                             floor=floor)

@@ -1,5 +1,6 @@
-"""Shared test helpers: envelopes moved along the line, the operator on a
-constant state, and the table of entry points that the regime gate guards."""
+"""Shared test helpers: envelopes moved along the line, their jumps at the
+joins, the operator on a constant state, and the table of entry points that
+the regime gate guards."""
 
 import dataclasses
 import math
@@ -35,6 +36,13 @@ def translated(env, delta):
             terms += [(c, p, r), (c * delta, 0, r)] if p else [(c, p, r)]
         pieces.append(Piece(pc.lo + delta, pc.hi + delta, tuple(terms)))
     return PiecewiseProfile(tuple(pieces))
+
+
+def jumps(prof):
+    """|f(x-) - f(x+)| at each join x of the profile prof, from the pieces on
+    either side."""
+    return [abs(left.at(left.hi)[0] - right.at(left.hi)[0])
+            for left, right in zip(prof.pieces, prof.pieces[1:])]
 
 
 def constant_image(K1, K2, p, s, beta, h, n):

@@ -27,7 +27,7 @@ from lvfront.certify import (
 from lvfront.envelopes import (Q_SAFETY, THETA_MU, CriticalBump, EnvelopeSet, ExpBump, Piece,
                                PiecewiseProfile, _capped, _capped_lower, build_envelopes,
                                min_decay_rate)
-from helpers import assert_gated, translated
+from helpers import assert_gated, jumps, translated
 
 #: the module, which the package's certify function shadows
 certify_module = importlib.import_module("lvfront.certify")
@@ -110,11 +110,12 @@ class TestCertify:
             Piece(-math.inf, -1.0, ((1.0, 0, lam1),)),
             Piece(-1.0, lam1 - 1.0, ((math.exp(lam1 - 1.0), 0, 1.0),)),
             Piece(lam1 - 1.0, math.inf, ((1.0, 0, 0.0),)))))
-        assert max(env.u_upper.continuity_defects()) > 0.7
+        assert max(jumps(env.u_upper)) > 0.7
         monkeypatch.setattr(certify_module, "select_and_build", lambda *args: env)
         cert = certify(P, s)
         assert cert.verdict == "fail"
         assert cert.reason == "u_upper: jump of 0.484 at xi = -1"
+        _assert_joins_read_their_profiles(cert)
 
     @pytest.mark.parametrize("mutate,reason", [
         # half the selected q-hat leaves the u bump too tall for a sub-solution
@@ -154,12 +155,13 @@ class TestCertify:
                 Piece(lam1 - 1.0, math.inf, ((1.0, 0, 0.0),)))))
             reason = "u_upper: corner at xi = -1 is not concave"
         for prof in (env.u_upper, env.u_lower):
-            assert max(prof.continuity_defects()) <= 1e-12
+            assert max(jumps(prof)) <= 1e-12
         monkeypatch.setattr(certify_module, "select_and_build", lambda *args: env)
         cert = certify(P, 3.0)
         assert cert.verdict == "fail"
         assert cert.reason == reason
         assert [cc.ok for cc in cert.corner_checks].count(False) == 1
+        _assert_joins_read_their_profiles(cert)
 
     def test_json_summary_shape(self):
         cert = certify(P, 3.0)
@@ -606,6 +608,47 @@ class TestCellsAgreeWithGrid:
                              + [(DRAW_16, "default")])
     def test_critical_fixtures_agree_and_bounds_hold(self, p, mode):
         _cells_agree_with_grid(select_and_build(p, 2.0, mode), p, 2.0)
+
+
+def _assert_joins_read_their_profiles(cert):
+    """The certificate's corner checks are its profiles' joins in order, each
+    slope a second-order one-sided difference of the profile, and each jump
+    the profile's own values on either side of its join."""
+    env = cert.envelope
+    profs = dict(zip(("u_upper", "u_lower", "v_upper", "v_lower"),
+                     (env.u_upper, env.u_lower, env.v_upper, env.v_lower)))
+    assert [(cc.profile, cc.location) for cc in cert.corner_checks] == [
+        (name, x) for name, prof in profs.items() for x in prof.join_points]
+    h = 1e-4
+    for cc in cert.corner_checks:
+        prof, x = profs[cc.profile], cc.location
+        below = prof(np.nextafter(x, -math.inf))
+        f2l, f1l, at, f1r, f2r = prof(x + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))
+        assert cc.left_deriv == pytest.approx((3.0 * below - 4.0 * f1l + f2l) / (2.0 * h),
+                                              abs=1e-6)
+        assert cc.right_deriv == pytest.approx((4.0 * f1r - 3.0 * at - f2r) / (2.0 * h),
+                                               abs=1e-6)
+    for prof in profs.values():
+        for x, jump in zip(prof.join_points, jumps(prof)):
+            assert jump == pytest.approx(abs(prof(np.nextafter(x, -math.inf)) - prof(x)),
+                                         abs=1e-12)
+
+
+class TestJoins:
+    @pytest.mark.parametrize("p,s,case", [
+        (P, 3.0, "Supercritical"),
+        (P, 2.0, "CriticalAdEq1"),
+        (SystemParams(0.5, 0.25, 1.0, 1.0), 2.0, "CriticalAdLt1"),
+    ])
+    def test_corners_and_jumps_read_the_profiles_on_each_case(self, p, s, case):
+        cert = certify(p, s)
+        assert cert.envelope.case == case
+        _assert_joins_read_their_profiles(cert)
+
+    @given(case=st.one_of(strict_weak_draws(), critical_draws()))
+    @settings(max_examples=30, deadline=None)
+    def test_corners_and_jumps_read_the_profiles(self, case):
+        _assert_joins_read_their_profiles(certify(*case))
 
 
 class TestCriticalMutations:

@@ -33,7 +33,7 @@ from lvfront.envelopes import (
     select_critical,
     select_supercritical,
 )
-from helpers import assert_gated, translated
+from helpers import assert_gated, jumps, translated
 
 P = SystemParams(1.0, 0.5, 0.5, 1.0)
 
@@ -229,6 +229,20 @@ class TestBrentq:
         assert _brentq(f, a, b, xtol=xtol) == brentq(f, a, b, xtol=xtol, rtol=_TOLS["rtol"])
         assert _brentq(f, r, b) == r
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-178, 1e-300])
+    def test_an_underflowing_interpolation_bisects_as_scipy(self, scale):
+        # the inverse quadratic step divides by a product of three
+        # differences of values near scale, which is 0 in floats
+        f = lambda x: scale * (x - 0.3) * (1.0 + 4.0 * x * x)
+        assert _brentq(f, -1.0, 2.0) == brentq(f, -1.0, 2.0, **_TOLS)
+
+    def test_a_set_whose_join_search_underflows_is_decided(self):
+        # delta2 is 1.5e-178 here, a hair above s*; the join search once
+        # raised ZeroDivisionError
+        p = SystemParams(0.9322301471612778, 0.17280902225785988, 0.11543202457300278,
+                         1.6546720810705609)
+        assert certify(p, 2.4844594415989874).passed
+
     @pytest.mark.parametrize("f", [lambda x: x * x + 1.0, lambda x: math.nan],
                              ids=["no sign change", "nan"])
     def test_value_error(self, f):
@@ -238,6 +252,15 @@ class TestBrentq:
     @given(x=st.one_of(st.floats(-745.0, 700.0), st.sampled_from([0.0, -0.0, 1e-17, -5e-324])))
     @settings(max_examples=300)
     def test_exprel_is_scipys(self, x):
+        assert _exprel(x) == exprel(x)
+
+    @pytest.mark.parametrize("x", [1e-16, 1.8229709588581847e-16, 2.0 ** -52,
+                                   math.nextafter(2.0 ** -52, 0.0),
+                                   math.nextafter(2.0 ** -52, 1.0), -2.0 ** -52,
+                                   math.nextafter(-2.0 ** -52, 0.0), 3e-16])
+    def test_exprel_is_scipys_at_its_limit_branch(self, x):
+        # scipy returns 1 below the machine epsilon, where expm1(x)/x may
+        # round up to 1 + 2^-52
         assert _exprel(x) == exprel(x)
 
     def test_runtime_error_after_100_steps(self):
@@ -265,11 +288,6 @@ class TestPiecewiseProfile:
         for i in (0, 50, 100):
             assert env.u_upper(float(x[i])) == vec[i]
 
-    def test_one_sided_requires_join(self):
-        env = build()
-        with pytest.raises(ValueError, match="not a join point"):
-            env.u_upper.one_sided(5.0)
-
 
 @pytest.mark.parametrize("p,s,case", [
     (P, 3.0, SUPERCRITICAL),
@@ -288,7 +306,7 @@ class TestBuiltEnvelopes:
     def test_continuity(self, p, s, case):
         env = self._env(p, s)
         for prof in (env.u_upper, env.u_lower, env.v_upper, env.v_lower):
-            assert max(prof.continuity_defects()) <= 1e-10
+            assert max(jumps(prof)) <= 1e-10
 
     def test_ordering_and_positivity(self, p, s, case):
         env = self._env(p, s)
