@@ -12,10 +12,11 @@ import pytest
 from scipy.signal import find_peaks
 
 from lvfront.model import SystemParams, admissibility, critical_speed, decay_rates, equilibria
-from lvfront.envelopes import ExpBump
+from lvfront.envelopes import SOLVE_REACH, ExpBump, left_reach
 from lvfront.certify import certify
 from lvfront.solve import OperatorConfig, iterate, ode_residual, tail_check
 from lvfront.analyze import (PROMINENCE_FRAC, classify, interior_box_implies_monotone,
+                             ma_front_criterion, nonmonotone_condition_v,
                              oscillation_coupling, sturm_interval)
 from lvfront.pulse import plan_continuation, run_continuation
 from lvfront import cli
@@ -144,6 +145,27 @@ def test_critical_speed_pipeline(critical_run):
     assert critical_run.rep.converged
     assert critical_run.prof.tail_report.passed
     assert critical_run.elapsed < 120.0
+
+
+def test_critical_speed_overshoot():
+    # the non-monotone result also holds at s = s*: the v lower envelope
+    # tops v*, and the squeezed front overshoots in v
+    p = SystemParams(1.0, 0.995, 0.3, 0.5)
+    s = critical_speed(p)
+    assert s == 2.0
+    cond = nonmonotone_condition_v(p, s)
+    assert cond.holds
+    assert cond.fmax == pytest.approx(0.01472, abs=1e-5)
+    assert cond.star == pytest.approx(0.00713, abs=1e-5)
+    cert = certify(p, s, mode="nonmonotone-v")
+    assert cert.passed
+    cfg = OperatorConfig(left=min(-60.0, left_reach(cert.envelope, SOLVE_REACH)),
+                         right=120.0, n_points=6401, tol=1e-10)
+    prof, rep = iterate(cert.envelope, p, s, cfg)
+    assert rep.converged
+    assert rep.handover == "accepted"
+    assert classify(prof).tag == "NonMonotoneV"
+    assert not ma_front_criterion(cert.envelope, p)
 
 
 def test_nonexistence_gate(capsys):

@@ -71,6 +71,20 @@ class TestCertify:
         with pytest.raises(ValueError, match="delta above envelope maximum"):
             certify(p, critical_speed(p) + offset)
 
+    @pytest.mark.parametrize("a", [0.03, 30.0])
+    def test_rate_disparate_systems_inside_the_band_pass(self, a):
+        p = SystemParams(a, a / 2.0, 0.5 / a, 1.0)
+        assert certify(p, 1.5 * critical_speed(p)).passed
+
+    @pytest.mark.parametrize("a", [1e-3, 1e-2, 1e2, 1e3])
+    def test_rate_disparate_systems_outside_the_band_are_named(self, a):
+        # with a far from 1 one decay rate dwarfs the other, and the lower
+        # bump that must outrun the cross term b*u*v has no room for a delta
+        p = SystemParams(a, a / 2.0, 0.5 / a, 1.0)
+        with pytest.raises(ValueError) as exc:
+            certify(p, 1.5 * critical_speed(p))
+        assert str(exc.value) == "delta above envelope maximum"
+
     @pytest.mark.parametrize("p", NEAR_CRITICAL_SETS)
     def test_s_star_alone_takes_the_critical_envelopes(self, p):
         s = critical_speed(p)

@@ -1,26 +1,59 @@
-"""lvfront's import graph: numpy and scipy.linalg, and no heavier scipy; and
-the names that the benchmark's tracer patches."""
+"""lvfront's import graph: numpy and scipy's two compiled BLAS/LAPACK
+modules, and not the scipy or scipy.linalg packages; and the names that the
+benchmark's tracer patches."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lvfront
 
-#: scipy subpackages that each cost a large share of a process's start-up
-HEAVY = ("scipy.signal", "scipy.optimize", "scipy.special", "scipy.stats")
+#: the only scipy modules that import lvfront loads
+SCIPY_EXTENSIONS = ["scipy.linalg._fblas", "scipy.linalg._flapack"]
+
+
+def _fresh(code):
+    """stdout of code run in a fresh interpreter, since this one has
+    imported scipy for the tests."""
+    src = str(Path(lvfront.__file__).resolve().parents[1])
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    return out.stdout
 
 
 def test_import_loads_no_heavy_scipy_subpackage():
-    # a fresh interpreter, since this one has imported scipy for the tests
-    src = str(Path(lvfront.__file__).resolve().parents[1])
-    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    code = f"import sys, lvfront; print(sorted(m for m in {HEAVY!r} if m in sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "[]"
+    # not even the scipy and scipy.linalg packages: only two compiled modules
+    code = ("import json, sys, lvfront; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    assert json.loads(_fresh(code)) == SCIPY_EXTENSIONS
+
+
+@pytest.mark.parametrize("order", [
+    "import lvfront; import scipy.linalg, scipy.linalg.blas, scipy.linalg.lapack",
+    "import scipy.linalg, scipy.linalg.blas, scipy.linalg.lapack; import lvfront",
+])
+def test_routines_are_scipys_in_either_import_order(order):
+    # the same objects, so every kernel and factorisation is scipy's to the
+    # bit; and scipy.linalg still works when lvfront loaded its modules first
+    code = order + """
+import json, numpy as np
+from lvfront import solve
+from scipy.linalg import blas, lapack, solve_banded
+same = [solve.dtbsv is blas.dtbsv, solve.dgbtrf is lapack.dgbtrf,
+        solve.dgbtrs is lapack.dgbtrs]
+ab = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])
+x = solve_banded((1, 1), ab, np.array([5.0, 6.0, 5.0]))
+print(json.dumps({"same": same, "x": x.tolist()}))
+"""
+    out = json.loads(_fresh(code))
+    assert out["same"] == [True, True, True]
+    assert out["x"] == pytest.approx([1.0, 1.0, 1.0], abs=1e-14)
 
 
 def test_every_name_the_benchmark_traces_exists():
