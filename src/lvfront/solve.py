@@ -27,18 +27,18 @@ _kernel_bands writes each kernel as T^-1 M with T and M tridiagonal,
 constant but for their end rows, and each Newton step fills one (3, 3)
 band over the interleaved unknowns in place and factors it once; the band
 is 20 arrays of n doubles, and a hand-over holds at most about 40 of them,
-the pair loop's own included.  Newton runs under the pair's shifts (a warm
-start's own shift_bounds) and again under shift_bounds of its answer x;
-the margin direction e, (I - Pi DP) e = (u, -v), is solved once, with the
-last factor, and seeds the pair x +- eps*e.  The next pair step, under the same shifts, must map
-the seeded pair inside itself in the mixed order, exactly: a discrete
-super- and sub-solution pair (Sattinger, Indiana Univ. Math. J. 21, 1972).
-The pair loop then goes on unchanged; a warm start so becomes a bracket.
-If Newton fails or the check does not hold, the seed is dropped and the
-pair loop goes on as if it never handed over, bit for bit.  A failed warm
-seed leaves the cold pair's own hand-over to come, so a warm run is then
-the cold run, that hand-over included.  IterationReport.handover says how
-the last hand-over ended.
+the pair loop's own included.  Each Newton step refits the shifts to its
+iterate, beta = shift_bounds(x), so one run converges to the self-consistent
+x = clip(P_beta(x)(x)).  The margin direction e, (I - Pi DP) e = (u, -v), is
+solved with the last factor and seeds the pair x +- eps*e.  The next pair
+step, under shift_bounds(x), must map the seeded pair inside itself in the
+mixed order, exactly: a discrete super- and sub-solution pair (Sattinger,
+Indiana Univ. Math. J. 21, 1972).  The pair loop then goes on unchanged; a
+warm start so becomes a bracket.  If Newton fails or the check does not
+hold, the seed is dropped and the pair loop goes on as if it never handed
+over, bit for bit.  A failed warm seed leaves the cold pair's own hand-over
+to come, so a warm run is then the cold run, that hand-over included.
+IterationReport.handover says how the last hand-over ended.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ CLIP_ABORT_TOL = 1e-8
 BETA_MARGIN = 1.05
 #: rows formatted per call by write_csv
 CSV_BLOCK_ROWS = 1024
-#: the cost of one hand-over to Newton (two Newton runs and the check), in
+#: the cost of one hand-over to Newton (one Newton run and the check), in
 #: pair steps; after NEWTON_WARMUP steps a pair whose gap, at its rate over
 #: the last NEWTON_WINDOW steps, is predicted to need more steps than this
 #: to reach tol is handed over once
@@ -158,7 +158,8 @@ class IterationReport:
     handover: str = "none"
 
 
-def shift_bounds(p: SystemParams, u_hi, v_hi) -> Tuple[float, float]:
+def shift_bounds(p: SystemParams, u_hi, v_hi,
+                 work: Optional[np.ndarray] = None) -> Tuple[float, float]:
     """Per-component shifts (beta_u, beta_v) for pairs below (u_hi, v_hi).
 
     beta_u + 1 - 2u - cv >= 0 and beta_v + a - bu - 2v >= 0 for
@@ -166,9 +167,14 @@ def shift_bounds(p: SystemParams, u_hi, v_hi) -> Tuple[float, float]:
     On the box (u_hi, v_hi) = (1, a) they are BETA_MARGIN * (1 + ac, a + b).
     A bound <= 0 (a pair at the extinction state) is replaced by the
     component's box-corner value, 1 + ac or a + b, since P needs beta > 0.
+    The sums 2u + cv and bu + 2v are formed in work, a (2, n) array whose
+    values are not read, if given.
     """
-    need_u = float(np.max(2.0 * u_hi + p.c * v_hi)) - 1.0
-    need_v = float(np.max(p.b * u_hi + 2.0 * v_hi)) - p.a
+    w = np.empty((2, np.size(u_hi))) if work is None else work
+    need_u = float(np.add(np.multiply(u_hi, 2.0, out=w[0]),
+                          np.multiply(v_hi, p.c, out=w[1]), out=w[0]).max()) - 1.0
+    need_v = float(np.add(np.multiply(u_hi, p.b, out=w[0]),
+                          np.multiply(v_hi, 2.0, out=w[1]), out=w[0]).max()) - p.a
     return (BETA_MARGIN * need_u if need_u > 0.0 else 1.0 + p.a * p.c,
             BETA_MARGIN * need_v if need_v > 0.0 else p.a + p.b)
 
@@ -423,29 +429,29 @@ def _newton_solve(ab: np.ndarray, piv, X, W, free, rhs, p: SystemParams, beta, k
     return delta
 
 
-def _clipped_newton(X, p: SystemParams, s: float, beta, h: float, star,
-                    lo, hi):
+def _clipped_newton(X, p: SystemParams, s: float, h: float, star, lo, hi):
     """Semismooth Newton on X = clip(P_beta(X), lo, hi) from X, a (2, n)
-    array that it updates in place.
-
-    The rows where P(X) leaves (lo, hi) are active and solve X_i = bound;
-    the clip pins the wave's translation, so no phase condition is needed.
-    Returns (X, e) once the step is below NEWTON_TOL relative to |X|, where
-    (I - Pi DP) e = (u, -v) is the mixed-order margin direction, solved
-    with the last Jacobian's factor, or None if Newton does not converge.
-    Besides X and e, a run holds the band and two (2, n) arrays.
+    array that it updates in place, with beta = shift_bounds(X) refitted at
+    every step and held fixed in the Jacobian: the fixed point moves with
+    beta only at O(h^2).  The rows where P(X) leaves (lo, hi) are active and
+    solve X_i = bound.  Returns (X, e) once the step is below NEWTON_TOL
+    relative to |X|, where (I - Pi DP) e = (u, -v) is the mixed-order margin
+    direction, solved with the last Jacobian's factor, or None if Newton
+    does not converge.  Besides X and e, a run holds the band and two (2, n)
+    arrays.
     """
     n = X.shape[1]
-    kernels = [_kernel_bands(h, al, ga, dc)
-               for (al, ga), dc in zip(kernel_rates(p, s, beta), (1.0, p.d))]
     ab = np.empty((n, 2, 10))
     step, W = np.empty_like(X), np.empty_like(X)
     # a diverging Newton overflows in its row scaling before its iterate
     # turns non-finite; that exit, not a warning, reports the failure
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(NEWTON_MAX_STEPS):
-            # clip(P(X)) - X, then the Newton step, are formed in step; the
-            # row scales W are refilled below, so P builds its band in them
+            # the shifts' sums, clip(P(X)) - X and the Newton step go into
+            # step; P builds its band in the row scales W, refilled below
+            beta = shift_bounds(p, X[0], X[1], work=step)
+            kernels = [_kernel_bands(h, al, ga, dc)
+                       for (al, ga), dc in zip(kernel_rates(p, s, beta), (1.0, p.d))]
             apply_P(X[0], X[1], p, s, beta, h, star, out=step, work=W)
             free = ~((step <= lo) | (step >= hi))
             np.clip(step, lo, hi, out=step)
@@ -494,12 +500,11 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
     A pair predicted to take more pair steps than a hand-over costs is
     handed over to Newton once (module docstring).  A warm start seeds one
     more hand-over, at the first step, from warm_start clipped to the
-    sandwich and under its shift_bounds.  If the seeded pair is accepted it
-    is iterated as the bracket and hands over no more; otherwise the cold
-    pair goes on as the cold run, its own hand-over included.  The report's
-    handover is the outcome of the last hand-over.  Converged when both the
-    pair gap and the step change drop below cfg.tol; the returned Profile
-    is the midpoint of the two pairs.
+    sandwich.  If the seeded pair is accepted it is iterated as the bracket
+    and hands over no more; otherwise the cold pair goes on as the cold run,
+    its own hand-over included.  The report's handover is the outcome of the
+    last hand-over.  Converged when both the pair gap and the step change
+    drop below cfg.tol; the returned Profile is the midpoint of the two pairs.
     """
     if cfg.left >= left_reach(env, MIN_REACH):
         raise ValueError("domain too small")
@@ -516,8 +521,8 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
     del grid
 
     X = [(hi[0], lo[1]), (lo[0], hi[1])]   # upper pair, lower pair
-    # the step and gap norms and shift_bounds' u input go through one
-    # buffer, and apply_P builds its band in another; a hand-over drops both
+    # the norms and shift_bounds' u input go through one buffer, apply_P's
+    # band and shift_bounds' sums through another; a hand-over drops both
     scratch, work = np.empty(cfg.n_points), np.empty((2, cfg.n_points))
 
     def max_abs_diff(x, y):
@@ -526,13 +531,10 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
 
     def pair_shifts(X):
         return shift_bounds(p, np.maximum(X[0][0], X[1][0], out=scratch),
-                            np.maximum(X[0][1], X[1][1]))
+                            np.maximum(X[0][1], X[1][1]), work=work)
 
     beta = pair_shifts(X)
-    start = None
-    if warm_start is not None:
-        x0 = np.clip(warm_start, lo, hi)
-        start = x0, shift_bounds(p, x0[0], x0[1])
+    start = None if warm_start is None else np.clip(warm_start, lo, hi)
 
     def pair_step(X, beta):
         """(the clipped P of each pair, clip events, escapes): each escape
@@ -550,19 +552,15 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
             nX.append(tuple(y))
         return nX, events, escapes
 
-    def hand_over(x0, beta):
-        """Newton from x0 under beta and again under beta' = shift_bounds
-        of its answer x; then the seed x +- eps*e, eps*max|e| = tol/4, and
-        its pair step under beta'.  Returns the outcome and, if accepted,
-        (seed, beta', step)."""
-        out = _clipped_newton(x0, p, s, beta, h, star, lo, hi)
-        if out is not None:
-            x, out = out[0], None   # the first run's e is not used
-            beta = shift_bounds(p, x[0], x[1])
-            out = _clipped_newton(x, p, s, beta, h, star, lo, hi)
+    def hand_over(x0):
+        """Newton from x0, then the seed x +- eps*e, eps*max|e| = tol/4, of
+        its answer x and the seed's pair step under beta = shift_bounds(x).
+        Returns the outcome and, if accepted, (seed, beta, step)."""
+        out = _clipped_newton(x0, p, s, h, star, lo, hi)
         if out is None:
             return "newton_failed", None
         x, e = out
+        beta = shift_bounds(p, x[0], x[1])
         eps = 0.25 * cfg.tol / np.max(np.abs(e))
         seed = [tuple(np.clip(x + eps * e, lo, hi)), tuple(np.clip(x - eps * e, lo, hi))]
         nxt = pair_step(seed, beta)
@@ -586,7 +584,7 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
         nxt = None
         if armed and (start is not None or _hand_over_pays(gap_hist, cfg.tol)):
             scratch = work = None
-            handover, seeded = hand_over(*(start or (0.5 * np.add(X[0], X[1]), beta)))
+            handover, seeded = hand_over(0.5 * np.add(X[0], X[1]) if start is None else start)
             # only a failed warm seed leaves the cold pair's own hand-over armed
             armed = start is not None and seeded is None
             start = None   # the clipped warm start is not needed again

@@ -230,6 +230,15 @@ class TestNewtonCorrector:
         assert rep.handover == "accepted"
         assert peak - start <= 36 * plan.config.n_points * 8
 
+    def test_bench_pulse_factors_fewer_than_60_newton_matrices(self, monkeypatch):
+        # the benchmark's u-pulse, refined: one Newton run per hand-over
+        # factors 50-odd matrices, two runs per hand-over factored 71
+        factor, calls = solve_mod._newton_factor, []
+        monkeypatch.setattr(solve_mod, "_newton_factor", lambda *a: calls.append(1) or factor(*a))
+        res = run_continuation(plan_continuation(P, 2.5, "c_to_1_over_a", 8), refine=True)
+        assert all(st.report.handover == "accepted" for st in res.steps)
+        assert len(calls) < 60
+
     def test_summary_lists_each_hand_over(self, u_pulse, tmp_path):
         _, res = u_pulse
         write_pulse_result(res, str(tmp_path))

@@ -138,6 +138,15 @@ def apply_p_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def newton_calls(monkeypatch):
+    """A list that grows by one at each Newton run made inside lvfront.solve."""
+    calls = []
+    newton = solve_mod._clipped_newton
+    monkeypatch.setattr(solve_mod, "_clipped_newton", lambda *a: calls.append(1) or newton(*a))
+    return calls
+
+
 def _broken_newton(outcome):
     """_clipped_newton made to fail: it returns None for "newton_failed", and
     for "rejected" an answer perturbed so that its seed is not verified."""
@@ -175,8 +184,8 @@ class TestWarmStart:
         assert prof.residual == ref_prof.residual
 
     def test_failed_warm_seed_leaves_the_cold_hand_over(self, solved, monkeypatch):
-        # only the warm seed's first Newton run fails; the cold pair then
-        # hands over at its own step, as the cold run does
+        # only the warm seed's Newton run fails; the cold pair then hands
+        # over at its own step, as the cold run does
         newton, calls = solve_mod._clipped_newton, []
 
         def failing_once(X, *args):
@@ -187,7 +196,7 @@ class TestWarmStart:
         cert, ref_prof, ref = solved
         warm = (ref_prof.u * (1.0 + 1e-3 * np.sin(ref_prof.grid)), ref_prof.v)
         prof, rep = iterate(cert.envelope, P, S, CFG, warm_start=warm)
-        assert ref.handover == "accepted" and len(calls) == 3
+        assert ref.handover == "accepted" and len(calls) == 2
         for field in dataclasses.fields(IterationReport):
             got, want = getattr(rep, field.name), getattr(ref, field.name)
             assert (np.array_equal(got, want) if isinstance(want, np.ndarray)
@@ -205,6 +214,14 @@ class TestWarmStart:
         assert sum(wrep.sandwich_violations) == 0
         assert np.abs(wprof.u - prof.u).max() <= CFG.tol
         assert np.abs(wprof.v - prof.v).max() <= CFG.tol
+
+    @pytest.mark.parametrize("amplitude", [0.0, 1e-3])
+    def test_accepted_warm_step_runs_newton_once(self, solved, newton_calls, amplitude):
+        # Newton refits its shifts at each step, so no second run follows
+        cert, prof, _ = solved
+        warm = (prof.u * (1.0 + amplitude * np.sin(prof.grid)), prof.v)
+        _, rep = iterate(cert.envelope, P, S, CFG, warm_start=warm)
+        assert rep.handover == "accepted" and len(newton_calls) == 1
 
     def test_cold_solve_applies_P_twice_per_step(self, picard, monkeypatch, apply_p_calls):
         monkeypatch.setattr(solve_mod, "NEWTON_COST", math.inf)
@@ -447,6 +464,10 @@ class TestNewtonHandover:
         assert solved[2].iterations_used == solve_mod.NEWTON_WARMUP + 1
         assert picard[2].handover == "none"
         assert picard[2].iterations_used > solve_mod.NEWTON_WARMUP + solve_mod.NEWTON_WINDOW
+
+    def test_accepted_cold_hand_over_runs_newton_once(self, cert, solved, newton_calls):
+        _, rep = iterate(cert.envelope, P, S, CFG)
+        assert rep.handover == solved[2].handover == "accepted" and len(newton_calls) == 1
 
     @pytest.mark.parametrize("outcome", ["rejected", "newton_failed"])
     def test_fallback_leaves_no_trace(self, monkeypatch, cert, outcome):
