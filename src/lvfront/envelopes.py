@@ -19,6 +19,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ._scipy import scipy_extension
 from .model import EQ_TOL, SystemParams, critical_speed, decay_rates, require_strict_weak
 
 # envelope cases
@@ -48,70 +49,29 @@ MIN_REACH = 10.0
 # scalar root finding
 # ---------------------------------------------------------------------------
 
+#: scipy.optimize's compiled root finders
+_zeros = scipy_extension("optimize", "_zeros")
+
+
 def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 1e-14,
             rtol: float = 8.9e-16) -> float:
     """A zero of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
     method (Brent, Algorithms for Minimization without Derivatives, 1973,
     ch. 4), to within xtol + rtol |x|.
 
-    A step-for-step port of scipy.optimize.brentq (its brentq.c), so that it
-    returns the same float for the same f, bracket and tolerances.  Raises
-    ValueError if f(a) and f(b) have one sign or a value is NaN, and
-    RuntimeError after 100 steps, scipy's default limit.
+    scipy's compiled routine, the one behind scipy.optimize.brentq, so it
+    returns that function's float for the same f, bracket and tolerances.
+    Raises ValueError if f(a) and f(b) have one sign or a value is NaN (the
+    check of scipy's Python wrapper, which is not loaded), and RuntimeError
+    after 100 steps, scipy's default limit.
     """
     def value(x):
-        fx = float(f(x))
+        fx = f(x)
         if math.isnan(fx):
             raise ValueError(f"the function value at x = {x} is NaN")
         return fx
 
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        # xblk is the other end of the bracket, xcur the best estimate
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic interpolation; where the denominator
-                # underflows to 0, C's infinite step falls back to bisection
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                try:
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                except ZeroDivisionError:
-                    stry = math.inf
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"no convergence after 100 steps, value is {xcur}")
+    return _zeros._brentq(value, a, b, xtol, rtol, 100, (), False, True)
 
 
 def _exprel(x: float) -> float:

@@ -43,54 +43,21 @@ IterationReport.handover says how the last hand-over ended.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import json
 import math
-import os
-import sys
 from dataclasses import asdict, dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ._scipy import scipy_extension
 from .model import SystemParams, equilibria
 from .envelopes import MIN_REACH, EnvelopeSet, left_reach
 
 
-def _scipy_linalg_extension(name: str):
-    """scipy's compiled module scipy.linalg.<name>, loaded without the package.
-
-    dtbsv, dgbtrf and dgbtrs live in scipy's f2py modules linalg/_fblas and
-    linalg/_flapack, which load in a few ms.  Importing them by name runs
-    scipy.linalg's package __init__ first, which pulls in the array-API
-    layer, numpy.ma and numpy.f2py and costs about half of a process's
-    start-up.  The module is registered under its real name, so a later
-    import of scipy.linalg reuses it, and its routines are the very objects
-    that scipy.linalg.blas and scipy.linalg.lapack export.
-    """
-    fullname = "scipy.linalg." + name
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    scipy_spec = importlib.util.find_spec("scipy")  # finds, does not import
-    if scipy_spec is None:
-        raise ImportError("lvfront needs scipy", name="scipy")
-    base = os.path.join(scipy_spec.submodule_search_locations[0], "linalg", name)
-    path = next((base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
-                 if os.path.isfile(base + suffix)), None)
-    if path is None:
-        raise ImportError(f"no compiled module {base}.*", name=fullname, path=base)
-    loader = importlib.machinery.ExtensionFileLoader(fullname, path)
-    spec = importlib.util.spec_from_file_location(fullname, path, loader=loader)
-    module = importlib.util.module_from_spec(spec)
-    loader.exec_module(module)
-    sys.modules[fullname] = module
-    return module
-
-
-dtbsv = _scipy_linalg_extension("_fblas").dtbsv
-dgbtrf = _scipy_linalg_extension("_flapack").dgbtrf
-dgbtrs = _scipy_linalg_extension("_flapack").dgbtrs
+dtbsv = scipy_extension("linalg", "_fblas").dtbsv
+dgbtrf = scipy_extension("linalg", "_flapack").dgbtrf
+dgbtrs = scipy_extension("linalg", "_flapack").dgbtrs
 
 #: clip adjustments larger than this count as sandwich violations
 CLIP_EVENT_TOL = 1e-9

@@ -84,6 +84,15 @@ class TestClassify:
         assert shape.tag == "NonMonotoneV"
         assert any(e.kind == "max" and e.component == "v" for e in shape.extrema)
 
+    def test_overshoot_in_both(self):
+        g = np.linspace(-40.0, 40.0, 2001)
+        bump = np.exp(-((g - 15.0) / 2.0) ** 2)
+        u = 0.5 * (1.0 + np.tanh(0.3 * g)) + 0.1 * bump
+        v = 0.4 * (1.0 + np.tanh(0.3 * g)) + 0.1 * bump
+        shape = classify(synthetic_profile(u, v, grid=g))
+        assert shape.tag == "NonMonotoneBoth"
+        assert {e.component for e in shape.extrema if e.kind == "max"} == {"u", "v"}
+
     def test_ripple_below_prominence_ignored(self):
         g = np.linspace(-40.0, 40.0, 2001)
         u = 0.5 * (1.0 + np.tanh(0.3 * g)) + 1e-9 * np.sin(g)

@@ -23,10 +23,11 @@ from lvfront.certify import (
     decide_sums,
     make_grid,
     select_and_build,
+    _residual_terms,
 )
 from lvfront.envelopes import (Q_SAFETY, THETA_MU, CriticalBump, EnvelopeSet, ExpBump, Piece,
-                               PiecewiseProfile, _capped, _capped_lower, build_envelopes,
-                               min_decay_rate)
+                               PiecewiseProfile, _capped, _capped_lower, _terms_jet,
+                               build_envelopes, min_decay_rate)
 from helpers import assert_gated, jumps, translated
 
 #: the module, which the package's certify function shadows
@@ -264,6 +265,21 @@ class TestResiduals:
         }
         for name in res:
             assert np.abs(res[name] - fd[name]).max() < 1e-5
+
+    def test_linear_exponential_term_off_the_root(self):
+        # a p = 1 term at a rate other than the component's own root, which
+        # no selected envelope has yet: its linear part keeps both of its
+        # coefficients
+        w = ((0.7, 1, 1.3), (-0.2, 0, 1.3), (0.4, 0, 2.1))
+        other = ((0.5, 1, 0.9), (0.3, 0, 1.7))
+        diff, growth, k, s = 1.4, 0.8, 0.6, 2.5
+        acc = _residual_terms(w, other, diff, growth, k, s, root=0.95)
+        t = np.linspace(-8.0, -0.01, 400)
+        got = sum(coef * (-t) ** p * np.exp(r * t) for (r, p), coef in acc.items())
+        w0, w1, w2 = _terms_jet(w, t, 2)
+        (o0,) = _terms_jet(other, t, 0)
+        want = diff * w2 - s * w1 + w0 * (growth - w0 - k * o0)
+        assert np.abs(got - want).max() < 1e-14
 
     def test_upper_residuals_nonpositive_lower_nonnegative(self):
         for s in (2.0, 2.5, 4.5):

@@ -339,6 +339,12 @@ class TestScan:
         holds = np.loadtxt(in_tmp / "scan.csv", delimiter=",", skiprows=1)[:, 1:]
         assert holds.shape == (3, 4) and not holds.any()
 
+    def test_gap_beyond_a_exits_one(self, in_tmp, capsys):
+        code = cli.main(["scan", "--params", "1,0.5,0.5,1", "--gap-range", "0.02,1.5,3"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: a - b gap exceeds a: b must stay positive\n"
+        assert not os.listdir(in_tmp)
+
     def test_empty_range(self, in_tmp, capsys):
         code = cli.main(["scan", "--params", "1,0.5,0.5,1",
                          "--s-range", "4.0,5.0,0", "--gap-range", "0.1,0.2,0",

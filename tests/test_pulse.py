@@ -89,6 +89,14 @@ class TestPlan:
         with pytest.raises(ValueError, match="not reachable"):
             plan_continuation(near, 2.5, "c_to_1_over_a", 4)
 
+    def test_schedule_that_stalls_in_floats_is_refused(self):
+        # total * 0.5^k falls below half the float spacing at the limit 1/c,
+        # so the last two steps both round to 1/c itself
+        p = SystemParams(1.0, 0.5, 0.9, 1.0)
+        with pytest.raises(ValueError, match="^continuation schedule is not strictly monotone$"):
+            plan_continuation(p, 2.5, "c_to_1_over_a", 52)
+        assert len(plan_continuation(p, 2.5, "c_to_1_over_a", 45).steps) == 45
+
     def test_subcritical_speed_rejected(self):
         with pytest.raises(ValueError, match="subcritical"):
             plan_continuation(P, 1.5, "c_to_1_over_a", 4)
