@@ -264,6 +264,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     extra = {"run_config": asdict(cfg),
              "iterations": report.iterations_used,
              "handover": report.handover,
+             "newton_steps": report.newton_steps,
+             "newton_exit": report.newton_exit,
              "pair_gap": float(report.pair_gap_history[-1]),
              "beta_used": list(report.beta_used),
              "sandwich_violations": int(sum(report.sandwich_violations))}

@@ -299,6 +299,8 @@ def write_pulse_result(res: PulseResult, out_dir: str,
         "floor_ok": [st.floor_ok for st in res.steps],
         "iterations": [st.report.iterations_used for st in res.steps],
         "handover": [st.report.handover for st in res.steps],
+        "newton_steps": [st.report.newton_steps for st in res.steps],
+        "newton_exit": [st.report.newton_exit for st in res.steps],
         "degenerate_residual": res.degenerate_residual,
         "degenerate_residual_refined": res.degenerate_residual_refined,
         "tail_verdicts": res.tail_verdicts,

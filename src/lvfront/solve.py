@@ -18,27 +18,32 @@ rate r over the last NEWTON_WINDOW steps predicts log(tol/gap)/log(r) more
 steps; once that is more than NEWTON_COST, the cost of one hand-over in
 pair steps, or the gap is not contracting, the pair is handed over once to
 a semismooth Newton method on the clipped map x = clip(P(x), lo, hi)
-(Qi & Sun, Math. Programming 58, 1993).  A warm start seeds a hand-over
-of its own at the first step, from the warm profile: Newton is the
-corrector of a continuation step (Allgower & Georg, Introduction to
-Numerical Continuation Methods, SIAM 2003).  The clip pins the wave's
-translation, so no phase condition is needed.  Its Jacobian is banded:
-_kernel_bands writes each kernel as T^-1 M with T and M tridiagonal,
-constant but for their end rows, and each Newton step fills one (3, 3)
-band over the interleaved unknowns in place and factors it once; the band
-is 20 arrays of n doubles, and a hand-over holds at most about 40 of them,
-the pair loop's own included.  Each Newton step refits the shifts to its
-iterate, beta = shift_bounds(x), so one run converges to the self-consistent
-x = clip(P_beta(x)(x)).  The margin direction e, (I - Pi DP) e = (u, -v), is
-solved with the last factor and seeds the pair x +- eps*e.  The next pair
-step, under shift_bounds(x), must map the seeded pair inside itself in the
-mixed order, exactly: a discrete super- and sub-solution pair (Sattinger,
-Indiana Univ. Math. J. 21, 1972).  The pair loop then goes on unchanged; a
-warm start so becomes a bracket.  If Newton fails or the check does not
-hold, the seed is dropped and the pair loop goes on as if it never handed
-over, bit for bit.  A failed warm seed leaves the cold pair's own hand-over
-to come, so a warm run is then the cold run, that hand-over included.
-IterationReport.handover says how the last hand-over ended.
+(Qi & Sun, Math. Programming 58, 1993).  Newton is damped on the residual
+while its steps are large, so it may start from the midpoint of a pair
+that has made only 20 steps, and it stops at a tol-scaled bound on its
+answer's estimated error or at rounding's floor (_clipped_newton).  A warm
+start seeds a hand-over of its own at the first step, from the warm
+profile: Newton is the corrector of a continuation step (Allgower & Georg,
+Introduction to Numerical Continuation Methods, SIAM 2003).  The clip pins
+the wave's translation, so no phase condition is needed.  Its Jacobian is
+banded: _kernel_bands writes each kernel as T^-1 M with T and M
+tridiagonal, constant but for their end rows, and each Newton step fills
+one (3, 3) band over the interleaved unknowns in place and factors it
+once; the band is 20 arrays of n doubles, and a hand-over holds at most
+about 40 of them, the pair loop's own included.  Newton refits the shifts
+to its iterate, beta = shift_bounds(x), so one run converges to the
+self-consistent x = clip(P_beta(x)(x)).  The margin direction e,
+(I - Pi DP) e = (u, -v), is solved with the last factor and seeds the pair
+x +- eps*e.  The next pair step, under shift_bounds(x), must map the seeded
+pair inside itself in the mixed order, exactly: a discrete super- and
+sub-solution pair (Sattinger, Indiana Univ. Math. J. 21, 1972).  The pair
+loop then goes on unchanged; a warm start so becomes a bracket.  If Newton
+fails or the check does not hold, the seed is dropped and the pair loop
+goes on as if it never handed over, bit for bit.  A failed warm seed
+leaves the cold pair's own hand-over to come, so a warm run is then the
+cold run, that hand-over included.  IterationReport.handover says how the
+last hand-over ended, and newton_steps and newton_exit how its Newton run
+did.
 """
 
 from __future__ import annotations
@@ -70,13 +75,31 @@ CSV_BLOCK_ROWS = 1024
 #: the cost of one hand-over to Newton (one Newton run and the check), in
 #: pair steps; after NEWTON_WARMUP steps a pair whose gap, at its rate over
 #: the last NEWTON_WINDOW steps, is predicted to need more steps than this
-#: to reach tol is handed over once
-NEWTON_COST = 43
-NEWTON_WARMUP = 50
+#: to reach tol is handed over once.  It is counted, not timed: a Newton
+#: step applies P once, fills, factors and solves the band, about 3 pair
+#: steps, and a run takes about 8 Newton steps
+NEWTON_COST = 8 * 3
 NEWTON_WINDOW = 10
-#: Newton stops when its step is this small relative to the iterate
-NEWTON_TOL = 1e-12
+NEWTON_WARMUP = 20
+# the rate reads the gap NEWTON_WINDOW steps back
+if NEWTON_WARMUP <= NEWTON_WINDOW:
+    raise ValueError("NEWTON_WARMUP must exceed NEWTON_WINDOW")
+#: Newton stops once its answer's estimated error, theta/(1 - theta) times
+#: its last step with theta the ratio of its last two steps (both relative
+#: to |x|), is at most NEWTON_RTOL * tol; or at rounding's floor, where a
+#: step below tol shrinks by less than NEWTON_STALL after an earlier step
+#: shrank by NEWTON_QUADRATIC or more
+NEWTON_RTOL = 1e-3
+NEWTON_STALL = 0.5
+NEWTON_QUADRATIC = 0.1
+#: past NEWTON_MAX_STEPS a run goes on only while its step shrinks, up to
+#: NEWTON_STEP_CAP steps
 NEWTON_MAX_STEPS = 20
+NEWTON_STEP_CAP = 50
+#: a step larger than NEWTON_DAMPED_FROM relative to |x| is halved, down to
+#: NEWTON_MIN_DAMPING, until ||clip(P(x)) - x|| falls by 1 - damping/4
+NEWTON_DAMPED_FROM = 0.1
+NEWTON_MIN_DAMPING = 2.0 ** -10
 
 
 @dataclass(frozen=True)
@@ -123,6 +146,10 @@ class IterationReport:
     beta_used: Tuple[float, float]  # (beta_u, beta_v) on the final pair
     # the last Newton hand-over: "none", "accepted", "rejected" or "newton_failed"
     handover: str = "none"
+    # its Newton run's factorisations, and how the run ended: "none" (no
+    # run), "converged", "diverged", "stalled", "singular" or "max_steps"
+    newton_steps: int = 0
+    newton_exit: str = "none"
 
 
 def shift_bounds(p: SystemParams, u_hi, v_hi,
@@ -396,49 +423,94 @@ def _newton_solve(ab: np.ndarray, piv, X, W, free, rhs, p: SystemParams, beta, k
     return delta
 
 
-def _clipped_newton(X, p: SystemParams, s: float, h: float, star, lo, hi):
+class NewtonRun(NamedTuple):
+    """One run of _clipped_newton: its answer x and mixed-order margin
+    direction e, both None unless exit is "converged", its factorisations
+    and how it ended (IterationReport.newton_exit)."""
+    x: Optional[np.ndarray]
+    e: Optional[np.ndarray]
+    steps: int
+    exit: str
+
+
+def _clipped_newton(X, p: SystemParams, s: float, h: float, star, lo, hi,
+                    tol: float) -> NewtonRun:
     """Semismooth Newton on X = clip(P_beta(X), lo, hi) from X, a (2, n)
-    array that it updates in place, with beta = shift_bounds(X) refitted at
-    every step and held fixed in the Jacobian: the fixed point moves with
-    beta only at O(h^2).  The rows where P(X) leaves (lo, hi) are active and
-    solve X_i = bound.  Returns (X, e) once the step is below NEWTON_TOL
-    relative to |X|, where (I - Pi DP) e = (u, -v) is the mixed-order margin
-    direction, solved with the last Jacobian's factor, or None if Newton
-    does not converge.  Besides X and e, a run holds the band and two (2, n)
-    arrays.
+    array that it updates in place.  The rows where P(X) leaves (lo, hi)
+    are active and solve X_i = bound.  Steps are sized by max|step|/|X|.
+
+    A step larger than NEWTON_DAMPED_FROM is damped: the residual
+    clip(P(X)) - X at the trial point, which the next step needs anyway,
+    must fall by 1 - damping/4 in max norm, or the damping halves
+    (Deuflhard, Newton Methods for Nonlinear Problems, Springer 2004,
+    ch. 3).  Smaller steps are taken in full, since near the answer the
+    weakly pinned translation lets the residual rise while the steps still
+    contract.  beta = shift_bounds(X) is refitted at every point but the
+    trial points of a damped step, which keep their step's beta so that
+    the test compares like with like, and it is held fixed in the
+    Jacobian: the fixed point moves with beta only at O(h^2).  So a run
+    converges to the self-consistent X = clip(P_beta(X)(X)).  It stops at
+    the bound of NEWTON_RTOL or at rounding's floor; then its result holds
+    e, (I - Pi DP) e = (u, -v), the mixed-order margin direction solved
+    with the last Jacobian's factor.  Besides X and e, a run holds the
+    band and two (2, n) arrays; P's band and a damped step's start live in
+    the Newton band's memory, which only the factorisation needs.
     """
     n = X.shape[1]
     ab = np.empty((n, 2, 10))
     step, W = np.empty_like(X), np.empty_like(X)
+    band, base = (ab.reshape(-1)[k * n:(k + 2) * n].reshape(2, n) for k in (0, 2))
+    damping, factors, size, residual, quadratic = 1.0, 0, math.inf, math.inf, False
     # a diverging Newton overflows in its row scaling before its iterate
     # turns non-finite; that exit, not a warning, reports the failure
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for _ in range(NEWTON_MAX_STEPS):
-            # the shifts' sums, clip(P(X)) - X and the Newton step go into
-            # step; P builds its band in the row scales W, refilled below
-            beta = shift_bounds(p, X[0], X[1], work=step)
+        while True:
+            damped = factors > 0 and size > NEWTON_DAMPED_FROM
+            # the shifts' sums, then clip(P(X)) - X, go into W
+            if not damped:
+                beta = shift_bounds(p, X[0], X[1], work=W)
+            apply_P(X[0], X[1], p, s, beta, h, star, out=W, work=band)
+            free = ~((W <= lo) | (W >= hi))
+            np.clip(W, lo, hi, out=W)
+            W -= X
+            trial = float(np.abs(W).max())
+            falls = trial <= (1.0 - 0.25 * damping) * residual   # False on NaN
+            if not (falls if damped else math.isfinite(trial)):
+                if not damped or damping <= NEWTON_MIN_DAMPING:
+                    return NewtonRun(None, None, factors, "diverged")
+                damping *= 0.5
+                np.add(base, damping * step, out=X)
+                continue
+            residual = trial
             kernels = [_kernel_bands(h, al, ga, dc)
                        for (al, ga), dc in zip(kernel_rates(p, s, beta), (1.0, p.d))]
-            apply_P(X[0], X[1], p, s, beta, h, star, out=step, work=W)
-            free = ~((step <= lo) | (step >= hi))
-            np.clip(step, lo, hi, out=step)
-            step -= X
+            # the residual becomes the step, solved in place, and W the row scales
+            np.copyto(step, W)
             np.maximum(np.abs(X, out=W), np.finfo(float).tiny, out=W)
             try:
                 piv = _newton_factor(ab, X, W, free, p, beta, kernels)
                 _newton_solve(ab, piv, X, W, free, step, p, beta, kernels, out=step)
             except np.linalg.LinAlgError:
-                return None
-            converged = all(np.max(np.abs(d) / w) <= NEWTON_TOL for d, w in zip(step, W))
-            # e's right-hand side (u, -v) points up in the mixed order
-            e = (_newton_solve(ab, piv, X, W, free, X, p, beta, kernels, v_sign=-1.0)
-                 if converged else None)
-            X += step
-            if not np.all(np.isfinite(X)):
-                return None
-            if converged:
-                return X, e
-    return None
+                return NewtonRun(None, None, factors, "singular")
+            factors += 1
+            last, size = size, max(float(np.max(np.abs(d) / w)) for d, w in zip(step, W))
+            if not math.isfinite(size):
+                return NewtonRun(None, None, factors, "diverged")
+            theta = size / last if factors > 1 else math.inf
+            if (theta < 1.0 and size * theta / (1.0 - theta) <= NEWTON_RTOL * tol
+                    or quadratic and size <= tol and theta >= NEWTON_STALL):
+                # e's right-hand side (u, -v) points up in the mixed order
+                e = _newton_solve(ab, piv, X, W, free, X, p, beta, kernels, v_sign=-1.0)
+                X += step
+                return NewtonRun(X, e, factors, "converged")
+            quadratic |= theta <= NEWTON_QUADRATIC
+            if factors >= NEWTON_STEP_CAP:
+                return NewtonRun(None, None, factors, "max_steps")
+            if factors >= NEWTON_MAX_STEPS and theta >= 1.0:
+                return NewtonRun(None, None, factors, "stalled")
+            damping = min(1.0, 2.0 * damping)
+            np.copyto(base, X)
+            X += damping * step
 
 
 def _hand_over_pays(gap_hist: List[float], tol: float) -> bool:
@@ -522,11 +594,13 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
     def hand_over(x0):
         """Newton from x0, then the seed x +- eps*e, eps*max|e| = tol/4, of
         its answer x and the seed's pair step under beta = shift_bounds(x).
-        Returns the outcome and, if accepted, (seed, beta, step)."""
-        out = _clipped_newton(x0, p, s, h, star, lo, hi)
-        if out is None:
-            return "newton_failed", None
-        x, e = out
+        Returns the outcome, the Newton run's (steps, exit) and, if
+        accepted, (seed, beta, step)."""
+        run = _clipped_newton(x0, p, s, h, star, lo, hi, cfg.tol)
+        newton = run.steps, run.exit
+        if run.x is None:
+            return "newton_failed", newton, None
+        x, e = run.x, run.e
         beta = shift_bounds(p, x[0], x[1])
         eps = 0.25 * cfg.tol / np.max(np.abs(e))
         seed = [tuple(np.clip(x + eps * e, lo, hi)), tuple(np.clip(x - eps * e, lo, hi))]
@@ -539,19 +613,19 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
                     and np.all(nAu <= sAu) and np.all(nAv >= sAv)
                     and np.all(nBu >= sBu) and np.all(nBv <= sBv))
         if not verified:
-            return "rejected", None
-        return "accepted", (seed, beta, nxt)
+            return "rejected", newton, None
+        return "accepted", newton, (seed, beta, nxt)
 
     res_hist, gap_hist, violations = [], [], []
     converged = False
-    handover = "none"
+    handover, newton = "none", (0, "none")
     armed = True
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         nxt = None
         if armed and (start is not None or _hand_over_pays(gap_hist, cfg.tol)):
             scratch = work = None
-            handover, seeded = hand_over(0.5 * np.add(X[0], X[1]) if start is None else start)
+            handover, newton, seeded = hand_over(0.5 * np.add(X[0], X[1]) if start is None else start)
             # only a failed warm seed leaves the cold pair's own hand-over armed
             armed = start is not None and seeded is None
             start = None   # the clipped warm start is not needed again
@@ -590,6 +664,8 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
         iterations_used=iterations,
         beta_used=beta,
         handover=handover,
+        newton_steps=newton[0],
+        newton_exit=newton[1],
     )
     return prof, report
 

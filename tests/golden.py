@@ -52,6 +52,9 @@ CONFIGS = {
     "scan": ["scan", *_P, "--s-range", "4,5,3", "--gap-range", "0.02,0.3,4", "--out", "out"],
     "solve_critical": ["solve", *_P, "--speed", "2", "--grid", "6401", "--domain=-60,100",
                        "--out", "out"],
+    "solve_critical_draw16": ["solve", "--params", "1.108,0.690,0.717,0.884", "--speed", "2",
+                              "--grid", "14401", "--domain=-60,300", "--tol", "1e-10",
+                              "--out", "out"],
     "pulse_u": ["pulse", "--params", "1,0.5,0.9,1", "--speed", "2.5", "--tol", "1e-7",
                 "--out", "out"],
     "pulse_v": ["pulse", *_P, "--speed", "2.5", "--target", "b_to_a", "--steps", "8",

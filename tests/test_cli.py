@@ -208,9 +208,20 @@ class TestSolve:
         # 1.05 * (u*, v*) once the pair has closed on a monotone front
         assert beta_u == pytest.approx(0.7, abs=1e-6)
         assert beta_v == pytest.approx(0.7, abs=1e-6)
-        # the bracket: a fast pair is never handed over, and it closes below tol
-        assert head["handover"] == "none"
+        # the bracket: at step 21 this pair is predicted to outlast a
+        # hand-over's cost, and the handed-over pair closes below tol
+        assert head["handover"] == "accepted"
         assert 0.0 < head["pair_gap"] < 1e-9
+        # a fast pair, predicted at step 21 to close within NEWTON_COST
+        # steps, is never handed over, and it closes below tol
+        code = cli.main(["solve", "--params", "1,0.1,0.1,1", "--speed", "3.0",
+                         "--grid", "4401", "--tol", "1e-4", "--out", "fast"])
+        capsys.readouterr()
+        assert code == 0
+        head = json.loads((in_tmp / "fast.json").read_text())
+        assert head["handover"] == "none"
+        assert head["newton_steps"] == 0 and head["newton_exit"] == "none"
+        assert 0.0 < head["pair_gap"] < 1e-4
 
     def test_config_file_overrides_flags(self, in_tmp, capsys):
         cfg = {"speed": 3.0, "grid": 4401, "tol": 1e-9, "out": "viacfg"}
@@ -291,6 +302,19 @@ class TestSolve:
         assert head["tail_report"]["passed"]
         assert head["handover"] == "accepted"
         assert 0.0 < head["pair_gap"] < 1e-8
+
+    def test_header_reports_the_newton_run(self, in_tmp, capsys):
+        # the benchmark's non-monotone front: its one hand-over, at step 21,
+        # is one Newton run of 7 factorisations
+        config = {"params": [1.0, 25.0 / 26.0, 0.5, 1.0], "speed": 4.5,
+                  "mode": "nonmonotone-v", "domain": [-120.0, 2600.0], "grid": 54401,
+                  "tol": 1e-10, "out": "front"}
+        (in_tmp / "front_config.json").write_text(json.dumps(config))
+        assert cli.main(["solve", "--config", "front_config.json"]) == 0
+        capsys.readouterr()
+        head = json.loads((in_tmp / "front.json").read_text())
+        assert head["iterations"] == 21 and head["handover"] == "accepted"
+        assert head["newton_steps"] == 7 and head["newton_exit"] == "converged"
 
     def test_escape_error_goes_to_out_json(self, in_tmp, capsys):
         # s* on the default grid escapes its envelopes within a few steps
@@ -409,14 +433,16 @@ class TestPulse:
     @pytest.mark.filterwarnings("error")
     def test_small_a_v_pulse_with_a_constant_limit_floor(self, in_tmp, capsys):
         # the limit floor is its constant term, so q is Q_SAFETY times it;
-        # the first step's Newton hand-over fails without a warning
+        # the first step's damped Newton hand-over is accepted at step 21
+        # without a warning
         code = cli.main(["pulse", "--params", "0.3,0.15,1,1", "--speed", "2.5",
                          "--target", "b_to_a", "--out", "pulse_out"])
         assert not capsys.readouterr().err
         assert code == 0
         summary = json.loads((in_tmp / "pulse_out" / "summary.json").read_text())
         assert summary["passed"]
-        assert summary["iterations"][0] == 247
+        assert summary["iterations"][0] == 21
+        assert summary["handover"][0] == "accepted"
 
     def test_uncertified_step_fails_the_pulse(self, in_tmp, monkeypatch, capsys):
         calls = []

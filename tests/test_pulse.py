@@ -291,17 +291,21 @@ class TestDiagnostics:
         assert diag.peak_bound_ok is not None
 
 
-def test_failed_newton_hand_over_warns_nothing():
-    # the small-a v-pulse's first step: Newton diverges, its row scales
-    # overflow, and Picard goes on from where the hand-over began
+def test_failed_newton_hand_over_warns_nothing(monkeypatch):
+    # the small-a v-pulse's first step, warm-started from its upper envelope
+    # pair with the cold pair's own hand-over forbidden: Newton diverges,
+    # and Picard goes on from where the hand-over began, as the cold run
+    monkeypatch.setattr(solve_mod, "NEWTON_COST", math.inf)
     plan = plan_continuation(SystemParams(0.3, 0.15, 1.0, 1.0), 2.5, "b_to_a", 8)
     plan = widen_left_edge(plan, keep_h=True)
     p0 = _step_params(plan, plan.steps[0])
     env = certify(p0, 2.5, knobs=plan.knobs).envelope
+    cfg = plan.config
+    grid = np.linspace(cfg.left, cfg.right, cfg.n_points)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, rep = iterate(env, p0, 2.5, plan.config)
-    assert rep.handover == "newton_failed"
+        _, rep = iterate(env, p0, 2.5, cfg, warm_start=(env.u_upper(grid), env.v_lower(grid)))
+    assert rep.handover == "newton_failed" and rep.newton_exit == "diverged"
     assert rep.converged and rep.iterations_used == 247
 
 

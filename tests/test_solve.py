@@ -1,6 +1,8 @@
 """Integral-operator solver: kernel exactness, iteration, tails, residuals."""
 
+import inspect
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -148,15 +150,16 @@ def newton_calls(monkeypatch):
 
 
 def _broken_newton(outcome):
-    """_clipped_newton made to fail: it returns None for "newton_failed", and
-    for "rejected" an answer perturbed so that its seed is not verified."""
+    """_clipped_newton made to fail: it diverges at once for "newton_failed",
+    and for "rejected" returns an answer perturbed so that its seed is not
+    verified."""
     newton = solve_mod._clipped_newton
 
     def broken(X, *args):
         if outcome == "newton_failed":
-            return None
-        X, e = newton(X, *args)
-        return X * (1.0 + 1e-6 * np.sin(np.arange(X.shape[1]))), e
+            return solve_mod.NewtonRun(None, None, 0, "diverged")
+        run = newton(X, *args)
+        return run._replace(x=run.x * (1.0 + 1e-6 * np.sin(np.arange(X.shape[1]))))
 
     return broken
 
@@ -190,7 +193,8 @@ class TestWarmStart:
 
         def failing_once(X, *args):
             calls.append(1)
-            return None if len(calls) == 1 else newton(X, *args)
+            return (solve_mod.NewtonRun(None, None, 0, "diverged") if len(calls) == 1
+                    else newton(X, *args))
 
         monkeypatch.setattr(solve_mod, "_clipped_newton", failing_once)
         cert, ref_prof, ref = solved
@@ -452,11 +456,13 @@ class TestNewtonHandover:
                 m.setattr(solve_mod, "_clipped_newton", newton)
             return iterate(cert.envelope, P, S, CFG)
 
-    def test_fast_pairs_never_hand_over(self, cert):
-        # at tol 1e-9 the pair is predicted to close in fewer pair steps
+    def test_fast_pairs_never_hand_over(self):
+        # at tol 1e-4 this pair is predicted to close in fewer pair steps
         # than a hand-over costs, from the first step the rule reads on
-        _, rep = iterate(cert.envelope, P, S, replace(CFG, tol=1e-9))
+        p = SystemParams(1.0, 0.1, 0.1, 1.0)
+        _, rep = iterate(certify(p, S).envelope, p, S, replace(CFG, tol=1e-4))
         assert rep.converged and rep.handover == "none"
+        assert rep.iterations_used > solve_mod.NEWTON_WARMUP
 
     def test_pairs_predicted_to_outlast_the_cost_hand_over(self, solved, picard):
         # at tol 1e-10 the same pair is predicted to need more than NEWTON_COST steps
@@ -526,6 +532,80 @@ class TestNewtonHandover:
         assert peak - start <= 40 * cfg.n_points * 8
 
 
+#: s* solves that Newton could not finish before it was damped and stopped
+#: at rounding's floor, as (params, (left, right, n_points, tol)): a stop
+#: rule below the rounding floor, a slow active-set crawl, a divergence from
+#: the first step (draw 16 of the seeded s* draws below) and a wide left edge
+FAILED_CRITICAL_SOLVES = [
+    ((1.0, 0.5, 0.5, 1.0), (-60.0, 100.0, 25601, 1e-10)),
+    ((0.567, 0.4552, 0.2847, 0.9006), (-149.0, 120.0, 10761, 1e-8)),
+    ((1.108, 0.690, 0.717, 0.884), (-60.0, 100.0, 6401, 1e-10)),
+    ((1.0, 0.5, 0.5, 1.0), (-200.0, 100.0, 12001, 1e-10)),
+]
+#: the s* draws of random.Random(2027): a and d log-uniform in [0.5, 2],
+#: b/a and ac uniform in [0.1, 0.9], a*d <= 0.99; each solved by _critical_cfg
+SEEDED_CRITICAL_DRAWS = [
+    (0.581, 0.064, 0.616, 0.951), (0.734, 0.118, 0.856, 1.296), (0.902, 0.620, 0.410, 0.686),
+    (0.888, 0.628, 0.358, 1.099), (0.550, 0.070, 0.623, 0.688), (1.165, 0.129, 0.105, 0.798),
+    (0.969, 0.117, 0.681, 0.698), (1.249, 0.909, 0.280, 0.689), (1.108, 0.690, 0.717, 0.884),
+    (0.616, 0.163, 0.627, 1.134), (1.605, 0.484, 0.105, 0.576), (0.658, 0.362, 0.944, 0.854),
+]
+
+
+def _critical_solve(params, domain=None, max_iters=5000):
+    """The report of iterate at s* on domain, (left, right, n_points, tol),
+    or else on _critical_cfg."""
+    p = SystemParams(*params)
+    s = critical_speed(p)
+    env = certify(p, s).envelope
+    cfg = _critical_cfg(env) if domain is None else OperatorConfig(*domain[:3], tol=domain[3])
+    return iterate(env, p, s, replace(cfg, max_iters=max_iters))[1]
+
+
+class TestNewtonRun:
+    """The damped Newton run, its stop rule and its exits."""
+
+    @pytest.mark.parametrize("case", FAILED_CRITICAL_SOLVES
+                             + [(params, None) for params in SEEDED_CRITICAL_DRAWS])
+    def test_critical_solves_hand_over_once_and_are_accepted(self, case):
+        rep = _critical_solve(*case)
+        assert rep.handover == "accepted" and rep.newton_exit == "converged"
+        assert rep.converged and rep.iterations_used == solve_mod.NEWTON_WARMUP + 1
+
+    def test_damping_rescues_a_start_that_diverges(self, monkeypatch):
+        # draw 16's full Newton steps grow from the first one
+        monkeypatch.setattr(solve_mod, "NEWTON_DAMPED_FROM", math.inf)
+        rep = _critical_solve(*FAILED_CRITICAL_SOLVES[2], max_iters=solve_mod.NEWTON_WARMUP + 1)
+        assert rep.handover == "newton_failed" and rep.newton_exit != "converged"
+
+    def test_a_run_that_still_contracts_goes_past_the_soft_cap(self):
+        rep = _critical_solve(*FAILED_CRITICAL_SOLVES[3])
+        assert rep.handover == "accepted"
+        assert solve_mod.NEWTON_MAX_STEPS < rep.newton_steps <= solve_mod.NEWTON_STEP_CAP
+
+    def test_rounding_floor_stops_a_run(self, monkeypatch):
+        # with no error bound to reach, only the floor rule stops the run
+        monkeypatch.setattr(solve_mod, "NEWTON_RTOL", 0.0)
+        rep = _critical_solve(*FAILED_CRITICAL_SOLVES[0])
+        assert rep.handover == "accepted" and rep.newton_exit == "converged"
+
+    def test_singular_matrix_and_step_cap_are_named(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("singular Newton matrix")
+
+        cfg = replace(CFG, max_iters=solve_mod.NEWTON_WARMUP + 1)
+        env = certify(P, S).envelope
+        with monkeypatch.context() as m:
+            m.setattr(solve_mod, "NEWTON_STEP_CAP", 2)
+            _, rep = iterate(env, P, S, cfg)
+        assert (rep.handover, rep.newton_exit, rep.newton_steps) == ("newton_failed",
+                                                                     "max_steps", 2)
+        monkeypatch.setattr(solve_mod, "_newton_factor", singular)
+        _, rep = iterate(env, P, S, cfg)
+        assert (rep.handover, rep.newton_exit, rep.newton_steps) == ("newton_failed",
+                                                                     "singular", 0)
+
+
 def _gaps(last, rate, steps=solve_mod.NEWTON_WARMUP):
     """A gap history of `steps` steps that shrinks by `rate` per step to `last`."""
     return [last * rate ** (i + 1 - steps) for i in range(steps)]
@@ -563,6 +643,24 @@ class TestHandOverRule:
 
     def test_a_tol_the_gap_never_reaches_hands_over(self):
         assert solve_mod._hand_over_pays(_gaps(2.5e-8, 0.7), 0.0)
+
+    def test_the_window_fits_in_the_shortest_warm_up(self, monkeypatch):
+        # the rate reads the gap NEWTON_WINDOW steps back; at the shortest
+        # warm-up that is the first gap
+        window = solve_mod.NEWTON_WINDOW
+        assert window < solve_mod.NEWTON_WARMUP
+        monkeypatch.setattr(solve_mod, "NEWTON_WARMUP", window + 1)
+        assert not self._pays(_gaps(1e-3, 1.0, window))
+        assert self._pays(_gaps(1e-3, 1.0, window + 1))
+        assert not self._pays(_gaps(2.5e-8, 0.7, window + 1))
+
+    def test_a_warm_up_within_the_window_is_refused(self):
+        source = inspect.getsource(solve_mod)
+        source = re.sub(r"^NEWTON_WARMUP = .*$", "NEWTON_WARMUP = NEWTON_WINDOW", source,
+                        count=1, flags=re.M)
+        with pytest.raises(ValueError, match="NEWTON_WARMUP"):
+            exec(compile(source, solve_mod.__file__, "exec"),
+                 {"__name__": "lvfront._solve_copy", "__package__": "lvfront"})
 
     def test_nothing_before_the_warm_up(self):
         assert not self._pays(_gaps(1e-3, 1.0, solve_mod.NEWTON_WARMUP - 1))
