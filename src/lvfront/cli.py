@@ -265,6 +265,7 @@ def cmd_solve(cfg: RunConfig) -> int:
              "iterations": report.iterations_used,
              "handover": report.handover,
              "newton_steps": report.newton_steps,
+             "newton_factors": report.newton_factors,
              "newton_exit": report.newton_exit,
              "pair_gap": float(report.pair_gap_history[-1]),
              "beta_used": list(report.beta_used),

@@ -182,12 +182,30 @@ def _pulsed_component(plan: ContinuationPlan, prof: Profile) -> np.ndarray:
     return prof.u if plan.target == "c_to_1_over_a" else prof.v
 
 
-def run_continuation(plan: ContinuationPlan, refine: bool = True) -> PulseResult:
-    """Solve every step warm-started from the previous profile.
+def _predicted_start(results: List[StepResult], value: float):
+    """The warm start of the step at value: None for the first step, the
+    last profile for the second, and from the third on the secant
+    predictor, the linear extrapolation in the moving parameter of the last
+    two profiles (Allgower & Georg, Introduction to Numerical Continuation
+    Methods, SIAM 2003)."""
+    if not results:
+        return None
+    last = results[-1]
+    if len(results) == 1:
+        return last.profile.u, last.profile.v
+    prev = results[-2]
+    t = (value - last.value) / (last.value - prev.value)
+    return tuple(x + t * (x - y) for x, y in ((last.profile.u, prev.profile.u),
+                                              (last.profile.v, prev.profile.v)))
 
-    A warm start only seeds iterate's Newton hand-over, whose result is kept
-    only as a verified bracket (IterationReport.handover reads "accepted");
-    after a rejected or failed hand-over the step is solved cold.  Each
+
+def run_continuation(plan: ContinuationPlan, refine: bool = True) -> PulseResult:
+    """Solve every step warm-started by _predicted_start.
+
+    A warm start only seeds iterate's Newton hand-over, the corrector, whose
+    result is kept only as a verified bracket (IterationReport.handover
+    reads "accepted"); iterate clips it to the sandwich first, and after a
+    rejected or failed hand-over the step is solved cold.  Each
     step is certified with the frozen constants before solving; the floor
     must survive every step.  The limit profile (last step) is
     checked against the degenerate system obtained at the exact limit,
@@ -196,12 +214,12 @@ def run_continuation(plan: ContinuationPlan, refine: bool = True) -> PulseResult
     """
     s = plan.speed
     results: List[StepResult] = []
-    warm = None
     failure = None
     for k, value in enumerate(plan.steps):
         p_k = _step_params(plan, value)
         cert = certify(p_k, s, knobs=plan.knobs)
-        prof, rep = iterate(cert.envelope, p_k, s, plan.config, warm_start=warm)
+        prof, rep = iterate(cert.envelope, p_k, s, plan.config,
+                            warm_start=_predicted_start(results, value))
         pulsed = _pulsed_component(plan, prof)
         max_pulsed = float(pulsed.max())
         results.append(StepResult(
@@ -212,7 +230,6 @@ def run_continuation(plan: ContinuationPlan, refine: bool = True) -> PulseResult
         if not rep.converged:
             failure = k
             break
-        warm = (prof.u, prof.v)
 
     limit_prof = results[-1].profile if results and failure is None else None
     deg_res = deg_res_fine = None
@@ -300,6 +317,7 @@ def write_pulse_result(res: PulseResult, out_dir: str,
         "iterations": [st.report.iterations_used for st in res.steps],
         "handover": [st.report.handover for st in res.steps],
         "newton_steps": [st.report.newton_steps for st in res.steps],
+        "newton_factors": [st.report.newton_factors for st in res.steps],
         "newton_exit": [st.report.newton_exit for st in res.steps],
         "degenerate_residual": res.degenerate_residual,
         "degenerate_residual_refined": res.degenerate_residual_refined,

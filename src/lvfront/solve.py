@@ -20,30 +20,35 @@ pair steps, or the gap is not contracting, the pair is handed over once to
 a semismooth Newton method on the clipped map x = clip(P(x), lo, hi)
 (Qi & Sun, Math. Programming 58, 1993).  Newton is damped on the residual
 while its steps are large, so it may start from the midpoint of a pair
-that has made only 20 steps, and it stops at a tol-scaled bound on its
-answer's estimated error or at rounding's floor (_clipped_newton).  A warm
-start seeds a hand-over of its own at the first step, from the warm
-profile: Newton is the corrector of a continuation step (Allgower & Georg,
-Introduction to Numerical Continuation Methods, SIAM 2003).  The clip pins
-the wave's translation, so no phase condition is needed.  Its Jacobian is
-banded: _kernel_bands writes each kernel as T^-1 M with T and M
-tridiagonal, constant but for their end rows, and each Newton step fills
-one (3, 3) band over the interleaved unknowns in place and factors it
-once; the band is 20 arrays of n doubles, and a hand-over holds at most
-about 40 of them, the pair loop's own included.  Newton refits the shifts
-to its iterate, beta = shift_bounds(x), so one run converges to the
-self-consistent x = clip(P_beta(x)(x)).  The margin direction e,
-(I - Pi DP) e = (u, -v), is solved with the last factor and seeds the pair
-x +- eps*e.  The next pair step, under shift_bounds(x), must map the seeded
-pair inside itself in the mixed order, exactly: a discrete super- and
-sub-solution pair (Sattinger, Indiana Univ. Math. J. 21, 1972).  The pair
-loop then goes on unchanged; a warm start so becomes a bracket.  If Newton
-fails or the check does not hold, the seed is dropped and the pair loop
-goes on as if it never handed over, bit for bit.  A failed warm seed
-leaves the cold pair's own hand-over to come, so a warm run is then the
-cold run, that hand-over included.  IterationReport.handover says how the
-last hand-over ended, and newton_steps and newton_exit how its Newton run
-did.
+that has made only 20 steps, and it stops at a bound on its answer's
+estimated error, scaled by min(tol, HANDOVER_MAX_TOL), or at rounding's
+floor (_clipped_newton).  A warm start seeds a hand-over of its own at the
+first step, from the warm profile: Newton is the corrector of a
+continuation step, and pulse.run_continuation's secant predictor supplies
+the profile (Allgower & Georg, Introduction to Numerical Continuation
+Methods, SIAM 2003).  The clip pins the wave's translation, so no phase
+condition is needed.  Its Jacobian is banded: _kernel_bands writes each
+kernel as T^-1 M with T and M tridiagonal, constant but for their end
+rows, and a Newton step fills one (3, 3) band over the interleaved
+unknowns in place and factors it, or, after a small step and while the
+active set stays, takes a chord step on the factor it has (Kelley, Solving
+Nonlinear Equations with Newton's Method, SIAM 2003, ch. 2); the band is
+20 arrays of n doubles, and a hand-over holds at most about 40 of them,
+the pair loop's own included.  Newton refits the shifts to its iterate,
+beta = shift_bounds(x), so one run converges to the self-consistent
+x = clip(P_beta(x)(x)).  The margin direction e, (I - Pi DP) e = (u, -v),
+is solved with the live factor and seeds the pair x +- eps*e, with
+eps*max|e| = min(tol, HANDOVER_MAX_TOL)/4.  The next pair step, under
+shift_bounds(x), must map the seeded pair inside itself in the mixed
+order, exactly: a discrete super- and sub-solution pair (Sattinger,
+Indiana Univ. Math. J. 21, 1972).  The pair loop then goes on unchanged;
+a warm start so becomes a bracket.  If Newton fails or the check does not
+hold, the seed is dropped and the pair loop goes on as if it never handed
+over, bit for bit.  A failed warm seed leaves the cold pair's own
+hand-over to come, so a warm run is then the cold run, that hand-over
+included.  IterationReport.handover says how the
+last hand-over ended, and newton_steps, newton_factors and newton_exit
+how its Newton run did.
 """
 
 from __future__ import annotations
@@ -75,9 +80,11 @@ CSV_BLOCK_ROWS = 1024
 #: the cost of one hand-over to Newton (one Newton run and the check), in
 #: pair steps; after NEWTON_WARMUP steps a pair whose gap, at its rate over
 #: the last NEWTON_WINDOW steps, is predicted to need more steps than this
-#: to reach tol is handed over once.  It is counted, not timed: a Newton
-#: step applies P once, fills, factors and solves the band, about 3 pair
-#: steps, and a run takes about 8 Newton steps
+#: to reach tol is handed over once.  It is counted, not timed: a factored
+#: Newton step applies P once, fills, factors and solves the band, 3.2-4
+#: pair steps, a chord step 1.3-1.5, and a cold run takes 6-8 steps, all
+#: but one of them factored, in all 21-27 pair steps (measured in process
+#: on the bench front, the critical front and the first pulse step)
 NEWTON_COST = 8 * 3
 NEWTON_WINDOW = 10
 NEWTON_WARMUP = 20
@@ -87,19 +94,25 @@ if NEWTON_WARMUP <= NEWTON_WINDOW:
 #: Newton stops once its answer's estimated error, theta/(1 - theta) times
 #: its last step with theta the ratio of its last two steps (both relative
 #: to |x|), is at most NEWTON_RTOL * tol; or at rounding's floor, where a
-#: step below tol shrinks by less than NEWTON_STALL after an earlier step
-#: shrank by NEWTON_QUADRATIC or more
+#: freshly factored step below tol shrinks by less than NEWTON_STALL after
+#: an earlier step shrank by NEWTON_QUADRATIC or more.  A chord step that
+#: shrinks by less than NEWTON_STALL ends the reuse of its factor
 NEWTON_RTOL = 1e-3
 NEWTON_STALL = 0.5
 NEWTON_QUADRATIC = 0.1
-#: past NEWTON_MAX_STEPS a run goes on only while its step shrinks, up to
-#: NEWTON_STEP_CAP steps
+#: past NEWTON_MAX_STEPS a run goes on only while its freshly factored
+#: steps shrink, up to NEWTON_STEP_CAP steps, chord steps included
 NEWTON_MAX_STEPS = 20
 NEWTON_STEP_CAP = 50
 #: a step larger than NEWTON_DAMPED_FROM relative to |x| is halved, down to
 #: NEWTON_MIN_DAMPING, until ||clip(P(x)) - x|| falls by 1 - damping/4
 NEWTON_DAMPED_FROM = 0.1
 NEWTON_MIN_DAMPING = 2.0 ** -10
+#: a hand-over runs Newton to min(tol, HANDOVER_MAX_TOL) and seeds the pair
+#: x +- eps*e with eps*max|e| a quarter of that: at tol >= 1e-6 a seed of
+#: width tol/4 crosses the active set's edge at a few points, and a seed
+#: narrower than its Newton answer's error fails at s*
+HANDOVER_MAX_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -146,9 +159,11 @@ class IterationReport:
     beta_used: Tuple[float, float]  # (beta_u, beta_v) on the final pair
     # the last Newton hand-over: "none", "accepted", "rejected" or "newton_failed"
     handover: str = "none"
-    # its Newton run's factorisations, and how the run ended: "none" (no
-    # run), "converged", "diverged", "stalled", "singular" or "max_steps"
+    # its Newton run's steps, chord steps included, and factorisations, and
+    # how the run ended: "none" (no run), "converged", "diverged",
+    # "stalled", "singular" or "max_steps"
     newton_steps: int = 0
+    newton_factors: int = 0
     newton_exit: str = "none"
 
 
@@ -425,11 +440,13 @@ def _newton_solve(ab: np.ndarray, piv, X, W, free, rhs, p: SystemParams, beta, k
 
 class NewtonRun(NamedTuple):
     """One run of _clipped_newton: its answer x and mixed-order margin
-    direction e, both None unless exit is "converged", its factorisations
-    and how it ended (IterationReport.newton_exit)."""
+    direction e, both None unless exit is "converged", its steps, chord
+    steps included, its factorisations, and how it ended
+    (IterationReport.newton_exit)."""
     x: Optional[np.ndarray]
     e: Optional[np.ndarray]
     steps: int
+    factors: int
     exit: str
 
 
@@ -449,27 +466,42 @@ def _clipped_newton(X, p: SystemParams, s: float, h: float, star, lo, hi,
     trial points of a damped step, which keep their step's beta so that
     the test compares like with like, and it is held fixed in the
     Jacobian: the fixed point moves with beta only at O(h^2).  So a run
-    converges to the self-consistent X = clip(P_beta(X)(X)).  It stops at
-    the bound of NEWTON_RTOL or at rounding's floor; then its result holds
-    e, (I - Pi DP) e = (u, -v), the mixed-order margin direction solved
-    with the last Jacobian's factor.  Besides X and e, a run holds the
-    band and two (2, n) arrays; P's band and a damped step's start live in
-    the Newton band's memory, which only the factorisation needs.
+    converges to the self-consistent X = clip(P_beta(X)(X)).
+
+    A step of at most NEWTON_DAMPED_FROM is followed by chord steps on its
+    factor, with the factor's beta and kernel bands (Kelley, Solving
+    Nonlinear Equations with Newton's Method, SIAM 2003, ch. 2), while the
+    active set is the factor's.  The run refactors when the set changes,
+    after a damped step, and after a chord step that shrinks by less than
+    NEWTON_STALL.  A chord step forms its right-hand side with D and the
+    row scales of the current X, so that of the point where the factor was
+    formed only its active set is kept, packed into bits.  The run stops at
+    the bound of NEWTON_RTOL or, on a freshly factored step, at rounding's
+    floor; then its result holds e, (I - Pi DP) e = (u, -v), the
+    mixed-order margin direction, solved with the live factor, whose
+    active set is the final one.  Besides X and e, a run holds the band and
+    two (2, n) arrays.  P's band lives in the step, which the last step has
+    been added to X from, except at a damped step's trial points: there the
+    step is still needed, and P's band and the step's start live in the
+    Newton band's memory, whose factor a damped step no longer needs.
     """
     n = X.shape[1]
     ab = np.empty((n, 2, 10))
     step, W = np.empty_like(X), np.empty_like(X)
     band, base = (ab.reshape(-1)[k * n:(k + 2) * n].reshape(2, n) for k in (0, 2))
-    damping, factors, size, residual, quadratic = 1.0, 0, math.inf, math.inf, False
+    damping, steps, factors = 1.0, 0, 0
+    # live is the active set of the factor that chord steps may reuse,
+    # packed, or None
+    size, residual, quadratic, live = math.inf, math.inf, False, None
     # a diverging Newton overflows in its row scaling before its iterate
     # turns non-finite; that exit, not a warning, reports the failure
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while True:
-            damped = factors > 0 and size > NEWTON_DAMPED_FROM
+            damped = steps > 0 and size > NEWTON_DAMPED_FROM
             # the shifts' sums, then clip(P(X)) - X, go into W
             if not damped:
                 beta = shift_bounds(p, X[0], X[1], work=W)
-            apply_P(X[0], X[1], p, s, beta, h, star, out=W, work=band)
+            apply_P(X[0], X[1], p, s, beta, h, star, out=W, work=band if damped else step)
             free = ~((W <= lo) | (W >= hi))
             np.clip(W, lo, hi, out=W)
             W -= X
@@ -477,39 +509,49 @@ def _clipped_newton(X, p: SystemParams, s: float, h: float, star, lo, hi,
             falls = trial <= (1.0 - 0.25 * damping) * residual   # False on NaN
             if not (falls if damped else math.isfinite(trial)):
                 if not damped or damping <= NEWTON_MIN_DAMPING:
-                    return NewtonRun(None, None, factors, "diverged")
+                    return NewtonRun(None, None, steps, factors, "diverged")
                 damping *= 0.5
                 np.add(base, damping * step, out=X)
                 continue
             residual = trial
-            kernels = [_kernel_bands(h, al, ga, dc)
-                       for (al, ga), dc in zip(kernel_rates(p, s, beta), (1.0, p.d))]
+            chord = live is not None and np.array_equal(np.packbits(free), live)
             # the residual becomes the step, solved in place, and W the row scales
             np.copyto(step, W)
             np.maximum(np.abs(X, out=W), np.finfo(float).tiny, out=W)
             try:
-                piv = _newton_factor(ab, X, W, free, p, beta, kernels)
-                _newton_solve(ab, piv, X, W, free, step, p, beta, kernels, out=step)
+                if not chord:
+                    factor_beta, live = beta, np.packbits(free)
+                    kernels = [_kernel_bands(h, al, ga, dc)
+                               for (al, ga), dc in zip(kernel_rates(p, s, beta), (1.0, p.d))]
+                    piv = _newton_factor(ab, X, W, free, p, beta, kernels)
+                    factors += 1
+                _newton_solve(ab, piv, X, W, free, step, p, factor_beta, kernels, out=step)
             except np.linalg.LinAlgError:
-                return NewtonRun(None, None, factors, "singular")
-            factors += 1
+                return NewtonRun(None, None, steps, factors, "singular")
+            steps += 1
             last, size = size, max(float(np.max(np.abs(d) / w)) for d, w in zip(step, W))
             if not math.isfinite(size):
-                return NewtonRun(None, None, factors, "diverged")
-            theta = size / last if factors > 1 else math.inf
+                return NewtonRun(None, None, steps, factors, "diverged")
+            theta = size / last if steps > 1 else math.inf
             if (theta < 1.0 and size * theta / (1.0 - theta) <= NEWTON_RTOL * tol
-                    or quadratic and size <= tol and theta >= NEWTON_STALL):
+                    or not chord and quadratic and size <= tol and theta >= NEWTON_STALL):
                 # e's right-hand side (u, -v) points up in the mixed order
-                e = _newton_solve(ab, piv, X, W, free, X, p, beta, kernels, v_sign=-1.0)
+                e = _newton_solve(ab, piv, X, W, free, X, p, factor_beta, kernels,
+                                  v_sign=-1.0)
                 X += step
-                return NewtonRun(X, e, factors, "converged")
+                return NewtonRun(X, e, steps, factors, "converged")
             quadratic |= theta <= NEWTON_QUADRATIC
-            if factors >= NEWTON_STEP_CAP:
-                return NewtonRun(None, None, factors, "max_steps")
-            if factors >= NEWTON_MAX_STEPS and theta >= 1.0:
-                return NewtonRun(None, None, factors, "stalled")
+            if steps >= NEWTON_STEP_CAP:
+                return NewtonRun(None, None, steps, factors, "max_steps")
+            if steps >= NEWTON_MAX_STEPS and theta >= 1.0 and not chord:
+                return NewtonRun(None, None, steps, factors, "stalled")
+            if size > NEWTON_DAMPED_FROM:
+                # the step's start overwrites the factor
+                live = None
+                np.copyto(base, X)
+            elif chord and theta > NEWTON_STALL:
+                live = None
             damping = min(1.0, 2.0 * damping)
-            np.copyto(base, X)
             X += damping * step
 
 
@@ -591,18 +633,21 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
             nX.append(tuple(y))
         return nX, events, escapes
 
+    # a hand-over's Newton stop bound and seed width scale with this
+    newton_tol = min(cfg.tol, HANDOVER_MAX_TOL)
+
     def hand_over(x0):
-        """Newton from x0, then the seed x +- eps*e, eps*max|e| = tol/4, of
-        its answer x and the seed's pair step under beta = shift_bounds(x).
-        Returns the outcome, the Newton run's (steps, exit) and, if
-        accepted, (seed, beta, step)."""
-        run = _clipped_newton(x0, p, s, h, star, lo, hi, cfg.tol)
-        newton = run.steps, run.exit
+        """Newton to newton_tol from x0, then the seed x +- eps*e of its
+        answer x, eps*max|e| = newton_tol/4, and the seed's pair step under
+        beta = shift_bounds(x).  Returns the outcome, the Newton run's
+        (steps, factors, exit) and, if accepted, (seed, beta, step)."""
+        run = _clipped_newton(x0, p, s, h, star, lo, hi, newton_tol)
+        newton = run.steps, run.factors, run.exit
         if run.x is None:
             return "newton_failed", newton, None
         x, e = run.x, run.e
         beta = shift_bounds(p, x[0], x[1])
-        eps = 0.25 * cfg.tol / np.max(np.abs(e))
+        eps = 0.25 * newton_tol / np.max(np.abs(e))
         seed = [tuple(np.clip(x + eps * e, lo, hi)), tuple(np.clip(x - eps * e, lo, hi))]
         nxt = pair_step(seed, beta)
         ((nAu, nAv), (nBu, nBv)), _, escapes = nxt
@@ -618,7 +663,7 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
 
     res_hist, gap_hist, violations = [], [], []
     converged = False
-    handover, newton = "none", (0, "none")
+    handover, newton = "none", (0, 0, "none")
     armed = True
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
@@ -665,7 +710,8 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
         beta_used=beta,
         handover=handover,
         newton_steps=newton[0],
-        newton_exit=newton[1],
+        newton_factors=newton[1],
+        newton_exit=newton[2],
     )
     return prof, report
 

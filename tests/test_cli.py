@@ -220,7 +220,8 @@ class TestSolve:
         assert code == 0
         head = json.loads((in_tmp / "fast.json").read_text())
         assert head["handover"] == "none"
-        assert head["newton_steps"] == 0 and head["newton_exit"] == "none"
+        assert head["newton_steps"] == head["newton_factors"] == 0
+        assert head["newton_exit"] == "none"
         assert 0.0 < head["pair_gap"] < 1e-4
 
     def test_config_file_overrides_flags(self, in_tmp, capsys):
@@ -305,7 +306,8 @@ class TestSolve:
 
     def test_header_reports_the_newton_run(self, in_tmp, capsys):
         # the benchmark's non-monotone front: its one hand-over, at step 21,
-        # is one Newton run of 7 factorisations
+        # is one Newton run of 7 steps, the last a chord step on the sixth
+        # factorisation
         config = {"params": [1.0, 25.0 / 26.0, 0.5, 1.0], "speed": 4.5,
                   "mode": "nonmonotone-v", "domain": [-120.0, 2600.0], "grid": 54401,
                   "tol": 1e-10, "out": "front"}
@@ -314,7 +316,8 @@ class TestSolve:
         capsys.readouterr()
         head = json.loads((in_tmp / "front.json").read_text())
         assert head["iterations"] == 21 and head["handover"] == "accepted"
-        assert head["newton_steps"] == 7 and head["newton_exit"] == "converged"
+        assert (head["newton_steps"], head["newton_factors"]) == (7, 6)
+        assert head["newton_exit"] == "converged"
 
     def test_escape_error_goes_to_out_json(self, in_tmp, capsys):
         # s* on the default grid escapes its envelopes within a few steps

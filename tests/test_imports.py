@@ -45,22 +45,29 @@ def test_import_loads_no_heavy_scipy_subpackage():
 def test_routines_are_scipys_in_either_import_order(order):
     # the same objects, so every kernel, factorisation and root is scipy's
     # to the bit; and scipy.linalg and scipy.optimize still work when
-    # lvfront loaded their modules first
+    # lvfront loaded their modules first, each of which is an attribute of
+    # its package, the very module that lvfront loaded
     code = order + """
-import json, numpy as np
+import json, sys, numpy as np
+import scipy, scipy.linalg, scipy.optimize
 from lvfront import envelopes, solve
 from scipy.linalg import blas, lapack, solve_banded
 from scipy.optimize import brentq
 from scipy.optimize._zeros import _brentq
 same = [solve.dtbsv is blas.dtbsv, solve.dgbtrf is lapack.dgbtrf,
-        solve.dgbtrs is lapack.dgbtrs, envelopes._zeros._brentq is _brentq]
+        solve.dgbtrs is lapack.dgbtrs, envelopes._zeros._brentq is _brentq,
+        scipy.optimize._zeros is envelopes._zeros is sys.modules["scipy.optimize._zeros"],
+        scipy.linalg._fblas is sys.modules["scipy.linalg._fblas"],
+        scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"],
+        scipy.linalg._fblas.dtbsv is solve.dtbsv,
+        scipy.linalg._flapack.dgbtrf is solve.dgbtrf]
 ab = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])
 x = solve_banded((1, 1), ab, np.array([5.0, 6.0, 5.0]))
 root = brentq(lambda t: t * t - 2.0, 0.0, 2.0)
 print(json.dumps({"same": same, "x": x.tolist(), "root": root}))
 """
     out = json.loads(_fresh(code))
-    assert out["same"] == [True, True, True, True]
+    assert out["same"] == [True] * 9
     assert out["x"] == pytest.approx([1.0, 1.0, 1.0], abs=1e-14)
     assert out["root"] == pytest.approx(2.0 ** 0.5, abs=1e-12)
 

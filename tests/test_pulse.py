@@ -247,11 +247,32 @@ class TestNewtonCorrector:
         assert all(st.report.handover == "accepted" for st in res.steps)
         assert len(calls) < 60
 
+    def test_bench_pulse_factors_at_most_30_newton_matrices(self, monkeypatch):
+        # the benchmark's u-pulse, refined: the secant predictor and chord
+        # steps on the live factor; plain warm starts that factor every
+        # Newton step take 43 factorisations
+        factor, solve, factors, steps = solve_mod._newton_factor, solve_mod._newton_solve, [], []
+
+        def counted_solve(*args, **kwargs):
+            if kwargs.get("v_sign", 1.0) > 0.0:   # a step, not e
+                steps.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(solve_mod, "_newton_factor",
+                            lambda *a: factors.append(1) or factor(*a))
+        monkeypatch.setattr(solve_mod, "_newton_solve", counted_solve)
+        res = run_continuation(plan_continuation(P, 2.5, "c_to_1_over_a", 8), refine=True)
+        assert all(st.report.handover == "accepted" for st in res.steps)
+        assert all(st.report.iterations_used == 1 for st in res.steps[1:])
+        assert len(factors) <= 30 and len(steps) > len(factors)
+
     def test_summary_lists_each_hand_over(self, u_pulse, tmp_path):
         _, res = u_pulse
         write_pulse_result(res, str(tmp_path))
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["handover"] == [st.report.handover for st in res.steps]
+        assert summary["newton_factors"] == [st.report.newton_factors for st in res.steps]
+        assert summary["newton_steps"] == [st.report.newton_steps for st in res.steps]
         # the cold first step is predicted to outlast a hand-over's cost
         assert summary["handover"][0] == "accepted"
         assert max(summary["iterations"][1:]) < 10
@@ -307,6 +328,32 @@ def test_failed_newton_hand_over_warns_nothing(monkeypatch):
         _, rep = iterate(env, p0, 2.5, cfg, warm_start=(env.u_upper(grid), env.v_lower(grid)))
     assert rep.handover == "newton_failed" and rep.newton_exit == "diverged"
     assert rep.converged and rep.iterations_used == 247
+
+
+def test_secant_predictor_from_the_third_step_on(monkeypatch):
+    # step 1 starts from step 0's profile, each later step from the line
+    # through the last two profiles, and the refined solve from the limit
+    # profile interpolated onto its grid
+    starts = []
+
+    def recorded(env, p, s, cfg, warm_start=None):
+        starts.append(warm_start)
+        return iterate(env, p, s, cfg, warm_start=warm_start)
+
+    monkeypatch.setattr(pulse, "iterate", recorded)
+    plan = plan_continuation(SystemParams(1.0, 0.5, 0.5, 1.0), 2.5, "b_to_a", 3)
+    res = run_continuation(plan, refine=True)
+    assert res.degenerate_residual_refined is not None and len(starts) == 4
+    (b0, b1, b2), (p0, p1, p2) = plan.steps, [st.profile for st in res.steps]
+    assert starts[0] is None
+    assert starts[1][0] is p0.u and starts[1][1] is p0.v
+    t = (b2 - b1) / (b1 - b0)
+    assert np.array_equal(starts[2][0], p1.u + t * (p1.u - p0.u))
+    assert np.array_equal(starts[2][1], p1.v + t * (p1.v - p0.v))
+    assert not np.array_equal(starts[2][0], p1.u)
+    grid2 = np.linspace(plan.config.left, plan.config.right, 2 * plan.config.n_points - 1)
+    assert np.array_equal(starts[3][0], np.interp(grid2, p2.grid, p2.u))
+    assert np.array_equal(starts[3][1], np.interp(grid2, p2.grid, p2.v))
 
 
 def test_one_certificate_per_step(monkeypatch):

@@ -157,7 +157,7 @@ def _broken_newton(outcome):
 
     def broken(X, *args):
         if outcome == "newton_failed":
-            return solve_mod.NewtonRun(None, None, 0, "diverged")
+            return solve_mod.NewtonRun(None, None, 0, 0, "diverged")
         run = newton(X, *args)
         return run._replace(x=run.x * (1.0 + 1e-6 * np.sin(np.arange(X.shape[1]))))
 
@@ -193,7 +193,7 @@ class TestWarmStart:
 
         def failing_once(X, *args):
             calls.append(1)
-            return (solve_mod.NewtonRun(None, None, 0, "diverged") if len(calls) == 1
+            return (solve_mod.NewtonRun(None, None, 0, 0, "diverged") if len(calls) == 1
                     else newton(X, *args))
 
         monkeypatch.setattr(solve_mod, "_clipped_newton", failing_once)
@@ -435,11 +435,11 @@ class TestKernelBands:
         assert np.abs(J @ delta.ravel() - rhs.ravel()).max() < 1e-12
 
 
-def _critical_cfg(env):
-    """[min(-60, min join - 25/lambda_min), 100] with h = 0.025."""
+def _critical_cfg(env, h=0.025):
+    """[min(-60, min join - 25/lambda_min), 100] with spacing h."""
     left = min(-60.0, min(env.join_points) - 25.0 / min_decay_rate(env))
     return OperatorConfig(left=left, right=100.0,
-                          n_points=int(round((100.0 - left) / 0.025)) + 1, tol=1e-8)
+                          n_points=int(round((100.0 - left) / h)) + 1, tol=1e-8)
 
 
 class TestNewtonHandover:
@@ -604,6 +604,103 @@ class TestNewtonRun:
         _, rep = iterate(env, P, S, cfg)
         assert (rep.handover, rep.newton_exit, rep.newton_steps) == ("newton_failed",
                                                                      "singular", 0)
+
+
+class TestChordSteps:
+    """Newton reuses its live factor for chord steps while the active set is
+    the factor's."""
+
+    def test_a_chord_step_at_an_unmoved_point_is_the_factored_step(self, monkeypatch):
+        # each step is taken at 1e-30 of its size, so X does not move: every
+        # step solves the same system, a chord step on the factor, a factored
+        # step after each chord step, which shrinks by less than NEWTON_STALL
+        factors, steps = [], []
+        factor, solve = solve_mod._newton_factor, solve_mod._newton_solve
+
+        def counted(*args):
+            factors.append(1)
+            return factor(*args)
+
+        def shrunk(*args, **kwargs):
+            delta = solve(*args, **kwargs)
+            if kwargs.get("v_sign", 1.0) > 0.0:
+                steps.append((len(factors), delta.copy()))
+                delta *= 1e-30
+            return delta
+
+        monkeypatch.setattr(solve_mod, "_newton_factor", counted)
+        monkeypatch.setattr(solve_mod, "_newton_solve", shrunk)
+        cfg = replace(CFG, max_iters=solve_mod.NEWTON_WARMUP + 1)
+        iterate(certify(P, S).envelope, P, S, cfg)
+        assert [k for k, _ in steps[:6]] == [1, 1, 2, 2, 3, 3]
+        first = steps[0][1]
+        for _, delta in steps[1:6]:
+            assert np.abs(delta - first).max() <= 1e-12 * np.abs(first).max()
+
+    def test_a_changed_active_set_is_refactored_and_e_solved_on_the_final_one(
+            self, monkeypatch):
+        # the critical front's run crawls along its active set, and takes
+        # chord steps where the set stays
+        factored, solves = [], []
+        factor, solve = solve_mod._newton_factor, solve_mod._newton_solve
+
+        def recorded_factor(ab, X, W, free, *args):
+            factored.append(free.copy())
+            return factor(ab, X, W, free, *args)
+
+        def recorded_solve(ab, piv, X, W, free, *args, **kwargs):
+            solves.append((len(factored), free.copy(), kwargs.get("v_sign", 1.0)))
+            return solve(ab, piv, X, W, free, *args, **kwargs)
+
+        monkeypatch.setattr(solve_mod, "_newton_factor", recorded_factor)
+        monkeypatch.setattr(solve_mod, "_newton_solve", recorded_solve)
+        p = SystemParams(1.0, 0.5, 0.5, 1.0)
+        cfg = OperatorConfig(left=-60.0, right=100.0, n_points=6401, tol=1e-8)
+        _, rep = iterate(certify(p, 2.0).envelope, p, 2.0, cfg)
+        assert rep.handover == "accepted"
+        assert (rep.newton_steps, rep.newton_factors) == (len(solves) - 1, len(factored))
+        assert any(not np.array_equal(a, b) for a, b in zip(factored, factored[1:]))
+        assert len(solves) - 1 > len(factored)   # chord steps
+        # each step and e are solved with a factor of their own active set
+        for k, free, _ in solves:
+            assert np.array_equal(free, factored[k - 1])
+        assert solves[-1][2] < 0.0 and solves[-2][2] > 0.0
+
+
+#: solves whose hand-over seed x +- eps*e with eps*max|e| = tol/4 failed the
+#: mixed-order check next to the active set's edge, as (params, speed, tol),
+#: each on CFG's 4401 points over [-100, 120]
+WIDE_SEED_SOLVES = [((1.0, 0.2, 0.2, 2.0), 4.243, 1e-5), ((1.0, 0.2, 0.2, 2.0), 4.243, 1e-6),
+                    ((1.0, 0.1, 0.1, 1.0), 4.0, 1e-5)]
+#: s* solves, h = 0.05, whose seed of width HANDOVER_MAX_TOL/4 fails if
+#: Newton stops at tol, as (params, tol)
+LOOSE_CRITICAL_SOLVES = [((0.659, 0.207, 1.025, 1.162), 1e-7),
+                         ((0.501, 0.062, 1.786, 1.699), 1e-6)]
+
+
+class TestSeedWidth:
+    """A hand-over works at min(tol, HANDOVER_MAX_TOL): Newton's stop bound
+    and the seed's width."""
+
+    @pytest.mark.parametrize("params, s, tol", WIDE_SEED_SOLVES)
+    def test_loose_tolerance_seeds_are_accepted(self, params, s, tol):
+        p = SystemParams(*params)
+        _, rep = iterate(certify(p, s).envelope, p, s, replace(CFG, tol=tol))
+        assert rep.handover == "accepted" and rep.converged
+        assert rep.iterations_used == solve_mod.NEWTON_WARMUP + 1
+
+    @pytest.mark.parametrize("params, tol", LOOSE_CRITICAL_SOLVES)
+    def test_newton_stops_within_the_seed_width(self, monkeypatch, params, tol):
+        p = SystemParams(*params)
+        s = critical_speed(p)
+        env = certify(p, s).envelope
+        cfg = replace(_critical_cfg(env, h=0.05), tol=tol, max_iters=solve_mod.NEWTON_WARMUP + 1)
+        _, rep = iterate(env, p, s, cfg)
+        assert rep.handover == "accepted" and rep.converged
+        newton = solve_mod._clipped_newton
+        monkeypatch.setattr(solve_mod, "_clipped_newton", lambda *a: newton(*a[:-1], tol))
+        _, rep = iterate(env, p, s, cfg)
+        assert rep.handover == "rejected" and rep.newton_exit == "converged"
 
 
 def _gaps(last, rate, steps=solve_mod.NEWTON_WARMUP):
