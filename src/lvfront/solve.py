@@ -13,11 +13,9 @@ BETA_MARGIN * (u*, v*) on a monotone front.  The fixed point -Lx = f(x)
 does not depend on the shift; its discretisation does, at O(h^2).
 
 Near the critical speed the pair gap shrinks by only about 0.998 per step,
-on the non-monotone front by 0.925.  After NEWTON_WARMUP steps the gap's
-rate r over the last NEWTON_WINDOW steps predicts log(tol/gap)/log(r) more
-steps; once that is more than NEWTON_COST, the cost of one hand-over in
-pair steps, or the gap is not contracting, the pair is handed over once to
-a semismooth Newton method on the clipped map x = clip(P(x), lo, hi)
+on the non-monotone front by 0.925.  After NEWTON_WARMUP steps a pair
+whose gap is still above tol is handed over once to a semismooth Newton
+method on the clipped map x = clip(P(x), lo, hi)
 (Qi & Sun, Math. Programming 58, 1993).  Newton is damped on the residual
 while its steps are large, so it may start from the midpoint of a pair
 that has made only 20 steps, and it stops at a bound on its answer's
@@ -77,20 +75,10 @@ CLIP_ABORT_TOL = 1e-8
 BETA_MARGIN = 1.05
 #: rows formatted per call by write_csv
 CSV_BLOCK_ROWS = 1024
-#: the cost of one hand-over to Newton (one Newton run and the check), in
-#: pair steps; after NEWTON_WARMUP steps a pair whose gap, at its rate over
-#: the last NEWTON_WINDOW steps, is predicted to need more steps than this
-#: to reach tol is handed over once.  It is counted, not timed: a factored
-#: Newton step applies P once, fills, factors and solves the band, 3.2-4
-#: pair steps, a chord step 1.3-1.5, and a cold run takes 6-8 steps, all
-#: but one of them factored, in all 21-27 pair steps (measured in process
-#: on the bench front, the critical front and the first pulse step)
-NEWTON_COST = 8 * 3
-NEWTON_WINDOW = 10
+#: pair steps before a pair whose gap is still above tol is handed over to
+#: Newton, once: for about the cost of one cold Newton run they bring its
+#: start within reach of its damped steps (README)
 NEWTON_WARMUP = 20
-# the rate reads the gap NEWTON_WINDOW steps back
-if NEWTON_WARMUP <= NEWTON_WINDOW:
-    raise ValueError("NEWTON_WARMUP must exceed NEWTON_WINDOW")
 #: Newton stops once its answer's estimated error, theta/(1 - theta) times
 #: its last step with theta the ratio of its last two steps (both relative
 #: to |x|), is at most NEWTON_RTOL * tol; or at rounding's floor, where a
@@ -555,31 +543,14 @@ def _clipped_newton(X, p: SystemParams, s: float, h: float, star, lo, hi,
             X += damping * step
 
 
-def _hand_over_pays(gap_hist: List[float], tol: float) -> bool:
-    """Whether the pair should be handed over to Newton, after
-    NEWTON_WARMUP steps: at the gap's rate r over the last NEWTON_WINDOW
-    steps, log(tol/gap)/log(r) more steps would close it, and that is more
-    than NEWTON_COST.  A gap that is not contracting, or a tol <= 0, needs
-    infinitely many; a gap at or below tol needs none."""
-    if len(gap_hist) < NEWTON_WARMUP:
-        return False
-    g0, g1 = gap_hist[-1 - NEWTON_WINDOW], gap_hist[-1]
-    if g1 <= tol:
-        return False
-    steps = math.inf
-    if g1 < g0 and tol > 0.0:
-        steps = NEWTON_WINDOW * math.log(tol / g1) / math.log(g1 / g0)
-    return steps > NEWTON_COST
-
-
 def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
             warm_start: Optional[Tuple[np.ndarray, np.ndarray]] = None):
     """Picard iteration under P of the upper pair (u_up, v_lo) and the lower
     pair (u_lo, v_up), clipped to the box and to the envelope sandwich; they
     bracket every fixed point in the mixed quasimonotone order.
 
-    A pair predicted to take more pair steps than a hand-over costs is
-    handed over to Newton once (module docstring).  A warm start seeds one
+    After NEWTON_WARMUP steps a pair whose gap is above cfg.tol is handed
+    over to Newton once (module docstring).  A warm start seeds one
     more hand-over, at the first step, from warm_start clipped to the
     sandwich.  If the seeded pair is accepted it is iterated as the bracket
     and hands over no more; otherwise the cold pair goes on as the cold run,
@@ -668,7 +639,8 @@ def iterate(env: EnvelopeSet, p: SystemParams, s: float, cfg: OperatorConfig,
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         nxt = None
-        if armed and (start is not None or _hand_over_pays(gap_hist, cfg.tol)):
+        if armed and (start is not None
+                      or len(gap_hist) >= NEWTON_WARMUP and gap_hist[-1] > cfg.tol):
             scratch = work = None
             handover, newton, seeded = hand_over(0.5 * np.add(X[0], X[1]) if start is None else start)
             # only a failed warm seed leaves the cold pair's own hand-over armed

@@ -1,20 +1,21 @@
 """Shared test helpers: envelopes moved along the line, their jumps at the
-joins, the operator on a constant state, and the table of entry points that
-the regime gate guards."""
+joins, the operator on a constant state, the table of entry points that the
+regime gate guards, and the draws of the solve atlas."""
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
 from lvfront.analyze import nonmonotone_condition_u, nonmonotone_condition_v, scan_region
 from lvfront.certify import certify
-from lvfront.envelopes import (EnvelopeSet, Piece, PiecewiseProfile, select_critical,
-                               select_supercritical)
-from lvfront.model import SystemParams
+from lvfront.envelopes import (SOLVE_REACH, EnvelopeSet, Piece, PiecewiseProfile, left_reach,
+                               select_critical, select_supercritical)
+from lvfront.model import SystemParams, critical_speed
 from lvfront.pulse import plan_continuation
-from lvfront.solve import _kernel_apply, kernel_rates
+from lvfront.solve import OperatorConfig, _kernel_apply, kernel_rates
 
 
 def translated(env, delta):
@@ -56,6 +57,34 @@ def constant_image(K1, K2, p, s, beta, h, n):
     (a1, g1), (a2, g2) = kernel_rates(p, s, beta)
     return (_kernel_apply(np.full(n, F1), h, a1, g1, 1.0, F1, F1),
             _kernel_apply(np.full(n, F2), h, a2, g2, p.d, F2, F2))
+
+
+def atlas_draws(count, seed=17):
+    """The first count draws (params, s) of the solve atlas.
+
+    random.Random(seed) draws a and d log-uniform in [0.5, 2], b/a uniform
+    in [0.1, 0.95] and ac in [0.05, 0.95], the certificate sweep's box.
+    Where a*d <= 0.99 a draw takes s* with probability 0.3; every other
+    draw takes s = s*(1 + U(0.01, 1)).
+    """
+    rng = random.Random(seed)
+    log_lo, log_hi = math.log(0.5), math.log(2.0)
+    draws = []
+    for _ in range(count):
+        a = math.exp(rng.uniform(log_lo, log_hi))
+        d = math.exp(rng.uniform(log_lo, log_hi))
+        p = SystemParams(a, a * rng.uniform(0.1, 0.95), rng.uniform(0.05, 0.95) / a, d)
+        s_star = critical_speed(p)
+        at_s_star = a * d <= 0.99 and rng.random() < 0.3
+        draws.append((p, s_star if at_s_star else s_star * (1.0 + rng.uniform(0.01, 1.0))))
+    return draws
+
+
+def cli_config(env, n_points=2801, tol=1e-8):
+    """The OperatorConfig of lvfront solve without --domain: left edge
+    min(-60, left_reach(env, SOLVE_REACH)) and right edge 120."""
+    return OperatorConfig(left=min(-60.0, left_reach(env, SOLVE_REACH)), right=120.0,
+                          n_points=n_points, tol=tol)
 
 
 #: the sets outside the strict-weak regime that the gate refuses: a*c = 1,

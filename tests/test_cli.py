@@ -10,7 +10,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from lvfront import cli, pulse
+from lvfront import cli, pulse, solve as solve_mod
 from lvfront.certify import certify
 from lvfront.envelopes import build_envelopes, min_decay_rate
 from lvfront.model import SystemParams
@@ -198,7 +198,7 @@ class TestSolve:
         assert data.shape[1] == 3
         assert abs(data[-1, 1] - 2.0 / 3.0) < 1e-6  # right end near u*
 
-    def test_header_reports_final_shifts(self, in_tmp, capsys):
+    def test_header_reports_final_shifts(self, in_tmp, capsys, monkeypatch):
         code = cli.main(["solve", "--params", "1,0.5,0.5,1", "--speed", "3.0",
                          "--grid", "4401", "--tol", "1e-9", "--out", "prof"])
         capsys.readouterr()
@@ -208,21 +208,27 @@ class TestSolve:
         # 1.05 * (u*, v*) once the pair has closed on a monotone front
         assert beta_u == pytest.approx(0.7, abs=1e-6)
         assert beta_v == pytest.approx(0.7, abs=1e-6)
-        # the bracket: at step 21 this pair is predicted to outlast a
-        # hand-over's cost, and the handed-over pair closes below tol
+        # the bracket: the pair handed over at step 21 closes below tol
         assert head["handover"] == "accepted"
         assert 0.0 < head["pair_gap"] < 1e-9
-        # a fast pair, predicted at step 21 to close within NEWTON_COST
-        # steps, is never handed over, and it closes below tol
-        code = cli.main(["solve", "--params", "1,0.1,0.1,1", "--speed", "3.0",
-                         "--grid", "4401", "--tol", "1e-4", "--out", "fast"])
+        # a fast pair, which Picard alone closes in 44 steps, is handed over
+        # at step 21 too, and its answer is Picard's to within tol
+        fast = ["solve", "--params", "1,0.1,0.1,1", "--speed", "3.0", "--grid", "4401",
+                "--tol", "1e-4"]
+        code = cli.main(fast + ["--out", "fast"])
         capsys.readouterr()
         assert code == 0
         head = json.loads((in_tmp / "fast.json").read_text())
-        assert head["handover"] == "none"
-        assert head["newton_steps"] == head["newton_factors"] == 0
-        assert head["newton_exit"] == "none"
+        assert head["handover"] == "accepted" and head["newton_exit"] == "converged"
+        assert head["iterations"] == solve_mod.NEWTON_WARMUP + 1
         assert 0.0 < head["pair_gap"] < 1e-4
+        monkeypatch.setattr(solve_mod, "NEWTON_WARMUP", math.inf)
+        assert cli.main(fast + ["--out", "picard"]) == 0
+        capsys.readouterr()
+        assert json.loads((in_tmp / "picard.json").read_text())["handover"] == "none"
+        got, want = (np.loadtxt(in_tmp / f"{name}.csv", delimiter=",", skiprows=1)
+                     for name in ("fast", "picard"))
+        assert np.abs(got[:, 1:] - want[:, 1:]).max() < 1e-4
 
     def test_config_file_overrides_flags(self, in_tmp, capsys):
         cfg = {"speed": 3.0, "grid": 4401, "tol": 1e-9, "out": "viacfg"}

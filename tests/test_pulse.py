@@ -211,7 +211,7 @@ class TestNewtonCorrector:
     @pytest.mark.parametrize("k", [1, 4, 7])
     def test_warm_step_brackets_the_cold_answer(self, u_pulse, k, monkeypatch):
         # the cold reference is Picard alone
-        monkeypatch.setattr(solve_mod, "NEWTON_COST", math.inf)
+        monkeypatch.setattr(solve_mod, "NEWTON_WARMUP", math.inf)
         plan, res = u_pulse
         rep, prof = res.steps[k].report, res.steps[k].profile
         assert rep.handover == "accepted" and rep.converged
@@ -316,7 +316,7 @@ def test_failed_newton_hand_over_warns_nothing(monkeypatch):
     # the small-a v-pulse's first step, warm-started from its upper envelope
     # pair with the cold pair's own hand-over forbidden: Newton diverges,
     # and Picard goes on from where the hand-over began, as the cold run
-    monkeypatch.setattr(solve_mod, "NEWTON_COST", math.inf)
+    monkeypatch.setattr(solve_mod, "NEWTON_WARMUP", math.inf)
     plan = plan_continuation(SystemParams(0.3, 0.15, 1.0, 1.0), 2.5, "b_to_a", 8)
     plan = widen_left_edge(plan, keep_h=True)
     p0 = _step_params(plan, plan.steps[0])
